@@ -282,8 +282,14 @@ def feasible_grid(
     May be empty; callers keep the incumbent position in that case.
     """
     pts = grid_points(layout, segment, q)
+    return pts[spacing_mask(pts, other_pa_x, delta_min)]
+
+
+def spacing_mask(
+    pts: np.ndarray, other_pa_x: Sequence[float], delta_min: float
+) -> np.ndarray:
+    """Boolean mask of the points at least ``delta_min`` from every fixed PA."""
     others = np.atleast_1d(np.asarray(other_pa_x, dtype=float))
     if others.size == 0:
-        return pts
-    dist = np.abs(pts[:, None] - others[None, :]).min(axis=1)
-    return pts[dist >= delta_min]
+        return np.ones(len(pts), dtype=bool)
+    return np.abs(pts[:, None] - others[None, :]).min(axis=1) >= delta_min

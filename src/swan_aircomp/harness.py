@@ -47,6 +47,9 @@ KINDS = (
 
 SCHEMES = ("SS", "SA1", "SA2", "PASS")
 
+# Kinds whose sweep values count segments or users.
+_COUNT_SWEEPS = ("sweep-m-fixed-L", "sweep-m-fixed-span", "sweep-k")
+
 # Seed-derivation tag separating restart streams from drop streams.
 _RESTART_TAG = 7001
 
@@ -108,8 +111,16 @@ class ExperimentSpec:
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad or not self.schemes:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}, got {self.schemes}")
-        if any(k < 0 for k in self.kappa_db_per_m) or not self.kappa_db_per_m:
-            raise ConfigError(f"kappa list must be non-empty and non-negative, got {self.kappa_db_per_m}")
+        if not self.kappa_db_per_m or not all(
+            math.isfinite(k) and k >= 0 for k in self.kappa_db_per_m
+        ):
+            raise ConfigError(
+                f"kappa list must be non-empty, finite and non-negative, got {self.kappa_db_per_m}"
+            )
+        if self.design_kappa is not None and not (
+            math.isfinite(self.design_kappa) and self.design_kappa >= 0
+        ):
+            raise ConfigError(f"design_kappa must be finite and non-negative, got {self.design_kappa}")
         if self.kind == "convergence" and any(s not in ("SA1", "SA2") for s in self.schemes):
             raise ConfigError("convergence experiments support only SA1 and SA2 schemes")
         if self.kind == "oracle-check":
@@ -117,6 +128,26 @@ class ExperimentSpec:
                 raise ConfigError("oracle-check experiments require m_segments = 2")
             if any(s not in ("SA1", "SA2") for s in self.schemes):
                 raise ConfigError("oracle-check experiments support only SA1 and SA2 schemes")
+        self._check_scenes()
+
+    def _check_scenes(self) -> None:
+        """Fail now on a sweep value whose scene or radio config cannot be built."""
+        if self.kind in _COUNT_SWEEPS and not all(
+            float(v).is_integer() and v >= 1 for v in self.sweep
+        ):
+            raise ConfigError(
+                f"{self.kind} sweep values must be integers >= 1, got {self.sweep}"
+            )
+        try:
+            region = ServiceRegion(self.d_x, self.d_y)
+            for value in self.sweep:
+                m, seg_len, _ = _sweep_scene_params(self, value)
+                build_layout(m, seg_len, region, self.height)
+            design = () if self.design_kappa is None else (self.design_kappa,)
+            for kappa in self.kappa_db_per_m + design:
+                self.radio_config(kappa)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def wavelength(self) -> float:

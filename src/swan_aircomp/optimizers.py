@@ -11,8 +11,10 @@ Four schemes are covered:
   PASS  conventional baseline: a single unsegmented waveguide spanning the
         same aperture, fed at its left end, one PA found by grid search.
 
-All searches share the accept-only-improving rule, so recorded MSE traces
-never increase.  ``evaluations`` counts objective evaluations, one per
+SA1 and SA2 keep an update only when it does not raise the MSE, so their
+recorded MSE traces never increase.  The SS trace is (best midpoint probe,
+grid minimum on that segment) and can rise, because the grid need not
+contain the midpoint.  ``evaluations`` counts objective evaluations, one per
 candidate probed (for the closed-form phase update: its two stationary
 candidates plus the acceptance check).
 """
@@ -39,6 +41,7 @@ from .geometry import (
     WaveguideLayout,
     feasible_grid,
     grid_points,
+    spacing_mask,
     validate_placement,
 )
 from .metrics import mse_min
@@ -363,6 +366,10 @@ def _ao_engine(
     m_seg = layout.m_segments
     k = scene.k
     scale = 1.0 / math.sqrt(m_seg)
+    # The grid and the users are fixed for the whole run, so each segment's
+    # (Q, K) grid gains are built once; position updates index their rows.
+    grids = [grid_points(layout, m, q_grid) for m in range(m_seg)]
+    gains = [segment_gain_matrix(cfg, scene, m, grids[m]) for m in range(m_seg)]
     base = np.vstack(
         [segment_gain_matrix(cfg, scene, m, [psis[m]])[0] for m in range(m_seg)]
     )
@@ -408,10 +415,11 @@ def _ao_engine(
         for m in range(m_seg):
             rows = scaled_rows()
             b = rest_sum(rows, m)
-            others = np.delete(psis, m)
-            cands = feasible_grid(layout, m, q_grid, others, cfg.delta_min)
-            cand_arr = np.append(cands, psis[m])
-            raw = segment_gain_matrix(cfg, scene, m, cand_arr)
+            keep = spacing_mask(grids[m], np.delete(psis, m), cfg.delta_min)
+            # feasible grid points in grid order, then the incumbent, so
+            # argmin ties resolve toward the lowest grid index
+            cand_arr = np.append(grids[m][keep], psis[m])
+            raw = np.vstack([gains[m][keep], base[m]])
             factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
             h = b[None, :] + raw * factor
             mses = _mse_of_matrix(h, cfg, k)
@@ -597,10 +605,11 @@ def sa1_joint_exhaustive(
     n_tuples = math.prod(len(c) for c in cands)
     if n_tuples > 2_000_000:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
+    gains = [segment_gain_matrix(cfg, scene, m, cands[m]) for m in range(m_seg)]
     best = (math.inf, None)
     count = 0
-    for combo in itertools.product(*cands):
-        arr = np.asarray(combo)
+    for idx in itertools.product(*(range(len(c)) for c in cands)):
+        arr = np.array([c[i] for c, i in zip(cands, idx)])
         if m_seg > 1:
             gaps = np.abs(arr[:, None] - arr[None, :])[np.triu_indices(m_seg, 1)]
             if gaps.min() < cfg.delta_min:
@@ -608,7 +617,7 @@ def sa1_joint_exhaustive(
         count += 1
         h = np.zeros(k, dtype=complex)
         for m in range(m_seg):
-            h = h + segment_gain_matrix(cfg, scene, m, [arr[m]])[0] * scale
+            h = h + gains[m][idx[m]] * scale
         val = _mse_of_total(h, cfg, k)
         if val < best[0]:
             best = (val, arr)
@@ -647,14 +656,14 @@ def sa2_joint_exhaustive(
     cands = _joint_candidates(scene, q_grid, extra_candidates)
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
     rot = np.exp(1j * thetas)
+    rows0 = segment_gain_matrix(cfg, scene, 0, cands[0]) * scale
+    rows1 = segment_gain_matrix(cfg, scene, 1, cands[1]) * scale
     best = (math.inf, None, 0.0)
     count = 0
-    for x0 in cands[0]:
-        row0 = segment_gain_matrix(cfg, scene, 0, [x0])[0] * scale
-        for x1 in cands[1]:
+    for x0, row0 in zip(cands[0], rows0):
+        for x1, row1 in zip(cands[1], rows1):
             if abs(x0 - x1) < cfg.delta_min:
                 continue
-            row1 = segment_gain_matrix(cfg, scene, 1, [x1])[0] * scale
             h = rot[:, None] * row0[None, :] + row1[None, :]
             mses = _mse_of_matrix(h, cfg, k)
             j = int(np.argmin(mses))

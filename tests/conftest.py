@@ -3,10 +3,14 @@
 The naive evaluators below recompute effective channels user-by-user with
 scalar math/cmath calls.  They share only the RadioConfig-derived constants
 with the library, giving the vectorized implementations a second,
-structurally different evaluation path to agree with.
+structurally different evaluation path to agree with.  The reference_*
+functions keep the optimizers' per-candidate gain path (every candidate's
+gains recomputed on every update), which the precomputed-grid optimizers
+must reproduce bit for bit.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -86,3 +90,133 @@ def naive_mse(h, p_tx, noise_var):
 def rel_err(a, b):
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale
+
+
+def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
+                 max_iters=100, tol=1e-8, trace_granularity="sweep"):
+    """The AO loop with every candidate's gains recomputed on every update.
+
+    Mirrors the library's alternating sweeps but builds each position
+    update's candidates with feasible_grid and one segment_gain_matrix call
+    per candidate, so no gain row is ever reused.  Returns a dict with the
+    final pa_x and phases, the trace, the iteration and evaluation counts,
+    and how many grid points the spacing rule dropped in total.
+    """
+    from swan_aircomp.optimizers import _closed_form_phase, _mse_of_matrix, _mse_of_total
+
+    layout = scene.layout
+    m_seg = layout.m_segments
+    k = scene.k
+    scale = 1.0 / math.sqrt(m_seg)
+    psis = np.array(pa_x, dtype=float)
+    thetas = None if phases is None else np.array(phases, dtype=float)
+    base = np.vstack([sa.segment_gain_matrix(cfg, scene, m, [psis[m]])[0] for m in range(m_seg)])
+
+    def total():
+        s = base * scale
+        if thetas is not None:
+            s = s * np.exp(1j * thetas)[:, None]
+        return s
+
+    def rest(rows, m):
+        if m_seg == 1:
+            return np.zeros(k, dtype=complex)
+        return rows[[i for i in range(m_seg) if i != m]].sum(axis=0)
+
+    current = _mse_of_total(total().sum(axis=0), cfg, k)
+    evaluations, trace, iterations, dropped = 1, [current], 0, 0
+    per_update = trace_granularity == "update"
+    for sweep in range(max_iters):
+        sweep_start = current
+        if thetas is not None and update_phases:
+            for m in range(m_seg):
+                b = rest(total(), m)
+                theta_new, _ = _closed_form_phase(
+                    base[m] * scale, b, cfg.noise_var / cfg.p_tx, float(thetas[m])
+                )
+                theta_old = thetas[m]
+                thetas[m] = theta_new
+                candidate = _mse_of_total(total().sum(axis=0), cfg, k)
+                evaluations += 3
+                if candidate <= current:
+                    current = candidate
+                else:
+                    thetas[m] = theta_old
+                if per_update:
+                    trace.append(current)
+        for m in range(m_seg):
+            b = rest(total(), m)
+            cands = sa.feasible_grid(layout, m, q_grid, np.delete(psis, m), cfg.delta_min)
+            dropped += q_grid - cands.size
+            cand_arr = np.append(cands, psis[m])
+            raw = np.vstack([sa.segment_gain_matrix(cfg, scene, m, [x])[0] for x in cand_arr])
+            factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
+            mses = _mse_of_matrix(b[None, :] + raw * factor, cfg, k)
+            j = int(np.argmin(mses))
+            evaluations += cand_arr.size
+            if float(mses[j]) <= current:
+                psis[m] = cand_arr[j]
+                base[m] = raw[j]
+                current = float(mses[j])
+            if per_update:
+                trace.append(current)
+        iterations = sweep + 1
+        if not per_update:
+            trace.append(current)
+        if sweep_start - current < tol:
+            break
+    return {"pa_x": psis, "phases": thetas, "trace": tuple(trace),
+            "iterations": iterations, "evaluations": evaluations, "dropped": dropped}
+
+
+def reference_sa1_joint(cfg, scene, cands):
+    """SA1 joint grid oracle with one segment_gain_matrix call per tuple entry.
+
+    Returns (best MSE, best pa_x, feasible tuple count).
+    """
+    from swan_aircomp.optimizers import _mse_of_total
+
+    m_seg = scene.layout.m_segments
+    scale = 1.0 / math.sqrt(m_seg)
+    best = (math.inf, None)
+    count = 0
+    for combo in itertools.product(*cands):
+        arr = np.asarray(combo)
+        if m_seg > 1:
+            gaps = np.abs(arr[:, None] - arr[None, :])[np.triu_indices(m_seg, 1)]
+            if gaps.min() < cfg.delta_min:
+                continue
+        count += 1
+        h = np.zeros(scene.k, dtype=complex)
+        for m in range(m_seg):
+            h = h + sa.segment_gain_matrix(cfg, scene, m, [arr[m]])[0] * scale
+        val = _mse_of_total(h, cfg, scene.k)
+        if val < best[0]:
+            best = (val, arr)
+    return best[0], best[1], count
+
+
+def reference_sa2_joint(cfg, scene, cands, theta_grid):
+    """Two-segment SA2 joint oracle with per-candidate gain calls.
+
+    Returns (best MSE, best pa_x, best first-segment phase, evaluation count).
+    """
+    from swan_aircomp.optimizers import TWO_PI, _mse_of_matrix
+
+    scale = 1.0 / math.sqrt(2.0)
+    thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
+    rot = np.exp(1j * thetas)
+    best = (math.inf, None, 0.0)
+    count = 0
+    for x0 in cands[0]:
+        row0 = sa.segment_gain_matrix(cfg, scene, 0, [x0])[0] * scale
+        for x1 in cands[1]:
+            if abs(x0 - x1) < cfg.delta_min:
+                continue
+            row1 = sa.segment_gain_matrix(cfg, scene, 1, [x1])[0] * scale
+            mses = _mse_of_matrix(rot[:, None] * row0[None, :] + row1[None, :], cfg, scene.k)
+            j = int(np.argmin(mses))
+            count += thetas.size
+            if float(mses[j]) < best[0]:
+                best = (float(mses[j]), np.array([x0, x1]), float(thetas[j]))
+    return best[0], best[1], best[2], count

@@ -127,6 +127,24 @@ def test_segment_gain_matrix_matches_naive():
                     assert abs(mat[i, k] - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_segment_gain_matrix_rows_do_not_depend_on_the_batch(kappa):
+    """Row i of a whole-grid call is bitwise the single-candidate call at grid[i].
+
+    The optimizers build each segment's grid gains once and index rows, where
+    they used to recompute candidates in smaller batches; their results stay
+    byte-identical only because of this property.
+    """
+    cfg = make_config(kappa=kappa)
+    scene = make_scene(m_segments=3, seg_length=2.0, k=20, seed=23)
+    for seg in range(3):
+        grid = sa.grid_points(scene.layout, seg, 257)
+        mat = sa.segment_gain_matrix(cfg, scene, seg, grid)
+        for i in range(grid.size):
+            single = sa.segment_gain_matrix(cfg, scene, seg, [grid[i]])[0]
+            assert np.array_equal(mat[i], single)
+
+
 def test_eff_channel_ss_phase_structure():
     """Channel phase is -(k0 * r + guided_rate * ell) mod 2 pi."""
     cfg = make_config(kappa=0.08)

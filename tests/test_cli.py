@@ -71,3 +71,36 @@ def test_config_file_and_flags_reach_metadata(tmp_path):
     assert meta["spec"]["q_grid"] == 25
     assert meta["spec"]["n_drops"] == 2
     assert meta["spec"]["master_seed"] == 17
+
+
+def _rejected_before_work(tmp_path, capsys, cmd, *flags):
+    """A bad value exits 1 with a config error and writes no output at all."""
+    out = tmp_path / "out"
+    code = main([cmd, "--out-dir", str(out), "--drops", "1", "--quiet", *flags])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_kappa_is_a_config_error(tmp_path, capsys):
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--kappa", "nan")
+
+
+def test_infinite_kappa_is_a_config_error(tmp_path, capsys):
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--kappa", "0,inf")
+
+
+def test_nan_design_kappa_is_a_config_error(tmp_path, capsys):
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--design-kappa", "nan")
+
+
+def test_fractional_segment_count_is_a_config_error(tmp_path, capsys):
+    _rejected_before_work(tmp_path, capsys, "sweep-m", "--sweep", "2.5")
+
+
+def test_zero_user_count_is_a_config_error(tmp_path, capsys):
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--sweep", "0")
+
+
+def test_negative_segment_length_is_a_config_error(tmp_path, capsys):
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--seg-length", "-1")

@@ -23,7 +23,16 @@ from swan_aircomp.optimizers import (
     ss_two_stage,
 )
 from swan_aircomp.rng import derive_seed, philox_stream
-from conftest import make_config, make_scene, naive_mse, rel_err, scene_with_users
+from conftest import (
+    make_config,
+    make_scene,
+    naive_mse,
+    reference_ao,
+    reference_sa1_joint,
+    reference_sa2_joint,
+    rel_err,
+    scene_with_users,
+)
 
 
 def wide_scene(k=6, seed=5):
@@ -382,3 +391,105 @@ def test_sa2_joint_exhaustive_is_a_lower_bound_for_positions_on_grid():
         "SA2", np.array([x0, x1]), phases=np.array([2 * math.pi * 11 / 240, 0.0])
     )
     assert evaluate_placement(cfg, scene, probe) >= rec.final_mse - 1e-12
+
+
+# Precomputed grid gains against the per-candidate reference path: the AO
+# and the joint oracles must return bit-identical results and counters.
+
+_WIDE_DELTA = 0.7  # m; with 2 m segments this drops grid points near neighbours
+
+
+def _equivalence_case(m_seg, kappa, delta_min):
+    cfg = make_config(kappa=kappa, delta_min=delta_min)
+    scene = make_scene(m_segments=m_seg, seg_length=2.0, d_x=20.0, k=5, seed=40 + m_seg)
+    return cfg, scene
+
+
+def _assert_same_run(rec, ref):
+    assert np.array_equal(rec.placement.pa_x, ref["pa_x"])
+    if ref["phases"] is not None:
+        assert np.array_equal(rec.placement.phases, ref["phases"] % (2.0 * math.pi))
+    assert rec.mse_trace == ref["trace"]
+    assert rec.final_mse == ref["trace"][-1]
+    assert rec.iterations == ref["iterations"]
+    assert rec.evaluations == ref["evaluations"]
+
+
+@pytest.mark.parametrize("m_seg", [1, 2, 5])
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+@pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
+@pytest.mark.parametrize("init_kind", ["midpoint", "random"])
+def test_ao_matches_per_candidate_reference_bitwise(m_seg, kappa, delta_min, init_kind):
+    cfg, scene = _equivalence_case(m_seg, kappa, delta_min)
+    q = 41
+    runs = []
+    for arch in ("SA1", "SA2"):
+        if init_kind == "midpoint":
+            init = midpoint_init(scene, arch)
+        else:
+            init = random_init(scene, arch, seed=3 + m_seg, delta_min=cfg.delta_min)
+        if arch == "SA1":
+            runs.append((sa1_ao(cfg, scene, q, init=init), reference_ao(cfg, scene, q, init.pa_x)))
+            continue
+        for granularity in ("sweep", "update"):
+            rec = sa2_ao(cfg, scene, q, init=init, trace_granularity=granularity)
+            ref = reference_ao(cfg, scene, q, init.pa_x, init.phases, trace_granularity=granularity)
+            runs.append((rec, ref))
+    for rec, ref in runs:
+        _assert_same_run(rec, ref)
+    if delta_min == _WIDE_DELTA and m_seg > 1:
+        assert sum(ref["dropped"] for _, ref in runs) > 0  # the spacing mask was exercised
+
+
+@pytest.mark.parametrize("m_seg,q", [(1, 30), (2, 15), (5, 3)])
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+@pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
+def test_sa1_joint_matches_per_candidate_reference_bitwise(m_seg, q, kappa, delta_min):
+    cfg, scene = _equivalence_case(m_seg, kappa, delta_min)
+    extra = [[float(x)] for x in midpoint_init(scene, "SA1").pa_x]
+    rec = sa1_joint_exhaustive(cfg, scene, q, extra_candidates=extra)
+    cands = [np.append(sa.grid_points(scene.layout, m, q), extra[m]) for m in range(m_seg)]
+    best, pa_x, count = reference_sa1_joint(cfg, scene, cands)
+    assert rec.final_mse == best
+    assert rec.mse_trace == (best,)
+    assert np.array_equal(rec.placement.pa_x, pa_x)
+    assert rec.evaluations == count
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+@pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
+def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, delta_min):
+    cfg, scene = _equivalence_case(2, kappa, delta_min)
+    q, theta_grid = 12, 48
+    extra = [[float(x)] for x in midpoint_init(scene, "SA2").pa_x]
+    rec = sa2_joint_exhaustive(cfg, scene, q, theta_grid=theta_grid, extra_candidates=extra)
+    cands = [np.append(sa.grid_points(scene.layout, m, q), extra[m]) for m in range(2)]
+    best, pa_x, theta0, count = reference_sa2_joint(cfg, scene, cands, theta_grid)
+    assert rec.final_mse == best
+    assert rec.mse_trace == (best,)
+    assert np.array_equal(rec.placement.pa_x, pa_x)
+    assert np.array_equal(rec.placement.phases, [theta0, 0.0])
+    assert rec.evaluations == count
+
+
+@pytest.mark.parametrize("seed", [4, 11, 15])
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_ss_final_mse_is_the_chosen_segments_grid_minimum(seed, kappa):
+    """SS's final MSE is a recomputable grid minimum, even when its trace rises.
+
+    The trace is (best midpoint probe, grid minimum); an even Q grid misses
+    the midpoint, so the second entry can exceed the first (seeds 4 and 11).
+    """
+    cfg = make_config(kappa=kappa)
+    scene = make_scene(m_segments=4, seg_length=1.5, k=5, seed=seed)
+    q = 40
+    rec = ss_two_stage(cfg, scene, q)
+    m = rec.placement.segment
+    grid = sa.grid_points(scene.layout, m, q)
+    grid_min = min(ss_mse_objective(cfg, scene, m, float(x)) for x in grid)
+    assert rec.final_mse == rec.mse_trace[-1]
+    assert rel_err(rec.final_mse, evaluate_placement(cfg, scene, rec.placement)) < 1e-12
+    assert rel_err(rec.final_mse, grid_min) < 1e-12
+    assert float(rec.placement.pa_x[0]) in grid
+    if seed in (4, 11):
+        assert rec.mse_trace[1] > rec.mse_trace[0]
