@@ -15,18 +15,16 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import svgplot
 from .channel import RadioConfig, dbm_to_watts
 from .geometry import Scene, ServiceRegion, build_layout, sample_users
-from .metrics import mse_min  # noqa: F401  (re-exported for convenience)
 from .optimizers import (
     RunRecord,
     evaluate_placement,
-    midpoint_init,
     pass_baseline,
     random_init,
     sa1_ao,
@@ -121,13 +119,16 @@ class ExperimentSpec:
             math.isfinite(self.design_kappa) and self.design_kappa >= 0
         ):
             raise ConfigError(f"design_kappa must be finite and non-negative, got {self.design_kappa}")
-        if self.kind == "convergence" and any(s not in ("SA1", "SA2") for s in self.schemes):
-            raise ConfigError("convergence experiments support only SA1 and SA2 schemes")
-        if self.kind == "oracle-check":
-            if self.m_segments != 2:
-                raise ConfigError("oracle-check experiments require m_segments = 2")
+        if self.kind in ("convergence", "oracle-check"):
             if any(s not in ("SA1", "SA2") for s in self.schemes):
-                raise ConfigError("oracle-check experiments support only SA1 and SA2 schemes")
+                raise ConfigError(f"{self.kind} experiments support only SA1 and SA2 schemes")
+            if self.restarts > 0 or self.design_kappa is not None or self.sweep != (0,):
+                raise ConfigError(
+                    f"{self.kind} experiments take no restarts, design_kappa or sweep, got "
+                    f"restarts={self.restarts}, design_kappa={self.design_kappa}, sweep={self.sweep}"
+                )
+        if self.kind == "oracle-check" and self.m_segments != 2:
+            raise ConfigError("oracle-check experiments require m_segments = 2")
         self._check_scenes()
 
     def _check_scenes(self) -> None:
@@ -302,6 +303,10 @@ def _parse_values(values: dict, origin: str) -> dict:
     for key, value in values.items():
         if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown {origin} key: {key!r}")
+        if isinstance(value, bool) or (
+            isinstance(value, list) and any(isinstance(v, bool) for v in value)
+        ):
+            raise ConfigError(f"bad value for {key!r}: {value!r} (a boolean is not a number)")
         try:
             out[key] = _VALUE_PARSERS[key](value)
         except (TypeError, ValueError) as exc:
@@ -389,24 +394,40 @@ def _run_scheme(
     return best
 
 
-def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """Run every (sweep value, drop, scheme, kappa) cell of the experiment.
+def _run_oracle(
+    scheme: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int
+) -> RunRecord:
+    """Joint brute-force oracle for an AO scheme on the same drop.
 
-    Rows come back in exactly that nesting order.  Per-drop user positions
-    depend only on (master_seed, drop), so every sweep value, scheme, and
-    kappa sees the same drops.  With ``design_kappa`` set, optimizers run
-    with that attenuation and the reported MSE is re-evaluated under the
-    scenario kappa.
+    The candidate grids are extended by the AO midpoint inits, which AO may
+    legitimately retain.
     """
-    if spec.kind == "convergence":
-        return _run_convergence(spec)
-    if spec.kind == "oracle-check":
-        return _run_oracle_check(spec)
+    layout = scene.layout
+    extra = [[float(x)] for x in layout.feed_x + layout.seg_length / 2.0]
+    drop_seed = derive_seed(spec.master_seed, drop)
+    if scheme == "SA1":
+        return sa1_joint_exhaustive(
+            cfg, scene, spec.q_grid, extra_candidates=extra, seed=drop_seed
+        )
+    return sa2_joint_exhaustive(
+        cfg, scene, spec.q_grid, theta_grid=spec.theta_grid,
+        extra_candidates=extra, seed=drop_seed,
+    )
 
-    rows: list[ResultRow] = []
+
+def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
+    """One (ResultRow, RunRecord) per optimizer run, in experiment order.
+
+    Runs nest as (sweep value, drop, scheme, kappa).  Per-drop user
+    positions depend only on (master_seed, drop), so every sweep value,
+    scheme, and kappa sees the same drops.  With ``design_kappa`` set,
+    optimizers run with that attenuation and the row's MSE is re-evaluated
+    under the scenario kappa.  For oracle-check every AO run is followed by
+    its joint oracle run, whose scheme name is suffixed "-oracle".
+    """
+    region = ServiceRegion(spec.d_x, spec.d_y)
     for sweep_value in spec.sweep:
         m, seg_len, k = _sweep_scene_params(spec, sweep_value)
-        region = ServiceRegion(spec.d_x, spec.d_y)
         layout = build_layout(m, seg_len, region, spec.height)
         for drop in range(spec.n_drops):
             users = sample_users(region, k, derive_seed(spec.master_seed, drop))
@@ -418,17 +439,20 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                         cfg if spec.design_kappa is None
                         else spec.radio_config(spec.design_kappa)
                     )
-                    t0 = time.perf_counter()
-                    rec = _run_scheme(scheme, design_cfg, scene, spec, drop)
-                    elapsed = time.perf_counter() - t0
-                    final = (
-                        rec.final_mse if spec.design_kappa is None
-                        else evaluate_placement(cfg, scene, rec.placement)
-                    )
-                    rows.append(
-                        ResultRow(
+                    runs = [(scheme, _run_scheme, design_cfg)]
+                    if spec.kind == "oracle-check":
+                        runs.append((scheme + "-oracle", _run_oracle, cfg))
+                    for tag, runner, run_cfg in runs:
+                        t0 = time.perf_counter()
+                        rec = runner(scheme, run_cfg, scene, spec, drop)
+                        elapsed = time.perf_counter() - t0
+                        final = (
+                            rec.final_mse if run_cfg is cfg
+                            else evaluate_placement(cfg, scene, rec.placement)
+                        )
+                        row = ResultRow(
                             experiment=spec.kind,
-                            scheme=scheme,
+                            scheme=tag,
                             kappa=kappa,
                             sweep_value=float(sweep_value),
                             drop=drop,
@@ -438,114 +462,33 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                             seed=rec.seed,
                             elapsed=elapsed,
                         )
-                    )
-    return rows
+                        yield row, rec
 
 
-def _run_convergence(spec: ExperimentSpec) -> list[ResultRow]:
-    """Per-iteration MSE traces; sweep_value carries the iteration index.
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """Run every cell of the experiment, one row per optimizer run.
 
-    Traces shorter than the longest one are padded with their final value
-    (the optimizer would hold that MSE if swept further), keeping every
-    iteration's aggregate over the same number of drops.
+    Rows nest as (sweep value, drop, scheme, kappa); for oracle-check each
+    AO row is followed by its "-oracle" row.  For convergence the rows are
+    per-iteration MSE traces instead, emitted iteration-major with
+    sweep_value carrying the iteration index.  Traces shorter than the
+    longest one are padded with their final value (the optimizer would hold
+    that MSE if swept further), keeping every iteration's aggregate over the
+    same number of drops.
     """
-    region = ServiceRegion(spec.d_x, spec.d_y)
-    layout = build_layout(spec.m_segments, spec.seg_length, region, spec.height)
-    runs: dict[tuple, tuple[RunRecord, float]] = {}
-    for drop in range(spec.n_drops):
-        users = sample_users(region, spec.k_users, derive_seed(spec.master_seed, drop))
-        scene = Scene(region, layout, users)
-        for scheme in spec.schemes:
-            for kappa in spec.kappa_db_per_m:
-                cfg = spec.radio_config(kappa)
-                runner = sa1_ao if scheme == "SA1" else sa2_ao
-                t0 = time.perf_counter()
-                rec = runner(
-                    cfg, scene, spec.q_grid,
-                    max_iters=spec.max_iters, tol=spec.tol,
-                    seed=derive_seed(spec.master_seed, drop),
-                )
-                runs[(drop, scheme, kappa)] = (rec, time.perf_counter() - t0)
-    max_len = max(len(rec.mse_trace) for rec, _ in runs.values())
-    rows: list[ResultRow] = []
-    for it in range(max_len):
-        for drop in range(spec.n_drops):
-            for scheme in spec.schemes:
-                for kappa in spec.kappa_db_per_m:
-                    rec, elapsed = runs[(drop, scheme, kappa)]
-                    trace = rec.mse_trace
-                    value = trace[min(it, len(trace) - 1)]
-                    rows.append(
-                        ResultRow(
-                            experiment=spec.kind,
-                            scheme=scheme,
-                            kappa=kappa,
-                            sweep_value=float(it),
-                            drop=drop,
-                            final_mse=value,
-                            iterations=rec.iterations,
-                            evaluations=rec.evaluations,
-                            seed=rec.seed,
-                            elapsed=elapsed,
-                        )
-                    )
-    return rows
-
-
-def _run_oracle_check(spec: ExperimentSpec) -> list[ResultRow]:
-    """Tiny-instance AO runs paired with joint brute-force oracle runs.
-
-    Every AO row is followed by a row for the matching oracle (scheme name
-    suffixed "-oracle") so relative gaps can be read off per drop.  The
-    oracle candidate grids are extended by the AO midpoint inits, which AO
-    may legitimately retain.
-    """
-    region = ServiceRegion(spec.d_x, spec.d_y)
-    layout = build_layout(spec.m_segments, spec.seg_length, region, spec.height)
-    rows: list[ResultRow] = []
-    mids = layout.feed_x + layout.seg_length / 2.0
-    extra = [[float(x)] for x in mids]
-    for drop in range(spec.n_drops):
-        drop_seed = derive_seed(spec.master_seed, drop)
-        users = sample_users(region, spec.k_users, drop_seed)
-        scene = Scene(region, layout, users)
-        for scheme in spec.schemes:
-            for kappa in spec.kappa_db_per_m:
-                cfg = spec.radio_config(kappa)
-                runner = sa1_ao if scheme == "SA1" else sa2_ao
-                t0 = time.perf_counter()
-                rec = runner(
-                    cfg, scene, spec.q_grid,
-                    max_iters=spec.max_iters, tol=spec.tol, seed=drop_seed,
-                )
-                elapsed = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                if scheme == "SA1":
-                    oracle = sa1_joint_exhaustive(
-                        cfg, scene, spec.q_grid, extra_candidates=extra, seed=drop_seed
-                    )
-                else:
-                    oracle = sa2_joint_exhaustive(
-                        cfg, scene, spec.q_grid, theta_grid=spec.theta_grid,
-                        extra_candidates=extra, seed=drop_seed,
-                    )
-                oracle_elapsed = time.perf_counter() - t0
-                for tag, r, el in ((scheme, rec, elapsed), (scheme + "-oracle", oracle, oracle_elapsed)):
-                    rows.append(
-                        ResultRow(
-                            experiment=spec.kind,
-                            scheme=tag,
-                            kappa=kappa,
-                            sweep_value=0.0,
-                            drop=drop,
-                            final_mse=r.final_mse,
-                            iterations=r.iterations,
-                            evaluations=r.evaluations,
-                            seed=r.seed,
-                            elapsed=el,
-                        )
-                    )
-    return rows
+    if spec.kind != "convergence":
+        return [row for row, _ in _cells(spec)]
+    runs = list(_cells(spec))
+    max_len = max(len(rec.mse_trace) for _, rec in runs)
+    return [
+        dataclasses.replace(
+            row,
+            sweep_value=float(it),
+            final_mse=rec.mse_trace[min(it, len(rec.mse_trace) - 1)],
+        )
+        for it in range(max_len)
+        for row, rec in runs
+    ]
 
 
 def aggregate(rows: Sequence[ResultRow]) -> list[AggregateRow]:

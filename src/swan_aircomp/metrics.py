@@ -56,15 +56,28 @@ def mse_given_scaling(h, r: complex, p_tx: float, noise_var: float) -> float:
     return float(np.sum(np.abs(misalign) ** 2) + abs(r) ** 2 * noise_var)
 
 
+def mse_rows(h: np.ndarray, p_tx: float, noise_var: float) -> np.ndarray:
+    """Minimum aggregation MSE of each channel vector along the last axis.
+
+    ``h`` is a (..., K) complex array; the result has shape (...), so a (K,)
+    vector gives a 0-d value.  This is the one implementation of the formula:
+    every scheme, scan and oracle scores its candidates here, so a value
+    found in a batch equals the recomputation from the same channel vector.
+    """
+    signal = p_tx * np.abs(h.sum(axis=-1)) ** 2
+    denom = p_tx * (np.abs(h) ** 2).sum(axis=-1) + noise_var
+    return h.shape[-1] - signal / denom
+
+
 def mse_min(h, p_tx: float, noise_var: float) -> MseReport:
-    """Minimum aggregation MSE over the receive scaling."""
+    """Minimum aggregation MSE over the receive scaling, with its terms."""
     arr = _as_channel(h)
-    k = arr.size
     total = arr.sum()
-    signal = p_tx * float(abs(total) ** 2)
+    signal = p_tx * float(np.abs(total) ** 2)
     denom = p_tx * float(np.sum(np.abs(arr) ** 2)) + noise_var
     r_opt = complex(np.sqrt(p_tx) * np.conj(total) / denom)
-    return MseReport(mse=k - signal / denom, r_opt=r_opt, signal_term=signal, denom=denom)
+    mse = float(mse_rows(arr, p_tx, noise_var))
+    return MseReport(mse=mse, r_opt=r_opt, signal_term=signal, denom=denom)
 
 
 def empirical_mse(

@@ -21,7 +21,6 @@ candidates plus the acceptance check).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,7 +43,7 @@ from .geometry import (
     spacing_mask,
     validate_placement,
 )
-from .metrics import mse_min
+from .metrics import mse_rows
 from .rng import philox_stream
 
 TWO_PI = 2.0 * math.pi
@@ -53,6 +52,10 @@ TWO_PI = 2.0 * math.pi
 # scale) carries no phase information; the incumbent phase is kept.
 _DEGENERATE_RTOL = 1e-15
 
+# Joint position tuples the SA1 oracle scores per kernel call, which bounds
+# its memory at any grid size its tuple cap admits.
+_TUPLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -60,7 +63,9 @@ class RunRecord:
 
     mse_trace holds the objective after the initial evaluation and then per
     accepted update or per sweep (optimizer-dependent); final_mse is its last
-    entry and always matches an independent recomputation from ``placement``.
+    entry.  evaluate_placement(cfg, scene, placement) recomputes it exactly
+    for SS and PASS, and to about 1e-12 relative for SA1, SA2 and the joint
+    oracles, whose channel sums run in a different order.
     """
 
     placement: Placement
@@ -104,22 +109,10 @@ class PhaseUpdateIntermediates:
     candidates: tuple
 
 
-def _mse_of_matrix(h: np.ndarray, cfg: RadioConfig, k: int) -> np.ndarray:
-    """MSE for each row of a (C, K) candidate channel matrix."""
-    num = cfg.p_tx * np.abs(h.sum(axis=1)) ** 2
-    den = cfg.p_tx * (np.abs(h) ** 2).sum(axis=1) + cfg.noise_var
-    return k - num / den
-
-
-def _mse_of_total(h: np.ndarray, cfg: RadioConfig, k: int) -> float:
-    num = cfg.p_tx * abs(h.sum()) ** 2
-    den = cfg.p_tx * float((np.abs(h) ** 2).sum()) + cfg.noise_var
-    return float(k - num / den)
-
-
 def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> float:
     """MSE when only ``segment`` is active with its PA at pa_x."""
-    return mse_min(eff_channel_ss(cfg, scene, segment, pa_x), cfg.p_tx, cfg.noise_var).mse
+    h = eff_channel_ss(cfg, scene, segment, pa_x)
+    return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
 def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> RunRecord:
@@ -131,17 +124,17 @@ def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> 
     ties break toward the lowest segment index and lowest grid index.
     """
     layout = scene.layout
-    k = scene.k
     best_m = 0
     best_mid = math.inf
     for m in range(layout.m_segments):
         mid = float(layout.feed_x[m]) + layout.seg_length / 2.0
-        val = float(_mse_of_matrix(segment_gain_matrix(cfg, scene, m, [mid]), cfg, k)[0])
+        h = segment_gain_matrix(cfg, scene, m, [mid])[0]
+        val = float(mse_rows(h, cfg.p_tx, cfg.noise_var))
         if val < best_mid:
             best_mid = val
             best_m = m
     pts = grid_points(layout, best_m, q_grid)
-    mses = _mse_of_matrix(segment_gain_matrix(cfg, scene, best_m, pts), cfg, k)
+    mses = mse_rows(segment_gain_matrix(cfg, scene, best_m, pts), cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     final = float(mses[j])
     placement = Placement("SS", np.array([pts[j]]), segment=best_m)
@@ -158,11 +151,10 @@ def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> 
 def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> RunRecord:
     """Grid search over every segment's Q points: exactly M * Q evaluations."""
     layout = scene.layout
-    k = scene.k
     best = (math.inf, 0, 0.0)
     for m in range(layout.m_segments):
         pts = grid_points(layout, m, q_grid)
-        mses = _mse_of_matrix(segment_gain_matrix(cfg, scene, m, pts), cfg, k)
+        mses = mse_rows(segment_gain_matrix(cfg, scene, m, pts), cfg.p_tx, cfg.noise_var)
         j = int(np.argmin(mses))
         if float(mses[j]) < best[0]:
             best = (float(mses[j]), m, float(pts[j]))
@@ -195,9 +187,8 @@ def pass_baseline(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) ->
     attenuation over the whole feed-to-PA run.  Q evaluations.
     """
     bscene = baseline_scene(scene)
-    k = scene.k
     pts = grid_points(bscene.layout, 0, q_grid)
-    mses = _mse_of_matrix(segment_gain_matrix(cfg, bscene, 0, pts), cfg, k)
+    mses = mse_rows(segment_gain_matrix(cfg, bscene, 0, pts), cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     final = float(mses[j])
     placement = Placement("PASS", np.array([pts[j]]), segment=0)
@@ -386,7 +377,7 @@ def _ao_engine(
         idx = [i for i in range(m_seg) if i != m]
         return rows[idx].sum(axis=0)
 
-    current = _mse_of_total(scaled_rows().sum(axis=0), cfg, k)
+    current = float(mse_rows(scaled_rows().sum(axis=0), cfg.p_tx, cfg.noise_var))
     evaluations = 1
     trace = [current]
     iterations = 0
@@ -404,7 +395,7 @@ def _ao_engine(
                 )
                 theta_old = thetas[m]
                 thetas[m] = theta_new
-                candidate = _mse_of_total(scaled_rows().sum(axis=0), cfg, k)
+                candidate = float(mse_rows(scaled_rows().sum(axis=0), cfg.p_tx, cfg.noise_var))
                 evaluations += 3
                 if candidate <= current:
                     current = candidate
@@ -421,8 +412,7 @@ def _ao_engine(
             cand_arr = np.append(grids[m][keep], psis[m])
             raw = np.vstack([gains[m][keep], base[m]])
             factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
-            h = b[None, :] + raw * factor
-            mses = _mse_of_matrix(h, cfg, k)
+            mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             evaluations += cand_arr.size
             if float(mses[j]) <= current:
@@ -483,7 +473,7 @@ def sa1_position_update(
     factor = scale
     if placement.phases is not None:
         factor = scale * np.exp(1j * placement.phases[segment])
-    mses = _mse_of_matrix(b[None, :] + raw * factor, cfg, k)
+    mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     return float(cand_arr[j]), float(mses[j])
 
@@ -569,7 +559,7 @@ def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> 
         h = eff_channel_ss(cfg, bscene, 0, float(placement.pa_x[0]))
     else:  # pragma: no cover - Placement rejects unknown tags
         raise ValueError(f"unknown architecture {arch!r}")
-    return mse_min(h, cfg.p_tx, cfg.noise_var).mse
+    return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
 def _joint_candidates(
@@ -596,31 +586,36 @@ def sa1_joint_exhaustive(
 
     Brute force over the Q^M product grid (optionally extended per segment by
     ``extra_candidates``); intended for tiny instances as an optimizer oracle.
+    Tuples are scored in blocks of ``_TUPLE_BLOCK``, in itertools.product
+    order (last segment fastest); ties resolve to the first such tuple.
     """
     layout = scene.layout
     m_seg = layout.m_segments
-    k = scene.k
     scale = 1.0 / math.sqrt(m_seg)
     cands = _joint_candidates(scene, q_grid, extra_candidates)
-    n_tuples = math.prod(len(c) for c in cands)
+    shape = tuple(len(c) for c in cands)
+    n_tuples = math.prod(shape)
     if n_tuples > 2_000_000:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
-    gains = [segment_gain_matrix(cfg, scene, m, cands[m]) for m in range(m_seg)]
+    rows = [segment_gain_matrix(cfg, scene, m, cands[m]) * scale for m in range(m_seg)]
+    pairs = np.triu_indices(m_seg, 1)
     best = (math.inf, None)
     count = 0
-    for idx in itertools.product(*(range(len(c)) for c in cands)):
-        arr = np.array([c[i] for c, i in zip(cands, idx)])
+    for start in range(0, n_tuples, _TUPLE_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + _TUPLE_BLOCK, n_tuples)), shape)
+        pos = np.stack([c[i] for c, i in zip(cands, idx)], axis=1)
         if m_seg > 1:
-            gaps = np.abs(arr[:, None] - arr[None, :])[np.triu_indices(m_seg, 1)]
-            if gaps.min() < cfg.delta_min:
-                continue
-        count += 1
-        h = np.zeros(k, dtype=complex)
-        for m in range(m_seg):
-            h = h + gains[m][idx[m]] * scale
-        val = _mse_of_total(h, cfg, k)
-        if val < best[0]:
-            best = (val, arr)
+            keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
+            pos = pos[keep]
+            idx = [i[keep] for i in idx]
+        if pos.shape[0] == 0:
+            continue
+        count += pos.shape[0]
+        h = sum(rows[m][idx[m]] for m in range(m_seg))
+        mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
+        j = int(np.argmin(mses))
+        if float(mses[j]) < best[0]:
+            best = (float(mses[j]), pos[j].copy())
     if best[1] is None:
         raise ValueError("no feasible joint tuple on the grid")
     placement = Placement("SA1", best[1])
@@ -651,7 +646,6 @@ def sa2_joint_exhaustive(
     layout = scene.layout
     if layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")
-    k = scene.k
     scale = 1.0 / math.sqrt(2.0)
     cands = _joint_candidates(scene, q_grid, extra_candidates)
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
@@ -665,7 +659,7 @@ def sa2_joint_exhaustive(
             if abs(x0 - x1) < cfg.delta_min:
                 continue
             h = rot[:, None] * row0[None, :] + row1[None, :]
-            mses = _mse_of_matrix(h, cfg, k)
+            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             count += thetas.size
             if float(mses[j]) < best[0]:

@@ -102,7 +102,8 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
     final pa_x and phases, the trace, the iteration and evaluation counts,
     and how many grid points the spacing rule dropped in total.
     """
-    from swan_aircomp.optimizers import _closed_form_phase, _mse_of_matrix, _mse_of_total
+    from swan_aircomp.metrics import mse_rows
+    from swan_aircomp.optimizers import _closed_form_phase
 
     layout = scene.layout
     m_seg = layout.m_segments
@@ -123,7 +124,7 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
             return np.zeros(k, dtype=complex)
         return rows[[i for i in range(m_seg) if i != m]].sum(axis=0)
 
-    current = _mse_of_total(total().sum(axis=0), cfg, k)
+    current = float(mse_rows(total().sum(axis=0), cfg.p_tx, cfg.noise_var))
     evaluations, trace, iterations, dropped = 1, [current], 0, 0
     per_update = trace_granularity == "update"
     for sweep in range(max_iters):
@@ -136,7 +137,7 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
                 )
                 theta_old = thetas[m]
                 thetas[m] = theta_new
-                candidate = _mse_of_total(total().sum(axis=0), cfg, k)
+                candidate = float(mse_rows(total().sum(axis=0), cfg.p_tx, cfg.noise_var))
                 evaluations += 3
                 if candidate <= current:
                     current = candidate
@@ -151,7 +152,7 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
             cand_arr = np.append(cands, psis[m])
             raw = np.vstack([sa.segment_gain_matrix(cfg, scene, m, [x])[0] for x in cand_arr])
             factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
-            mses = _mse_of_matrix(b[None, :] + raw * factor, cfg, k)
+            mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             evaluations += cand_arr.size
             if float(mses[j]) <= current:
@@ -174,7 +175,7 @@ def reference_sa1_joint(cfg, scene, cands):
 
     Returns (best MSE, best pa_x, feasible tuple count).
     """
-    from swan_aircomp.optimizers import _mse_of_total
+    from swan_aircomp.metrics import mse_rows
 
     m_seg = scene.layout.m_segments
     scale = 1.0 / math.sqrt(m_seg)
@@ -190,7 +191,7 @@ def reference_sa1_joint(cfg, scene, cands):
         h = np.zeros(scene.k, dtype=complex)
         for m in range(m_seg):
             h = h + sa.segment_gain_matrix(cfg, scene, m, [arr[m]])[0] * scale
-        val = _mse_of_total(h, cfg, scene.k)
+        val = float(mse_rows(h, cfg.p_tx, cfg.noise_var))
         if val < best[0]:
             best = (val, arr)
     return best[0], best[1], count
@@ -201,7 +202,8 @@ def reference_sa2_joint(cfg, scene, cands, theta_grid):
 
     Returns (best MSE, best pa_x, best first-segment phase, evaluation count).
     """
-    from swan_aircomp.optimizers import TWO_PI, _mse_of_matrix
+    from swan_aircomp.metrics import mse_rows
+    from swan_aircomp.optimizers import TWO_PI
 
     scale = 1.0 / math.sqrt(2.0)
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
@@ -214,7 +216,8 @@ def reference_sa2_joint(cfg, scene, cands, theta_grid):
             if abs(x0 - x1) < cfg.delta_min:
                 continue
             row1 = sa.segment_gain_matrix(cfg, scene, 1, [x1])[0] * scale
-            mses = _mse_of_matrix(rot[:, None] * row0[None, :] + row1[None, :], cfg, scene.k)
+            h = rot[:, None] * row0[None, :] + row1[None, :]
+            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             count += thetas.size
             if float(mses[j]) < best[0]:

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from swan_aircomp.cli import main
 
 FAST = [
@@ -104,3 +106,17 @@ def test_zero_user_count_is_a_config_error(tmp_path, capsys):
 
 def test_negative_segment_length_is_a_config_error(tmp_path, capsys):
     _rejected_before_work(tmp_path, capsys, "sweep-k", "--seg-length", "-1")
+
+
+@pytest.mark.parametrize("cmd", ["convergence", "oracle-check"])
+@pytest.mark.parametrize(
+    "flags", [("--restarts", "1"), ("--design-kappa", "0"), ("--sweep", "5,6")]
+)
+def test_single_cell_kinds_reject_restarts_design_kappa_and_sweeps(tmp_path, capsys, cmd, flags):
+    _rejected_before_work(tmp_path, capsys, cmd, *flags)
+
+
+def test_json_boolean_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"kappa_db_per_m": [True]}))
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--config", str(cfg))

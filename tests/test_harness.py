@@ -149,6 +149,16 @@ def test_parse_config_error_paths(tmp_path):
         parse_config(path=tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    "values", [{"n_drops": True}, {"kappa_db_per_m": [True]}, {"restarts": False}]
+)
+def test_parse_config_rejects_json_booleans(tmp_path, values):
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps({"kind": "sweep-k", **values}))
+    with pytest.raises(ConfigError, match="boolean"):
+        parse_config(path=p)
+
+
 def test_run_experiment_row_order_and_seeds():
     spec = make_spec(kappa_db_per_m=(0.0, 0.08))
     rows = run_experiment(spec)
@@ -400,3 +410,49 @@ def test_execute_is_byte_reproducible(tmp_path):
     with open(out1["results"], newline="") as f:
         n_rows = sum(1 for _ in csv.DictReader(f))
     assert n_rows == len(spec.sweep) * spec.n_drops * len(spec.schemes)
+
+
+# perfbench/probe.py swaps these harness attributes for wrappers at run time,
+# so the experiment loop must look each one up when it calls it.
+_SWAPPED = (
+    "sample_users", "ss_two_stage", "pass_baseline", "sa1_ao", "sa2_ao",
+    "sa1_joint_exhaustive", "sa2_joint_exhaustive",
+)
+
+_SMALL = {
+    "n_drops": 2, "k_users": 3, "seg_length": 1.0, "d_x": 12.0, "d_y": 6.0,
+    "q_grid": 12, "theta_grid": 36, "kappa_db_per_m": "0,0.08",
+}
+
+
+@pytest.mark.parametrize(
+    "kind,overrides,want",
+    [
+        # 2 sweep values x 2 drops scenes; 8 cells per scheme
+        ("sweep-m-fixed-L", {"sweep": "1,2", "restarts": 1},
+         {"sample_users": 4, "ss_two_stage": 8, "pass_baseline": 8, "sa1_ao": 16, "sa2_ao": 16}),
+        ("sweep-m-fixed-span", {"sweep": "1,2", "schemes": "SA1,SA2"},
+         {"sample_users": 4, "sa1_ao": 8, "sa2_ao": 8}),
+        ("sweep-k", {"sweep": "2,3", "m_segments": 2, "restarts": 2},
+         {"sample_users": 4, "ss_two_stage": 8, "pass_baseline": 8, "sa1_ao": 24, "sa2_ao": 24}),
+        # 2 drops; 4 cells per scheme
+        ("convergence", {"m_segments": 2},
+         {"sample_users": 2, "sa1_ao": 4, "sa2_ao": 4}),
+        ("oracle-check", {},
+         {"sample_users": 2, "sa1_ao": 4, "sa2_ao": 4,
+          "sa1_joint_exhaustive": 4, "sa2_joint_exhaustive": 4}),
+    ],
+)
+def test_harness_calls_every_swappable_name_at_call_time(monkeypatch, kind, overrides, want):
+    import swan_aircomp.harness as harness
+
+    calls = dict.fromkeys(_SWAPPED, 0)
+    for name in _SWAPPED:
+        def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    spec = parse_config(kind=kind, overrides={**_SMALL, **overrides})
+    rows = run_experiment(spec)
+    assert calls == {**dict.fromkeys(_SWAPPED, 0), **want}
+    assert rows

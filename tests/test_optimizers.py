@@ -472,6 +472,16 @@ def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, delta_min):
     assert rec.evaluations == count
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_ss_and_pass_final_mse_equals_the_recomputation_exactly(kappa):
+    """Grid rows and the recomputation go through one MSE kernel, bit for bit."""
+    cfg = make_config(kappa=kappa)
+    for seed in range(200):
+        scene = make_scene(m_segments=4, seg_length=1.5, k=5, seed=seed)
+        for rec in (ss_two_stage(cfg, scene, 40), pass_baseline(cfg, scene, 40)):
+            assert rec.final_mse == evaluate_placement(cfg, scene, rec.placement)
+
+
 @pytest.mark.parametrize("seed", [4, 11, 15])
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 def test_ss_final_mse_is_the_chosen_segments_grid_minimum(seed, kappa):
