@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -145,8 +145,8 @@ def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) ->
     return segment_gain_matrix(cfg, scene, segment, [pa_x])[0]
 
 
-def _sa_rows(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
-    """Per-segment gain rows (M, K) at the placement's PA positions."""
+def placement_gains(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
+    """Per-segment gain rows (M, K) at a feasible SA placement's PA positions."""
     bad = validate_placement(scene.layout, placement, cfg.delta_min)
     if bad:
         raise ValueError(f"infeasible placement: {[v.detail for v in bad]}")
@@ -157,20 +157,30 @@ def _sa_rows(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray
     return np.vstack(rows)
 
 
-def eff_channel_sa1(cfg: RadioConfig, scene: Scene, placement: Placement) -> ChannelVector:
-    """Per-user channel with all segments active and feeds fed equal shares.
+def segment_shares(gains: np.ndarray, phases: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each segment's share of the combined SA channel, shape (M, K).
 
-    The transmit signal splits evenly over the M segments, so each per-segment
-    gain is scaled by 1 / sqrt(M) before summing.
+    The transmit signal splits evenly over the M segments, so each gain row
+    is scaled by 1 / sqrt(M) and then, with phase shifters, rotated by
+    exp(1j * phases[m]).  A placement's SA channel is
+    ``segment_shares(...).sum(axis=0)`` wherever it is built (recomputation,
+    phase split, position audit, the AO's incumbent), so all of them round
+    alike.
     """
-    rows = _sa_rows(cfg, scene, placement)
-    return rows.sum(axis=0) * (1.0 / math.sqrt(scene.layout.m_segments))
+    shares = gains * (1.0 / math.sqrt(gains.shape[0]))
+    if phases is not None:
+        shares = shares * np.exp(1j * phases)[:, None]
+    return shares
+
+
+def eff_channel_sa1(cfg: RadioConfig, scene: Scene, placement: Placement) -> ChannelVector:
+    """Per-user channel with all segments active and feeds fed equal shares."""
+    return segment_shares(placement_gains(cfg, scene, placement)).sum(axis=0)
 
 
 def eff_channel_sa2(cfg: RadioConfig, scene: Scene, placement: Placement) -> ChannelVector:
     """Like eff_channel_sa1 but each segment m is rotated by exp(1j * phases[m])."""
     if placement.phases is None:
         raise ValueError("SA2 channel needs phases")
-    rows = _sa_rows(cfg, scene, placement)
-    phased = np.exp(1j * placement.phases)[:, None] * rows
-    return phased.sum(axis=0) * (1.0 / math.sqrt(scene.layout.m_segments))
+    gains = placement_gains(cfg, scene, placement)
+    return segment_shares(gains, placement.phases).sum(axis=0)

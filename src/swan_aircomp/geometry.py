@@ -186,10 +186,6 @@ def build_layout(
     centered on [0, d_x], so feed_x[m] = (d_x - M * L) / 2 + m * L.  The block
     may overhang the region when M * L > d_x.
     """
-    if m_segments < 1:
-        raise ValueError(f"m_segments must be >= 1, got {m_segments}")
-    if not seg_length > 0:
-        raise ValueError(f"seg_length must be positive, got {seg_length}")
     x0 = (region.d_x - m_segments * seg_length) / 2.0
     feeds = x0 + np.arange(m_segments) * seg_length
     return WaveguideLayout(m_segments, seg_length, feeds, height)
@@ -220,32 +216,29 @@ def validate_placement(
     Rules: each PA must sit on its own segment, and any two PAs must be at
     least ``delta_min`` apart.
     """
-    violations: list[Violation] = []
-    if placement.architecture in ("SS", "PASS"):
+    single = placement.architecture in ("SS", "PASS")
+    if single:
         seg = placement.segment
         if seg is None or not (0 <= seg < layout.m_segments):
             raise ValueError(f"segment index {seg} out of range")
-        lo = float(layout.feed_x[seg])
-        hi = lo + layout.seg_length
-        x = float(placement.pa_x[0])
-        if not (lo <= x <= hi):
-            violations.append(
-                Violation("out_of_segment", (seg,), f"pa_x={x} outside [{lo}, {hi}]")
-            )
-        return violations
-
-    if placement.pa_x.size != layout.m_segments:
+        on_segments = [(seg, placement.pa_x[0])]
+    elif placement.pa_x.size != layout.m_segments:
         raise ValueError(
             f"expected {layout.m_segments} PA positions, got {placement.pa_x.size}"
         )
-    for m in range(layout.m_segments):
+    else:
+        on_segments = enumerate(placement.pa_x)
+    violations: list[Violation] = []
+    for m, x in on_segments:
         lo = float(layout.feed_x[m])
         hi = lo + layout.seg_length
-        x = float(placement.pa_x[m])
+        x = float(x)
         if not (lo <= x <= hi):
             violations.append(
                 Violation("out_of_segment", (m,), f"pa_x={x} outside [{lo}, {hi}]")
             )
+    if single:
+        return violations
     for m in range(layout.m_segments):
         for mp in range(m + 1, layout.m_segments):
             gap = abs(float(placement.pa_x[m]) - float(placement.pa_x[mp]))

@@ -106,6 +106,12 @@ class ExperimentSpec:
             raise ConfigError(f"q_grid must be >= 2, got {self.q_grid}")
         if self.restarts < 0:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
+        if self.theta_grid < 1:
+            raise ConfigError(f"theta_grid must be >= 1, got {self.theta_grid}")
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad or not self.schemes:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}, got {self.schemes}")
@@ -255,6 +261,13 @@ def _parse_number_list(value) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def _parse_int(value) -> int:
+    """int() that refuses to truncate: 2.7, inf and nan are errors, 3.0 is 3."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _parse_schemes(value) -> tuple:
     if isinstance(value, str):
         items = [p for p in value.replace(",", " ").split() if p]
@@ -274,10 +287,10 @@ def _parse_schemes(value) -> tuple:
 _VALUE_PARSERS = {
     "kind": str,
     "sweep": _parse_number_list,
-    "n_drops": int,
-    "master_seed": int,
-    "k_users": int,
-    "m_segments": int,
+    "n_drops": _parse_int,
+    "master_seed": _parse_int,
+    "k_users": _parse_int,
+    "m_segments": _parse_int,
     "seg_length": float,
     "d_x": float,
     "d_y": float,
@@ -288,13 +301,13 @@ _VALUE_PARSERS = {
     "p_dbm": _parse_dbm,
     "noise_dbm": _parse_dbm,
     "kappa_db_per_m": _parse_number_list,
-    "q_grid": int,
+    "q_grid": _parse_int,
     "schemes": _parse_schemes,
-    "restarts": int,
+    "restarts": _parse_int,
     "design_kappa": lambda v: None if v is None else float(v),
-    "max_iters": int,
+    "max_iters": _parse_int,
     "tol": float,
-    "theta_grid": int,
+    "theta_grid": _parse_int,
 }
 
 

@@ -32,7 +32,9 @@ from .channel import (
     eff_channel_sa1,
     eff_channel_sa2,
     eff_channel_ss,
+    placement_gains,
     segment_gain_matrix,
+    segment_shares,
 )
 from .geometry import (
     Placement,
@@ -52,9 +54,9 @@ TWO_PI = 2.0 * math.pi
 # scale) carries no phase information; the incumbent phase is kept.
 _DEGENERATE_RTOL = 1e-15
 
-# Joint position tuples the SA1 oracle scores per kernel call, which bounds
-# its memory at any grid size its tuple cap admits.
-_TUPLE_BLOCK = 1 << 16
+# (position tuple, rotation) pairs the joint oracles score per kernel call,
+# which bounds their memory at any grid size the tuple cap admits.
+_TUPLE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class RunRecord:
     accepted update or per sweep (optimizer-dependent); final_mse is its last
     entry.  evaluate_placement(cfg, scene, placement) recomputes it exactly
     for SS and PASS, and to about 1e-12 relative for SA1, SA2 and the joint
-    oracles, whose channel sums run in a different order.
+    oracles, whose best candidate's channel is summed in a different order.
     """
 
     placement: Placement
@@ -115,6 +117,14 @@ def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) 
     return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
+def _grid_search(cfg: RadioConfig, scene: Scene, segment: int, q_grid: int) -> tuple[float, float]:
+    """First minimum of the MSE over one segment's Q-point grid: (MSE, position)."""
+    pts = grid_points(scene.layout, segment, q_grid)
+    mses = mse_rows(segment_gain_matrix(cfg, scene, segment, pts), cfg.p_tx, cfg.noise_var)
+    j = int(np.argmin(mses))
+    return float(mses[j]), float(pts[j])
+
+
 def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> RunRecord:
     """Segment selection by midpoint probing, then a grid search on the winner.
 
@@ -133,11 +143,8 @@ def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> 
         if val < best_mid:
             best_mid = val
             best_m = m
-    pts = grid_points(layout, best_m, q_grid)
-    mses = mse_rows(segment_gain_matrix(cfg, scene, best_m, pts), cfg.p_tx, cfg.noise_var)
-    j = int(np.argmin(mses))
-    final = float(mses[j])
-    placement = Placement("SS", np.array([pts[j]]), segment=best_m)
+    final, x = _grid_search(cfg, scene, best_m, q_grid)
+    placement = Placement("SS", np.array([x]), segment=best_m)
     return RunRecord(
         placement=placement,
         mse_trace=(best_mid, final),
@@ -153,11 +160,9 @@ def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) ->
     layout = scene.layout
     best = (math.inf, 0, 0.0)
     for m in range(layout.m_segments):
-        pts = grid_points(layout, m, q_grid)
-        mses = mse_rows(segment_gain_matrix(cfg, scene, m, pts), cfg.p_tx, cfg.noise_var)
-        j = int(np.argmin(mses))
-        if float(mses[j]) < best[0]:
-            best = (float(mses[j]), m, float(pts[j]))
+        val, x = _grid_search(cfg, scene, m, q_grid)
+        if val < best[0]:
+            best = (val, m, x)
     final, m_star, x_star = best
     placement = Placement("SS", np.array([x_star]), segment=m_star)
     return RunRecord(
@@ -186,12 +191,8 @@ def pass_baseline(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) ->
     The one PA is grid-searched over the full span, paying in-waveguide
     attenuation over the whole feed-to-PA run.  Q evaluations.
     """
-    bscene = baseline_scene(scene)
-    pts = grid_points(bscene.layout, 0, q_grid)
-    mses = mse_rows(segment_gain_matrix(cfg, bscene, 0, pts), cfg.p_tx, cfg.noise_var)
-    j = int(np.argmin(mses))
-    final = float(mses[j])
-    placement = Placement("PASS", np.array([pts[j]]), segment=0)
+    final, x = _grid_search(cfg, baseline_scene(scene), 0, q_grid)
+    placement = Placement("PASS", np.array([x]), segment=0)
     return RunRecord(
         placement=placement,
         mse_trace=(final,),
@@ -291,28 +292,27 @@ def _closed_form_phase(
     return theta, inter
 
 
+def _rest(shares: np.ndarray, segment: int) -> np.ndarray:
+    """Sum of every segment's share but ``segment``'s (zero when M = 1)."""
+    return np.delete(shares, segment, axis=0).sum(axis=0)
+
+
+def _split_shares(
+    gains: np.ndarray, phases: np.ndarray, segment: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment's unphased share a and the phased rest b of an SA2 channel."""
+    return segment_shares(gains)[segment], _rest(segment_shares(gains, phases), segment)
+
+
 def _split_channel(
     cfg: RadioConfig, scene: Scene, placement: Placement, segment: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the SA2 channel into segment's unphased share a and the rest b."""
-    layout = scene.layout
     if placement.architecture != "SA2" or placement.phases is None:
         raise ValueError("phase updates apply to SA2 placements")
-    if not (0 <= segment < layout.m_segments):
+    if not (0 <= segment < scene.layout.m_segments):
         raise ValueError(f"segment index {segment} out of range")
-    bad = validate_placement(layout, placement, cfg.delta_min)
-    if bad:
-        raise ValueError(f"infeasible placement: {[v.detail for v in bad]}")
-    scale = 1.0 / math.sqrt(layout.m_segments)
-    rows = np.vstack(
-        [segment_gain_matrix(cfg, scene, m, [placement.pa_x[m]])[0] for m in range(layout.m_segments)]
-    )
-    a = rows[segment] * scale
-    b = np.zeros(scene.k, dtype=complex)
-    for m in range(layout.m_segments):
-        if m != segment:
-            b = b + np.exp(1j * placement.phases[m]) * rows[m] * scale
-    return a, b
+    return _split_shares(placement_gains(cfg, scene, placement), placement.phases, segment)
 
 
 def phase_update_closed(
@@ -345,39 +345,39 @@ def _ao_engine(
     cfg: RadioConfig,
     scene: Scene,
     q_grid: int,
-    psis: np.ndarray,
-    thetas: Optional[np.ndarray],
+    init: Optional[Placement],
+    architecture: str,
     update_phases: bool,
     max_iters: int,
     tol: float,
+    seed: int,
     trace_granularity: str,
-) -> tuple[np.ndarray, Optional[np.ndarray], list, int, int]:
-    """Alternating sweeps of closed-form phase updates and 1-D position search."""
+) -> RunRecord:
+    """Alternating sweeps of closed-form phase updates and 1-D position search.
+
+    Runs SA1 (positions only) or SA2 (phases, then positions) from ``init``,
+    by default every PA at its segment midpoint with zero phases.
+    """
+    if init is None:
+        init = midpoint_init(scene, architecture)
+    if init.architecture != architecture:
+        raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
     layout = scene.layout
     m_seg = layout.m_segments
-    k = scene.k
     scale = 1.0 / math.sqrt(m_seg)
+    psis = init.pa_x.copy()
+    thetas = init.phases.copy() if architecture == "SA2" else None
     # The grid and the users are fixed for the whole run, so each segment's
     # (Q, K) grid gains are built once; position updates index their rows.
     grids = [grid_points(layout, m, q_grid) for m in range(m_seg)]
     gains = [segment_gain_matrix(cfg, scene, m, grids[m]) for m in range(m_seg)]
-    base = np.vstack(
-        [segment_gain_matrix(cfg, scene, m, [psis[m]])[0] for m in range(m_seg)]
-    )
+    base = placement_gains(cfg, scene, init)
 
-    def scaled_rows() -> np.ndarray:
-        s = base * scale
-        if thetas is not None:
-            s = s * np.exp(1j * thetas)[:, None]
-        return s
+    def incumbent_mse() -> float:
+        h = segment_shares(base, thetas).sum(axis=0)
+        return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
-    def rest_sum(rows: np.ndarray, m: int) -> np.ndarray:
-        if m_seg == 1:
-            return np.zeros(k, dtype=complex)
-        idx = [i for i in range(m_seg) if i != m]
-        return rows[idx].sum(axis=0)
-
-    current = float(mse_rows(scaled_rows().sum(axis=0), cfg.p_tx, cfg.noise_var))
+    current = incumbent_mse()
     evaluations = 1
     trace = [current]
     iterations = 0
@@ -387,15 +387,13 @@ def _ao_engine(
         sweep_start = current
         if thetas is not None and update_phases:
             for m in range(m_seg):
-                rows = scaled_rows()
-                b = rest_sum(rows, m)
-                a = base[m] * scale
+                a, b = _split_shares(base, thetas, m)
                 theta_new, _ = _closed_form_phase(
                     a, b, cfg.noise_var / cfg.p_tx, float(thetas[m])
                 )
                 theta_old = thetas[m]
                 thetas[m] = theta_new
-                candidate = float(mse_rows(scaled_rows().sum(axis=0), cfg.p_tx, cfg.noise_var))
+                candidate = incumbent_mse()
                 evaluations += 3
                 if candidate <= current:
                     current = candidate
@@ -404,8 +402,7 @@ def _ao_engine(
                 if per_update:
                     trace.append(current)
         for m in range(m_seg):
-            rows = scaled_rows()
-            b = rest_sum(rows, m)
+            b = _rest(segment_shares(base, thetas), m)
             keep = spacing_mask(grids[m], np.delete(psis, m), cfg.delta_min)
             # feasible grid points in grid order, then the incumbent, so
             # argmin ties resolve toward the lowest grid index
@@ -426,20 +423,15 @@ def _ao_engine(
             trace.append(current)
         if sweep_start - current < tol:
             break
-    return psis, thetas, trace, iterations, evaluations
-
-
-def _check_ao_init(
-    cfg: RadioConfig, scene: Scene, init: Optional[Placement], architecture: str
-) -> Placement:
-    if init is None:
-        init = midpoint_init(scene, architecture)
-    if init.architecture != architecture:
-        raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
-    bad = validate_placement(scene.layout, init, cfg.delta_min)
-    if bad:
-        raise ValueError(f"infeasible init: {[v.detail for v in bad]}")
-    return init
+    phases = None if thetas is None else thetas % TWO_PI
+    return RunRecord(
+        placement=Placement(architecture, psis, phases=phases),
+        mse_trace=tuple(trace),
+        final_mse=trace[-1],
+        iterations=iterations,
+        evaluations=evaluations,
+        seed=seed,
+    )
 
 
 def sa1_position_update(
@@ -453,26 +445,15 @@ def sa1_position_update(
     layout = scene.layout
     if not (0 <= segment < layout.m_segments):
         raise ValueError(f"segment index {segment} out of range")
-    bad = validate_placement(layout, placement, cfg.delta_min)
-    if bad:
-        raise ValueError(f"infeasible placement: {[v.detail for v in bad]}")
-    scale = 1.0 / math.sqrt(layout.m_segments)
-    k = scene.k
-    b = np.zeros(k, dtype=complex)
-    for m in range(layout.m_segments):
-        if m == segment:
-            continue
-        row = segment_gain_matrix(cfg, scene, m, [placement.pa_x[m]])[0] * scale
-        if placement.phases is not None:
-            row = np.exp(1j * placement.phases[m]) * row
-        b = b + row
+    gains = placement_gains(cfg, scene, placement)
+    b = _rest(segment_shares(gains, placement.phases), segment)
     others = np.delete(placement.pa_x, segment)
     cands = feasible_grid(layout, segment, q_grid, others, cfg.delta_min)
     cand_arr = np.append(cands, placement.pa_x[segment])
     raw = segment_gain_matrix(cfg, scene, segment, cand_arr)
-    factor = scale
+    factor = 1.0 / math.sqrt(layout.m_segments)
     if placement.phases is not None:
-        factor = scale * np.exp(1j * placement.phases[segment])
+        factor = factor * np.exp(1j * placement.phases[segment])
     mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     return float(cand_arr[j]), float(mses[j])
@@ -494,19 +475,8 @@ def sa1_ao(
     the others frozen, until a full sweep improves the MSE by less than
     ``tol`` or ``max_iters`` sweeps complete.
     """
-    init = _check_ao_init(cfg, scene, init, "SA1")
-    psis = init.pa_x.copy()
-    psis, _, trace, iterations, evaluations = _ao_engine(
-        cfg, scene, q_grid, psis, None, False, max_iters, tol, trace_granularity
-    )
-    placement = Placement("SA1", psis)
-    return RunRecord(
-        placement=placement,
-        mse_trace=tuple(trace),
-        final_mse=trace[-1],
-        iterations=iterations,
-        evaluations=evaluations,
-        seed=seed,
+    return _ao_engine(
+        cfg, scene, q_grid, init, "SA1", False, max_iters, tol, seed, trace_granularity
     )
 
 
@@ -528,20 +498,8 @@ def sa2_ao(
     not raise the MSE.  ``update_phases=False`` freezes the phases, which with
     a zero-phase init reproduces sa1_ao exactly.
     """
-    init = _check_ao_init(cfg, scene, init, "SA2")
-    psis = init.pa_x.copy()
-    thetas = init.phases.copy()
-    psis, thetas, trace, iterations, evaluations = _ao_engine(
-        cfg, scene, q_grid, psis, thetas, update_phases, max_iters, tol, trace_granularity
-    )
-    placement = Placement("SA2", psis, phases=thetas % TWO_PI)
-    return RunRecord(
-        placement=placement,
-        mse_trace=tuple(trace),
-        final_mse=trace[-1],
-        iterations=iterations,
-        evaluations=evaluations,
-        seed=seed,
+    return _ao_engine(
+        cfg, scene, q_grid, init, "SA2", update_phases, max_iters, tol, seed, trace_granularity
     )
 
 
@@ -562,17 +520,66 @@ def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> 
     return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
-def _joint_candidates(
-    scene: Scene, q_grid: int, extra_candidates: Optional[Sequence[Sequence[float]]]
-) -> list[np.ndarray]:
+def _joint_scan(
+    cfg: RadioConfig,
+    scene: Scene,
+    q_grid: int,
+    extra_candidates: Optional[Sequence[Sequence[float]]],
+    rot: np.ndarray,
+) -> tuple[float, np.ndarray, int, int]:
+    """First MSE minimum over feasible (position tuple, segment-0 rotation) pairs.
+
+    Tuples run over each segment's Q grid (extended by ``extra_candidates``)
+    in itertools.product order, last segment fastest; within a tuple the
+    rotations ``rot`` run in order.  Pairs are scored in blocks of at most
+    ``_TUPLE_BLOCK``.  Returns (MSE, positions, rotation index, pairs scored).
+    """
     layout = scene.layout
+    m_seg = layout.m_segments
+    scale = 1.0 / math.sqrt(m_seg)
     cands = []
-    for m in range(layout.m_segments):
+    for m in range(m_seg):
         pts = grid_points(layout, m, q_grid)
         if extra_candidates is not None:
             pts = np.append(pts, np.asarray(extra_candidates[m], dtype=float))
         cands.append(pts)
-    return cands
+    shape = tuple(len(c) for c in cands)
+    n_tuples = math.prod(shape)
+    if n_tuples > 2_000_000:
+        raise ValueError(f"joint grid of {n_tuples} tuples is too large")
+    shares = [segment_gain_matrix(cfg, scene, m, cands[m]) * scale for m in range(m_seg)]
+    pairs = np.triu_indices(m_seg, 1)
+    # a block holds whole tuples with all their rotations, or, when the
+    # rotations alone exceed a block, one tuple with a run of rotations
+    n_rot = len(rot)
+    tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
+    rots_per_block = min(n_rot, _TUPLE_BLOCK)
+    best = (math.inf, None, 0)
+    count = 0
+    for start in range(0, n_tuples, tuples_per_block):
+        idx = np.unravel_index(np.arange(start, min(start + tuples_per_block, n_tuples)), shape)
+        pos = np.stack([c[i] for c, i in zip(cands, idx)], axis=1)
+        if m_seg > 1:
+            keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
+            pos = pos[keep]
+            idx = [i[keep] for i in idx]
+        if pos.shape[0] == 0:
+            continue
+        rows = [shares[m][idx[m]][:, None, :] for m in range(m_seg)]
+        for r0 in range(0, n_rot, rots_per_block):
+            block_rot = rot[r0:r0 + rots_per_block]
+            h = block_rot[None, :, None] * rows[0]
+            for row in rows[1:]:
+                h = h + row
+            mses = mse_rows(h.reshape(-1, h.shape[-1]), cfg.p_tx, cfg.noise_var)
+            count += mses.size
+            j = int(np.argmin(mses))
+            if float(mses[j]) < best[0]:
+                t, r = divmod(j, block_rot.size)
+                best = (float(mses[j]), pos[t].copy(), r0 + r)
+    if best[1] is None:
+        raise ValueError("no feasible joint tuple on the grid")
+    return (*best, count)
 
 
 def sa1_joint_exhaustive(
@@ -586,43 +593,14 @@ def sa1_joint_exhaustive(
 
     Brute force over the Q^M product grid (optionally extended per segment by
     ``extra_candidates``); intended for tiny instances as an optimizer oracle.
-    Tuples are scored in blocks of ``_TUPLE_BLOCK``, in itertools.product
-    order (last segment fastest); ties resolve to the first such tuple.
+    Ties resolve to the first tuple in itertools.product order.
     """
-    layout = scene.layout
-    m_seg = layout.m_segments
-    scale = 1.0 / math.sqrt(m_seg)
-    cands = _joint_candidates(scene, q_grid, extra_candidates)
-    shape = tuple(len(c) for c in cands)
-    n_tuples = math.prod(shape)
-    if n_tuples > 2_000_000:
-        raise ValueError(f"joint grid of {n_tuples} tuples is too large")
-    rows = [segment_gain_matrix(cfg, scene, m, cands[m]) * scale for m in range(m_seg)]
-    pairs = np.triu_indices(m_seg, 1)
-    best = (math.inf, None)
-    count = 0
-    for start in range(0, n_tuples, _TUPLE_BLOCK):
-        idx = np.unravel_index(np.arange(start, min(start + _TUPLE_BLOCK, n_tuples)), shape)
-        pos = np.stack([c[i] for c, i in zip(cands, idx)], axis=1)
-        if m_seg > 1:
-            keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
-            pos = pos[keep]
-            idx = [i[keep] for i in idx]
-        if pos.shape[0] == 0:
-            continue
-        count += pos.shape[0]
-        h = sum(rows[m][idx[m]] for m in range(m_seg))
-        mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
-        j = int(np.argmin(mses))
-        if float(mses[j]) < best[0]:
-            best = (float(mses[j]), pos[j].copy())
-    if best[1] is None:
-        raise ValueError("no feasible joint tuple on the grid")
-    placement = Placement("SA1", best[1])
+    final, pa_x, _, count = _joint_scan(cfg, scene, q_grid, extra_candidates, np.ones(1, dtype=complex))
+    placement = Placement("SA1", pa_x)
     return RunRecord(
         placement=placement,
-        mse_trace=(best[0],),
-        final_mse=best[0],
+        mse_trace=(final,),
+        final_mse=final,
         iterations=1,
         evaluations=count,
         seed=seed,
@@ -643,34 +621,15 @@ def sa2_joint_exhaustive(
     pinned to zero and only the first is scanned over ``theta_grid`` points.
     Brute force; intended for tiny oracle instances (M = 2 only).
     """
-    layout = scene.layout
-    if layout.m_segments != 2:
+    if scene.layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")
-    scale = 1.0 / math.sqrt(2.0)
-    cands = _joint_candidates(scene, q_grid, extra_candidates)
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
-    rot = np.exp(1j * thetas)
-    rows0 = segment_gain_matrix(cfg, scene, 0, cands[0]) * scale
-    rows1 = segment_gain_matrix(cfg, scene, 1, cands[1]) * scale
-    best = (math.inf, None, 0.0)
-    count = 0
-    for x0, row0 in zip(cands[0], rows0):
-        for x1, row1 in zip(cands[1], rows1):
-            if abs(x0 - x1) < cfg.delta_min:
-                continue
-            h = rot[:, None] * row0[None, :] + row1[None, :]
-            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
-            j = int(np.argmin(mses))
-            count += thetas.size
-            if float(mses[j]) < best[0]:
-                best = (float(mses[j]), np.array([x0, x1]), float(thetas[j]))
-    if best[1] is None:
-        raise ValueError("no feasible joint tuple on the grid")
-    placement = Placement("SA2", best[1], phases=np.array([best[2], 0.0]))
+    final, pa_x, j, count = _joint_scan(cfg, scene, q_grid, extra_candidates, np.exp(1j * thetas))
+    placement = Placement("SA2", pa_x, phases=np.array([thetas[j], 0.0]))
     return RunRecord(
         placement=placement,
-        mse_trace=(best[0],),
-        final_mse=best[0],
+        mse_trace=(final,),
+        final_mse=final,
         iterations=1,
         evaluations=count,
         seed=seed,

@@ -120,3 +120,24 @@ def test_json_boolean_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"kappa_db_per_m": [True]}))
     _rejected_before_work(tmp_path, capsys, "sweep-k", "--config", str(cfg))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"q_grid": 2.7},
+        {"n_drops": 1.9},
+        {"master_seed": 3.5},
+        {"n_drops": float("inf")},
+        {"theta_grid": 0},
+        {"theta_grid": -5},
+        {"max_iters": 0},
+        {"max_iters": -1},
+        {"tol": float("nan")},
+        {"tol": -1e-3},
+    ],
+)
+def test_bad_integer_and_loop_fields_are_config_errors(tmp_path, capsys, values):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(values))
+    _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))

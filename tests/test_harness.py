@@ -149,6 +149,13 @@ def test_parse_config_error_paths(tmp_path):
         parse_config(path=tmp_path / "missing.json")
 
 
+def test_parse_config_does_not_truncate_integer_fields():
+    with pytest.raises(ConfigError, match="not an integer"):
+        parse_config(kind="oracle-check", overrides={"q_grid": 2.7, "n_drops": 1.9, "master_seed": 3.5})
+    spec = parse_config(kind="oracle-check", overrides={"q_grid": 25.0, "n_drops": "3"})
+    assert (spec.q_grid, spec.n_drops) == (25, 3)
+
+
 @pytest.mark.parametrize(
     "values", [{"n_drops": True}, {"kappa_db_per_m": [True]}, {"restarts": False}]
 )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
+from swan_aircomp import optimizers
 from swan_aircomp.metrics import mse_min
 from swan_aircomp.optimizers import (
     baseline_layout,
@@ -429,22 +430,28 @@ def test_ao_matches_per_candidate_reference_bitwise(m_seg, kappa, delta_min, ini
         else:
             init = random_init(scene, arch, seed=3 + m_seg, delta_min=cfg.delta_min)
         if arch == "SA1":
-            runs.append((sa1_ao(cfg, scene, q, init=init), reference_ao(cfg, scene, q, init.pa_x)))
+            runs.append((sa1_ao(cfg, scene, q, init=init), reference_ao(cfg, scene, q, init.pa_x), init))
             continue
         for granularity in ("sweep", "update"):
             rec = sa2_ao(cfg, scene, q, init=init, trace_granularity=granularity)
             ref = reference_ao(cfg, scene, q, init.pa_x, init.phases, trace_granularity=granularity)
-            runs.append((rec, ref))
-    for rec, ref in runs:
+            runs.append((rec, ref, init))
+    for rec, ref, init in runs:
         _assert_same_run(rec, ref)
+        # the AO's incumbent channel and the recomputation share one assembly
+        assert rec.mse_trace[0] == evaluate_placement(cfg, scene, init)
     if delta_min == _WIDE_DELTA and m_seg > 1:
-        assert sum(ref["dropped"] for _, ref in runs) > 0  # the spacing mask was exercised
+        assert sum(ref["dropped"] for _, ref, _ in runs) > 0  # the spacing mask was exercised
 
 
 @pytest.mark.parametrize("m_seg,q", [(1, 30), (2, 15), (5, 3)])
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
 def test_sa1_joint_matches_per_candidate_reference_bitwise(m_seg, q, kappa, delta_min):
+    _check_sa1_joint(m_seg, q, kappa, delta_min)
+
+
+def _check_sa1_joint(m_seg, q, kappa, delta_min):
     cfg, scene = _equivalence_case(m_seg, kappa, delta_min)
     extra = [[float(x)] for x in midpoint_init(scene, "SA1").pa_x]
     rec = sa1_joint_exhaustive(cfg, scene, q, extra_candidates=extra)
@@ -459,6 +466,10 @@ def test_sa1_joint_matches_per_candidate_reference_bitwise(m_seg, q, kappa, delt
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
 def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, delta_min):
+    _check_sa2_joint(kappa, delta_min)
+
+
+def _check_sa2_joint(kappa, delta_min):
     cfg, scene = _equivalence_case(2, kappa, delta_min)
     q, theta_grid = 12, 48
     extra = [[float(x)] for x in midpoint_init(scene, "SA2").pa_x]
@@ -470,6 +481,16 @@ def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, delta_min):
     assert np.array_equal(rec.placement.pa_x, pa_x)
     assert np.array_equal(rec.placement.phases, [theta0, 0.0])
     assert rec.evaluations == count
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
+def test_joint_oracles_do_not_depend_on_the_block_size(monkeypatch, block, delta_min):
+    """Blocks smaller than the phase grid (1) and dividing no count (7)."""
+    monkeypatch.setattr(optimizers, "_TUPLE_BLOCK", block)
+    for m_seg, q in ((1, 30), (2, 15), (5, 3)):
+        _check_sa1_joint(m_seg, q, 0.08, delta_min)
+    _check_sa2_joint(0.08, delta_min)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])

@@ -5,7 +5,12 @@ import pytest
 
 import swan_aircomp as sa
 from swan_aircomp.metrics import mse_min
-from swan_aircomp.optimizers import _closed_form_phase, phase_objective, phase_update_closed
+from swan_aircomp.optimizers import (
+    _closed_form_phase,
+    phase_objective,
+    phase_update_closed,
+    random_init,
+)
 from swan_aircomp.rng import philox_stream, derive_seed
 from conftest import make_config, make_scene, rel_err, scene_with_users
 
@@ -168,6 +173,25 @@ def test_mse_equals_k_minus_phase_objective():
         mse = mse_min(h, cfg.p_tx, cfg.noise_var).mse
         phi = phase_objective(cfg, scene, placement, 2, theta)
         assert rel_err(mse, scene.k - phi) < 1e-10
+
+
+def test_phase_split_is_the_ao_split_bitwise():
+    """a is the segment's scaled gain row, b the rest of the phased shares,
+    each rounded as the AO reference rounds them."""
+    cfg = make_config(kappa=0.08)
+    m_seg = 4
+    for i in range(30):
+        scene = make_scene(m_segments=m_seg, seg_length=1.5, k=6, seed=derive_seed(75, i))
+        placement = random_init(scene, "SA2", derive_seed(76, i), cfg.delta_min)
+        gains = np.vstack(
+            [sa.segment_gain_matrix(cfg, scene, m, [x])[0] for m, x in enumerate(placement.pa_x)]
+        )
+        scaled = gains * (1.0 / math.sqrt(m_seg))
+        phased = scaled * np.exp(1j * placement.phases)[:, None]
+        for m in range(m_seg):
+            _, inter = phase_update_closed(cfg, scene, placement, m)
+            assert np.array_equal(inter.a, scaled[m])
+            assert np.array_equal(inter.b, phased[[j for j in range(m_seg) if j != m]].sum(axis=0))
 
 
 def test_phase_update_requires_sa2():
