@@ -285,4 +285,5 @@ def spacing_mask(
     others = np.atleast_1d(np.asarray(other_pa_x, dtype=float))
     if others.size == 0:
         return np.ones(len(pts), dtype=bool)
-    return np.abs(pts[:, None] - others[None, :]).min(axis=1) >= delta_min
+    # a row per fixed PA: numpy reduces across rows far faster than along a short axis
+    return np.abs(pts[None, :] - others[:, None]).min(axis=0) >= delta_min

@@ -372,6 +372,12 @@ def _ao_engine(
     grids = [grid_points(layout, m, q_grid) for m in range(m_seg)]
     gains = [segment_gain_matrix(cfg, scene, m, grids[m]) for m in range(m_seg)]
     base = placement_gains(cfg, scene, init)
+    # Position updates score in these buffers: fresh (Q+1, K) temporaries sit
+    # near glibc's mmap threshold from K = 8 at Q = 1000, so whether each one
+    # page-faults in anew depends on heap layout and varies between processes.
+    raw_buf = np.empty((max(g.size for g in grids) + 1, scene.k), dtype=complex)
+    h_buf = np.empty_like(raw_buf)
+    mag_buf = np.empty(raw_buf.shape)
 
     def incumbent_mse() -> float:
         h = segment_shares(base, thetas).sum(axis=0)
@@ -407,9 +413,14 @@ def _ao_engine(
             # feasible grid points in grid order, then the incumbent, so
             # argmin ties resolve toward the lowest grid index
             cand_arr = np.append(grids[m][keep], psis[m])
-            raw = np.vstack([gains[m][keep], base[m]])
+            n = cand_arr.size
+            raw = raw_buf[:n]
+            np.compress(keep, gains[m], axis=0, out=raw[:-1])
+            raw[-1] = base[m]
             factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
-            mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
+            h = np.multiply(raw, factor, out=h_buf[:n])
+            h += b
+            mses = mse_rows(h, cfg.p_tx, cfg.noise_var, work=mag_buf[:n])
             j = int(np.argmin(mses))
             evaluations += cand_arr.size
             if float(mses[j]) <= current:
@@ -554,6 +565,9 @@ def _joint_scan(
     n_rot = len(rot)
     tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
     rots_per_block = min(n_rot, _TUPLE_BLOCK)
+    # every block is scored in the same two buffers (see _ao_engine)
+    h_buf = np.empty((tuples_per_block * rots_per_block, scene.k), dtype=complex)
+    mag_buf = np.empty(h_buf.shape)
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, tuples_per_block):
@@ -568,10 +582,12 @@ def _joint_scan(
         rows = [shares[m][idx[m]][:, None, :] for m in range(m_seg)]
         for r0 in range(0, n_rot, rots_per_block):
             block_rot = rot[r0:r0 + rots_per_block]
-            h = block_rot[None, :, None] * rows[0]
+            n = pos.shape[0] * block_rot.size
+            h = h_buf[:n].reshape(pos.shape[0], block_rot.size, scene.k)
+            np.multiply(block_rot[None, :, None], rows[0], out=h)
             for row in rows[1:]:
-                h = h + row
-            mses = mse_rows(h.reshape(-1, h.shape[-1]), cfg.p_tx, cfg.noise_var)
+                h += row
+            mses = mse_rows(h_buf[:n], cfg.p_tx, cfg.noise_var, work=mag_buf[:n])
             count += mses.size
             j = int(np.argmin(mses))
             if float(mses[j]) < best[0]:

@@ -7,6 +7,7 @@ from swan_aircomp.metrics import (
     empirical_mse,
     mse_given_scaling,
     mse_min,
+    mse_rows,
     optimal_scaling,
 )
 from swan_aircomp.rng import philox_stream
@@ -64,6 +65,19 @@ def test_report_internal_consistency():
         assert 0.0 <= rep.mse <= len(h) + 1e-12
         # K - signal/denom can cancel to ~eps*K, hence the absolute term
         assert math.isclose(rep.mse, naive_mse(h, P, NV), rel_tol=1e-12, abs_tol=1e-13)
+
+
+def test_mse_rows_workspace_changes_no_bit():
+    g = philox_stream(5)
+    for shape in [(6,), (40, 3), (7, 5, 9)]:
+        scale = 10.0 ** g.uniform(-4, 0, shape)
+        h = scale * (g.standard_normal(shape) + 1j * g.standard_normal(shape))
+        k = shape[-1]
+        plain = k - P * np.abs(h.sum(axis=-1)) ** 2 / (P * (np.abs(h) ** 2).sum(axis=-1) + NV)
+        work = np.empty(shape)
+        assert np.array_equal(mse_rows(h, P, NV), plain)
+        assert np.array_equal(mse_rows(h, P, NV, work=work), plain)
+        assert np.array_equal(work, np.abs(h) ** 2)
 
 
 def test_mse_min_matches_scaling_composition():
