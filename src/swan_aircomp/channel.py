@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Placement, Scene, validate_placement
+from .geometry import Placement, Scene, grid_points, validate_placement
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -112,6 +112,17 @@ def inwaveguide_gain(cfg: RadioConfig, pa_x: float, feed_x: float) -> complex:
     return complex(amp * np.exp(-1j * cfg.guided_phase_rate * ell))
 
 
+def _free_space(cfg: RadioConfig, scene: Scene, psi: np.ndarray) -> np.ndarray:
+    """(P, K) free-space factors sqrt(eta) * exp(-1j * k0 * r) / r; no kappa in them."""
+    r = np.sqrt((scene.user_x[None, :] - psi[:, None]) ** 2 + scene.line_dist_sq[None, :])
+    return (math.sqrt(cfg.eta) / r) * np.exp(-1j * cfg.wavenumber * r)
+
+
+def _in_waveguide(cfg: RadioConfig, ell: np.ndarray) -> np.ndarray:
+    """(P,) in-waveguide factors for traveled guide lengths ell."""
+    return 10.0 ** (-cfg.kappa * ell / 20.0) * np.exp(-1j * cfg.guided_phase_rate * ell)
+
+
 def segment_gain_matrix(
     cfg: RadioConfig, scene: Scene, segment: int, psi: Sequence[float]
 ) -> np.ndarray:
@@ -128,10 +139,55 @@ def segment_gain_matrix(
     ell = psi_arr - feed
     if np.any(ell < 0):
         raise ValueError("candidate positions must not precede the segment feed")
-    r = np.sqrt((scene.user_x[None, :] - psi_arr[:, None]) ** 2 + scene.line_dist_sq[None, :])
-    free = (math.sqrt(cfg.eta) / r) * np.exp(-1j * cfg.wavenumber * r)
-    guide = 10.0 ** (-cfg.kappa * ell / 20.0) * np.exp(-1j * cfg.guided_phase_rate * ell)
-    return free * guide[:, None]
+    return _free_space(cfg, scene, psi_arr) * _in_waveguide(cfg, ell)[:, None]
+
+
+class _DropMemo:
+    """Free-space grid factors of one user drop, keyed by the grid they cover.
+
+    The key is (feed, seg_length, height, q, f_c): with the users, that fixes
+    every input of ``_free_space``, so a hit returns the bits a miss would
+    build and no caller can see whether it shared.  A call on another drop
+    clears it first, so at most one drop's factors stay alive.  The factors
+    are read-only and never handed out; callers get products of them.
+    """
+
+    def __init__(self) -> None:
+        self.users = None
+        self.free: dict = {}
+
+    def free_space(self, cfg: RadioConfig, scene: Scene, segment: int, q: int, pts) -> np.ndarray:
+        if scene.users is not self.users:
+            self.free.clear()
+            self.users = scene.users
+        layout = scene.layout
+        key = (float(layout.feed_x[segment]), layout.seg_length, layout.height, q, cfg.f_c)
+        free = self.free.get(key)
+        if free is None:
+            free = self.free[key] = _free_space(cfg, scene, pts)
+            free.setflags(write=False)
+        return free
+
+
+_DROP_MEMO = _DropMemo()
+
+
+def grid_gains(
+    cfg: RadioConfig, scene: Scene, segment: int, q: int, out: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points and (Q, K) gains of one segment's Q-point search grid.
+
+    Equal to ``segment_gain_matrix(cfg, scene, segment, grid_points(...))``
+    bit for bit.  The kappa-free free-space factor is built once per grid
+    and user drop and kept in a one-drop memo, so every scheme and kappa on
+    the drop pays only the multiply by its in-waveguide factor.  ``out``, a
+    complex (Q, K) array, receives the gains.
+    """
+    layout = scene.layout
+    pts = grid_points(layout, segment, q)
+    free = _DROP_MEMO.free_space(cfg, scene, segment, q, pts)
+    guide = _in_waveguide(cfg, pts - float(layout.feed_x[segment]))
+    return pts, np.multiply(free, guide[:, None], out=out)
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -50,6 +51,11 @@ _COUNT_SWEEPS = ("sweep-m-fixed-L", "sweep-m-fixed-span", "sweep-k")
 
 # Seed-derivation tag separating restart streams from drop streams.
 _RESTART_TAG = 7001
+
+_INT_FIELDS = (
+    "n_drops", "master_seed", "k_users", "m_segments", "q_grid", "restarts",
+    "max_iters", "theta_grid",
+)
 
 
 class ConfigError(ValueError):
@@ -92,6 +98,14 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}, expected one of {KINDS}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            whole = isinstance(value, numbers.Integral) or (
+                isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+            )
+            if isinstance(value, bool) or not whole:
+                raise ConfigError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if len(self.sweep) == 0:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):

@@ -32,6 +32,7 @@ from .channel import (
     eff_channel_sa1,
     eff_channel_sa2,
     eff_channel_ss,
+    grid_gains,
     placement_gains,
     segment_gain_matrix,
     segment_shares,
@@ -41,7 +42,6 @@ from .geometry import (
     Scene,
     WaveguideLayout,
     feasible_grid,
-    grid_points,
     spacing_mask,
     validate_placement,
 )
@@ -119,8 +119,8 @@ def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) 
 
 def _grid_search(cfg: RadioConfig, scene: Scene, segment: int, q_grid: int) -> tuple[float, float]:
     """First minimum of the MSE over one segment's Q-point grid: (MSE, position)."""
-    pts = grid_points(scene.layout, segment, q_grid)
-    mses = mse_rows(segment_gain_matrix(cfg, scene, segment, pts), cfg.p_tx, cfg.noise_var)
+    pts, gains = grid_gains(cfg, scene, segment, q_grid)
+    mses = mse_rows(gains, cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     return float(mses[j]), float(pts[j])
 
@@ -231,15 +231,17 @@ def random_init(
     raise ValueError(f"no feasible random init found in {max_tries} tries")
 
 
-def _closed_form_phase(
+def _phase_solution(
     a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
-) -> tuple[float, PhaseUpdateIntermediates]:
+) -> tuple[float, tuple]:
     """Maximize phi(theta) = |B + e^{j theta} A|^2 / (gamma + 2 Re(C e^{j theta})) terms.
 
     The objective is a ratio of two sinusoids in theta; its stationary points
     solve coef_a * sin(theta) + coef_b * cos(theta) = xi, giving at most two
     candidates phi +- arccos(xi / r_norm).  The better candidate is returned
     (ties toward the smaller angle); a degenerate system returns the incumbent.
+    Returns (theta, terms) with terms the PhaseUpdateIntermediates fields
+    after a and b, as a plain tuple: the AO uses theta only.
     """
     cap_a = complex(a.sum())
     cap_b = complex(b.sum())
@@ -258,6 +260,10 @@ def _closed_form_phase(
     r_norm = math.hypot(coef_a, coef_b)
     phi_ang = math.atan2(coef_a, coef_b)
     scale_ref = gamma * beta_mag + alpha * delta_mag
+    terms = (
+        cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag,
+        q_ang, coef_a, coef_b, xi, r_norm, phi_ang,
+    )
 
     def phi_of(theta: float) -> float:
         rot = complex(math.cos(theta), math.sin(theta))
@@ -267,11 +273,7 @@ def _closed_form_phase(
 
     if r_norm <= _DEGENERATE_RTOL * scale_ref or scale_ref == 0.0:
         theta = theta_current % TWO_PI
-        inter = PhaseUpdateIntermediates(
-            a, b, cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag,
-            q_ang, coef_a, coef_b, xi, r_norm, phi_ang, (theta, theta),
-        )
-        return theta, inter
+        return theta, terms + ((theta, theta),)
 
     acos_arg = min(1.0, max(-1.0, xi / r_norm))
     spread = math.acos(acos_arg)
@@ -285,23 +287,20 @@ def _closed_form_phase(
         theta = th2
     else:
         theta = min(th1, th2)
-    inter = PhaseUpdateIntermediates(
-        a, b, cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag,
-        q_ang, coef_a, coef_b, xi, r_norm, phi_ang, (th1, th2),
-    )
-    return theta, inter
+    return theta, terms + ((th1, th2),)
+
+
+def _closed_form_phase(
+    a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
+) -> tuple[float, PhaseUpdateIntermediates]:
+    """The closed-form phase update with its audit record (``_phase_solution``)."""
+    theta, terms = _phase_solution(a, b, noise_over_p, theta_current)
+    return theta, PhaseUpdateIntermediates(a, b, *terms)
 
 
 def _rest(shares: np.ndarray, segment: int) -> np.ndarray:
     """Sum of every segment's share but ``segment``'s (zero when M = 1)."""
     return np.delete(shares, segment, axis=0).sum(axis=0)
-
-
-def _split_shares(
-    gains: np.ndarray, phases: np.ndarray, segment: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment's unphased share a and the phased rest b of an SA2 channel."""
-    return segment_shares(gains)[segment], _rest(segment_shares(gains, phases), segment)
 
 
 def _split_channel(
@@ -312,7 +311,8 @@ def _split_channel(
         raise ValueError("phase updates apply to SA2 placements")
     if not (0 <= segment < scene.layout.m_segments):
         raise ValueError(f"segment index {segment} out of range")
-    return _split_shares(placement_gains(cfg, scene, placement), placement.phases, segment)
+    gains = placement_gains(cfg, scene, placement)
+    return segment_shares(gains)[segment], _rest(segment_shares(gains, placement.phases), segment)
 
 
 def phase_update_closed(
@@ -362,28 +362,38 @@ def _ao_engine(
         init = midpoint_init(scene, architecture)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
-    layout = scene.layout
-    m_seg = layout.m_segments
+    m_seg = scene.layout.m_segments
     scale = 1.0 / math.sqrt(m_seg)
+    noise_over_p = cfg.noise_var / cfg.p_tx
     psis = init.pa_x.copy()
     thetas = init.phases.copy() if architecture == "SA2" else None
-    # The grid and the users are fixed for the whole run, so each segment's
-    # (Q, K) grid gains are built once; position updates index their rows.
-    grids = [grid_points(layout, m, q_grid) for m in range(m_seg)]
-    gains = [segment_gain_matrix(cfg, scene, m, grids[m]) for m in range(m_seg)]
     base = placement_gains(cfg, scene, init)
-    # Position updates score in these buffers: fresh (Q+1, K) temporaries sit
-    # near glibc's mmap threshold from K = 8 at Q = 1000, so whether each one
-    # page-faults in anew depends on heap layout and varies between processes.
-    raw_buf = np.empty((max(g.size for g in grids) + 1, scene.k), dtype=complex)
+    # shares == segment_shares(base, thetas) throughout: a change to base[m]
+    # or thetas[m] recomputes row m alone, with segment_shares' arithmetic.
+    shares = segment_shares(base, thetas)
+    # every segment but m, in order: shares[others[m]] is np.delete's array,
+    # so rest sums keep their bits
+    others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
+
+    def share_row(m: int) -> np.ndarray:
+        row = base[m] * scale
+        return row if thetas is None else row * np.exp(1j * thetas)[m]
+
+    # Each segment's grid gains go once into a (Q + 1, K) scan buffer whose
+    # last row takes the incumbent; an update whose spacing mask keeps every
+    # point scores the buffer as it is, any other compresses into raw_buf.
+    # Reused buffers keep the loop free of fresh (Q + 1, K) temporaries, which
+    # sit near glibc's mmap threshold and page-fault in anew at random.
+    scans = [np.empty((q_grid + 1, scene.k), dtype=complex) for _ in range(m_seg)]
+    grids = [grid_gains(cfg, scene, m, q_grid, out=scans[m][:-1])[0] for m in range(m_seg)]
+    raw_buf = np.empty_like(scans[0])
     h_buf = np.empty_like(raw_buf)
     mag_buf = np.empty(raw_buf.shape)
 
-    def incumbent_mse() -> float:
-        h = segment_shares(base, thetas).sum(axis=0)
+    def mse_of(h: np.ndarray) -> float:
         return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
-    current = incumbent_mse()
+    current = mse_of(shares.sum(axis=0))
     evaluations = 1
     trace = [current]
     iterations = 0
@@ -393,39 +403,47 @@ def _ao_engine(
         sweep_start = current
         if thetas is not None and update_phases:
             for m in range(m_seg):
-                a, b = _split_shares(base, thetas, m)
-                theta_new, _ = _closed_form_phase(
-                    a, b, cfg.noise_var / cfg.p_tx, float(thetas[m])
-                )
+                theta_new = _phase_solution(
+                    base[m] * scale, shares[others[m]].sum(axis=0), noise_over_p, float(thetas[m])
+                )[0]
                 theta_old = thetas[m]
+                row_old = shares[m].copy()
                 thetas[m] = theta_new
-                candidate = incumbent_mse()
+                shares[m] = share_row(m)
+                candidate = mse_of(shares.sum(axis=0))
                 evaluations += 3
                 if candidate <= current:
                     current = candidate
                 else:
                     thetas[m] = theta_old
+                    shares[m] = row_old
                 if per_update:
                     trace.append(current)
         for m in range(m_seg):
-            b = _rest(segment_shares(base, thetas), m)
-            keep = spacing_mask(grids[m], np.delete(psis, m), cfg.delta_min)
+            b = shares[others[m]].sum(axis=0)
+            keep = spacing_mask(grids[m], psis[others[m]], cfg.delta_min)
             # feasible grid points in grid order, then the incumbent, so
             # argmin ties resolve toward the lowest grid index
-            cand_arr = np.append(grids[m][keep], psis[m])
-            n = cand_arr.size
-            raw = raw_buf[:n]
-            np.compress(keep, gains[m], axis=0, out=raw[:-1])
+            if keep.all():
+                pts = grids[m]
+                raw = scans[m]
+            else:
+                pts = grids[m][keep]
+                raw = raw_buf[:pts.size + 1]
+                np.compress(keep, scans[m][:-1], axis=0, out=raw[:-1])
+            n = pts.size + 1
             raw[-1] = base[m]
             factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
             h = np.multiply(raw, factor, out=h_buf[:n])
             h += b
             mses = mse_rows(h, cfg.p_tx, cfg.noise_var, work=mag_buf[:n])
             j = int(np.argmin(mses))
-            evaluations += cand_arr.size
+            evaluations += n
             if float(mses[j]) <= current:
-                psis[m] = cand_arr[j]
+                if j < pts.size:
+                    psis[m] = pts[j]
                 base[m] = raw[j]
+                shares[m] = share_row(m)
                 current = float(mses[j])
             if per_update:
                 trace.append(current)
@@ -545,20 +563,27 @@ def _joint_scan(
     rotations ``rot`` run in order.  Pairs are scored in blocks of at most
     ``_TUPLE_BLOCK``.  Returns (MSE, positions, rotation index, pairs scored).
     """
-    layout = scene.layout
-    m_seg = layout.m_segments
+    m_seg = scene.layout.m_segments
     scale = 1.0 / math.sqrt(m_seg)
-    cands = []
-    for m in range(m_seg):
-        pts = grid_points(layout, m, q_grid)
-        if extra_candidates is not None:
-            pts = np.append(pts, np.asarray(extra_candidates[m], dtype=float))
-        cands.append(pts)
-    shape = tuple(len(c) for c in cands)
+    extras = [
+        np.asarray([] if extra_candidates is None else extra_candidates[m], dtype=float).ravel()
+        for m in range(m_seg)
+    ]
+    shape = tuple(q_grid + e.size for e in extras)
     n_tuples = math.prod(shape)
     if n_tuples > 2_000_000:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
-    shares = [segment_gain_matrix(cfg, scene, m, cands[m]) * scale for m in range(m_seg)]
+    cands = []
+    shares = []
+    for m in range(m_seg):
+        pts, gains = grid_gains(cfg, scene, m, q_grid)
+        if extras[m].size:
+            # gain rows do not depend on the batch, so appending the extra
+            # candidates' rows equals one call over the extended grid
+            pts = np.append(pts, extras[m])
+            gains = np.vstack([gains, segment_gain_matrix(cfg, scene, m, extras[m])])
+        cands.append(pts)
+        shares.append(gains * scale)
     pairs = np.triu_indices(m_seg, 1)
     # a block holds whole tuples with all their rotations, or, when the
     # rotations alone exceed a block, one tuple with a run of rotations

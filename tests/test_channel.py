@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
+from swan_aircomp.channel import grid_gains
 from conftest import (
     make_config,
     make_scene,
@@ -143,6 +144,57 @@ def test_segment_gain_matrix_rows_do_not_depend_on_the_batch(kappa):
         for i in range(grid.size):
             single = sa.segment_gain_matrix(cfg, scene, seg, [grid[i]])[0]
             assert np.array_equal(mat[i], single)
+
+
+def test_grid_gains_are_the_grid_call_bitwise_in_any_kappa_order():
+    """grid_gains equals segment_gain_matrix on the grid, however kappas interleave.
+
+    The free-space factor is memoised per drop and shared across kappas, so
+    the order in which scenario and design kappas ask for a grid must not
+    change a bit of any answer.
+    """
+    from swan_aircomp.harness import ExperimentSpec
+
+    spec = ExperimentSpec(kind="sweep-k", sweep=(6,), design_kappa=0.03)
+    design = spec.radio_config(spec.design_kappa)
+    scene = make_scene(m_segments=3, seg_length=2.0, k=6, seed=29)
+    for order in ((0.0, 0.08), (0.08, 0.0)):
+        for kappa in order:
+            for cfg in (spec.radio_config(kappa), design):
+                for seg in range(3):
+                    grid = sa.grid_points(scene.layout, seg, 101)
+                    pts, gains = grid_gains(cfg, scene, seg, 101)
+                    want = sa.segment_gain_matrix(cfg, scene, seg, grid)
+                    assert pts.tobytes() == grid.tobytes()
+                    assert gains.tobytes() == want.tobytes()
+    out = np.empty((101, scene.k), dtype=complex)
+    _, gains = grid_gains(make_config(kappa=0.08), scene, 1, 101, out=out)
+    assert gains is out
+    assert out.tobytes() == sa.segment_gain_matrix(
+        make_config(kappa=0.08), scene, 1, sa.grid_points(scene.layout, 1, 101)
+    ).tobytes()
+
+
+def test_grid_gains_memo_holds_only_the_current_drop():
+    import gc
+    import weakref
+
+    from swan_aircomp import channel
+
+    cfg = make_config(kappa=0.08)
+    old = make_scene(m_segments=2, k=5, seed=41)
+    grid_gains(cfg, old, 0, 50)
+    grid_gains(cfg, old, 1, 50)
+    assert channel._DROP_MEMO.users is old.users
+    assert len(channel._DROP_MEMO.free) == 2
+    gone = weakref.ref(old.users)
+    new = make_scene(m_segments=2, k=5, seed=42)
+    del old
+    grid_gains(cfg, new, 0, 50)
+    gc.collect()
+    assert gone() is None
+    assert channel._DROP_MEMO.users is new.users
+    assert len(channel._DROP_MEMO.free) == 1
 
 
 def test_eff_channel_ss_phase_structure():

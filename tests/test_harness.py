@@ -157,6 +157,64 @@ def test_parse_config_does_not_truncate_integer_fields():
 
 
 @pytest.mark.parametrize(
+    "kw",
+    [
+        {"n_drops": 1.5},
+        {"q_grid": 20.5},
+        {"k_users": True},
+        {"max_iters": float("inf")},
+        {"theta_grid": float("nan")},
+        {"restarts": "1"},
+    ],
+)
+def test_spec_rejects_integer_fields_that_are_not_whole_numbers(kw):
+    base = dict(kind="sweep-k", sweep=(2,), n_drops=1, q_grid=20, schemes=("SS",))
+    base.update(kw)
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        ExperimentSpec(**base)
+
+
+def test_spec_stores_whole_float_integer_fields_as_ints():
+    spec = ExperimentSpec(kind="sweep-k", sweep=(2,), n_drops=2.0, q_grid=np.int64(20),
+                          schemes=("SS",))
+    assert (type(spec.n_drops), type(spec.q_grid)) == (int, int)
+    assert len(run_experiment(spec)) == 2
+
+
+def test_sa2_rows_do_not_depend_on_the_other_schemes(tmp_path):
+    """The other schemes share SA2's per-drop grid gains and must not move a byte."""
+    kw = dict(sweep=(2, 4), m_segments=3, q_grid=40, kappa_db_per_m=(0.0, 0.08))
+    alone = execute(make_spec(schemes=("SA2",), **kw), tmp_path / "alone", quiet=True)
+    every = execute(make_spec(schemes=("SS", "SA1", "SA2", "PASS"), **kw),
+                    tmp_path / "every", quiet=True)
+    header, *rows = alone["results"].read_bytes().splitlines(keepends=True)
+    mixed = [r for r in every["results"].read_bytes().splitlines(keepends=True)
+             if r.split(b",")[1] == b"SA2"]
+    assert len(rows) == 2 * 2 * 2
+    assert rows == mixed
+
+
+def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
+    """Two kappas, four schemes: M segment grids plus the PASS grid, no more."""
+    from swan_aircomp import channel
+
+    sizes = []
+    real = channel._free_space
+
+    def counted(cfg, scene, psi):
+        sizes.append(psi.size)
+        return real(cfg, scene, psi)
+
+    monkeypatch.setattr(channel, "_free_space", counted)
+    m, q = 3, 40
+    spec = make_spec(sweep=(4,), n_drops=1, m_segments=m, q_grid=q,
+                     schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=(0.0, 0.08))
+    run_experiment(spec)
+    assert sizes.count(q) == m + 1
+    assert set(sizes) == {1, q}
+
+
+@pytest.mark.parametrize(
     "values", [{"n_drops": True}, {"kappa_db_per_m": [True]}, {"restarts": False}]
 )
 def test_parse_config_rejects_json_booleans(tmp_path, values):

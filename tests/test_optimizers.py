@@ -13,6 +13,7 @@ from swan_aircomp.optimizers import (
     evaluate_placement,
     midpoint_init,
     pass_baseline,
+    phase_update_closed,
     random_init,
     sa1_ao,
     sa1_joint_exhaustive,
@@ -524,3 +525,33 @@ def test_ss_final_mse_is_the_chosen_segments_grid_minimum(seed, kappa):
     assert float(rec.placement.pa_x[0]) in grid
     if seed in (4, 11):
         assert rec.mse_trace[1] > rec.mse_trace[0]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_ao_applies_the_audited_phase_angle_bitwise(kappa):
+    """The AO's phase pass applies exactly phase_update_closed's angle.
+
+    The AO keeps its segment shares up to date row by row and asks the
+    closed-form solve for the angle alone; the audit helper rebuilds the
+    split from the placement.  Replaying the first sweep's phase pass with
+    the audit helpers must give the AO's phases to the bit.
+    """
+    cfg = make_config(kappa=kappa)
+    changed = 0
+    for i in range(8):
+        scene = make_scene(m_segments=3, seg_length=2.0, k=5, seed=derive_seed(90, i))
+        init = random_init(scene, "SA2", seed=derive_seed(91, i), delta_min=cfg.delta_min)
+        rec = sa2_ao(cfg, scene, 31, init=init, max_iters=1)
+        phases = init.phases.copy()
+        current = evaluate_placement(cfg, scene, init)
+        for m in range(3):
+            here = sa.Placement("SA2", init.pa_x, phases=phases)
+            theta = phase_update_closed(cfg, scene, here, m)[0]
+            trial = phases.copy()
+            trial[m] = theta
+            candidate = evaluate_placement(cfg, scene, sa.Placement("SA2", init.pa_x, phases=trial))
+            if candidate <= current:
+                current, phases = candidate, trial
+                changed += theta != init.phases[m]
+        assert rec.placement.phases.tobytes() == phases.tobytes()
+    assert changed > 0
