@@ -16,14 +16,17 @@ recorded MSE traces never increase.  The SS trace is (best midpoint probe,
 grid minimum on that segment) and can rise, because the grid need not
 contain the midpoint.  ``evaluations`` counts objective evaluations, one per
 candidate probed (for the closed-form phase update: its two stationary
-candidates plus the acceptance check).
+candidates plus the acceptance check).  An AO position update counts every
+feasible grid point plus the incumbent: its screen scores each of them from
+per-row statistics, and only the few that can still win are scored again on
+the exact path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +60,8 @@ _DEGENERATE_RTOL = 1e-15
 # (position tuple, rotation) pairs the joint oracles score per kernel call,
 # which bounds their memory at any grid size the tuple cap admits.
 _TUPLE_BLOCK = 1 << 12
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,8 @@ def _phase_solution(
     candidates phi +- arccos(xi / r_norm).  The better candidate is returned
     (ties toward the smaller angle); a degenerate system returns the incumbent.
     Returns (theta, terms) with terms the PhaseUpdateIntermediates fields
-    after a and b, as a plain tuple: the AO uses theta only.
+    after a and b but for the angles p and q, as a plain tuple: the AO uses
+    theta only, and only the audit record pays for the two angles.
     """
     cap_a = complex(a.sum())
     cap_b = complex(b.sum())
@@ -250,9 +256,7 @@ def _phase_solution(
     gamma = float((np.abs(a) ** 2 + np.abs(b) ** 2).sum()) + noise_over_p
     ab = cap_a * np.conj(cap_b)
     beta_mag = abs(ab)
-    p_ang = float(np.angle(ab))
     delta_mag = abs(cap_c)
-    q_ang = float(np.angle(cap_c))
     coef_a = 2.0 * (gamma * ab.real - alpha * cap_c.real)
     coef_b = 2.0 * (gamma * ab.imag - alpha * cap_c.imag)
     # 4 |beta| |delta| sin(q - p) = 4 Im(C * conj(A * conj(B)))
@@ -261,8 +265,8 @@ def _phase_solution(
     phi_ang = math.atan2(coef_a, coef_b)
     scale_ref = gamma * beta_mag + alpha * delta_mag
     terms = (
-        cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag,
-        q_ang, coef_a, coef_b, xi, r_norm, phi_ang,
+        cap_a, cap_b, cap_c, alpha, gamma, beta_mag, delta_mag,
+        coef_a, coef_b, xi, r_norm, phi_ang,
     )
 
     def phi_of(theta: float) -> float:
@@ -294,8 +298,14 @@ def _closed_form_phase(
     a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
 ) -> tuple[float, PhaseUpdateIntermediates]:
     """The closed-form phase update with its audit record (``_phase_solution``)."""
-    theta, terms = _phase_solution(a, b, noise_over_p, theta_current)
-    return theta, PhaseUpdateIntermediates(a, b, *terms)
+    theta, (cap_a, cap_b, cap_c, alpha, gamma, beta_mag, delta_mag, *rest) = _phase_solution(
+        a, b, noise_over_p, theta_current
+    )
+    p_ang = float(np.angle(cap_a * np.conj(cap_b)))
+    q_ang = float(np.angle(cap_c))
+    return theta, PhaseUpdateIntermediates(
+        a, b, cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag, q_ang, *rest
+    )
 
 
 def _rest(shares: np.ndarray, segment: int) -> np.ndarray:
@@ -341,6 +351,94 @@ def phase_objective(
     return float(num / den)
 
 
+class _GridStats(NamedTuple):
+    """What the position screen reads of one segment's (Q, K) grid gains G.
+
+    Per row q: ``sums`` holds S_q = sum_k g_qk and ``energy`` holds
+    E_q = sum_k |g_qk|^2; ``l1`` is the largest row 1-norm sum_k |g_qk|.
+    """
+
+    gains: np.ndarray
+    sums: np.ndarray
+    energy: np.ndarray
+    l1: float
+
+
+def _grid_stats(gains: np.ndarray) -> _GridStats:
+    ones = np.ones(gains.shape[1])
+    mag = np.abs(gains)
+    return _GridStats(gains, gains @ ones, np.square(mag) @ ones, float((mag @ ones).max()))
+
+
+def _screened_scan(
+    stats: _GridStats,
+    rest: np.ndarray,
+    factor: complex,
+    incumbent: np.ndarray,
+    feasible: Optional[np.ndarray],
+    p_tx: float,
+    noise_var: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score the candidates of one position update that can win.
+
+    The candidates are h_q = rest + factor * g_q for the grid rows that
+    ``feasible`` keeps (all of them when None), then the incumbent gain row.
+    The first MSE minimum of the scored candidates is, to the bit, the first
+    minimum of scoring every candidate with ``mse_rows``:
+
+    * screen: with f = factor and b = rest, each row's alignment ratio
+      r_q = |sum b + f S_q|^2 / (sum |b|^2 + |f|^2 E_q + 2 Re(f X_q)
+      + noise_var / p_tx), with X_q = sum_k g_qk conj(b_k), comes from the
+      row statistics and one matrix-vector product.  MSE_q = K - r_q.
+    * margin: every channel term of r_q's numerator and denominator is at
+      most T = (sqrt(K) ||b||_2 + |f| L)^2, and the screen and ``mse_rows``
+      each get the sums of them within (8K + 16) eps T.  As r_q <= K, the
+      two ratios differ by at most E = c T / D + 8 K eps, with
+      c = 2 (8K + 16) eps (1 + K) and D = min_q den_q - c T; the last term
+      covers the roundings relative to r (the noise term's among them) and
+      to K - r.  So the exact first minimum has r_q >= max r - 2E, and
+      every feasible row that close to the maximum is kept.  If D <= 0,
+      rounding could swamp a denominator, and every feasible row is kept.
+    * confirm: the kept rows, in grid order, and then the incumbent are
+      built as ``raw * factor + rest`` and scored by ``mse_rows``, which
+      gives a row the same bits in any batch.  Every dropped row scores
+      strictly above the winner, so the first minimum does not move.
+
+    Returns (rows, raw, mses): the kept grid row indices, their gain rows
+    followed by the incumbent's, and the MSEs of those candidates.
+    """
+    k = stats.gains.shape[1]
+    if feasible is not None and not feasible.any():
+        rows = np.empty(0, dtype=np.intp)
+    else:
+        f = complex(factor)
+        f_sq = abs(f) ** 2
+        sum_b = complex(rest.sum())
+        energy_b = float(np.vdot(rest, rest).real)
+        z = stats.sums * f
+        z += sum_b
+        num = z.real ** 2
+        num += z.imag ** 2
+        den = f_sq * stats.energy
+        den += (stats.gains @ (rest.conjugate() * (2.0 * f))).real
+        den += energy_b + noise_var / p_tx
+        t = (math.sqrt(k * energy_b) + math.sqrt(f_sq) * stats.l1) ** 2
+        c = 2.0 * (8 * k + 16) * _EPS * (1 + k)
+        low = float(den.min()) - c * t
+        if low > 0.0:
+            ratio = num / den
+            if feasible is not None:
+                ratio[~feasible] = -np.inf
+            margin = 2.0 * (c * t / low + 8 * k * _EPS)
+            rows = (ratio >= ratio.max() - margin).nonzero()[0]
+        else:
+            rows = np.arange(len(den)) if feasible is None else feasible.nonzero()[0]
+    raw = np.concatenate((stats.gains[rows], incumbent[None, :]))
+    h = raw * factor
+    h += rest
+    return rows, raw, mse_rows(h, p_tx, noise_var)
+
+
 def _ao_engine(
     cfg: RadioConfig,
     scene: Scene,
@@ -379,16 +477,14 @@ def _ao_engine(
         row = base[m] * scale
         return row if thetas is None else row * np.exp(1j * thetas)[m]
 
-    # Each segment's grid gains go once into a (Q + 1, K) scan buffer whose
-    # last row takes the incumbent; an update whose spacing mask keeps every
-    # point scores the buffer as it is, any other compresses into raw_buf.
-    # Reused buffers keep the loop free of fresh (Q + 1, K) temporaries, which
-    # sit near glibc's mmap threshold and page-fault in anew at random.
-    scans = [np.empty((q_grid + 1, scene.k), dtype=complex) for _ in range(m_seg)]
-    grids = [grid_gains(cfg, scene, m, q_grid, out=scans[m][:-1])[0] for m in range(m_seg)]
-    raw_buf = np.empty_like(scans[0])
-    h_buf = np.empty_like(raw_buf)
-    mag_buf = np.empty(raw_buf.shape)
+    # Each segment's grid gains and the row statistics that screen them are
+    # built once per call; an update scores only the rows that can win, so
+    # the loop builds no (Q, K) temporaries.
+    grids, stats = [], []
+    for m in range(m_seg):
+        pts, gains = grid_gains(cfg, scene, m, q_grid)
+        grids.append(pts)
+        stats.append(_grid_stats(gains))
 
     def mse_of(h: np.ndarray) -> float:
         return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
@@ -421,27 +517,27 @@ def _ao_engine(
                     trace.append(current)
         for m in range(m_seg):
             b = shares[others[m]].sum(axis=0)
-            keep = spacing_mask(grids[m], psis[others[m]], cfg.delta_min)
+            fixed = psis[others[m]]
+            lo, hi = grids[m][0], grids[m][-1]
+            # a fixed PA delta_min clear of the grid's nearer end is clear of
+            # every grid point (rounding is monotone), so no mask is needed
+            if all(lo - x >= cfg.delta_min or x - hi >= cfg.delta_min for x in fixed.tolist()):
+                feasible = None
+                n_feasible = q_grid
+            else:
+                feasible = spacing_mask(grids[m], fixed, cfg.delta_min)
+                n_feasible = int(np.count_nonzero(feasible))
+            factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
+            rows, raw, mses = _screened_scan(
+                stats[m], b, factor, base[m], feasible, cfg.p_tx, cfg.noise_var
+            )
             # feasible grid points in grid order, then the incumbent, so
             # argmin ties resolve toward the lowest grid index
-            if keep.all():
-                pts = grids[m]
-                raw = scans[m]
-            else:
-                pts = grids[m][keep]
-                raw = raw_buf[:pts.size + 1]
-                np.compress(keep, scans[m][:-1], axis=0, out=raw[:-1])
-            n = pts.size + 1
-            raw[-1] = base[m]
-            factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
-            h = np.multiply(raw, factor, out=h_buf[:n])
-            h += b
-            mses = mse_rows(h, cfg.p_tx, cfg.noise_var, work=mag_buf[:n])
             j = int(np.argmin(mses))
-            evaluations += n
+            evaluations += n_feasible + 1
             if float(mses[j]) <= current:
-                if j < pts.size:
-                    psis[m] = pts[j]
+                if j < rows.size:
+                    psis[m] = grids[m][rows[j]]
                 base[m] = raw[j]
                 shares[m] = share_row(m)
                 current = float(mses[j])

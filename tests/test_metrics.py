@@ -80,6 +80,25 @@ def test_mse_rows_workspace_changes_no_bit():
         assert np.array_equal(work, np.abs(h) ** 2)
 
 
+def test_mse_rows_gives_a_row_the_same_bits_in_any_batch():
+    """Scoring a subset of rows equals the matching entries of the full batch.
+
+    The AO's position update scores only the candidates its screen keeps and
+    relies on this to return the full scan's bits.
+    """
+    g = philox_stream(7)
+    for k in range(1, 33):
+        n = 60
+        scale = 10.0 ** g.uniform(-5, 0, (n, 1))
+        h = scale * (g.standard_normal((n, k)) + 1j * g.standard_normal((n, k)))
+        full = mse_rows(h, P, NV)
+        for size in (1, 2, 3, 17, n - 1):
+            rows = np.sort(g.choice(n, size=size, replace=False))
+            assert full[rows].tobytes() == mse_rows(h[rows], P, NV).tobytes()
+        for i in (0, n // 2, n - 1):
+            assert full[i].tobytes() == mse_rows(h[i], P, NV).tobytes()
+
+
 def test_mse_min_matches_scaling_composition():
     for h in random_channels(3, 100):
         rep = mse_min(h, P, NV)

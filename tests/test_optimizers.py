@@ -555,3 +555,135 @@ def test_ao_applies_the_audited_phase_angle_bitwise(kappa):
                 changed += theta != init.phases[m]
         assert rec.placement.phases.tobytes() == phases.tobytes()
     assert changed > 0
+
+
+def test_fully_masked_grid_keeps_the_incumbent():
+    """A segment whose every grid point is too close to a neighbour keeps its PA.
+
+    Segment 1's two grid points (24.95 and 25.05) sit on its neighbours' PAs,
+    so the spacing rule drops both and only the incumbent is scored.
+    """
+    cfg = make_config(delta_min=0.049)
+    scene = make_scene(m_segments=3, seg_length=0.1, d_x=50.0)
+    feed = scene.layout.feed_x
+    init = sa.Placement("SA1", np.array([feed[1], feed[1] + 0.05, feed[2]]))
+    rec = sa1_ao(cfg, scene, 2, init=init, max_iters=1)
+    assert np.array_equal(rec.placement.pa_x, init.pa_x)
+    assert np.allclose(rec.placement.pa_x, [24.95, 25.0, 25.05], rtol=0, atol=1e-12)
+    assert rec.evaluations == 8  # 1 + (2 + 1) + (0 + 1) + (2 + 1)
+    assert not sa.validate_placement(scene.layout, rec.placement, cfg.delta_min)
+    _assert_same_run(rec, reference_ao(cfg, scene, 2, init.pa_x, max_iters=1))
+
+
+P_TX = 0.01
+
+
+def _full_scan(gains, rest, factor, incumbent, feasible, noise_var):
+    """Every feasible grid row, then the incumbent, scored in one batch.
+
+    Returns the chosen grid row (None for the incumbent) and its MSE.
+    """
+    idx = np.arange(len(gains)) if feasible is None else np.flatnonzero(feasible)
+    raw = np.vstack([gains[idx], incumbent])
+    h = raw * factor
+    h += rest
+    mses = optimizers.mse_rows(h, P_TX, noise_var)
+    j = int(np.argmin(mses))
+    return (int(idx[j]) if j < idx.size else None), mses[j]
+
+
+def _screen_cases(seed, k):
+    """Random position updates, including the edge cases the screen must survive."""
+    g = philox_stream(seed)
+
+    def cplx(*shape):
+        return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+    for case in range(120):
+        q = int(g.integers(1, 120))
+        gains = np.ascontiguousarray(10.0 ** g.uniform(-5, -3, (q, 1)) * cplx(q, k))
+        m_seg = (1, 2, 5)[case % 3]
+        scale = 1.0 / math.sqrt(m_seg)
+        # SA1 passes a real factor, SA2 a rotated one
+        factor = scale if g.random() < 0.25 else scale * np.exp(1j * g.uniform(0, 2 * math.pi))
+        # M = 1 has no other segment, so the rest sum is zero
+        rest = np.zeros(k, dtype=complex) if m_seg == 1 else 1e-3 * cplx(k) * 10.0 ** g.uniform(-2, 0)
+        if m_seg > 1 and case % 5 == 1:
+            # rows that nearly cancel the rest: h_q = rest + factor * g_q ~ 0
+            for i in g.choice(q, size=min(q, 3), replace=False):
+                gains[i] = -rest / factor * (1.0 + 1e-9 * g.standard_normal())
+        if case % 5 == 2 and q > 2:
+            # exact duplicates, so ties must go to the lowest index
+            src = g.choice(q, size=q // 2)
+            gains[g.choice(q, size=q // 2)] = gains[src]
+        if case % 5 == 3:
+            # rows within rounding of each other: only the margin tells them apart
+            gains[:] = gains[0] * (1.0 + 1e-15 * cplx(q, 1))
+            if m_seg == 1:
+                # with no rest sum, permuted rows tie exactly but round apart
+                gains[:] = np.array([g.permutation(gains[0]) for _ in range(q)])
+        # the incumbent is often a grid row itself
+        incumbent = gains[int(g.integers(q))].copy() if case % 2 else 1e-4 * cplx(k)
+        # 80 dB SNR every third case, otherwise the suite's -90 dBm noise
+        noise_var = P_TX * 1e-8 * float(np.mean(np.abs(gains) ** 2)) if case % 3 == 2 else 1e-12
+        mask_kind = case % 4
+        if mask_kind == 0:
+            feasible = None
+        elif mask_kind == 1:
+            feasible = g.random(q) < 0.5
+        elif mask_kind == 2:
+            feasible = np.zeros(q, dtype=bool)
+        else:
+            feasible = np.ones(q, dtype=bool)
+        yield gains, rest, factor, incumbent, feasible, noise_var
+        if q > 1 and feasible is None:
+            # make the winner a duplicate of a lower row
+            j, _ = _full_scan(gains, rest, factor, incumbent, None, noise_var)
+            if j is not None and j > 0:
+                gains = gains.copy()
+                gains[int(g.integers(j))] = gains[j]
+                yield gains, rest, factor, incumbent, None, noise_var
+
+
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_position_screen_picks_the_full_scans_row(k):
+    """Screen-then-confirm chooses the full scan's row with the same MSE bits."""
+    kept = 0
+    for gains, rest, factor, incumbent, feasible, noise_var in _screen_cases(300 + k, k):
+        want_row, want_mse = _full_scan(gains, rest, factor, incumbent, feasible, noise_var)
+        rows, raw, mses = optimizers._screened_scan(
+            optimizers._grid_stats(gains), rest, factor, incumbent, feasible, P_TX, noise_var
+        )
+        j = int(np.argmin(mses))
+        assert (int(rows[j]) if j < rows.size else None) == want_row
+        assert mses[j].tobytes() == want_mse.tobytes()
+        assert raw[j].tobytes() == (incumbent if want_row is None else gains[want_row]).tobytes()
+        if feasible is not None:
+            assert feasible[rows].all()
+        kept += rows.size
+    assert kept > 0
+
+
+def test_position_screen_confirms_few_rows(monkeypatch):
+    """On sweep-k scenes the exact path scores about one grid row per update.
+
+    A loose screening margin would stay exact but score many rows, which
+    shows only as a slowdown; this pins the mean rows confirmed per update.
+    """
+    confirmed = []
+    mse_rows = optimizers.mse_rows
+
+    def counting(h, *args, **kwargs):
+        if h.ndim == 2:  # a position update's confirm batch, incumbent last
+            confirmed.append(h.shape[0] - 1)
+        return mse_rows(h, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "mse_rows", counting)
+    for k in (2, 20):
+        scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=k, seed=derive_seed(1, k))
+        for kappa in (0.0, 0.08):
+            cfg = make_config(kappa=kappa)
+            sa1_ao(cfg, scene, 1000)
+            sa2_ao(cfg, scene, 1000)
+    assert len(confirmed) > 100
+    assert np.mean(confirmed) <= 2.0
