@@ -172,22 +172,19 @@ class _DropMemo:
 _DROP_MEMO = _DropMemo()
 
 
-def grid_gains(
-    cfg: RadioConfig, scene: Scene, segment: int, q: int, out: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def grid_gains(cfg: RadioConfig, scene: Scene, segment: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid points and (Q, K) gains of one segment's Q-point search grid.
 
     Equal to ``segment_gain_matrix(cfg, scene, segment, grid_points(...))``
     bit for bit.  The kappa-free free-space factor is built once per grid
     and user drop and kept in a one-drop memo, so every scheme and kappa on
-    the drop pays only the multiply by its in-waveguide factor.  ``out``, a
-    complex (Q, K) array, receives the gains.
+    the drop pays only the multiply by its in-waveguide factor.
     """
     layout = scene.layout
     pts = grid_points(layout, segment, q)
     free = _DROP_MEMO.free_space(cfg, scene, segment, q, pts)
     guide = _in_waveguide(cfg, pts - float(layout.feed_x[segment]))
-    return pts, np.multiply(free, guide[:, None], out=out)
+    return pts, free * guide[:, None]
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

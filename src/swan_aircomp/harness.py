@@ -373,8 +373,6 @@ def parse_config(
     resolved_kind = override_values.get("kind") or file_values.get("kind") or kind
     if resolved_kind is None:
         raise ConfigError("no experiment kind given")
-    if resolved_kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {resolved_kind!r}, expected one of {KINDS}")
 
     values: dict = dict(_KIND_DEFAULTS.get(resolved_kind, {}))
     values.update(file_values)
@@ -602,14 +600,7 @@ _X_LABELS = {
 }
 
 
-def emit_plot(
-    aggregates: Sequence[AggregateRow],
-    path: Union[str, Path],
-    log_y: bool = False,
-    x_label: Optional[str] = None,
-    y_label: str = "mean MSE",
-    title: Optional[str] = None,
-) -> None:
+def emit_plot(aggregates: Sequence[AggregateRow], path: Union[str, Path], log_y: bool = False) -> None:
     """Plot mean MSE per (scheme, kappa) series against the sweep axis.
 
     Raises on an empty aggregate list before touching the filesystem.
@@ -627,11 +618,8 @@ def emit_plot(
     for (scheme, kappa), (xs, ys) in series_map.items():
         label = scheme if len(kappas) == 1 else f"{scheme} kappa={kappa:g}"
         series.append((label, xs, ys))
-    if x_label is None:
-        x_label = _X_LABELS.get(aggregates[0].experiment, "sweep value")
-    text = svgplot.render_line_chart(
-        series, x_label=x_label, y_label=y_label, title=title, log_y=log_y
-    )
+    x_label = _X_LABELS[aggregates[0].experiment]
+    text = svgplot.render_line_chart(series, x_label=x_label, y_label="mean MSE", log_y=log_y)
     Path(path).write_text(text)
 
 

@@ -19,7 +19,9 @@ candidate probed (for the closed-form phase update: its two stationary
 candidates plus the acceptance check).  An AO position update counts every
 feasible grid point plus the incumbent: its screen scores each of them from
 per-row statistics, and only the few that can still win are scored again on
-the exact path.
+the exact path.  Both AO passes keep a change only if the rescored whole
+channel's MSE did not rise (a step that changes nothing is skipped, but still
+counted), so the recorded MSE is the one evaluate_placement recomputes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .geometry import (
     Placement,
     Scene,
     WaveguideLayout,
-    feasible_grid,
+    feasible_grid,  # no caller here; perfbench's probe wraps optimizers.feasible_grid
     spacing_mask,
     validate_placement,
 )
@@ -71,7 +73,7 @@ class RunRecord:
     mse_trace holds the objective after the initial evaluation and then per
     accepted update or per sweep (optimizer-dependent); final_mse is its last
     entry.  evaluate_placement(cfg, scene, placement) recomputes it exactly
-    for SS and PASS, and to about 1e-12 relative for SA1, SA2 and the joint
+    for SS, PASS, SA1 and SA2, and to about 1e-12 relative for the joint
     oracles, whose best candidate's channel is summed in a different order.
     """
 
@@ -236,6 +238,12 @@ def random_init(
     raise ValueError(f"no feasible random init found in {max_tries} tries")
 
 
+def _wrap_phase(theta: float) -> float:
+    """theta modulo 2 pi in [0, 2 pi); ``%`` alone rounds a tiny negative theta up to 2 pi."""
+    theta %= TWO_PI
+    return 0.0 if theta == TWO_PI else theta
+
+
 def _phase_solution(
     a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
 ) -> tuple[float, tuple]:
@@ -276,13 +284,13 @@ def _phase_solution(
         return num / den
 
     if r_norm <= _DEGENERATE_RTOL * scale_ref or scale_ref == 0.0:
-        theta = theta_current % TWO_PI
+        theta = _wrap_phase(theta_current)
         return theta, terms + ((theta, theta),)
 
     acos_arg = min(1.0, max(-1.0, xi / r_norm))
     spread = math.acos(acos_arg)
-    th1 = (phi_ang + spread) % TWO_PI
-    th2 = (phi_ang - spread) % TWO_PI
+    th1 = _wrap_phase(phi_ang + spread)
+    th2 = _wrap_phase(phi_ang - spread)
     f1 = phi_of(th1)
     f2 = phi_of(th2)
     if f1 > f2:
@@ -308,11 +316,6 @@ def _closed_form_phase(
     )
 
 
-def _rest(shares: np.ndarray, segment: int) -> np.ndarray:
-    """Sum of every segment's share but ``segment``'s (zero when M = 1)."""
-    return np.delete(shares, segment, axis=0).sum(axis=0)
-
-
 def _split_channel(
     cfg: RadioConfig, scene: Scene, placement: Placement, segment: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +325,8 @@ def _split_channel(
     if not (0 <= segment < scene.layout.m_segments):
         raise ValueError(f"segment index {segment} out of range")
     gains = placement_gains(cfg, scene, placement)
-    return segment_shares(gains)[segment], _rest(segment_shares(gains, placement.phases), segment)
+    rest = np.delete(segment_shares(gains, placement.phases), segment, axis=0).sum(axis=0)
+    return segment_shares(gains)[segment], rest
 
 
 def phase_update_closed(
@@ -378,7 +382,7 @@ def _screened_scan(
     feasible: Optional[np.ndarray],
     p_tx: float,
     noise_var: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score the candidates of one position update that can win.
 
     The candidates are h_q = rest + factor * g_q for the grid rows that
@@ -404,8 +408,8 @@ def _screened_scan(
       gives a row the same bits in any batch.  Every dropped row scores
       strictly above the winner, so the first minimum does not move.
 
-    Returns (rows, raw, mses): the kept grid row indices, their gain rows
-    followed by the incumbent's, and the MSEs of those candidates.
+    Returns (rows, mses): the kept grid row indices and the MSEs of their
+    candidates followed by the incumbent's.
     """
     k = stats.gains.shape[1]
     if feasible is not None and not feasible.any():
@@ -436,7 +440,36 @@ def _screened_scan(
     raw = np.concatenate((stats.gains[rows], incumbent[None, :]))
     h = raw * factor
     h += rest
-    return rows, raw, mse_rows(h, p_tx, noise_var)
+    return rows, mse_rows(h, p_tx, noise_var)
+
+
+def _position_step(
+    cfg: RadioConfig, m: int, others: np.ndarray, pts: np.ndarray, stats: _GridStats,
+    base: np.ndarray, shares: np.ndarray, psis: np.ndarray, thetas: Optional[np.ndarray],
+) -> tuple[Optional[int], float, int]:
+    """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
+
+    ``base``, ``shares``, ``psis`` and ``thetas`` are every segment's gain
+    row, share, PA position and phase; ``others`` lists the segments but m.
+    ``_screened_scan`` scores the feasible grid points in grid order, then
+    the incumbent, so ties go to the lowest grid index.  Returns the first
+    minimum's grid row (None for the incumbent), its MSE and the candidates
+    counted: every feasible grid point plus the incumbent.
+    """
+    fixed = psis[others]
+    lo, hi = pts[0], pts[-1]
+    # a fixed PA delta_min clear of the grid's nearer end is clear of
+    # every grid point (rounding is monotone), so no mask is needed
+    if all(lo - x >= cfg.delta_min or x - hi >= cfg.delta_min for x in fixed.tolist()):
+        feasible, n_feasible = None, pts.size
+    else:
+        feasible = spacing_mask(pts, fixed, cfg.delta_min)
+        n_feasible = int(np.count_nonzero(feasible))
+    factor = 1.0 / math.sqrt(psis.size) * (1.0 if thetas is None else np.exp(1j * thetas[m]))
+    rest = shares[others].sum(axis=0)
+    rows, mses = _screened_scan(stats, rest, factor, base[m], feasible, cfg.p_tx, cfg.noise_var)
+    j = int(np.argmin(mses))
+    return (int(rows[j]) if j < rows.size else None), float(mses[j]), n_feasible + 1
 
 
 def _ao_engine(
@@ -464,7 +497,9 @@ def _ao_engine(
     scale = 1.0 / math.sqrt(m_seg)
     noise_over_p = cfg.noise_var / cfg.p_tx
     psis = init.pa_x.copy()
-    thetas = init.phases.copy() if architecture == "SA2" else None
+    # phases wrapped once here, so the placement returned is the one scored
+    thetas = None if architecture == "SA1" else np.array(
+        [_wrap_phase(t) for t in init.phases.tolist()])
     base = placement_gains(cfg, scene, init)
     # shares == segment_shares(base, thetas) throughout: a change to base[m]
     # or thetas[m] recomputes row m alone, with segment_shares' arithmetic.
@@ -473,21 +508,39 @@ def _ao_engine(
     # so rest sums keep their bits
     others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
 
-    def share_row(m: int) -> np.ndarray:
-        row = base[m] * scale
-        return row if thetas is None else row * np.exp(1j * thetas)[m]
-
     # Each segment's grid gains and the row statistics that screen them are
     # built once per call; an update scores only the rows that can win, so
     # the loop builds no (Q, K) temporaries.
-    grids, stats = [], []
-    for m in range(m_seg):
-        pts, gains = grid_gains(cfg, scene, m, q_grid)
-        grids.append(pts)
-        stats.append(_grid_stats(gains))
+    grids = [grid_gains(cfg, scene, m, q_grid) for m in range(m_seg)]
+    stats = [_grid_stats(gains) for _, gains in grids]
 
     def mse_of(h: np.ndarray) -> float:
         return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
+
+    def move(m: int, psi: float, row: np.ndarray, theta: Optional[float]) -> None:
+        psis[m] = psi
+        base[m] = row
+        share = base[m] * scale
+        if thetas is not None:
+            thetas[m] = theta
+            share = share * np.exp(1j * thetas)[m]
+        shares[m] = share
+
+    def settle(m: int, psi: float, row: np.ndarray, theta: Optional[float]) -> None:
+        # The one accept rule of both passes: a move that changes neither m's
+        # PA nor its phase costs nothing; any other is undone if it raised
+        # the whole channel's MSE, which is what evaluate_placement computes.
+        nonlocal current
+        old_theta = None if thetas is None else float(thetas[m])
+        if psi == psis[m] and theta == old_theta:
+            return
+        undo = (float(psis[m]), base[m].copy(), old_theta)
+        move(m, psi, row, theta)
+        candidate = mse_of(shares.sum(axis=0))
+        if candidate <= current:
+            current = candidate
+        else:
+            move(m, *undo)
 
     current = mse_of(shares.sum(axis=0))
     evaluations = 1
@@ -499,48 +552,19 @@ def _ao_engine(
         sweep_start = current
         if thetas is not None and update_phases:
             for m in range(m_seg):
-                theta_new = _phase_solution(
+                theta = _phase_solution(
                     base[m] * scale, shares[others[m]].sum(axis=0), noise_over_p, float(thetas[m])
                 )[0]
-                theta_old = thetas[m]
-                row_old = shares[m].copy()
-                thetas[m] = theta_new
-                shares[m] = share_row(m)
-                candidate = mse_of(shares.sum(axis=0))
                 evaluations += 3
-                if candidate <= current:
-                    current = candidate
-                else:
-                    thetas[m] = theta_old
-                    shares[m] = row_old
+                settle(m, psis[m], base[m], theta)
                 if per_update:
                     trace.append(current)
         for m in range(m_seg):
-            b = shares[others[m]].sum(axis=0)
-            fixed = psis[others[m]]
-            lo, hi = grids[m][0], grids[m][-1]
-            # a fixed PA delta_min clear of the grid's nearer end is clear of
-            # every grid point (rounding is monotone), so no mask is needed
-            if all(lo - x >= cfg.delta_min or x - hi >= cfg.delta_min for x in fixed.tolist()):
-                feasible = None
-                n_feasible = q_grid
-            else:
-                feasible = spacing_mask(grids[m], fixed, cfg.delta_min)
-                n_feasible = int(np.count_nonzero(feasible))
-            factor = scale if thetas is None else scale * np.exp(1j * thetas[m])
-            rows, raw, mses = _screened_scan(
-                stats[m], b, factor, base[m], feasible, cfg.p_tx, cfg.noise_var
-            )
-            # feasible grid points in grid order, then the incumbent, so
-            # argmin ties resolve toward the lowest grid index
-            j = int(np.argmin(mses))
-            evaluations += n_feasible + 1
-            if float(mses[j]) <= current:
-                if j < rows.size:
-                    psis[m] = grids[m][rows[j]]
-                base[m] = raw[j]
-                shares[m] = share_row(m)
-                current = float(mses[j])
+            pts = grids[m][0]
+            row, _, n = _position_step(cfg, m, others[m], pts, stats[m], base, shares, psis, thetas)
+            evaluations += n
+            if row is not None:
+                settle(m, pts[row], stats[m].gains[row], None if thetas is None else thetas[m])
             if per_update:
                 trace.append(current)
         iterations = sweep + 1
@@ -548,9 +572,8 @@ def _ao_engine(
             trace.append(current)
         if sweep_start - current < tol:
             break
-    phases = None if thetas is None else thetas % TWO_PI
     return RunRecord(
-        placement=Placement(architecture, psis, phases=phases),
+        placement=Placement(architecture, psis, phases=thetas),
         mse_trace=tuple(trace),
         final_mse=trace[-1],
         iterations=iterations,
@@ -564,24 +587,17 @@ def sa1_position_update(
 ) -> tuple[float, float]:
     """Best PA position for one segment with the others frozen.
 
-    Scans the feasible grid plus the incumbent position and returns
-    (new_pa_x, new_mse); never worse than the incumbent.
+    Runs the AO's position step on the feasible grid plus the incumbent
+    position and returns (new_pa_x, new_mse); never worse than the
+    incumbent.  Phases, if any, are held fixed.
     """
-    layout = scene.layout
-    if not (0 <= segment < layout.m_segments):
-        raise ValueError(f"segment index {segment} out of range")
-    gains = placement_gains(cfg, scene, placement)
-    b = _rest(segment_shares(gains, placement.phases), segment)
-    others = np.delete(placement.pa_x, segment)
-    cands = feasible_grid(layout, segment, q_grid, others, cfg.delta_min)
-    cand_arr = np.append(cands, placement.pa_x[segment])
-    raw = segment_gain_matrix(cfg, scene, segment, cand_arr)
-    factor = 1.0 / math.sqrt(layout.m_segments)
-    if placement.phases is not None:
-        factor = factor * np.exp(1j * placement.phases[segment])
-    mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
-    j = int(np.argmin(mses))
-    return float(cand_arr[j]), float(mses[j])
+    pts, gains = grid_gains(cfg, scene, segment, q_grid)
+    base = placement_gains(cfg, scene, placement)
+    others = np.delete(np.arange(scene.layout.m_segments), segment)
+    row, mse, _ = _position_step(
+        cfg, segment, others, pts, _grid_stats(gains), base,
+        segment_shares(base, placement.phases), placement.pa_x, placement.phases)
+    return float(placement.pa_x[segment] if row is None else pts[row]), mse
 
 
 def sa1_ao(

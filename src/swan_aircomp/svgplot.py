@@ -109,8 +109,7 @@ def render_line_chart(
     else:
         tick_vals = [y_lo + (y_hi - y_lo) * i / (n_ticks - 1) for i in range(n_ticks)]
     for tv in tick_vals:
-        raw = tv if not log_y else tv
-        yp = py0 + ((math.log10(raw) if log_y else raw) - y_lo) / (y_hi - y_lo) * (py1 - py0)
+        yp = sy(tv)
         parts.append(
             f'<line x1="{px0 - 5}" y1="{_fmt(yp)}" x2="{px0}" y2="{_fmt(yp)}" stroke="#333"/>'
         )
@@ -120,7 +119,7 @@ def render_line_chart(
         )
         parts.append(
             f'<text x="{px0 - 9}" y="{_fmt(yp + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#333">{_tick_label(raw)}</text>'
+            f'font-family="sans-serif" font-size="11" fill="#333">{_tick_label(tv)}</text>'
         )
 
     # axis labels

@@ -98,9 +98,12 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
 
     Mirrors the library's alternating sweeps but builds each position
     update's candidates with feasible_grid and one segment_gain_matrix call
-    per candidate, so no gain row is ever reused.  Returns a dict with the
-    final pa_x and phases, the trace, the iteration and evaluation counts,
-    and how many grid points the spacing rule dropped in total.
+    per candidate, so no gain row is ever reused.  Both passes keep a change
+    only if the whole channel, rescored with it, has no higher MSE; a
+    position update whose winner is the current position changes nothing.
+    Returns a dict with the final pa_x and phases, the trace, the iteration
+    and evaluation counts, and how many grid points the spacing rule dropped
+    in total.
     """
     from swan_aircomp.metrics import mse_rows
     from swan_aircomp.optimizers import _closed_form_phase
@@ -155,10 +158,14 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
             mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             evaluations += cand_arr.size
-            if float(mses[j]) <= current:
-                psis[m] = cand_arr[j]
-                base[m] = raw[j]
-                current = float(mses[j])
+            if cand_arr[j] != psis[m]:
+                kept = psis[m], base[m].copy()
+                psis[m], base[m] = cand_arr[j], raw[j]
+                candidate = float(mse_rows(total().sum(axis=0), cfg.p_tx, cfg.noise_var))
+                if candidate <= current:
+                    current = candidate
+                else:
+                    psis[m], base[m] = kept
             if per_update:
                 trace.append(current)
         iterations = sweep + 1

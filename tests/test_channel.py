@@ -167,12 +167,6 @@ def test_grid_gains_are_the_grid_call_bitwise_in_any_kappa_order():
                     want = sa.segment_gain_matrix(cfg, scene, seg, grid)
                     assert pts.tobytes() == grid.tobytes()
                     assert gains.tobytes() == want.tobytes()
-    out = np.empty((101, scene.k), dtype=complex)
-    _, gains = grid_gains(make_config(kappa=0.08), scene, 1, 101, out=out)
-    assert gains is out
-    assert out.tobytes() == sa.segment_gain_matrix(
-        make_config(kappa=0.08), scene, 1, sa.grid_points(scene.layout, 1, 101)
-    ).tobytes()
 
 
 def test_grid_gains_memo_holds_only_the_current_drop():

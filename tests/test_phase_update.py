@@ -83,6 +83,17 @@ def test_beats_dense_grid_on_random_instances():
         assert phi_direct(a, b, nop, theta) >= grid_best - 1e-9
 
 
+def test_candidates_stay_below_two_pi_when_b_is_aligned_with_a():
+    """With b a positive multiple of a the best phase is 0, and the candidate
+    phi - arccos(xi / r_norm) lands a rounding error below it; ``%`` alone
+    would round that up to exactly 2 pi, a phase the AO would then score."""
+    a = np.array([1.0, np.exp(0.01j)])
+    theta, inter = _closed_form_phase(a, 1.8 * a, 0.1, 1.0)
+    assert inter.phi - math.acos(min(1.0, inter.xi / inter.r_norm)) < 0.0
+    assert theta == 0.0
+    assert all(0.0 <= t < TWO_PI for t in inter.candidates)
+
+
 def test_stationarity_residual():
     g = philox_stream(6)
     for _ in range(100):
