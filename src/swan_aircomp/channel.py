@@ -55,6 +55,9 @@ class RadioConfig:
     noise_var: float
 
     def __post_init__(self) -> None:
+        for name in ("f_c", "n_eff", "kappa", "delta_min", "p_tx", "noise_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.f_c > 0:
             raise ValueError(f"f_c must be positive, got {self.f_c}")
         if not self.n_eff >= 1:
@@ -67,6 +70,14 @@ class RadioConfig:
             raise ValueError(f"p_tx must be positive, got {self.p_tx}")
         if not self.noise_var > 0:
             raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        try:
+            waves = (self.eta, self.wavenumber, self.guided_phase_rate)
+        except OverflowError:  # eta squares a wavelength too long to square
+            waves = (math.inf,)
+        if not all(0 < w < math.inf for w in waves):
+            raise ValueError(
+                f"f_c={self.f_c} and n_eff={self.n_eff} give wave constants out of float range"
+            )
 
     @property
     def wavelength(self) -> float:

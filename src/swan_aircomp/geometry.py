@@ -9,6 +9,7 @@ activated per segment at a point psi with feed_x[m] <= psi <= feed_x[m] + L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,9 +33,9 @@ class ServiceRegion:
     d_y: float
 
     def __post_init__(self) -> None:
-        if not (self.d_x > 0 and self.d_y > 0):
+        if not (0 < self.d_x < math.inf and 0 < self.d_y < math.inf):
             raise ValueError(
-                f"region sides must be positive, got d_x={self.d_x}, d_y={self.d_y}"
+                f"region sides must be positive and finite, got d_x={self.d_x}, d_y={self.d_y}"
             )
 
 
@@ -75,10 +76,10 @@ class WaveguideLayout:
     def __post_init__(self) -> None:
         if self.m_segments < 1:
             raise ValueError(f"m_segments must be >= 1, got {self.m_segments}")
-        if not self.seg_length > 0:
-            raise ValueError(f"seg_length must be positive, got {self.seg_length}")
-        if not self.height > 0:
-            raise ValueError(f"height must be positive, got {self.height}")
+        if not 0 < self.seg_length < math.inf:
+            raise ValueError(f"seg_length must be positive and finite, got {self.seg_length}")
+        if not 0 < self.height < math.inf:
+            raise ValueError(f"height must be positive and finite, got {self.height}")
         feeds = np.asarray(self.feed_x, dtype=float)
         if feeds.shape != (self.m_segments,):
             raise ValueError(
@@ -93,6 +94,11 @@ class WaveguideLayout:
 
     def segment_end(self, segment: int) -> float:
         return float(self.feed_x[segment]) + self.seg_length
+
+    @property
+    def midpoints(self) -> np.ndarray:
+        """Each segment's midpoint feed_x + seg_length / 2."""
+        return self.feed_x + self.seg_length / 2.0
 
     @property
     def span(self) -> tuple[float, float]:

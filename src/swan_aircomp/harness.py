@@ -163,12 +163,20 @@ class ExperimentSpec:
             region = ServiceRegion(self.d_x, self.d_y)
             for value in self.sweep:
                 m, seg_len, _ = _sweep_scene_params(self, value)
-                build_layout(m, seg_len, region, self.height)
+                lo, hi = build_layout(m, seg_len, region, self.height).span
+                # every user-to-PA squared distance is at most this sum
+                reach = max(hi, self.d_x) - min(lo, 0.0)
+                far = reach * reach + self.d_y * self.d_y + self.height * self.height
+                if not math.isfinite(far):
+                    raise ValueError(f"scene at sweep value {value:g} is too large: "
+                                     "its squared distances overflow")
             design = () if self.design_kappa is None else (self.design_kappa,)
             for kappa in self.kappa_db_per_m + design:
                 self.radio_config(kappa)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:  # a dBm power too large to convert
+            raise ConfigError(f"a config value overflows: {exc}") from exc
 
     @property
     def wavelength(self) -> float:
@@ -396,48 +404,44 @@ def _sweep_scene_params(spec: ExperimentSpec, sweep_value: float) -> tuple[int, 
 
 def _run_scheme(
     scheme: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int
-) -> RunRecord:
-    drop_seed = derive_seed(spec.master_seed, drop)
+) -> tuple[RunRecord, int]:
+    """One scheme's run on a drop, and the seed its row records.
+
+    That seed is the drop's, or, when a random restart beats the midpoint
+    start, the seed that drew the winning restart's init.
+    """
+    seed = derive_seed(spec.master_seed, drop)
     if scheme == "SS":
-        return ss_two_stage(cfg, scene, spec.q_grid, seed=drop_seed)
+        return ss_two_stage(cfg, scene, spec.q_grid), seed
     if scheme == "PASS":
-        return pass_baseline(cfg, scene, spec.q_grid, seed=drop_seed)
+        return pass_baseline(cfg, scene, spec.q_grid), seed
     runner = sa1_ao if scheme == "SA1" else sa2_ao
-    best = runner(
-        cfg, scene, spec.q_grid, init=None,
-        max_iters=spec.max_iters, tol=spec.tol, seed=drop_seed,
-    )
+    best = runner(cfg, scene, spec.q_grid, max_iters=spec.max_iters, tol=spec.tol)
     for r in range(spec.restarts):
         r_seed = derive_seed(spec.master_seed, drop, _RESTART_TAG + r)
         init = random_init(scene, scheme, r_seed, cfg.delta_min)
-        rec = runner(
-            cfg, scene, spec.q_grid, init=init,
-            max_iters=spec.max_iters, tol=spec.tol, seed=r_seed,
-        )
+        rec = runner(cfg, scene, spec.q_grid, init=init, max_iters=spec.max_iters, tol=spec.tol)
         if rec.final_mse < best.final_mse:
-            best = rec
-    return best
+            best, seed = rec, r_seed
+    return best, seed
 
 
 def _run_oracle(
     scheme: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int
-) -> RunRecord:
-    """Joint brute-force oracle for an AO scheme on the same drop.
+) -> tuple[RunRecord, int]:
+    """Joint brute-force oracle for an AO scheme on the same drop, and the drop's seed.
 
     The candidate grids are extended by the AO midpoint inits, which AO may
     legitimately retain.
     """
-    layout = scene.layout
-    extra = [[float(x)] for x in layout.feed_x + layout.seg_length / 2.0]
-    drop_seed = derive_seed(spec.master_seed, drop)
+    extra = [[x] for x in scene.layout.midpoints.tolist()]
+    seed = derive_seed(spec.master_seed, drop)
     if scheme == "SA1":
-        return sa1_joint_exhaustive(
-            cfg, scene, spec.q_grid, extra_candidates=extra, seed=drop_seed
-        )
-    return sa2_joint_exhaustive(
-        cfg, scene, spec.q_grid, theta_grid=spec.theta_grid,
-        extra_candidates=extra, seed=drop_seed,
+        return sa1_joint_exhaustive(cfg, scene, spec.q_grid, extra_candidates=extra), seed
+    rec = sa2_joint_exhaustive(
+        cfg, scene, spec.q_grid, theta_grid=spec.theta_grid, extra_candidates=extra
     )
+    return rec, seed
 
 
 def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
@@ -469,7 +473,7 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
                         runs.append((scheme + "-oracle", _run_oracle, cfg))
                     for tag, runner, run_cfg in runs:
                         t0 = time.perf_counter()
-                        rec = runner(scheme, run_cfg, scene, spec, drop)
+                        rec, seed = runner(scheme, run_cfg, scene, spec, drop)
                         elapsed = time.perf_counter() - t0
                         final = (
                             rec.final_mse if run_cfg is cfg
@@ -484,7 +488,7 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
                             final_mse=final,
                             iterations=rec.iterations,
                             evaluations=rec.evaluations,
-                            seed=rec.seed,
+                            seed=seed,
                             elapsed=elapsed,
                         )
                         yield row, rec

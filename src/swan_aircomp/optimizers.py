@@ -82,7 +82,6 @@ class RunRecord:
     final_mse: float
     iterations: int
     evaluations: int
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,11 @@ class PhaseUpdateIntermediates:
     candidates: tuple
 
 
+def _one_pass(placement: Placement, final: float, evaluations: int) -> RunRecord:
+    """Record of a search that scores its candidates once: its trace is its result."""
+    return RunRecord(placement, (final,), final, 1, evaluations)
+
+
 def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> float:
     """MSE when only ``segment`` is active with its PA at pa_x."""
     h = eff_channel_ss(cfg, scene, segment, pa_x)
@@ -132,7 +136,7 @@ def _grid_search(cfg: RadioConfig, scene: Scene, segment: int, q_grid: int) -> t
     return float(mses[j]), float(pts[j])
 
 
-def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> RunRecord:
+def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
     """Segment selection by midpoint probing, then a grid search on the winner.
 
     Stage 1 evaluates the MSE with the PA at each segment midpoint (M
@@ -141,28 +145,20 @@ def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> 
     ties break toward the lowest segment index and lowest grid index.
     """
     layout = scene.layout
-    best_m = 0
-    best_mid = math.inf
-    for m in range(layout.m_segments):
-        mid = float(layout.feed_x[m]) + layout.seg_length / 2.0
-        h = segment_gain_matrix(cfg, scene, m, [mid])[0]
-        val = float(mse_rows(h, cfg.p_tx, cfg.noise_var))
-        if val < best_mid:
-            best_mid = val
-            best_m = m
+    probes = [ss_mse_objective(cfg, scene, m, x) for m, x in enumerate(layout.midpoints.tolist())]
+    best_m = int(np.argmin(probes))
     final, x = _grid_search(cfg, scene, best_m, q_grid)
     placement = Placement("SS", np.array([x]), segment=best_m)
     return RunRecord(
         placement=placement,
-        mse_trace=(best_mid, final),
+        mse_trace=(probes[best_m], final),
         final_mse=final,
         iterations=1,
         evaluations=layout.m_segments + q_grid,
-        seed=seed,
     )
 
 
-def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> RunRecord:
+def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
     """Grid search over every segment's Q points: exactly M * Q evaluations."""
     layout = scene.layout
     best = (math.inf, 0, 0.0)
@@ -171,15 +167,8 @@ def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) ->
         if val < best[0]:
             best = (val, m, x)
     final, m_star, x_star = best
-    placement = Placement("SS", np.array([x_star]), segment=m_star)
-    return RunRecord(
-        placement=placement,
-        mse_trace=(final,),
-        final_mse=final,
-        iterations=1,
-        evaluations=layout.m_segments * q_grid,
-        seed=seed,
-    )
+    return _one_pass(Placement("SS", np.array([x_star]), segment=m_star), final,
+                     layout.m_segments * q_grid)
 
 
 def baseline_layout(scene: Scene) -> WaveguideLayout:
@@ -192,30 +181,21 @@ def baseline_scene(scene: Scene) -> Scene:
     return Scene(scene.region, baseline_layout(scene), scene.users)
 
 
-def pass_baseline(cfg: RadioConfig, scene: Scene, q_grid: int, seed: int = 0) -> RunRecord:
+def pass_baseline(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
     """Conventional single-waveguide baseline, fed at the aperture's left end.
 
     The one PA is grid-searched over the full span, paying in-waveguide
     attenuation over the whole feed-to-PA run.  Q evaluations.
     """
     final, x = _grid_search(cfg, baseline_scene(scene), 0, q_grid)
-    placement = Placement("PASS", np.array([x]), segment=0)
-    return RunRecord(
-        placement=placement,
-        mse_trace=(final,),
-        final_mse=final,
-        iterations=1,
-        evaluations=q_grid,
-        seed=seed,
-    )
+    return _one_pass(Placement("PASS", np.array([x]), segment=0), final, q_grid)
 
 
 def midpoint_init(scene: Scene, architecture: str) -> Placement:
     """Deterministic AO start: every PA at its segment midpoint, phases zero."""
     layout = scene.layout
-    psis = layout.feed_x + layout.seg_length / 2.0
     phases = np.zeros(layout.m_segments) if architecture == "SA2" else None
-    return Placement(architecture, psis, phases=phases)
+    return Placement(architecture, layout.midpoints, phases=phases)
 
 
 def random_init(
@@ -316,24 +296,42 @@ def _closed_form_phase(
     )
 
 
-def _split_channel(
-    cfg: RadioConfig, scene: Scene, placement: Placement, segment: int
+def _ao_setup(
+    cfg: RadioConfig, scene: Scene, placement: Placement
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """The AO's state at a feasible SA placement, its phases taken as given.
+
+    Returns (base, shares, others): every segment's gain row (M, K), their
+    shares ``segment_shares(base, placement.phases)``, and for each segment m
+    the other segments in order, so ``shares[others[m]]`` is np.delete's
+    array and rest sums keep their bits.
+    """
+    base = placement_gains(cfg, scene, placement)
+    m_seg = base.shape[0]
+    others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
+    return base, segment_shares(base, placement.phases), others
+
+
+def _phase_split(
+    base: np.ndarray, shares: np.ndarray, others: list, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split the SA2 channel into segment's unphased share a and the rest b."""
-    if placement.architecture != "SA2" or placement.phases is None:
+    """Segment m's unphased share a and the others' sum b: h = b + e^{j theta_m} a."""
+    return base[m] * (1.0 / math.sqrt(base.shape[0])), shares[others[m]].sum(axis=0)
+
+
+def _require_sa2_segment(scene: Scene, placement: Placement, segment: int) -> None:
+    if placement.architecture != "SA2":
         raise ValueError("phase updates apply to SA2 placements")
     if not (0 <= segment < scene.layout.m_segments):
         raise ValueError(f"segment index {segment} out of range")
-    gains = placement_gains(cfg, scene, placement)
-    rest = np.delete(segment_shares(gains, placement.phases), segment, axis=0).sum(axis=0)
-    return segment_shares(gains)[segment], rest
 
 
 def phase_update_closed(
     cfg: RadioConfig, scene: Scene, placement: Placement, segment: int
 ) -> tuple[float, PhaseUpdateIntermediates]:
     """Closed-form best phase for one segment, other segments held fixed."""
-    a, b = _split_channel(cfg, scene, placement, segment)
+    _require_sa2_segment(scene, placement, segment)
+    a, b = _phase_split(*_ao_setup(cfg, scene, placement), segment)
     return _closed_form_phase(
         a, b, cfg.noise_var / cfg.p_tx, float(placement.phases[segment])
     )
@@ -348,7 +346,8 @@ def phase_objective(
     h_k = b_k + exp(1j * theta) * a_k; the minimum MSE at this phase is
     K - phi(theta).
     """
-    a, b = _split_channel(cfg, scene, placement, segment)
+    _require_sa2_segment(scene, placement, segment)
+    a, b = _phase_split(*_ao_setup(cfg, scene, placement), segment)
     h = b + np.exp(1j * theta) * a
     num = abs(h.sum()) ** 2
     den = float((np.abs(h) ** 2).sum()) + cfg.noise_var / cfg.p_tx
@@ -478,10 +477,8 @@ def _ao_engine(
     q_grid: int,
     init: Optional[Placement],
     architecture: str,
-    update_phases: bool,
     max_iters: int,
     tol: float,
-    seed: int,
     trace_granularity: str,
 ) -> RunRecord:
     """Alternating sweeps of closed-form phase updates and 1-D position search.
@@ -493,20 +490,17 @@ def _ao_engine(
         init = midpoint_init(scene, architecture)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
+    # phases wrapped once here, so the placement returned is the one scored
+    phases = None if architecture == "SA1" else [_wrap_phase(t) for t in init.phases.tolist()]
+    start = Placement(architecture, init.pa_x, phases=phases)
+    # shares == segment_shares(base, thetas) throughout: a change to base[m]
+    # or thetas[m] recomputes row m alone, with segment_shares' arithmetic.
+    base, shares, others = _ao_setup(cfg, scene, start)
+    psis = start.pa_x.copy()
+    thetas = None if start.phases is None else start.phases.copy()
     m_seg = scene.layout.m_segments
     scale = 1.0 / math.sqrt(m_seg)
     noise_over_p = cfg.noise_var / cfg.p_tx
-    psis = init.pa_x.copy()
-    # phases wrapped once here, so the placement returned is the one scored
-    thetas = None if architecture == "SA1" else np.array(
-        [_wrap_phase(t) for t in init.phases.tolist()])
-    base = placement_gains(cfg, scene, init)
-    # shares == segment_shares(base, thetas) throughout: a change to base[m]
-    # or thetas[m] recomputes row m alone, with segment_shares' arithmetic.
-    shares = segment_shares(base, thetas)
-    # every segment but m, in order: shares[others[m]] is np.delete's array,
-    # so rest sums keep their bits
-    others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
 
     # Each segment's grid gains and the row statistics that screen them are
     # built once per call; an update scores only the rows that can win, so
@@ -550,11 +544,10 @@ def _ao_engine(
 
     for sweep in range(max_iters):
         sweep_start = current
-        if thetas is not None and update_phases:
+        if thetas is not None:
             for m in range(m_seg):
-                theta = _phase_solution(
-                    base[m] * scale, shares[others[m]].sum(axis=0), noise_over_p, float(thetas[m])
-                )[0]
+                a, b = _phase_split(base, shares, others, m)
+                theta = _phase_solution(a, b, noise_over_p, float(thetas[m]))[0]
                 evaluations += 3
                 settle(m, psis[m], base[m], theta)
                 if per_update:
@@ -578,7 +571,6 @@ def _ao_engine(
         final_mse=trace[-1],
         iterations=iterations,
         evaluations=evaluations,
-        seed=seed,
     )
 
 
@@ -592,11 +584,10 @@ def sa1_position_update(
     incumbent.  Phases, if any, are held fixed.
     """
     pts, gains = grid_gains(cfg, scene, segment, q_grid)
-    base = placement_gains(cfg, scene, placement)
-    others = np.delete(np.arange(scene.layout.m_segments), segment)
+    base, shares, others = _ao_setup(cfg, scene, placement)
     row, mse, _ = _position_step(
-        cfg, segment, others, pts, _grid_stats(gains), base,
-        segment_shares(base, placement.phases), placement.pa_x, placement.phases)
+        cfg, segment, others[segment], pts, _grid_stats(gains), base, shares,
+        placement.pa_x, placement.phases)
     return float(placement.pa_x[segment] if row is None else pts[row]), mse
 
 
@@ -607,7 +598,6 @@ def sa1_ao(
     init: Optional[Placement] = None,
     max_iters: int = 100,
     tol: float = 1e-8,
-    seed: int = 0,
     trace_granularity: str = "sweep",
 ) -> RunRecord:
     """Element-wise position optimization for the phase-free combined feed.
@@ -617,7 +607,7 @@ def sa1_ao(
     ``tol`` or ``max_iters`` sweeps complete.
     """
     return _ao_engine(
-        cfg, scene, q_grid, init, "SA1", False, max_iters, tol, seed, trace_granularity
+        cfg, scene, q_grid, init, "SA1", max_iters, tol, trace_granularity
     )
 
 
@@ -628,19 +618,16 @@ def sa2_ao(
     init: Optional[Placement] = None,
     max_iters: int = 100,
     tol: float = 1e-8,
-    seed: int = 0,
     trace_granularity: str = "sweep",
-    update_phases: bool = True,
 ) -> RunRecord:
     """Alternating optimization with per-segment phase shifters.
 
     Each sweep first refreshes every phase with the closed-form update, then
     grid-searches every position; both passes keep a change only when it does
-    not raise the MSE.  ``update_phases=False`` freezes the phases, which with
-    a zero-phase init reproduces sa1_ao exactly.
+    not raise the MSE.
     """
     return _ao_engine(
-        cfg, scene, q_grid, init, "SA2", update_phases, max_iters, tol, seed, trace_granularity
+        cfg, scene, q_grid, init, "SA2", max_iters, tol, trace_granularity
     )
 
 
@@ -740,7 +727,6 @@ def sa1_joint_exhaustive(
     scene: Scene,
     q_grid: int,
     extra_candidates: Optional[Sequence[Sequence[float]]] = None,
-    seed: int = 0,
 ) -> RunRecord:
     """Global grid minimum over all feasible joint PA position tuples.
 
@@ -749,15 +735,7 @@ def sa1_joint_exhaustive(
     Ties resolve to the first tuple in itertools.product order.
     """
     final, pa_x, _, count = _joint_scan(cfg, scene, q_grid, extra_candidates, np.ones(1, dtype=complex))
-    placement = Placement("SA1", pa_x)
-    return RunRecord(
-        placement=placement,
-        mse_trace=(final,),
-        final_mse=final,
-        iterations=1,
-        evaluations=count,
-        seed=seed,
-    )
+    return _one_pass(Placement("SA1", pa_x), final, count)
 
 
 def sa2_joint_exhaustive(
@@ -766,7 +744,6 @@ def sa2_joint_exhaustive(
     q_grid: int,
     theta_grid: int = 720,
     extra_candidates: Optional[Sequence[Sequence[float]]] = None,
-    seed: int = 0,
 ) -> RunRecord:
     """Joint position-and-phase oracle for two segments.
 
@@ -778,12 +755,4 @@ def sa2_joint_exhaustive(
         raise ValueError("the reduced phase oracle supports exactly two segments")
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
     final, pa_x, j, count = _joint_scan(cfg, scene, q_grid, extra_candidates, np.exp(1j * thetas))
-    placement = Placement("SA2", pa_x, phases=np.array([thetas[j], 0.0]))
-    return RunRecord(
-        placement=placement,
-        mse_trace=(final,),
-        final_mse=final,
-        iterations=1,
-        evaluations=count,
-        seed=seed,
-    )
+    return _one_pass(Placement("SA2", pa_x, phases=np.array([thetas[j], 0.0])), final, count)

@@ -7,7 +7,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 WIDTH = 720
 HEIGHT = 480
@@ -42,7 +42,6 @@ def render_line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     x_label: str = "",
     y_label: str = "",
-    title: Optional[str] = None,
     log_y: bool = False,
 ) -> str:
     """Render (label, xs, ys) series to an SVG document string."""
@@ -74,11 +73,6 @@ def render_line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{(px0 + px1) / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#222">{title}</text>'
-        )
 
     # axes and ticks
     parts.append(

@@ -92,8 +92,8 @@ def rel_err(a, b):
     return abs(a - b) / scale
 
 
-def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
-                 max_iters=100, tol=1e-8, trace_granularity="sweep"):
+def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8,
+                 trace_granularity="sweep"):
     """The AO loop with every candidate's gains recomputed on every update.
 
     Mirrors the library's alternating sweeps but builds each position
@@ -132,7 +132,7 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, update_phases=True,
     per_update = trace_granularity == "update"
     for sweep in range(max_iters):
         sweep_start = current
-        if thetas is not None and update_phases:
+        if thetas is not None:
             for m in range(m_seg):
                 b = rest(total(), m)
                 theta_new, _ = _closed_form_phase(

@@ -4,6 +4,10 @@ import json
 import pytest
 
 from swan_aircomp.cli import main
+from swan_aircomp.geometry import Scene, ServiceRegion, build_layout, sample_users
+from swan_aircomp.harness import ExperimentSpec
+from swan_aircomp.optimizers import random_init, sa1_ao, sa2_ao
+from swan_aircomp.rng import derive_seed
 
 FAST = [
     "--sweep", "2,3", "--drops", "2", "--m", "2", "--seg-length", "1",
@@ -141,3 +145,62 @@ def test_bad_integer_and_loop_fields_are_config_errors(tmp_path, capsys, values)
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
     _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"p_dbm": "inf"},
+        {"height": "inf"},
+        {"noise_dbm": "inf"},
+        {"n_eff": "inf"},
+        {"height": 1e200},
+        {"delta_m": "inf"},
+        {"d_y": 1e200},
+        {"seg_length": 1e200},
+        {"p_dbm": 1e300},
+        {"f_c_hz": 1e-150},
+    ],
+)
+def test_non_finite_or_overflowing_physical_values_are_config_errors(tmp_path, capsys, values):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(values))
+    _rejected_before_work(
+        tmp_path, capsys, "sweep-k", "--m", "2", "--q", "20", "--sweep", "2", "--config", str(cfg)
+    )
+
+
+def test_a_winning_restart_records_its_own_seed(tmp_path):
+    """A row whose best run started from random restart r records that
+    restart's seed derive_seed(master_seed, drop, 7001 + r); any other row
+    records its drop's seed."""
+    out = tmp_path / "out"
+    code = main(["sweep-k", "--out-dir", str(out), "--sweep", "2,6", "--drops", "2", "--m", "3",
+                 "--q", "60", "--kappa", "0,0.08", "--restarts", "2", "--schemes", "SA1,SA2,SS",
+                 "--quiet"])
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())["spec"]
+    spec = ExperimentSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta.items()})
+    region = ServiceRegion(spec.d_x, spec.d_y)
+    layout = build_layout(spec.m_segments, spec.seg_length, region, spec.height)
+    restart_wins = 0
+    with open(out / "results.csv", newline="") as f:
+        for row in csv.DictReader(f):
+            drop = int(row["drop"])
+            want = derive_seed(spec.master_seed, drop)
+            if row["scheme"] != "SS":
+                users = sample_users(region, int(float(row["sweep_value"])), want)
+                scene = Scene(region, layout, users)
+                cfg = spec.radio_config(float(row["kappa"]))
+                runner = sa1_ao if row["scheme"] == "SA1" else sa2_ao
+                best = runner(cfg, scene, spec.q_grid).final_mse
+                for r in range(spec.restarts):
+                    seed = derive_seed(spec.master_seed, drop, 7001 + r)
+                    init = random_init(scene, row["scheme"], seed, cfg.delta_min)
+                    mse = runner(cfg, scene, spec.q_grid, init=init).final_mse
+                    if mse < best:
+                        best, want = mse, seed
+                assert float(row["final_mse"]) == best
+            restart_wins += want != derive_seed(spec.master_seed, drop)
+            assert int(row["seed"]) == want
+    assert restart_wins > 0

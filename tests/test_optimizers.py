@@ -269,17 +269,6 @@ def test_ao_rejects_bad_inits():
         sa2_ao(cfg, scene, 50, init=midpoint_init(scene, "SA1"))
 
 
-def test_sa2_ao_with_frozen_zero_phases_reproduces_sa1():
-    cfg = make_config()
-    scene = make_scene(m_segments=3, seg_length=2.0, k=5, seed=27)
-    r1 = sa1_ao(cfg, scene, 120)
-    r2 = sa2_ao(cfg, scene, 120, update_phases=False)
-    assert np.array_equal(r1.placement.pa_x, r2.placement.pa_x)
-    assert r1.mse_trace == r2.mse_trace
-    assert r1.evaluations == r2.evaluations
-    assert np.array_equal(r2.placement.phases, np.zeros(3))
-
-
 def test_sa2_ao_monotone_normalized_and_self_consistent():
     cfg = make_config()
     for i in range(15):
@@ -301,8 +290,8 @@ def test_sa2_ao_chained_from_sa1_result_never_loses():
         r1 = sa1_ao(cfg, scene, 100)
         init = sa.Placement("SA2", r1.placement.pa_x.copy(), phases=np.zeros(3))
         r2 = sa2_ao(cfg, scene, 100, init=init)
-        assert r2.final_mse <= r1.final_mse + 1e-12
-        assert r2.mse_trace[0] == pytest.approx(r1.final_mse, rel=1e-12)
+        assert r2.final_mse <= r1.final_mse
+        assert r2.mse_trace[0] == r1.final_mse
 
 
 def test_sa2_beats_sa1_on_average_from_midpoints():
@@ -332,13 +321,12 @@ def test_trace_granularity_lengths():
 def test_ao_is_deterministic():
     cfg = make_config()
     scene = make_scene(m_segments=3, seg_length=1.5, d_x=30.0, k=5, seed=32)
-    a = sa2_ao(cfg, scene, 90, seed=5)
-    b = sa2_ao(cfg, scene, 90, seed=5)
+    a = sa2_ao(cfg, scene, 90)
+    b = sa2_ao(cfg, scene, 90)
     assert a.mse_trace == b.mse_trace
     assert np.array_equal(a.placement.pa_x, b.placement.pa_x)
     assert np.array_equal(a.placement.phases, b.placement.phases)
     assert a.evaluations == b.evaluations
-    assert a.seed == 5
 
 
 def test_evaluate_placement_all_architectures():

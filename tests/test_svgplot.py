@@ -24,10 +24,9 @@ def test_rejects_bad_series():
 
 
 def test_document_structure():
-    text = render_line_chart(two_series(), x_label="x", y_label="y", title="t")
+    text = render_line_chart(two_series(), x_label="x", y_label="y")
     assert text.startswith("<svg xmlns=")
     assert text.endswith("</svg>\n")
-    assert ">t</text>" in text
     assert ">x</text>" in text
     assert ">y</text>" in text
     assert "alpha" in text and "beta" in text
