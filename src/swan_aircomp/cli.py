@@ -7,18 +7,11 @@ file, unknown keys), 2 for runtime or I/O failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from .harness import ConfigError, execute, parse_config
-
-_SUBCOMMANDS = {
-    "sweep-m": "sweep-m-fixed-L",
-    "sweep-m-span": "sweep-m-fixed-span",
-    "sweep-k": "sweep-k",
-    "convergence": "convergence",
-    "oracle-check": "oracle-check",
-}
+from .harness import KINDS, ConfigError, ExperimentSpec, execute, parse_config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,43 +22,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """CLI-only flags, then flags whose dest is an ExperimentSpec field.
+
+    Field flags take their value as a string and parse_config parses it
+    exactly like the same key in a config file.
+    """
     p.add_argument("--config", metavar="FILE", help="flat JSON config file")
-    p.add_argument("--seed", type=int, help="master seed (field master_seed)")
-    p.add_argument("--drops", type=int, help="Monte-Carlo drops per cell (field n_drops)")
     p.add_argument("--out-dir", default="out", metavar="DIR", help="output directory")
-    p.add_argument("--kappa", help="waveguide attenuation values in dB/m, e.g. '0,0.08'")
-    p.add_argument(
-        "--design-kappa", type=float, metavar="K",
-        help="optimize under this attenuation, evaluate under --kappa",
-    )
-    p.add_argument("--restarts", type=int, help="extra random-init AO restarts per run")
     p.add_argument("--quiet", action="store_true", help="suppress the aggregate summary")
     p.add_argument("--log-y", action="store_true", help="log-scale MSE axis in the plot")
     p.add_argument("--timing", action="store_true",
                    help="add the wall-clock column to results.csv (breaks reproducibility)")
-    p.add_argument("--sweep", help="sweep values, e.g. '1,2,5,10'")
-    p.add_argument("--q", type=int, help="grid points per segment (field q_grid)")
-    p.add_argument("--schemes", help="schemes to run, e.g. 'SS,SA1,SA2,PASS'")
-    p.add_argument("--k", type=int, help="number of users (field k_users)")
-    p.add_argument("--m", type=int, help="number of segments (field m_segments)")
-    p.add_argument("--seg-length", type=float, help="segment length in meters")
-    p.add_argument("--d-x", type=float, help="region length in meters")
-
-
-_FLAG_TO_FIELD = {
-    "seed": "master_seed",
-    "drops": "n_drops",
-    "kappa": "kappa_db_per_m",
-    "design_kappa": "design_kappa",
-    "restarts": "restarts",
-    "sweep": "sweep",
-    "q": "q_grid",
-    "schemes": "schemes",
-    "k": "k_users",
-    "m": "m_segments",
-    "seg_length": "seg_length",
-    "d_x": "d_x",
-}
+    p.add_argument("--seed", dest="master_seed", help="master seed")
+    p.add_argument("--drops", dest="n_drops", help="Monte-Carlo drops per cell")
+    p.add_argument("--kappa", dest="kappa_db_per_m",
+                   help="waveguide attenuation values in dB/m, e.g. '0,0.08'")
+    p.add_argument("--design-kappa", dest="design_kappa",
+                   help="optimize under this attenuation, evaluate under --kappa")
+    p.add_argument("--restarts", dest="restarts", help="extra random-init AO restarts per run")
+    p.add_argument("--sweep", dest="sweep", help="sweep values, e.g. '1,2,5,10'")
+    p.add_argument("--q", dest="q_grid", help="grid points per segment")
+    p.add_argument("--schemes", dest="schemes", help="schemes to run, e.g. 'SS,SA1,SA2,PASS'")
+    p.add_argument("--k", dest="k_users", help="number of users")
+    p.add_argument("--m", dest="m_segments", help="number of segments")
+    p.add_argument("--seg-length", dest="seg_length", help="segment length in meters")
+    p.add_argument("--d-x", dest="d_x", help="region length in meters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pinching-antenna over-the-air computation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run a {kind} experiment")
+    for kind, info in KINDS.items():
+        p = sub.add_parser(info.command, help=f"run a {kind} experiment")
         p.set_defaults(kind=kind)
         _add_common_flags(p)
     return parser
@@ -86,12 +67,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {}
-        for flag, field in _FLAG_TO_FIELD.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                overrides[field] = value
-        spec = parse_config(path=args.config, kind=args.kind, overrides=overrides)
+        given = vars(args)
+        fields = {
+            f.name: given[f.name] for f in dataclasses.fields(ExperimentSpec)
+            if given.get(f.name) is not None
+        }
+        spec = parse_config(path=args.config, kind=fields.pop("kind"), overrides=fields)
         execute(
             spec,
             args.out_dir,

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -36,26 +36,47 @@ from .optimizers import (
 )
 from .rng import derive_seed
 
-KINDS = (
-    "sweep-m-fixed-L",
-    "sweep-m-fixed-span",
-    "sweep-k",
-    "convergence",
-    "oracle-check",
-)
-
 SCHEMES = ("SS", "SA1", "SA2", "PASS")
-
-# Kinds whose sweep values count segments or users.
-_COUNT_SWEEPS = ("sweep-m-fixed-L", "sweep-m-fixed-span", "sweep-k")
 
 # Seed-derivation tag separating restart streams from drop streams.
 _RESTART_TAG = 7001
 
-_INT_FIELDS = (
-    "n_drops", "master_seed", "k_users", "m_segments", "q_grid", "restarts",
-    "max_iters", "theta_grid",
-)
+
+class Kind(NamedTuple):
+    """One experiment kind: its CLI subcommand, plot x-axis and defaults.
+
+    ``swept`` kinds sweep a count (segments or users); the others run one
+    cell per drop, with sweep (0,).
+    """
+
+    command: str
+    x_label: str
+    swept: bool
+    defaults: dict
+
+
+KINDS = {
+    "sweep-m-fixed-L": Kind("sweep-m", "number of segments M", True, {"sweep": tuple(range(1, 11))}),
+    "sweep-m-fixed-span": Kind(
+        "sweep-m-span", "number of segments M (span fixed)", True, {"sweep": (1, 2, 5, 10, 20)}
+    ),
+    "sweep-k": Kind(
+        "sweep-k", "number of users K", True, {"sweep": tuple(range(2, 21, 2)), "d_x": 50.0}
+    ),
+    "convergence": Kind(
+        "convergence", "iteration", False, {"sweep": (0,), "d_x": 50.0, "schemes": ("SA1", "SA2")}
+    ),
+    "oracle-check": Kind("oracle-check", "instance", False, {
+        "sweep": (0,), "m_segments": 2, "q_grid": 20, "k_users": 3, "n_drops": 20,
+        "schemes": ("SA1", "SA2"), "seg_length": 1.0,
+    }),
+}
+
+# Integer fields and their minimums (None: any integer).
+_INT_MINIMUMS = {
+    "n_drops": 1, "master_seed": None, "k_users": 1, "m_segments": 1, "q_grid": 2,
+    "restarts": 0, "max_iters": 1, "theta_grid": 1,
+}
 
 
 class ConfigError(ValueError):
@@ -97,49 +118,44 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}, expected one of {KINDS}")
-        for name in _INT_FIELDS:
+            raise ConfigError(
+                f"unknown experiment kind {self.kind!r}, expected one of {tuple(KINDS)}"
+            )
+        for name, minimum in _INT_MINIMUMS.items():
             value = getattr(self, name)
             whole = isinstance(value, numbers.Integral) or (
                 isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
             )
             if isinstance(value, bool) or not whole:
                 raise ConfigError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = int(value)
+            object.__setattr__(self, name, value)
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
         if len(self.sweep) == 0:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep values must be strictly increasing, got {self.sweep}")
-        if self.n_drops < 1:
-            raise ConfigError(f"n_drops must be >= 1, got {self.n_drops}")
-        if self.k_users < 1:
-            raise ConfigError(f"k_users must be >= 1, got {self.k_users}")
-        if self.m_segments < 1:
-            raise ConfigError(f"m_segments must be >= 1, got {self.m_segments}")
-        if self.q_grid < 2:
-            raise ConfigError(f"q_grid must be >= 2, got {self.q_grid}")
-        if self.restarts < 0:
-            raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
-        if self.theta_grid < 1:
-            raise ConfigError(f"theta_grid must be >= 1, got {self.theta_grid}")
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad or not self.schemes:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}, got {self.schemes}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must not repeat, got {self.schemes}")
         if not self.kappa_db_per_m or not all(
             math.isfinite(k) and k >= 0 for k in self.kappa_db_per_m
         ):
             raise ConfigError(
                 f"kappa list must be non-empty, finite and non-negative, got {self.kappa_db_per_m}"
             )
+        if len(set(self.kappa_db_per_m)) < len(self.kappa_db_per_m):
+            raise ConfigError(f"kappa values must not repeat, got {self.kappa_db_per_m}")
         if self.design_kappa is not None and not (
             math.isfinite(self.design_kappa) and self.design_kappa >= 0
         ):
             raise ConfigError(f"design_kappa must be finite and non-negative, got {self.design_kappa}")
-        if self.kind in ("convergence", "oracle-check"):
+        if not KINDS[self.kind].swept:
             if any(s not in ("SA1", "SA2") for s in self.schemes):
                 raise ConfigError(f"{self.kind} experiments support only SA1 and SA2 schemes")
             if self.restarts > 0 or self.design_kappa is not None or self.sweep != (0,):
@@ -153,7 +169,7 @@ class ExperimentSpec:
 
     def _check_scenes(self) -> None:
         """Fail now on a sweep value whose scene or radio config cannot be built."""
-        if self.kind in _COUNT_SWEEPS and not all(
+        if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
         ):
             raise ConfigError(
@@ -236,23 +252,7 @@ class AggregateRow:
     n_drops: int
 
 
-_KIND_DEFAULTS: dict[str, dict] = {
-    "sweep-m-fixed-L": {"sweep": tuple(range(1, 11))},
-    "sweep-m-fixed-span": {"sweep": (1, 2, 5, 10, 20)},
-    "sweep-k": {"sweep": (2, 4, 6, 8, 10, 12, 14, 16, 18, 20), "d_x": 50.0},
-    "convergence": {"sweep": (0,), "d_x": 50.0, "schemes": ("SA1", "SA2")},
-    "oracle-check": {
-        "sweep": (0,),
-        "m_segments": 2,
-        "q_grid": 20,
-        "k_users": 3,
-        "n_drops": 20,
-        "schemes": ("SA1", "SA2"),
-        "seg_length": 1.0,
-    },
-}
-
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentSpec))
+_FIELD_TYPES = get_type_hints(ExperimentSpec)
 
 
 def _parse_frequency(value) -> float:
@@ -306,44 +306,35 @@ def _parse_schemes(value) -> tuple:
     return tuple(out)
 
 
+# Fields with unit or list syntax; every other field parses by its type.
 _VALUE_PARSERS = {
     "kind": str,
     "sweep": _parse_number_list,
-    "n_drops": _parse_int,
-    "master_seed": _parse_int,
-    "k_users": _parse_int,
-    "m_segments": _parse_int,
-    "seg_length": float,
-    "d_x": float,
-    "d_y": float,
-    "height": float,
     "f_c_hz": _parse_frequency,
-    "n_eff": float,
-    "delta_m": lambda v: None if v is None else float(v),
     "p_dbm": _parse_dbm,
     "noise_dbm": _parse_dbm,
     "kappa_db_per_m": _parse_number_list,
-    "q_grid": _parse_int,
     "schemes": _parse_schemes,
-    "restarts": _parse_int,
-    "design_kappa": lambda v: None if v is None else float(v),
-    "max_iters": _parse_int,
-    "tol": float,
-    "theta_grid": _parse_int,
+}
+_TYPE_PARSERS = {
+    int: _parse_int,
+    float: float,
+    Optional[float]: lambda v: None if v is None else float(v),
 }
 
 
 def _parse_values(values: dict, origin: str) -> dict:
     out = {}
     for key, value in values.items():
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown {origin} key: {key!r}")
         if isinstance(value, bool) or (
             isinstance(value, list) and any(isinstance(v, bool) for v in value)
         ):
             raise ConfigError(f"bad value for {key!r}: {value!r} (a boolean is not a number)")
         try:
-            out[key] = _VALUE_PARSERS[key](value)
+            parse = _VALUE_PARSERS.get(key) or _TYPE_PARSERS[_FIELD_TYPES[key]]
+            out[key] = parse(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
     return out
@@ -358,10 +349,12 @@ def parse_config(
 
     Precedence, lowest to highest: built-in defaults, per-kind defaults, the
     JSON file, then ``overrides`` (the CLI flags).  Keys must match
-    ExperimentSpec field names exactly; unknown keys are rejected.  Unit
-    conveniences: f_c_hz accepts strings like "28 GHz"; p_dbm and noise_dbm
-    accept "10 dBm"; kappa_db_per_m and sweep accept scalars, lists, or
-    comma-separated strings.
+    ExperimentSpec field names exactly; unknown keys are rejected.  File and
+    override values parse alike, strings included: a field parses by its
+    type, except for the unit conveniences: f_c_hz accepts strings like
+    "28 GHz"; p_dbm and noise_dbm accept "10 dBm"; kappa_db_per_m and sweep
+    accept scalars, lists, or comma-separated strings.  A file naming a kind
+    other than ``kind`` is an error.
     """
     file_values: dict = {}
     if path is not None:
@@ -378,15 +371,17 @@ def parse_config(
         file_values = _parse_values(loaded, "config")
     override_values = _parse_values(overrides or {}, "override")
 
-    resolved_kind = override_values.get("kind") or file_values.get("kind") or kind
+    file_kind = file_values.get("kind")
+    if kind is not None and file_kind is not None and file_kind != kind:
+        raise ConfigError(f"config file {path} names kind {file_kind!r}, not {kind!r}")
+    resolved_kind = override_values.get("kind") or file_kind or kind
     if resolved_kind is None:
         raise ConfigError("no experiment kind given")
 
-    values: dict = dict(_KIND_DEFAULTS.get(resolved_kind, {}))
-    values.update(file_values)
-    values.update(override_values)
-    values["kind"] = resolved_kind
-    return ExperimentSpec(**values)
+    kind_defaults = KINDS[resolved_kind].defaults if resolved_kind in KINDS else {}
+    return ExperimentSpec(
+        **{**kind_defaults, **file_values, **override_values, "kind": resolved_kind}
+    )
 
 
 def _sweep_scene_params(spec: ExperimentSpec, sweep_value: float) -> tuple[int, float, int]:
@@ -561,13 +556,8 @@ def _csv_number(value) -> str:
     return str(value)
 
 
-_RESULT_FIELDS = (
-    "experiment", "scheme", "kappa", "sweep_value", "drop",
-    "final_mse", "iterations", "evaluations", "seed",
-)
-_AGG_FIELDS = (
-    "experiment", "scheme", "kappa", "sweep_value", "mean_mse", "stderr", "n_drops",
-)
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow) if f.name != "elapsed")
+_AGG_FIELDS = tuple(f.name for f in dataclasses.fields(AggregateRow))
 
 
 def emit_csv(
@@ -595,15 +585,6 @@ def emit_csv(
             writer.writerow(_csv_number(getattr(row, name)) for name in fields)
 
 
-_X_LABELS = {
-    "sweep-m-fixed-L": "number of segments M",
-    "sweep-m-fixed-span": "number of segments M (span fixed)",
-    "sweep-k": "number of users K",
-    "convergence": "iteration",
-    "oracle-check": "instance",
-}
-
-
 def emit_plot(aggregates: Sequence[AggregateRow], path: Union[str, Path], log_y: bool = False) -> None:
     """Plot mean MSE per (scheme, kappa) series against the sweep axis.
 
@@ -622,7 +603,7 @@ def emit_plot(aggregates: Sequence[AggregateRow], path: Union[str, Path], log_y:
     for (scheme, kappa), (xs, ys) in series_map.items():
         label = scheme if len(kappas) == 1 else f"{scheme} kappa={kappa:g}"
         series.append((label, xs, ys))
-    x_label = _X_LABELS[aggregates[0].experiment]
+    x_label = KINDS[aggregates[0].experiment].x_label
     text = svgplot.render_line_chart(series, x_label=x_label, y_label="mean MSE", log_y=log_y)
     Path(path).write_text(text)
 

@@ -1,11 +1,13 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from swan_aircomp.cli import main
+from swan_aircomp.cli import build_parser, main
 from swan_aircomp.geometry import Scene, ServiceRegion, build_layout, sample_users
-from swan_aircomp.harness import ExperimentSpec
+from swan_aircomp.harness import KINDS, ExperimentSpec
 from swan_aircomp.optimizers import random_init, sa1_ao, sa2_ao
 from swan_aircomp.rng import derive_seed
 
@@ -84,8 +86,10 @@ def _rejected_before_work(tmp_path, capsys, cmd, *flags):
     out = tmp_path / "out"
     code = main([cmd, "--out-dir", str(out), "--drops", "1", "--quiet", *flags])
     assert code == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
     assert not out.exists()
+    return err
 
 
 def test_nan_kappa_is_a_config_error(tmp_path, capsys):
@@ -118,6 +122,85 @@ def test_negative_segment_length_is_a_config_error(tmp_path, capsys):
 )
 def test_single_cell_kinds_reject_restarts_design_kappa_and_sweeps(tmp_path, capsys, cmd, flags):
     _rejected_before_work(tmp_path, capsys, cmd, *flags)
+
+
+@pytest.mark.parametrize("kappas", ["0,0", "0,-0"])
+def test_repeated_kappa_is_a_config_error(tmp_path, capsys, kappas):
+    """A repeated kappa would run every drop twice and count it as two."""
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--sweep", "2", "--m", "2", "--q", "20",
+                          "--schemes", "SS", "--kappa", kappas)
+
+
+@pytest.mark.parametrize("schemes", ["SS,ss", "PASS,pass-baseline"])
+def test_repeated_scheme_is_a_config_error(tmp_path, capsys, schemes):
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--sweep", "2", "--m", "2", "--q", "20",
+                          "--schemes", schemes)
+
+
+def test_config_file_kind_conflicting_with_the_subcommand_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps({"kind": "oracle-check"}))
+    err = _rejected_before_work(tmp_path, capsys, "sweep-k", "--config", str(cfg))
+    assert "'oracle-check'" in err and "'sweep-k'" in err
+
+
+def test_config_file_kind_matching_the_subcommand_is_valid(tmp_path):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"kind": "sweep-m-fixed-L"}))
+    code, out = run(tmp_path, "out", "--config", str(cfg), cmd="sweep-m")
+    assert code == 0
+    assert json.loads((out / "metadata.json").read_text())["spec"]["kind"] == "sweep-m-fixed-L"
+
+
+# Each spec-field flag: its field, a value, and the value metadata.json records.
+_FIELD_FLAGS = {
+    "--seed": ("master_seed", "5", 5),
+    "--drops": ("n_drops", "2", 2),
+    "--kappa": ("kappa_db_per_m", "0, 0.08", [0.0, 0.08]),
+    "--design-kappa": ("design_kappa", "0.01", 0.01),
+    "--restarts": ("restarts", "1", 1),
+    "--sweep": ("sweep", "2,3", [2.0, 3.0]),
+    "--q": ("q_grid", "25", 25),
+    "--schemes": ("schemes", "ss,pass-baseline", ["SS", "PASS"]),
+    "--k": ("k_users", "3", 3),
+    "--m": ("m_segments", "3", 3),
+    "--seg-length": ("seg_length", "1.5", 1.5),
+    "--d-x": ("d_x", "30", 30.0),
+}
+_CLI_ONLY = {"help", "config", "out_dir", "quiet", "log_y", "timing"}
+
+
+@pytest.mark.parametrize("flag", list(_FIELD_FLAGS))
+def test_a_field_flag_and_its_config_key_give_the_same_spec(tmp_path, flag):
+    field, value, want = _FIELD_FLAGS[flag]
+    base = {"sweep": "2", "n_drops": 1, "m_segments": 2, "q_grid": 20, "schemes": "SS"}
+    specs = []
+    for name, file_values, flags in (
+        ("flag", base, [flag, value]),
+        ("file", {**base, field: value}, []),
+    ):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(file_values))
+        out = tmp_path / name
+        assert main(["sweep-k", "--config", str(cfg), "--out-dir", str(out), "--quiet", *flags]) == 0
+        specs.append(json.loads((out / "metadata.json").read_text())["spec"])
+    assert specs[0] == specs[1]
+    assert specs[0][field] == want
+
+
+def test_every_flag_but_the_cli_only_ones_is_a_spec_field_taken_as_text():
+    """Field flags carry no type= of their own: parse_config parses their text."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == [k.command for k in KINDS.values()]
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    want = {flag: field for flag, (field, _, _) in _FIELD_FLAGS.items()}
+    assert set(want.values()) <= fields
+    for sub in subparsers.choices.values():
+        actions = [a for a in sub._actions if a.dest not in _CLI_ONLY]
+        assert {a.option_strings[0]: a.dest for a in actions} == want
+        assert all(a.type is None for a in actions)
 
 
 def test_json_boolean_is_a_config_error(tmp_path, capsys):

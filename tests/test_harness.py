@@ -79,6 +79,9 @@ def test_spec_defaults_and_derived_quantities():
         {"kappa_db_per_m": (-0.1,)},
         {"kind": "convergence", "schemes": ("SS",)},
         {"kind": "oracle-check", "m_segments": 3, "schemes": ("SA1",)},
+        {"kappa_db_per_m": (0.0, 0.08, 0.0)},
+        {"kappa_db_per_m": (0.0, -0.0)},
+        {"schemes": ("SS", "SA1", "SS")},
     ],
 )
 def test_spec_rejects_bad_values(kw):
