@@ -155,6 +155,10 @@ class ExperimentSpec:
             math.isfinite(self.design_kappa) and self.design_kappa >= 0
         ):
             raise ConfigError(f"design_kappa must be finite and non-negative, got {self.design_kappa}")
+        # -0 is the attenuation 0; + 0.0 stores it as 0.0, so outputs print it alike
+        object.__setattr__(self, "kappa_db_per_m", tuple(k + 0.0 for k in self.kappa_db_per_m))
+        if self.design_kappa is not None:
+            object.__setattr__(self, "design_kappa", self.design_kappa + 0.0)
         if not KINDS[self.kind].swept:
             if any(s not in ("SA1", "SA2") for s in self.schemes):
                 raise ConfigError(f"{self.kind} experiments support only SA1 and SA2 schemes")
@@ -332,6 +336,8 @@ def _parse_values(values: dict, origin: str) -> dict:
             isinstance(value, list) and any(isinstance(v, bool) for v in value)
         ):
             raise ConfigError(f"bad value for {key!r}: {value!r} (a boolean is not a number)")
+        if isinstance(value, dict):
+            raise ConfigError(f"bad value for {key!r}: {value!r} (a JSON object is not a value)")
         try:
             parse = _VALUE_PARSERS.get(key) or _TYPE_PARSERS[_FIELD_TYPES[key]]
             out[key] = parse(value)

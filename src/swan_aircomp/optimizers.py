@@ -71,10 +71,10 @@ class RunRecord:
     """Outcome of one optimizer run.
 
     mse_trace holds the objective after the initial evaluation and then per
-    accepted update or per sweep (optimizer-dependent); final_mse is its last
-    entry.  evaluate_placement(cfg, scene, placement) recomputes it exactly
-    for SS, PASS, SA1 and SA2, and to about 1e-12 relative for the joint
-    oracles, whose best candidate's channel is summed in a different order.
+    sweep or stage (optimizer-dependent); final_mse is its last entry.
+    evaluate_placement(cfg, scene, placement) recomputes it exactly for SS,
+    PASS, SA1 and SA2, and to about 1e-12 relative for the joint oracles,
+    whose best candidate's channel is summed in a different order.
     """
 
     placement: Placement
@@ -296,27 +296,92 @@ def _closed_form_phase(
     )
 
 
-def _ao_setup(
-    cfg: RadioConfig, scene: Scene, placement: Placement
-) -> tuple[np.ndarray, np.ndarray, list]:
+class _AOState:
     """The AO's state at a feasible SA placement, its phases taken as given.
 
-    Returns (base, shares, others): every segment's gain row (M, K), their
-    shares ``segment_shares(base, placement.phases)``, and for each segment m
-    the other segments in order, so ``shares[others[m]]`` is np.delete's
-    array and rest sums keep their bits.
+    SA1 is SA2 with every phase held at zero: e^{j0} = 1 + 0j leaves every
+    MSE bit as it is.  ``base`` holds every segment's gain row (M, K) and
+    ``shares`` is always ``segment_shares(base, thetas)``: a change to
+    segment m's PA or phase recomputes row m alone, with segment_shares'
+    arithmetic.  ``others[m]`` lists the segments but m in order, so
+    ``shares[others[m]]`` is np.delete's array and rest sums keep their
+    bits.  ``current`` is the MSE of the whole channel ``shares.sum(axis=0)``.
     """
-    base = placement_gains(cfg, scene, placement)
-    m_seg = base.shape[0]
-    others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
-    return base, segment_shares(base, placement.phases), others
 
+    def __init__(self, cfg: RadioConfig, scene: Scene, placement: Placement) -> None:
+        m_seg = scene.layout.m_segments
+        self.cfg = cfg
+        self.scale = 1.0 / math.sqrt(m_seg)
+        self.psis = placement.pa_x.copy()
+        self.thetas = placement.phases.copy() if placement.architecture == "SA2" else np.zeros(m_seg)
+        self.base = placement_gains(cfg, scene, placement)
+        self.shares = segment_shares(self.base, self.thetas)
+        self.others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
+        self.current = self._mse()
 
-def _phase_split(
-    base: np.ndarray, shares: np.ndarray, others: list, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment m's unphased share a and the others' sum b: h = b + e^{j theta_m} a."""
-    return base[m] * (1.0 / math.sqrt(base.shape[0])), shares[others[m]].sum(axis=0)
+    def _mse(self) -> float:
+        return float(mse_rows(self.shares.sum(axis=0), self.cfg.p_tx, self.cfg.noise_var))
+
+    def split(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Segment m's unphased share a and the others' sum b: h = b + e^{j theta_m} a."""
+        return self.base[m] * self.scale, self.shares[self.others[m]].sum(axis=0)
+
+    def solve_phase(self, m: int, solver=_phase_solution) -> tuple:
+        """Segment m's closed-form best phase, every other segment frozen.
+
+        Returns ``solver``'s (theta, terms): ``_phase_solution`` for the AO,
+        ``_closed_form_phase`` for the audit record.
+        """
+        return solver(*self.split(m), self.cfg.noise_var / self.cfg.p_tx, float(self.thetas[m]))
+
+    def position_step(
+        self, m: int, pts: np.ndarray, stats: _GridStats
+    ) -> tuple[Optional[int], float, int]:
+        """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
+
+        ``_screened_scan`` scores the feasible grid points in grid order, then
+        the incumbent, so ties go to the lowest grid index.  Returns the first
+        minimum's grid row (None for the incumbent), its MSE and the
+        candidates counted: every feasible grid point plus the incumbent.
+        """
+        cfg = self.cfg
+        fixed = self.psis[self.others[m]]
+        lo, hi = pts[0], pts[-1]
+        # a fixed PA delta_min clear of the grid's nearer end is clear of
+        # every grid point (rounding is monotone), so no mask is needed
+        if all(lo - x >= cfg.delta_min or x - hi >= cfg.delta_min for x in fixed.tolist()):
+            feasible, n_feasible = None, pts.size
+        else:
+            feasible = spacing_mask(pts, fixed, cfg.delta_min)
+            n_feasible = int(np.count_nonzero(feasible))
+        factor = self.scale * np.exp(1j * self.thetas[m])
+        rest = self.shares[self.others[m]].sum(axis=0)
+        rows, mses = _screened_scan(stats, rest, factor, self.base[m], feasible, cfg.p_tx, cfg.noise_var)
+        j = int(np.argmin(mses))
+        return (int(rows[j]) if j < rows.size else None), float(mses[j]), n_feasible + 1
+
+    def settle(self, m: int, psi: float, row: np.ndarray, theta: float) -> None:
+        """The one accept rule of both AO passes.
+
+        A change that moves neither m's PA nor its phase costs nothing; any
+        other is undone if it raised the whole channel's MSE, which is what
+        evaluate_placement computes.
+        """
+        if psi == self.psis[m] and theta == self.thetas[m]:
+            return
+        undo = (float(self.psis[m]), self.base[m].copy(), float(self.thetas[m]))
+        self._move(m, psi, row, theta)
+        candidate = self._mse()
+        if candidate <= self.current:
+            self.current = candidate
+        else:
+            self._move(m, *undo)
+
+    def _move(self, m: int, psi: float, row: np.ndarray, theta: float) -> None:
+        self.psis[m] = psi
+        self.base[m] = row
+        self.thetas[m] = theta
+        self.shares[m] = self.base[m] * self.scale * np.exp(1j * self.thetas)[m]
 
 
 def _require_sa2_segment(scene: Scene, placement: Placement, segment: int) -> None:
@@ -331,10 +396,7 @@ def phase_update_closed(
 ) -> tuple[float, PhaseUpdateIntermediates]:
     """Closed-form best phase for one segment, other segments held fixed."""
     _require_sa2_segment(scene, placement, segment)
-    a, b = _phase_split(*_ao_setup(cfg, scene, placement), segment)
-    return _closed_form_phase(
-        a, b, cfg.noise_var / cfg.p_tx, float(placement.phases[segment])
-    )
+    return _AOState(cfg, scene, placement).solve_phase(segment, _closed_form_phase)
 
 
 def phase_objective(
@@ -347,7 +409,7 @@ def phase_objective(
     K - phi(theta).
     """
     _require_sa2_segment(scene, placement, segment)
-    a, b = _phase_split(*_ao_setup(cfg, scene, placement), segment)
+    a, b = _AOState(cfg, scene, placement).split(segment)
     h = b + np.exp(1j * theta) * a
     num = abs(h.sum()) ** 2
     den = float((np.abs(h) ** 2).sum()) + cfg.noise_var / cfg.p_tx
@@ -442,35 +504,6 @@ def _screened_scan(
     return rows, mse_rows(h, p_tx, noise_var)
 
 
-def _position_step(
-    cfg: RadioConfig, m: int, others: np.ndarray, pts: np.ndarray, stats: _GridStats,
-    base: np.ndarray, shares: np.ndarray, psis: np.ndarray, thetas: Optional[np.ndarray],
-) -> tuple[Optional[int], float, int]:
-    """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
-
-    ``base``, ``shares``, ``psis`` and ``thetas`` are every segment's gain
-    row, share, PA position and phase; ``others`` lists the segments but m.
-    ``_screened_scan`` scores the feasible grid points in grid order, then
-    the incumbent, so ties go to the lowest grid index.  Returns the first
-    minimum's grid row (None for the incumbent), its MSE and the candidates
-    counted: every feasible grid point plus the incumbent.
-    """
-    fixed = psis[others]
-    lo, hi = pts[0], pts[-1]
-    # a fixed PA delta_min clear of the grid's nearer end is clear of
-    # every grid point (rounding is monotone), so no mask is needed
-    if all(lo - x >= cfg.delta_min or x - hi >= cfg.delta_min for x in fixed.tolist()):
-        feasible, n_feasible = None, pts.size
-    else:
-        feasible = spacing_mask(pts, fixed, cfg.delta_min)
-        n_feasible = int(np.count_nonzero(feasible))
-    factor = 1.0 / math.sqrt(psis.size) * (1.0 if thetas is None else np.exp(1j * thetas[m]))
-    rest = shares[others].sum(axis=0)
-    rows, mses = _screened_scan(stats, rest, factor, base[m], feasible, cfg.p_tx, cfg.noise_var)
-    j = int(np.argmin(mses))
-    return (int(rows[j]) if j < rows.size else None), float(mses[j]), n_feasible + 1
-
-
 def _ao_engine(
     cfg: RadioConfig,
     scene: Scene,
@@ -479,97 +512,51 @@ def _ao_engine(
     architecture: str,
     max_iters: int,
     tol: float,
-    trace_granularity: str,
 ) -> RunRecord:
     """Alternating sweeps of closed-form phase updates and 1-D position search.
 
-    Runs SA1 (positions only) or SA2 (phases, then positions) from ``init``,
-    by default every PA at its segment midpoint with zero phases.
+    Runs SA1 (positions only, phases held at zero) or SA2 (phases, then
+    positions) from ``init``, by default every PA at its segment midpoint
+    with zero phases.  The trace holds the initial MSE, then one entry per
+    sweep.
     """
     if init is None:
         init = midpoint_init(scene, architecture)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
-    # phases wrapped once here, so the placement returned is the one scored
-    phases = None if architecture == "SA1" else [_wrap_phase(t) for t in init.phases.tolist()]
-    start = Placement(architecture, init.pa_x, phases=phases)
-    # shares == segment_shares(base, thetas) throughout: a change to base[m]
-    # or thetas[m] recomputes row m alone, with segment_shares' arithmetic.
-    base, shares, others = _ao_setup(cfg, scene, start)
-    psis = start.pa_x.copy()
-    thetas = None if start.phases is None else start.phases.copy()
-    m_seg = scene.layout.m_segments
-    scale = 1.0 / math.sqrt(m_seg)
-    noise_over_p = cfg.noise_var / cfg.p_tx
-
+    phased = architecture == "SA2"
+    if phased:
+        # phases wrapped once here, so the placement returned is the one scored
+        init = Placement("SA2", init.pa_x, phases=[_wrap_phase(t) for t in init.phases.tolist()])
+    state = _AOState(cfg, scene, init)
     # Each segment's grid gains and the row statistics that screen them are
     # built once per call; an update scores only the rows that can win, so
     # the loop builds no (Q, K) temporaries.
-    grids = [grid_gains(cfg, scene, m, q_grid) for m in range(m_seg)]
+    grids = [grid_gains(cfg, scene, m, q_grid) for m in range(scene.layout.m_segments)]
     stats = [_grid_stats(gains) for _, gains in grids]
 
-    def mse_of(h: np.ndarray) -> float:
-        return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
-
-    def move(m: int, psi: float, row: np.ndarray, theta: Optional[float]) -> None:
-        psis[m] = psi
-        base[m] = row
-        share = base[m] * scale
-        if thetas is not None:
-            thetas[m] = theta
-            share = share * np.exp(1j * thetas)[m]
-        shares[m] = share
-
-    def settle(m: int, psi: float, row: np.ndarray, theta: Optional[float]) -> None:
-        # The one accept rule of both passes: a move that changes neither m's
-        # PA nor its phase costs nothing; any other is undone if it raised
-        # the whole channel's MSE, which is what evaluate_placement computes.
-        nonlocal current
-        old_theta = None if thetas is None else float(thetas[m])
-        if psi == psis[m] and theta == old_theta:
-            return
-        undo = (float(psis[m]), base[m].copy(), old_theta)
-        move(m, psi, row, theta)
-        candidate = mse_of(shares.sum(axis=0))
-        if candidate <= current:
-            current = candidate
-        else:
-            move(m, *undo)
-
-    current = mse_of(shares.sum(axis=0))
     evaluations = 1
-    trace = [current]
-    iterations = 0
-    per_update = trace_granularity == "update"
-
-    for sweep in range(max_iters):
-        sweep_start = current
-        if thetas is not None:
-            for m in range(m_seg):
-                a, b = _phase_split(base, shares, others, m)
-                theta = _phase_solution(a, b, noise_over_p, float(thetas[m]))[0]
+    trace = [state.current]
+    for _ in range(max_iters):
+        sweep_start = state.current
+        if phased:
+            for m in range(len(grids)):
+                theta = state.solve_phase(m)[0]
                 evaluations += 3
-                settle(m, psis[m], base[m], theta)
-                if per_update:
-                    trace.append(current)
-        for m in range(m_seg):
-            pts = grids[m][0]
-            row, _, n = _position_step(cfg, m, others[m], pts, stats[m], base, shares, psis, thetas)
+                state.settle(m, state.psis[m], state.base[m], theta)
+        for m, ((pts, _), st) in enumerate(zip(grids, stats)):
+            row, _, n = state.position_step(m, pts, st)
             evaluations += n
             if row is not None:
-                settle(m, pts[row], stats[m].gains[row], None if thetas is None else thetas[m])
-            if per_update:
-                trace.append(current)
-        iterations = sweep + 1
-        if not per_update:
-            trace.append(current)
-        if sweep_start - current < tol:
+                state.settle(m, pts[row], st.gains[row], state.thetas[m])
+        trace.append(state.current)
+        if sweep_start - state.current < tol:
             break
     return RunRecord(
-        placement=Placement(architecture, psis, phases=thetas),
+        placement=Placement(architecture, state.psis, phases=state.thetas if phased else None),
         mse_trace=tuple(trace),
         final_mse=trace[-1],
-        iterations=iterations,
+        iterations=len(trace) - 1,
         evaluations=evaluations,
     )
 
@@ -581,13 +568,10 @@ def sa1_position_update(
 
     Runs the AO's position step on the feasible grid plus the incumbent
     position and returns (new_pa_x, new_mse); never worse than the
-    incumbent.  Phases, if any, are held fixed.
+    incumbent.  SA2 phases are held fixed.
     """
     pts, gains = grid_gains(cfg, scene, segment, q_grid)
-    base, shares, others = _ao_setup(cfg, scene, placement)
-    row, mse, _ = _position_step(
-        cfg, segment, others[segment], pts, _grid_stats(gains), base, shares,
-        placement.pa_x, placement.phases)
+    row, mse, _ = _AOState(cfg, scene, placement).position_step(segment, pts, _grid_stats(gains))
     return float(placement.pa_x[segment] if row is None else pts[row]), mse
 
 
@@ -598,7 +582,6 @@ def sa1_ao(
     init: Optional[Placement] = None,
     max_iters: int = 100,
     tol: float = 1e-8,
-    trace_granularity: str = "sweep",
 ) -> RunRecord:
     """Element-wise position optimization for the phase-free combined feed.
 
@@ -606,9 +589,7 @@ def sa1_ao(
     the others frozen, until a full sweep improves the MSE by less than
     ``tol`` or ``max_iters`` sweeps complete.
     """
-    return _ao_engine(
-        cfg, scene, q_grid, init, "SA1", max_iters, tol, trace_granularity
-    )
+    return _ao_engine(cfg, scene, q_grid, init, "SA1", max_iters, tol)
 
 
 def sa2_ao(
@@ -618,7 +599,6 @@ def sa2_ao(
     init: Optional[Placement] = None,
     max_iters: int = 100,
     tol: float = 1e-8,
-    trace_granularity: str = "sweep",
 ) -> RunRecord:
     """Alternating optimization with per-segment phase shifters.
 
@@ -626,9 +606,7 @@ def sa2_ao(
     grid-searches every position; both passes keep a change only when it does
     not raise the MSE.
     """
-    return _ao_engine(
-        cfg, scene, q_grid, init, "SA2", max_iters, tol, trace_granularity
-    )
+    return _ao_engine(cfg, scene, q_grid, init, "SA2", max_iters, tol)
 
 
 def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> float:

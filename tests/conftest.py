@@ -92,8 +92,7 @@ def rel_err(a, b):
     return abs(a - b) / scale
 
 
-def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8,
-                 trace_granularity="sweep"):
+def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8):
     """The AO loop with every candidate's gains recomputed on every update.
 
     Mirrors the library's alternating sweeps but builds each position
@@ -129,7 +128,6 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8,
 
     current = float(mse_rows(total().sum(axis=0), cfg.p_tx, cfg.noise_var))
     evaluations, trace, iterations, dropped = 1, [current], 0, 0
-    per_update = trace_granularity == "update"
     for sweep in range(max_iters):
         sweep_start = current
         if thetas is not None:
@@ -146,8 +144,6 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8,
                     current = candidate
                 else:
                     thetas[m] = theta_old
-                if per_update:
-                    trace.append(current)
         for m in range(m_seg):
             b = rest(total(), m)
             cands = sa.feasible_grid(layout, m, q_grid, np.delete(psis, m), cfg.delta_min)
@@ -166,11 +162,8 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8,
                     current = candidate
                 else:
                     psis[m], base[m] = kept
-            if per_update:
-                trace.append(current)
         iterations = sweep + 1
-        if not per_update:
-            trace.append(current)
+        trace.append(current)
         if sweep_start - current < tol:
             break
     return {"pa_x": psis, "phases": thetas, "trace": tuple(trace),

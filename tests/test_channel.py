@@ -291,6 +291,27 @@ def test_eff_channel_sa2_zero_phases_is_bitwise_sa1():
     assert np.array_equal(h1, h2)
 
 
+def test_zero_phases_keep_every_sa_mse_bit():
+    """SA1 is SA2 with every phase held at zero: rotating each share by
+    e^{j0} = 1 + 0j can flip at most the sign of a zero part, so the MSE of
+    the summed shares keeps its bits, also where parts are exactly +-0."""
+    from swan_aircomp.channel import segment_shares
+    from swan_aircomp.metrics import mse_rows
+
+    rng = np.random.default_rng(20261018)
+    for trial in range(600):
+        m, k = 1 + trial % 7, 1 + (trial // 7) % 13
+        parts = rng.standard_normal((2, m, k)) * 10.0 ** rng.uniform(-7, 0, (2, m, k))
+        zero = rng.random((2, m, k)) < 0.3
+        parts[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+        base = np.empty((m, k), dtype=complex)
+        base.real, base.imag = parts
+        p_tx, noise_var = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-16, -6)
+        phased = mse_rows(segment_shares(base, np.zeros(m)).sum(axis=0), p_tx, noise_var)
+        plain = mse_rows(segment_shares(base).sum(axis=0), p_tx, noise_var)
+        assert phased.tobytes() == plain.tobytes()
+
+
 def test_eff_channel_sa2_global_phase():
     cfg = make_config()
     scene = make_scene(m_segments=3, seg_length=2.0, k=4, seed=91)

@@ -211,6 +211,30 @@ def test_json_boolean_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "values",
+    [{"kappa_db_per_m": {"0.08": 1}}, {"schemes": {"SS": 0}}, {"sweep": {"2": 0, "4": 0}}],
+)
+def test_json_object_value_is_a_config_error(tmp_path, capsys, values):
+    """A JSON object is not read as the list of its keys."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(values))
+    _rejected_before_work(tmp_path, capsys, "sweep-k", "--m", "2", "--q", "20", "--sweep", "2",
+                          "--schemes", "SS", "--config", str(cfg))
+
+
+@pytest.mark.parametrize("flag", ["--kappa", "--design-kappa"])
+def test_negative_zero_kappa_writes_the_outputs_of_zero(tmp_path, flag):
+    outs = []
+    for value in ("0", "-0"):
+        out = tmp_path / f"kappa{value}"
+        assert main(["sweep-k", "--out-dir", str(out), f"{flag}={value}", "--sweep", "2",
+                     "--drops", "1", "--m", "2", "--q", "20", "--schemes", "SS", "--quiet"]) == 0
+        outs.append(out)
+    for name in ("results.csv", "aggregates.csv", "plot.svg", "metadata.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "values",
     [
         {"q_grid": 2.7},
         {"n_drops": 1.9},
