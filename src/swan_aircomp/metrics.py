@@ -15,7 +15,6 @@ denom = P * sum_k |h_k|**2 + noise_var, giving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,21 +56,16 @@ def mse_given_scaling(h, r: complex, p_tx: float, noise_var: float) -> float:
     return float(np.sum(np.abs(misalign) ** 2) + abs(r) ** 2 * noise_var)
 
 
-def mse_rows(
-    h: np.ndarray, p_tx: float, noise_var: float, work: Optional[np.ndarray] = None
-) -> np.ndarray:
+def mse_rows(h: np.ndarray, p_tx: float, noise_var: float) -> np.ndarray:
     """Minimum aggregation MSE of each channel vector along the last axis.
 
     ``h`` is a (..., K) complex array; the result has shape (...), so a (K,)
     vector gives a 0-d value.  This is the one implementation of the formula:
     every scheme, scan and oracle scores its candidates here, so a value
     found in a batch equals the recomputation from the same channel vector.
-    ``work``, a float array of h's shape, holds |h|^2 instead of two fresh
-    temporaries; the result is the same to the bit.
     """
     signal = p_tx * np.abs(h.sum(axis=-1)) ** 2
-    mag2 = np.square(np.abs(h, out=work), out=work)
-    denom = p_tx * mag2.sum(axis=-1) + noise_var
+    denom = p_tx * np.square(np.abs(h)).sum(axis=-1) + noise_var
     return h.shape[-1] - signal / denom
 
 

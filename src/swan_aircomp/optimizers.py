@@ -21,11 +21,14 @@ feasible grid point plus the incumbent: its screen scores each of them from
 per-row statistics, and only the few that can still win are scored again on
 the exact path.  Both AO passes keep a change only if the rescored whole
 channel's MSE did not rise (a step that changes nothing is skipped, but still
-counted), so the recorded MSE is the one evaluate_placement recomputes.
+counted), so the recorded MSE is the one evaluate_placement recomputes.  The
+joint oracles count every feasible (position tuple, rotation) pair, although
+only the pairs their screen keeps are scored again on the exact path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -59,9 +62,10 @@ TWO_PI = 2.0 * math.pi
 # scale) carries no phase information; the incumbent phase is kept.
 _DEGENERATE_RTOL = 1e-15
 
-# (position tuple, rotation) pairs the joint oracles score per kernel call,
-# which bounds their memory at any grid size the tuple cap admits.
-_TUPLE_BLOCK = 1 << 12
+# Position tuples a joint oracle takes statistics of at once, and (tuple,
+# rotation) pairs it screens at once, which bounds its working set at any
+# grid size the tuple cap admits.
+_TUPLE_BLOCK = 1 << 13
 
 _EPS = float(np.finfo(float).eps)
 
@@ -381,7 +385,7 @@ class _AOState:
         self.psis[m] = psi
         self.base[m] = row
         self.thetas[m] = theta
-        self.shares[m] = self.base[m] * self.scale * np.exp(1j * self.thetas)[m]
+        self.shares[m] = self.base[m] * self.scale * np.exp(1j * theta)
 
 
 def _require_sa2_segment(scene: Scene, placement: Placement, segment: int) -> None:
@@ -435,6 +439,54 @@ def _grid_stats(gains: np.ndarray) -> _GridStats:
     return _GridStats(gains, gains @ ones, np.square(mag) @ ones, float((mag @ ones).max()))
 
 
+def _contenders(
+    num: np.ndarray,
+    den: np.ndarray,
+    weight: float,
+    k: int,
+    n_rows: int,
+    feasible: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Flat indices, in order, of the screened candidates that can hold the exact first minimum.
+
+    A candidate is the channel h = f a + r_1 + ... + r_{n-1} over K users,
+    built left to right from ``n_rows`` rows (f times the first row, then the
+    others added one by one) and scored by ``mse_rows``.  The screen gives it
+    the alignment ratio num / den, with num = |f A + B|^2 and
+    den = |f|^2 E_a + E_b + 2 Re(f C) + noise_var / p_tx, where b is the
+    computed sum of the other rows, A = sum a, B = sum b, C = sum a conj(b),
+    E_a = sum |a|^2 and E_b = sum |b|^2 (num either as written or expanded
+    as |f|^2 |A|^2 + |B|^2 + 2 Re(f A conj(B))).  ``weight`` bounds
+    |f| ||a||_1 + ||r_1||_1 + ... + ||r_{n-1}||_1 for every candidate, so
+    every channel term of the numerator and the denominator is at most
+    T = weight^2.  The screen and ``mse_rows`` each get the sums of those
+    terms within (8K + 4n + 8) eps T: (8K + 8) eps T covers the sums over
+    K and the squares and products, and each of the n rows, scaled by f or
+    added in, moves a sum by at most 4 eps T more, however the screen's b
+    and the built candidate group their additions.  As both ratios are at
+    most K, they differ by at most E = c T / D + 8 K eps, with
+    c = 2 (8K + 4n + 8) eps (1 + K) and D = min den - c T; the last term
+    covers the roundings relative to the ratio (the noise term's among
+    them) and to K minus it.  So the exact first minimum has a screened
+    ratio of at least max ratio - 2E, and every candidate that close to the
+    maximum is kept: each dropped one scores strictly above the kept
+    minimum.  If D <= 0, rounding could swamp a denominator, and every
+    candidate is kept.  ``feasible`` (num's shape, None for all) marks the
+    candidates that may be kept.  The ratios overwrite ``num``.
+    """
+    t = weight * weight
+    c = 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
+    low = float(den.min()) - c * t
+    if low > 0.0:
+        ratio = np.divide(num, den, out=num)
+        if feasible is not None:
+            ratio[~feasible] = -np.inf
+        keep = ratio >= ratio.max() - 2.0 * (c * t / low + 8 * k * _EPS)
+    else:
+        keep = np.ones(den.shape, dtype=bool) if feasible is None else feasible
+    return np.flatnonzero(keep)
+
+
 def _screened_scan(
     stats: _GridStats,
     rest: np.ndarray,
@@ -455,15 +507,9 @@ def _screened_scan(
       r_q = |sum b + f S_q|^2 / (sum |b|^2 + |f|^2 E_q + 2 Re(f X_q)
       + noise_var / p_tx), with X_q = sum_k g_qk conj(b_k), comes from the
       row statistics and one matrix-vector product.  MSE_q = K - r_q.
-    * margin: every channel term of r_q's numerator and denominator is at
-      most T = (sqrt(K) ||b||_2 + |f| L)^2, and the screen and ``mse_rows``
-      each get the sums of them within (8K + 16) eps T.  As r_q <= K, the
-      two ratios differ by at most E = c T / D + 8 K eps, with
-      c = 2 (8K + 16) eps (1 + K) and D = min_q den_q - c T; the last term
-      covers the roundings relative to r (the noise term's among them) and
-      to K - r.  So the exact first minimum has r_q >= max r - 2E, and
-      every feasible row that close to the maximum is kept.  If D <= 0,
-      rounding could swamp a denominator, and every feasible row is kept.
+    * margin: ``_contenders`` keeps the rows whose r_q can still be the
+      exact maximum, with weight sqrt(K) ||b||_2 + |f| L >= ||b||_1 + |f|
+      ||g_q||_1 for two rows per candidate.
     * confirm: the kept rows, in grid order, and then the incumbent are
       built as ``raw * factor + rest`` and scored by ``mse_rows``, which
       gives a row the same bits in any batch.  Every dropped row scores
@@ -487,17 +533,8 @@ def _screened_scan(
         den = f_sq * stats.energy
         den += (stats.gains @ (rest.conjugate() * (2.0 * f))).real
         den += energy_b + noise_var / p_tx
-        t = (math.sqrt(k * energy_b) + math.sqrt(f_sq) * stats.l1) ** 2
-        c = 2.0 * (8 * k + 16) * _EPS * (1 + k)
-        low = float(den.min()) - c * t
-        if low > 0.0:
-            ratio = num / den
-            if feasible is not None:
-                ratio[~feasible] = -np.inf
-            margin = 2.0 * (c * t / low + 8 * k * _EPS)
-            rows = (ratio >= ratio.max() - margin).nonzero()[0]
-        else:
-            rows = np.arange(len(den)) if feasible is None else feasible.nonzero()[0]
+        weight = math.sqrt(k * energy_b) + math.sqrt(f_sq) * stats.l1
+        rows = _contenders(num, den, weight, k, 2, feasible)
     raw = np.concatenate((stats.gains[rows], incumbent[None, :]))
     h = raw * factor
     h += rest
@@ -637,8 +674,31 @@ def _joint_scan(
 
     Tuples run over each segment's Q grid (extended by ``extra_candidates``)
     in itertools.product order, last segment fastest; within a tuple the
-    rotations ``rot`` run in order.  Pairs are scored in blocks of at most
-    ``_TUPLE_BLOCK``.  Returns (MSE, positions, rotation index, pairs scored).
+    rotations ``rot`` run in order.  A pair's channel is built as
+    rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
+    segment m's, and the pairs are screened, then confirmed:
+
+    * screen: per feasible tuple, with b = r_1 + ... + r_{M-1}, the
+      statistics A = sum a, B = sum b, C = sum a conj(b), E_a = sum |a|^2
+      and E_b = sum |b|^2 give every rotation's alignment ratio
+      |rot A + B|^2 / (|rot|^2 E_a + E_b + 2 Re(rot C) + noise_var / p_tx)
+      with no further work on the K axis.  Statistics are taken for up to
+      ``_TUPLE_BLOCK`` tuples at a time, and ratios in blocks of at most
+      ``_TUPLE_BLOCK`` pairs: whole tuples with all their rotations, or one
+      tuple with a run of rotations.
+    * margin: ``_contenders`` keeps the pairs of a block whose ratio can
+      still be the block's exact maximum.  Its weight, the largest
+      max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the grids allow,
+      holds for every tuple, so a rest row b that differs per tuple is
+      covered.
+    * confirm: the kept pairs are built as above and scored by
+      ``mse_rows``; the first of their minima is the block's, and a block
+      replaces the incumbent only when strictly lower.
+
+    Every dropped pair scores strictly above its block's kept minimum, so
+    the result is, to the bit, the first minimum of scoring every pair with
+    ``mse_rows``.  Returns (MSE, positions, rotation index, pairs counted):
+    every feasible pair is counted, although only the kept ones are scored.
     """
     m_seg = scene.layout.m_segments
     scale = 1.0 / math.sqrt(m_seg)
@@ -661,40 +721,57 @@ def _joint_scan(
             gains = np.vstack([gains, segment_gain_matrix(cfg, scene, m, extras[m])])
         cands.append(pts)
         shares.append(gains * scale)
+    row_l1 = [float(np.abs(share).sum(axis=1).max()) for share in shares]
+    weight = float(np.abs(rot).max()) * row_l1[0] + sum(row_l1[1:])
+    # |rot A + B|^2 = |rot|^2 |A|^2 + |B|^2 + 2 Re(rot A conj(B)) and
+    # sum |rot a + b|^2 = |rot|^2 E_a + E_b + 2 Re(rot C), so a tuple's num
+    # and den are its four terms of each dotted with a column of this basis
+    basis = np.stack([np.square(np.abs(rot)), np.ones(len(rot)), 2.0 * rot.real, 2.0 * rot.imag])
+    noise_over_p = cfg.noise_var / cfg.p_tx
     pairs = np.triu_indices(m_seg, 1)
-    # a block holds whole tuples with all their rotations, or, when the
-    # rotations alone exceed a block, one tuple with a run of rotations
     n_rot = len(rot)
     tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
     rots_per_block = min(n_rot, _TUPLE_BLOCK)
-    # every block is scored in the same two buffers (see _ao_engine)
-    h_buf = np.empty((tuples_per_block * rots_per_block, scene.k), dtype=complex)
-    mag_buf = np.empty(h_buf.shape)
     best = (math.inf, None, 0)
     count = 0
-    for start in range(0, n_tuples, tuples_per_block):
-        idx = np.unravel_index(np.arange(start, min(start + tuples_per_block, n_tuples)), shape)
+    for start in range(0, n_tuples, _TUPLE_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + _TUPLE_BLOCK, n_tuples)), shape)
         pos = np.stack([c[i] for c, i in zip(cands, idx)], axis=1)
         if m_seg > 1:
             keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
             pos = pos[keep]
             idx = [i[keep] for i in idx]
-        if pos.shape[0] == 0:
-            continue
-        rows = [shares[m][idx[m]][:, None, :] for m in range(m_seg)]
-        for r0 in range(0, n_rot, rots_per_block):
+        a, *others = [share[i] for share, i in zip(shares, idx)]
+        b = np.zeros_like(a)
+        for row in others:
+            b += row
+        sum_a = a.sum(axis=1)
+        sum_b = b.sum(axis=1)
+        ab = sum_a * sum_b.conj()
+        cross = (a * b.conj()).sum(axis=1)
+        # (num, den) x basis term x tuple; a complex term splits into re, -im
+        stats = np.array([
+            [np.square(np.abs(sum_a)), np.square(np.abs(sum_b)), ab.real, -ab.imag],
+            [np.square(np.abs(a)).sum(axis=1), np.square(np.abs(b)).sum(axis=1) + noise_over_p,
+             cross.real, -cross.imag],
+        ])
+        for t0, r0 in itertools.product(range(0, len(pos), tuples_per_block), range(0, n_rot, rots_per_block)):
             block_rot = rot[r0:r0 + rots_per_block]
-            n = pos.shape[0] * block_rot.size
-            h = h_buf[:n].reshape(pos.shape[0], block_rot.size, scene.k)
-            np.multiply(block_rot[None, :, None], rows[0], out=h)
-            for row in rows[1:]:
-                h += row
-            mses = mse_rows(h_buf[:n], cfg.p_tx, cfg.noise_var, work=mag_buf[:n])
-            count += mses.size
+            # einsum, not matmul: a BLAS gemm touches its packing buffers,
+            # about a quarter megabyte of peak memory, for an inner size of 4
+            num, den = np.einsum(
+                "sjt,jr->str", stats[:, :, t0:t0 + tuples_per_block], basis[:, r0:r0 + rots_per_block]
+            )
+            count += num.size
+            t, r = np.divmod(_contenders(num, den, weight, scene.k, m_seg), block_rot.size)
+            t += t0
+            h = block_rot[r][:, None] * a[t]
+            for row in others:
+                h += row[t]
+            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             if float(mses[j]) < best[0]:
-                t, r = divmod(j, block_rot.size)
-                best = (float(mses[j]), pos[t].copy(), r0 + r)
+                best = (float(mses[j]), pos[t[j]].copy(), r0 + int(r[j]))
     if best[1] is None:
         raise ValueError("no feasible joint tuple on the grid")
     return (*best, count)

@@ -401,8 +401,8 @@ def test_sa2_joint_exhaustive_is_a_lower_bound_for_positions_on_grid():
 _WIDE_DELTA = 0.7  # m; with 2 m segments this drops grid points near neighbours
 
 
-def _equivalence_case(m_seg, kappa, delta_min):
-    cfg = make_config(kappa=kappa, delta_min=delta_min)
+def _equivalence_case(m_seg, kappa, delta_min, p_dbm=10.0):
+    cfg = make_config(kappa=kappa, delta_min=delta_min, p_dbm=p_dbm)
     scene = make_scene(m_segments=m_seg, seg_length=2.0, d_x=20.0, k=5, seed=40 + m_seg)
     return cfg, scene
 
@@ -482,15 +482,24 @@ def test_sa1_position_update_is_the_full_scan_bitwise(kappa):
     assert dropped > 0  # the spacing rule removed grid points
 
 
+# (kappa, p_dbm): the suite's 10 dBm, then high SNR, where the noise term no
+# longer hides the screen's rounding in the joint oracles' ratios
+_JOINT_RADIO = pytest.mark.parametrize(
+    "kappa,p_dbm",
+    [(0.0, 10.0), (0.08, 10.0), (0.0, 70.0), (0.08, 70.0), (0.0, 100.0), (0.08, 100.0)],
+    ids=["0.0", "0.08", "0.0-70dBm", "0.08-70dBm", "0.0-100dBm", "0.08-100dBm"],
+)
+
+
 @pytest.mark.parametrize("m_seg,q", [(1, 30), (2, 15), (5, 3)])
-@pytest.mark.parametrize("kappa", [0.0, 0.08])
+@_JOINT_RADIO
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
-def test_sa1_joint_matches_per_candidate_reference_bitwise(m_seg, q, kappa, delta_min):
-    _check_sa1_joint(m_seg, q, kappa, delta_min)
+def test_sa1_joint_matches_per_candidate_reference_bitwise(m_seg, q, kappa, p_dbm, delta_min):
+    _check_sa1_joint(m_seg, q, kappa, delta_min, p_dbm)
 
 
-def _check_sa1_joint(m_seg, q, kappa, delta_min):
-    cfg, scene = _equivalence_case(m_seg, kappa, delta_min)
+def _check_sa1_joint(m_seg, q, kappa, delta_min, p_dbm=10.0):
+    cfg, scene = _equivalence_case(m_seg, kappa, delta_min, p_dbm)
     extra = [[float(x)] for x in midpoint_init(scene, "SA1").pa_x]
     rec = sa1_joint_exhaustive(cfg, scene, q, extra_candidates=extra)
     cands = [np.append(sa.grid_points(scene.layout, m, q), extra[m]) for m in range(m_seg)]
@@ -501,14 +510,14 @@ def _check_sa1_joint(m_seg, q, kappa, delta_min):
     assert rec.evaluations == count
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.08])
+@_JOINT_RADIO
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
-def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, delta_min):
-    _check_sa2_joint(kappa, delta_min)
+def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, p_dbm, delta_min):
+    _check_sa2_joint(kappa, delta_min, p_dbm)
 
 
-def _check_sa2_joint(kappa, delta_min):
-    cfg, scene = _equivalence_case(2, kappa, delta_min)
+def _check_sa2_joint(kappa, delta_min, p_dbm=10.0):
+    cfg, scene = _equivalence_case(2, kappa, delta_min, p_dbm)
     q, theta_grid = 12, 48
     extra = [[float(x)] for x in midpoint_init(scene, "SA2").pa_x]
     rec = sa2_joint_exhaustive(cfg, scene, q, theta_grid=theta_grid, extra_candidates=extra)
@@ -529,6 +538,58 @@ def test_joint_oracles_do_not_depend_on_the_block_size(monkeypatch, block, delta
     for m_seg, q in ((1, 30), (2, 15), (5, 3)):
         _check_sa1_joint(m_seg, q, 0.08, delta_min)
     _check_sa2_joint(0.08, delta_min)
+
+
+def _count_contenders(monkeypatch):
+    """Record how many candidates each screened block keeps."""
+    kept = []
+    contenders = optimizers._contenders
+
+    def counting(num, den, *args, **kwargs):
+        rows = contenders(num, den, *args, **kwargs)
+        kept.append((rows.size, num.size))
+        return rows
+
+    monkeypatch.setattr(optimizers, "_contenders", counting)
+    return kept
+
+
+def test_joint_oracles_match_the_reference_when_every_pair_is_kept(monkeypatch):
+    """At 100 dB/m and 100 dBm, D = min den - c T <= 0: the screen keeps a whole block.
+
+    Gains at a segment's far end are 10^-10 of those at its feed, so
+    rounding could swamp the smallest denominators, and every pair is
+    rescored; the result is still the reference's to the bit.
+    """
+    kept = _count_contenders(monkeypatch)
+    _check_sa1_joint(2, 15, 100.0, None, p_dbm=100.0)
+    _check_sa2_joint(100.0, None, p_dbm=100.0)
+    assert any(n_kept == size > 1 for n_kept, size in kept)
+
+
+def test_joint_screen_confirms_few_pairs(monkeypatch):
+    """On oracle-check scenes the exact path rescores about one pair per block.
+
+    A loose screening margin would stay exact but rescore many pairs, which
+    shows only as a slowdown; this pins the pairs an SA2 oracle call rescores
+    per block and an SA1 call in all.
+    """
+    kept = _count_contenders(monkeypatch)
+    sa2_blocks = []
+    for drop in range(5):
+        scene = wide_scene(k=3, seed=derive_seed(1, drop))
+        extra = [[x] for x in scene.layout.midpoints.tolist()]
+        for kappa in (0.0, 0.08):
+            cfg = make_config(kappa=kappa)
+            kept.clear()
+            sa1_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
+            assert sum(n_kept for n_kept, _ in kept) <= 2
+            kept.clear()
+            sa2_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
+            sa2_blocks += [n_kept for n_kept, _ in kept]
+    assert len(sa2_blocks) > 100
+    assert max(sa2_blocks) <= 2
+    assert np.mean(sa2_blocks) <= 1.1
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
