@@ -30,6 +30,8 @@ from .geometry import (
     UserDrop,
     Violation,
     WaveguideLayout,
+    baseline_layout,
+    baseline_scene,
     build_layout,
     feasible_grid,
     grid_points,
@@ -52,8 +54,6 @@ from .metrics import MseReport, empirical_mse, mse_given_scaling, mse_min, optim
 from .optimizers import (
     PhaseUpdateIntermediates,
     RunRecord,
-    baseline_layout,
-    baseline_scene,
     evaluate_placement,
     midpoint_init,
     pass_baseline,

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Placement, Scene, grid_points, validate_placement
+from .geometry import Placement, Scene, baseline_scene, grid_points, validate_placement
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -153,49 +153,72 @@ def segment_gain_matrix(
     return _free_space(cfg, scene, psi_arr) * _in_waveguide(cfg, ell)[:, None]
 
 
-class _DropMemo:
-    """Free-space grid factors of one user drop, keyed by the grid they cover.
+class GridStats(NamedTuple):
+    """What the AO's position screen reads of one grid's (Q, K) gains G.
 
-    The key is (feed, seg_length, height, q, f_c): with the users, that fixes
-    every input of ``_free_space``, so a hit returns the bits a miss would
-    build and no caller can see whether it shared.  A call on another drop
-    clears it first, so at most one drop's factors stay alive.  The factors
-    are read-only and never handed out; callers get products of them.
+    Per row q: ``sums`` holds S_q = sum_k g_qk and ``energy`` holds
+    E_q = sum_k |g_qk|^2; ``l1`` is the largest row 1-norm sum_k |g_qk|.
     """
 
-    def __init__(self) -> None:
-        self.users = None
-        self.free: dict = {}
-
-    def free_space(self, cfg: RadioConfig, scene: Scene, segment: int, q: int, pts) -> np.ndarray:
-        if scene.users is not self.users:
-            self.free.clear()
-            self.users = scene.users
-        layout = scene.layout
-        key = (float(layout.feed_x[segment]), layout.seg_length, layout.height, q, cfg.f_c)
-        free = self.free.get(key)
-        if free is None:
-            free = self.free[key] = _free_space(cfg, scene, pts)
-            free.setflags(write=False)
-        return free
+    gains: np.ndarray
+    sums: np.ndarray
+    energy: np.ndarray
+    l1: float
 
 
-_DROP_MEMO = _DropMemo()
+class DropGrids:
+    """The Q-point PA search grids of one user drop, under each config it runs with.
 
-
-def grid_gains(cfg: RadioConfig, scene: Scene, segment: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points and (Q, K) gains of one segment's Q-point search grid.
-
-    Equal to ``segment_gain_matrix(cfg, scene, segment, grid_points(...))``
-    bit for bit.  The kappa-free free-space factor is built once per grid
-    and user drop and kept in a one-drop memo, so every scheme and kappa on
-    the drop pays only the multiply by its in-waveguide factor.
+    Segment m's grid is ``grid_points(layout, m, q)``; segment None is the
+    PASS baseline's grid over the whole aperture.  A grid is built on first
+    request, for every config in ``cfgs`` at once, from one kappa-free
+    free-space pass that is then dropped, so its read-only gains are
+    ``segment_gain_matrix`` on the grid, bit for bit.  The row statistics
+    are built on first request per (segment, config).  The table belongs to
+    the loop over drops that builds it and is dropped with the drop.
     """
-    layout = scene.layout
-    pts = grid_points(layout, segment, q)
-    free = _DROP_MEMO.free_space(cfg, scene, segment, q, pts)
-    guide = _in_waveguide(cfg, pts - float(layout.feed_x[segment]))
-    return pts, free * guide[:, None]
+
+    def __init__(self, scene: Scene, q: int, cfgs: Iterable[RadioConfig]) -> None:
+        self.scene, self.q, self.cfgs = scene, q, tuple(cfgs)
+        if len({cfg.f_c for cfg in self.cfgs}) != 1:
+            raise ValueError("a grid table needs configs that share one carrier frequency")
+        self._grids: dict = {}
+        self._stats: dict = {}
+
+    @classmethod
+    def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
+        """The table a run on (cfg, scene, q) reads: ``grids``, checked, or a new one for cfg."""
+        if grids is None:
+            return cls(scene, q, (cfg,))
+        if grids.scene is not scene or grids.q != q or cfg not in grids.cfgs:
+            raise ValueError(f"the grid table (q={grids.q}) is not for this run's scene, q={q} and config")
+        return grids
+
+    def grid(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Points and (Q, K) gains of one grid under cfg."""
+        if (segment, cfg) not in self._grids:
+            scene = self.scene if segment is not None else baseline_scene(self.scene)
+            pts = grid_points(scene.layout, segment or 0, self.q)
+            pts.setflags(write=False)
+            free = _free_space(self.cfgs[0], scene, pts)
+            ell = pts - float(scene.layout.feed_x[segment or 0])
+            for c in self.cfgs:
+                gains = free * _in_waveguide(c, ell)[:, None]
+                gains.setflags(write=False)
+                self._grids[segment, c] = pts, gains
+        return self._grids[segment, cfg]
+
+    def stats(self, cfg: RadioConfig, segment: int) -> GridStats:
+        """Row statistics of one segment grid's gains under cfg."""
+        if (segment, cfg) not in self._stats:
+            self._stats[segment, cfg] = self._row_stats(self.grid(cfg, segment)[1])
+        return self._stats[segment, cfg]
+
+    @staticmethod
+    def _row_stats(gains: np.ndarray) -> GridStats:
+        ones = np.ones(gains.shape[1])
+        mag = np.abs(gains)
+        return GridStats(gains, gains @ ones, np.square(mag) @ ones, float((mag @ ones).max()))
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

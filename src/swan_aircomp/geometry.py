@@ -183,6 +183,16 @@ class Scene:
         return self.layout.height**2 + self.users.positions[:, 1] ** 2
 
 
+def baseline_layout(scene: Scene) -> WaveguideLayout:
+    """Single unsegmented waveguide covering the same aperture as the scene's."""
+    lo, hi = scene.layout.span
+    return WaveguideLayout(1, hi - lo, np.array([lo]), scene.layout.height)
+
+
+def baseline_scene(scene: Scene) -> Scene:
+    return Scene(scene.region, baseline_layout(scene), scene.users)
+
+
 def build_layout(
     m_segments: int, seg_length: float, region: ServiceRegion, height: float
 ) -> WaveguideLayout:

@@ -9,6 +9,7 @@ out of the default CSV output and reported on stderr instead.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -21,7 +22,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union, get_type_hin
 import numpy as np
 
 from . import svgplot
-from .channel import RadioConfig, dbm_to_watts
+from .channel import DropGrids, RadioConfig, dbm_to_watts
 from .geometry import Scene, ServiceRegion, build_layout, sample_users
 from .optimizers import (
     RunRecord,
@@ -403,46 +404,37 @@ def _sweep_scene_params(spec: ExperimentSpec, sweep_value: float) -> tuple[int, 
     return spec.m_segments, spec.seg_length, spec.k_users
 
 
-def _run_scheme(
-    scheme: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int
+def _run(
+    tag: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int, grids: DropGrids
 ) -> tuple[RunRecord, int]:
-    """One scheme's run on a drop, and the seed its row records.
+    """One optimizer run on a drop, and the seed its row records.
 
     That seed is the drop's, or, when a random restart beats the midpoint
-    start, the seed that drew the winning restart's init.
+    start, the seed that drew the winning restart's init.  An "-oracle" tag
+    runs its AO scheme's joint brute-force oracle, with the candidate grids
+    extended by the AO midpoint inits, which AO may legitimately retain.
     """
     seed = derive_seed(spec.master_seed, drop)
-    if scheme == "SS":
-        return ss_two_stage(cfg, scene, spec.q_grid), seed
-    if scheme == "PASS":
-        return pass_baseline(cfg, scene, spec.q_grid), seed
-    runner = sa1_ao if scheme == "SA1" else sa2_ao
-    best = runner(cfg, scene, spec.q_grid, max_iters=spec.max_iters, tol=spec.tol)
+    q = spec.q_grid
+    if tag == "SS":
+        return ss_two_stage(cfg, scene, q, grids=grids), seed
+    if tag == "PASS":
+        return pass_baseline(cfg, scene, q, grids=grids), seed
+    if tag.endswith("-oracle"):
+        extra = [[x] for x in scene.layout.midpoints.tolist()]
+        if tag == "SA1-oracle":
+            return sa1_joint_exhaustive(cfg, scene, q, extra_candidates=extra, grids=grids), seed
+        rec = sa2_joint_exhaustive(cfg, scene, q, spec.theta_grid, extra_candidates=extra, grids=grids)
+        return rec, seed
+    runner = sa1_ao if tag == "SA1" else sa2_ao
+    run = functools.partial(runner, cfg, scene, q, max_iters=spec.max_iters, tol=spec.tol, grids=grids)
+    best = run()
     for r in range(spec.restarts):
         r_seed = derive_seed(spec.master_seed, drop, _RESTART_TAG + r)
-        init = random_init(scene, scheme, r_seed, cfg.delta_min)
-        rec = runner(cfg, scene, spec.q_grid, init=init, max_iters=spec.max_iters, tol=spec.tol)
+        rec = run(init=random_init(scene, tag, r_seed, cfg.delta_min))
         if rec.final_mse < best.final_mse:
             best, seed = rec, r_seed
     return best, seed
-
-
-def _run_oracle(
-    scheme: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int
-) -> tuple[RunRecord, int]:
-    """Joint brute-force oracle for an AO scheme on the same drop, and the drop's seed.
-
-    The candidate grids are extended by the AO midpoint inits, which AO may
-    legitimately retain.
-    """
-    extra = [[x] for x in scene.layout.midpoints.tolist()]
-    seed = derive_seed(spec.master_seed, drop)
-    if scheme == "SA1":
-        return sa1_joint_exhaustive(cfg, scene, spec.q_grid, extra_candidates=extra), seed
-    rec = sa2_joint_exhaustive(
-        cfg, scene, spec.q_grid, theta_grid=spec.theta_grid, extra_candidates=extra
-    )
-    return rec, seed
 
 
 def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
@@ -453,28 +445,28 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
     scheme, and kappa sees the same drops.  With ``design_kappa`` set,
     optimizers run with that attenuation and the row's MSE is re-evaluated
     under the scenario kappa.  For oracle-check every AO run is followed by
-    its joint oracle run, whose scheme name is suffixed "-oracle".
+    its joint oracle run, whose scheme name is suffixed "-oracle".  Every run
+    on a drop reads one grid table, built for the configs the optimizers run
+    with and dropped with the drop.
     """
     region = ServiceRegion(spec.d_x, spec.d_y)
+    cfgs = {kappa: spec.radio_config(kappa) for kappa in spec.kappa_db_per_m}
+    design = None if spec.design_kappa is None else spec.radio_config(spec.design_kappa)
     for sweep_value in spec.sweep:
         m, seg_len, k = _sweep_scene_params(spec, sweep_value)
         layout = build_layout(m, seg_len, region, spec.height)
         for drop in range(spec.n_drops):
             users = sample_users(region, k, derive_seed(spec.master_seed, drop))
             scene = Scene(region, layout, users)
+            grids = DropGrids(scene, spec.q_grid, cfgs.values() if design is None else (design,))
             for scheme in spec.schemes:
-                for kappa in spec.kappa_db_per_m:
-                    cfg = spec.radio_config(kappa)
-                    design_cfg = (
-                        cfg if spec.design_kappa is None
-                        else spec.radio_config(spec.design_kappa)
-                    )
-                    runs = [(scheme, _run_scheme, design_cfg)]
+                for kappa, cfg in cfgs.items():
+                    runs = [(scheme, design or cfg)]
                     if spec.kind == "oracle-check":
-                        runs.append((scheme + "-oracle", _run_oracle, cfg))
-                    for tag, runner, run_cfg in runs:
+                        runs.append((scheme + "-oracle", cfg))
+                    for tag, run_cfg in runs:
                         t0 = time.perf_counter()
-                        rec, seed = runner(scheme, run_cfg, scene, spec, drop)
+                        rec, seed = _run(tag, run_cfg, scene, spec, drop, grids)
                         elapsed = time.perf_counter() - t0
                         final = (
                             rec.final_mse if run_cfg is cfg

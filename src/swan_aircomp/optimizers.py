@@ -23,7 +23,9 @@ the exact path.  Both AO passes keep a change only if the rescored whole
 channel's MSE did not rise (a step that changes nothing is skipped, but still
 counted), so the recorded MSE is the one evaluate_placement recomputes.  The
 joint oracles count every feasible (position tuple, rotation) pair, although
-only the pairs their screen keeps are scored again on the exact path.
+only the pairs their screen keeps are scored again on the exact path.  Every
+grid search reads the drop's ``DropGrids`` table passed as ``grids``, or
+builds one for its own config when none is passed.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import (
+    DropGrids,
+    GridStats,
     RadioConfig,
     eff_channel_sa1,
     eff_channel_sa2,
     eff_channel_ss,
-    grid_gains,
     placement_gains,
     segment_gain_matrix,
     segment_shares,
@@ -48,7 +51,7 @@ from .channel import (
 from .geometry import (
     Placement,
     Scene,
-    WaveguideLayout,
+    baseline_scene,
     feasible_grid,  # no caller here; perfbench's probe wraps optimizers.feasible_grid
     spacing_mask,
     validate_placement,
@@ -132,15 +135,17 @@ def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) 
     return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
-def _grid_search(cfg: RadioConfig, scene: Scene, segment: int, q_grid: int) -> tuple[float, float]:
-    """First minimum of the MSE over one segment's Q-point grid: (MSE, position)."""
-    pts, gains = grid_gains(cfg, scene, segment, q_grid)
+def _grid_search(cfg: RadioConfig, grids: DropGrids, segment: Optional[int]) -> tuple[float, float]:
+    """First minimum of the MSE over one grid of ``grids``: (MSE, position)."""
+    pts, gains = grids.grid(cfg, segment)
     mses = mse_rows(gains, cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     return float(mses[j]), float(pts[j])
 
 
-def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
+def ss_two_stage(
+    cfg: RadioConfig, scene: Scene, q_grid: int, grids: Optional[DropGrids] = None
+) -> RunRecord:
     """Segment selection by midpoint probing, then a grid search on the winner.
 
     Stage 1 evaluates the MSE with the PA at each segment midpoint (M
@@ -151,47 +156,28 @@ def ss_two_stage(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
     layout = scene.layout
     probes = [ss_mse_objective(cfg, scene, m, x) for m, x in enumerate(layout.midpoints.tolist())]
     best_m = int(np.argmin(probes))
-    final, x = _grid_search(cfg, scene, best_m, q_grid)
+    final, x = _grid_search(cfg, DropGrids.for_run(cfg, scene, q_grid, grids), best_m)
     placement = Placement("SS", np.array([x]), segment=best_m)
-    return RunRecord(
-        placement=placement,
-        mse_trace=(probes[best_m], final),
-        final_mse=final,
-        iterations=1,
-        evaluations=layout.m_segments + q_grid,
-    )
+    return RunRecord(placement, (probes[best_m], final), final, 1, layout.m_segments + q_grid)
 
 
 def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
     """Grid search over every segment's Q points: exactly M * Q evaluations."""
-    layout = scene.layout
-    best = (math.inf, 0, 0.0)
-    for m in range(layout.m_segments):
-        val, x = _grid_search(cfg, scene, m, q_grid)
-        if val < best[0]:
-            best = (val, m, x)
-    final, m_star, x_star = best
-    return _one_pass(Placement("SS", np.array([x_star]), segment=m_star), final,
-                     layout.m_segments * q_grid)
+    grids = DropGrids(scene, q_grid, (cfg,))
+    m_seg = scene.layout.m_segments
+    final, x, m = min(((*_grid_search(cfg, grids, m), m) for m in range(m_seg)), key=lambda r: r[0])
+    return _one_pass(Placement("SS", np.array([x]), segment=m), final, m_seg * q_grid)
 
 
-def baseline_layout(scene: Scene) -> WaveguideLayout:
-    """Single unsegmented waveguide covering the same aperture as the scene's."""
-    lo, hi = scene.layout.span
-    return WaveguideLayout(1, hi - lo, np.array([lo]), scene.layout.height)
-
-
-def baseline_scene(scene: Scene) -> Scene:
-    return Scene(scene.region, baseline_layout(scene), scene.users)
-
-
-def pass_baseline(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
+def pass_baseline(
+    cfg: RadioConfig, scene: Scene, q_grid: int, grids: Optional[DropGrids] = None
+) -> RunRecord:
     """Conventional single-waveguide baseline, fed at the aperture's left end.
 
     The one PA is grid-searched over the full span, paying in-waveguide
     attenuation over the whole feed-to-PA run.  Q evaluations.
     """
-    final, x = _grid_search(cfg, baseline_scene(scene), 0, q_grid)
+    final, x = _grid_search(cfg, DropGrids.for_run(cfg, scene, q_grid, grids), None)
     return _one_pass(Placement("PASS", np.array([x]), segment=0), final, q_grid)
 
 
@@ -339,7 +325,7 @@ class _AOState:
         return solver(*self.split(m), self.cfg.noise_var / self.cfg.p_tx, float(self.thetas[m]))
 
     def position_step(
-        self, m: int, pts: np.ndarray, stats: _GridStats
+        self, m: int, pts: np.ndarray, stats: GridStats
     ) -> tuple[Optional[int], float, int]:
         """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
 
@@ -420,25 +406,6 @@ def phase_objective(
     return float(num / den)
 
 
-class _GridStats(NamedTuple):
-    """What the position screen reads of one segment's (Q, K) grid gains G.
-
-    Per row q: ``sums`` holds S_q = sum_k g_qk and ``energy`` holds
-    E_q = sum_k |g_qk|^2; ``l1`` is the largest row 1-norm sum_k |g_qk|.
-    """
-
-    gains: np.ndarray
-    sums: np.ndarray
-    energy: np.ndarray
-    l1: float
-
-
-def _grid_stats(gains: np.ndarray) -> _GridStats:
-    ones = np.ones(gains.shape[1])
-    mag = np.abs(gains)
-    return _GridStats(gains, gains @ ones, np.square(mag) @ ones, float((mag @ ones).max()))
-
-
 def _contenders(
     num: np.ndarray,
     den: np.ndarray,
@@ -488,7 +455,7 @@ def _contenders(
 
 
 def _screened_scan(
-    stats: _GridStats,
+    stats: GridStats,
     rest: np.ndarray,
     factor: complex,
     incumbent: np.ndarray,
@@ -549,6 +516,7 @@ def _ao_engine(
     architecture: str,
     max_iters: int,
     tol: float,
+    grids: Optional[DropGrids],
 ) -> RunRecord:
     """Alternating sweeps of closed-form phase updates and 1-D position search.
 
@@ -557,6 +525,7 @@ def _ao_engine(
     with zero phases.  The trace holds the initial MSE, then one entry per
     sweep.
     """
+    grids = DropGrids.for_run(cfg, scene, q_grid, grids)
     if init is None:
         init = midpoint_init(scene, architecture)
     if init.architecture != architecture:
@@ -566,22 +535,21 @@ def _ao_engine(
         # phases wrapped once here, so the placement returned is the one scored
         init = Placement("SA2", init.pa_x, phases=[_wrap_phase(t) for t in init.phases.tolist()])
     state = _AOState(cfg, scene, init)
-    # Each segment's grid gains and the row statistics that screen them are
-    # built once per call; an update scores only the rows that can win, so
-    # the loop builds no (Q, K) temporaries.
-    grids = [grid_gains(cfg, scene, m, q_grid) for m in range(scene.layout.m_segments)]
-    stats = [_grid_stats(gains) for _, gains in grids]
+    # an update scores only the grid rows its screen keeps, so the loop
+    # builds no (Q, K) temporaries
+    segments = range(scene.layout.m_segments)
+    grid_stats = [(grids.grid(cfg, m)[0], grids.stats(cfg, m)) for m in segments]
 
     evaluations = 1
     trace = [state.current]
     for _ in range(max_iters):
         sweep_start = state.current
         if phased:
-            for m in range(len(grids)):
+            for m in segments:
                 theta = state.solve_phase(m)[0]
                 evaluations += 3
                 state.settle(m, state.psis[m], state.base[m], theta)
-        for m, ((pts, _), st) in enumerate(zip(grids, stats)):
+        for m, (pts, st) in enumerate(grid_stats):
             row, _, n = state.position_step(m, pts, st)
             evaluations += n
             if row is not None:
@@ -589,13 +557,8 @@ def _ao_engine(
         trace.append(state.current)
         if sweep_start - state.current < tol:
             break
-    return RunRecord(
-        placement=Placement(architecture, state.psis, phases=state.thetas if phased else None),
-        mse_trace=tuple(trace),
-        final_mse=trace[-1],
-        iterations=len(trace) - 1,
-        evaluations=evaluations,
-    )
+    placement = Placement(architecture, state.psis, phases=state.thetas if phased else None)
+    return RunRecord(placement, tuple(trace), trace[-1], len(trace) - 1, evaluations)
 
 
 def sa1_position_update(
@@ -607,8 +570,9 @@ def sa1_position_update(
     position and returns (new_pa_x, new_mse); never worse than the
     incumbent.  SA2 phases are held fixed.
     """
-    pts, gains = grid_gains(cfg, scene, segment, q_grid)
-    row, mse, _ = _AOState(cfg, scene, placement).position_step(segment, pts, _grid_stats(gains))
+    grids = DropGrids(scene, q_grid, (cfg,))
+    pts = grids.grid(cfg, segment)[0]
+    row, mse, _ = _AOState(cfg, scene, placement).position_step(segment, pts, grids.stats(cfg, segment))
     return float(placement.pa_x[segment] if row is None else pts[row]), mse
 
 
@@ -619,6 +583,7 @@ def sa1_ao(
     init: Optional[Placement] = None,
     max_iters: int = 100,
     tol: float = 1e-8,
+    grids: Optional[DropGrids] = None,
 ) -> RunRecord:
     """Element-wise position optimization for the phase-free combined feed.
 
@@ -626,7 +591,7 @@ def sa1_ao(
     the others frozen, until a full sweep improves the MSE by less than
     ``tol`` or ``max_iters`` sweeps complete.
     """
-    return _ao_engine(cfg, scene, q_grid, init, "SA1", max_iters, tol)
+    return _ao_engine(cfg, scene, q_grid, init, "SA1", max_iters, tol, grids)
 
 
 def sa2_ao(
@@ -636,6 +601,7 @@ def sa2_ao(
     init: Optional[Placement] = None,
     max_iters: int = 100,
     tol: float = 1e-8,
+    grids: Optional[DropGrids] = None,
 ) -> RunRecord:
     """Alternating optimization with per-segment phase shifters.
 
@@ -643,7 +609,7 @@ def sa2_ao(
     grid-searches every position; both passes keep a change only when it does
     not raise the MSE.
     """
-    return _ao_engine(cfg, scene, q_grid, init, "SA2", max_iters, tol)
+    return _ao_engine(cfg, scene, q_grid, init, "SA2", max_iters, tol, grids)
 
 
 def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> float:
@@ -669,6 +635,7 @@ def _joint_scan(
     q_grid: int,
     extra_candidates: Optional[Sequence[Sequence[float]]],
     rot: np.ndarray,
+    grids: Optional[DropGrids],
 ) -> tuple[float, np.ndarray, int, int]:
     """First MSE minimum over feasible (position tuple, segment-0 rotation) pairs.
 
@@ -700,12 +667,16 @@ def _joint_scan(
     ``mse_rows``.  Returns (MSE, positions, rotation index, pairs counted):
     every feasible pair is counted, although only the kept ones are scored.
     """
+    grids = DropGrids.for_run(cfg, scene, q_grid, grids)
     m_seg = scene.layout.m_segments
     scale = 1.0 / math.sqrt(m_seg)
-    extras = [
-        np.asarray([] if extra_candidates is None else extra_candidates[m], dtype=float).ravel()
-        for m in range(m_seg)
-    ]
+    extras = []
+    for m in range(m_seg):
+        e = np.asarray([] if extra_candidates is None else extra_candidates[m], dtype=float).ravel()
+        lo, hi = float(scene.layout.feed_x[m]), scene.layout.segment_end(m)
+        if not np.all((lo <= e) & (e <= hi)):
+            raise ValueError(f"extra candidates {e.tolist()} must lie on segment {m}, [{lo}, {hi}]")
+        extras.append(e)
     shape = tuple(q_grid + e.size for e in extras)
     n_tuples = math.prod(shape)
     if n_tuples > 2_000_000:
@@ -713,7 +684,7 @@ def _joint_scan(
     cands = []
     shares = []
     for m in range(m_seg):
-        pts, gains = grid_gains(cfg, scene, m, q_grid)
+        pts, gains = grids.grid(cfg, m)
         if extras[m].size:
             # gain rows do not depend on the batch, so appending the extra
             # candidates' rows equals one call over the extended grid
@@ -782,6 +753,7 @@ def sa1_joint_exhaustive(
     scene: Scene,
     q_grid: int,
     extra_candidates: Optional[Sequence[Sequence[float]]] = None,
+    grids: Optional[DropGrids] = None,
 ) -> RunRecord:
     """Global grid minimum over all feasible joint PA position tuples.
 
@@ -789,7 +761,9 @@ def sa1_joint_exhaustive(
     ``extra_candidates``); intended for tiny instances as an optimizer oracle.
     Ties resolve to the first tuple in itertools.product order.
     """
-    final, pa_x, _, count = _joint_scan(cfg, scene, q_grid, extra_candidates, np.ones(1, dtype=complex))
+    final, pa_x, _, count = _joint_scan(
+        cfg, scene, q_grid, extra_candidates, np.ones(1, dtype=complex), grids
+    )
     return _one_pass(Placement("SA1", pa_x), final, count)
 
 
@@ -799,6 +773,7 @@ def sa2_joint_exhaustive(
     q_grid: int,
     theta_grid: int = 720,
     extra_candidates: Optional[Sequence[Sequence[float]]] = None,
+    grids: Optional[DropGrids] = None,
 ) -> RunRecord:
     """Joint position-and-phase oracle for two segments.
 
@@ -808,6 +783,10 @@ def sa2_joint_exhaustive(
     """
     if scene.layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")
+    if theta_grid < 1:
+        raise ValueError("theta_grid must be >= 1")
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
-    final, pa_x, j, count = _joint_scan(cfg, scene, q_grid, extra_candidates, np.exp(1j * thetas))
+    final, pa_x, j, count = _joint_scan(
+        cfg, scene, q_grid, extra_candidates, np.exp(1j * thetas), grids
+    )
     return _one_pass(Placement("SA2", pa_x, phases=np.array([thetas[j], 0.0])), final, count)

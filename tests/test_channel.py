@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
-from swan_aircomp.channel import grid_gains
+from swan_aircomp.channel import DropGrids
 from conftest import (
     make_config,
     make_scene,
@@ -146,12 +146,13 @@ def test_segment_gain_matrix_rows_do_not_depend_on_the_batch(kappa):
             assert np.array_equal(mat[i], single)
 
 
-def test_grid_gains_are_the_grid_call_bitwise_in_any_kappa_order():
-    """grid_gains equals segment_gain_matrix on the grid, however kappas interleave.
+def test_drop_grids_are_the_grid_call_bitwise_in_any_kappa_order():
+    """A table's gains equal segment_gain_matrix on the grid, however kappas interleave.
 
-    The free-space factor is memoised per drop and shared across kappas, so
-    the order in which scenario and design kappas ask for a grid must not
-    change a bit of any answer.
+    One free-space pass per grid serves every config of the table, so neither
+    the order of its configs nor the order in which scenario and design
+    kappas ask for a grid may change a bit of any answer.  The PASS grid
+    (segment None) is the baseline scene's one segment.
     """
     from swan_aircomp.harness import ExperimentSpec
 
@@ -159,36 +160,49 @@ def test_grid_gains_are_the_grid_call_bitwise_in_any_kappa_order():
     design = spec.radio_config(spec.design_kappa)
     scene = make_scene(m_segments=3, seg_length=2.0, k=6, seed=29)
     for order in ((0.0, 0.08), (0.08, 0.0)):
+        grids = DropGrids(scene, 101, [spec.radio_config(kappa) for kappa in order] + [design])
         for kappa in order:
             for cfg in (spec.radio_config(kappa), design):
-                for seg in range(3):
-                    grid = sa.grid_points(scene.layout, seg, 101)
-                    pts, gains = grid_gains(cfg, scene, seg, 101)
-                    want = sa.segment_gain_matrix(cfg, scene, seg, grid)
+                for seg in (0, 1, 2, None):
+                    grid_scene = scene if seg is not None else sa.baseline_scene(scene)
+                    grid = sa.grid_points(grid_scene.layout, seg or 0, 101)
+                    pts, gains = grids.grid(cfg, seg)
+                    want = sa.segment_gain_matrix(cfg, grid_scene, seg or 0, grid)
                     assert pts.tobytes() == grid.tobytes()
                     assert gains.tobytes() == want.tobytes()
+                    assert not gains.flags.writeable
 
 
-def test_grid_gains_memo_holds_only_the_current_drop():
-    import gc
-    import weakref
+def test_a_run_refuses_a_grid_table_built_for_another_run():
+    """Another scene (even with the same users), another q, or a missing config is refused.
 
-    from swan_aircomp import channel
+    A table that fits, with more configs than the run's, gives the bits of
+    the run that builds its own.
+    """
+    from functools import partial
 
     cfg = make_config(kappa=0.08)
-    old = make_scene(m_segments=2, k=5, seed=41)
-    grid_gains(cfg, old, 0, 50)
-    grid_gains(cfg, old, 1, 50)
-    assert channel._DROP_MEMO.users is old.users
-    assert len(channel._DROP_MEMO.free) == 2
-    gone = weakref.ref(old.users)
-    new = make_scene(m_segments=2, k=5, seed=42)
-    del old
-    grid_gains(cfg, new, 0, 50)
-    gc.collect()
-    assert gone() is None
-    assert channel._DROP_MEMO.users is new.users
-    assert len(channel._DROP_MEMO.free) == 1
+    scene = make_scene(m_segments=2, k=4, seed=41)
+    lossless = make_config(kappa=0.0)
+    refused = (
+        DropGrids(make_scene(m_segments=2, k=4, seed=41), 12, (cfg,)),
+        DropGrids(scene, 10, (cfg,)),
+        DropGrids(scene, 12, (lossless,)),
+    )
+    runs = (
+        sa.ss_two_stage, sa.pass_baseline, sa.sa1_ao, sa.sa2_ao,
+        sa.sa1_joint_exhaustive, partial(sa.sa2_joint_exhaustive, theta_grid=8),
+    )
+    for run in runs:
+        for grids in refused:
+            with pytest.raises(ValueError, match="is not for this run's scene, q=12 and config"):
+                run(cfg, scene, 12, grids=grids)
+        shared = run(cfg, scene, 12, grids=DropGrids(scene, 12, (lossless, cfg)))
+        own = run(cfg, scene, 12)
+        assert shared.final_mse.hex() == own.final_mse.hex()
+        assert shared.placement.pa_x.tobytes() == own.placement.pa_x.tobytes()
+    with pytest.raises(ValueError, match="carrier"):
+        DropGrids(scene, 12, (cfg, make_config(f_c=30e9)))
 
 
 def test_eff_channel_ss_phase_structure():

@@ -217,6 +217,38 @@ def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
     assert set(sizes) == {1, q}
 
 
+def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):
+    """One table per drop: M + 1 free-space grid builds per drop, M row statistics per kappa.
+
+    With a restart, SA1 and SA2 each run twice per kappa on a drop; every
+    run on the drop reads the same grids, and the AO runs share statistics.
+    """
+    from swan_aircomp import channel
+
+    free, stats = [], []
+    real_free, real_stats = channel._free_space, channel.DropGrids._row_stats
+
+    def counted_free(cfg, scene, psi):
+        free.append((scene.users, psi.size))
+        return real_free(cfg, scene, psi)
+
+    def counted_stats(gains):
+        stats.append(gains.shape)
+        return real_stats(gains)
+
+    monkeypatch.setattr(channel, "_free_space", counted_free)
+    monkeypatch.setattr(channel.DropGrids, "_row_stats", staticmethod(counted_stats))
+    m, q, kappas, drops = 3, 40, (0.0, 0.08), 2
+    spec = make_spec(sweep=(4,), n_drops=drops, m_segments=m, q_grid=q, restarts=1,
+                     schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=kappas)
+    run_experiment(spec)
+    grid_builds = [users for users, size in free if size == q]
+    assert len(grid_builds) == drops * (m + 1)
+    assert all(sum(u is users for u in grid_builds) == m + 1 for users in grid_builds)
+    assert len(stats) == drops * len(kappas) * m
+    assert set(stats) == {(q, 4)}
+
+
 @pytest.mark.parametrize(
     "values", [{"n_drops": True}, {"kappa_db_per_m": [True]}, {"restarts": False}]
 )

@@ -6,10 +6,10 @@ import pytest
 
 import swan_aircomp as sa
 from swan_aircomp import optimizers
+from swan_aircomp.channel import DropGrids
 from swan_aircomp.metrics import mse_min
+from swan_aircomp.geometry import baseline_layout, baseline_scene
 from swan_aircomp.optimizers import (
-    baseline_layout,
-    baseline_scene,
     evaluate_placement,
     midpoint_init,
     pass_baseline,
@@ -382,6 +382,26 @@ def test_sa2_joint_exhaustive_contract():
         sa2_joint_exhaustive(cfg, make_scene(m_segments=3), 10)
 
 
+@pytest.mark.parametrize("oracle", [sa1_joint_exhaustive, sa2_joint_exhaustive])
+@pytest.mark.parametrize("offset", [-0.1, 1.9, math.nan])
+def test_joint_oracles_refuse_extra_candidates_off_their_segment(oracle, offset):
+    """A candidate before the feed or past the end would give an infeasible placement."""
+    cfg = make_config()
+    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
+    feed0 = float(scene.layout.feed_x[0])
+    with pytest.raises(ValueError, match="must lie on segment 0"):
+        oracle(cfg, scene, 5, extra_candidates=[[feed0 + offset], []])
+    rec = oracle(cfg, scene, 5, extra_candidates=[[feed0, feed0 + 1.0], []])
+    assert not sa.validate_placement(scene.layout, rec.placement, cfg.delta_min)
+
+
+@pytest.mark.parametrize("theta_grid", [0, -3])
+def test_sa2_joint_exhaustive_refuses_a_theta_grid_below_one(theta_grid):
+    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
+    with pytest.raises(ValueError, match="theta_grid must be >= 1"):
+        sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=theta_grid)
+
+
 def test_sa2_joint_exhaustive_is_a_lower_bound_for_positions_on_grid():
     cfg = make_config()
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=2, seed=38)
@@ -750,7 +770,7 @@ def test_position_screen_picks_the_full_scans_row(k):
     for gains, rest, factor, incumbent, feasible, noise_var in _screen_cases(300 + k, k):
         want_row, want_mse = _full_scan(gains, rest, factor, incumbent, feasible, noise_var)
         rows, mses = optimizers._screened_scan(
-            optimizers._grid_stats(gains), rest, factor, incumbent, feasible, P_TX, noise_var
+            DropGrids._row_stats(gains), rest, factor, incumbent, feasible, P_TX, noise_var
         )
         j = int(np.argmin(mses))
         assert (int(rows[j]) if j < rows.size else None) == want_row
