@@ -142,6 +142,8 @@ class Placement:
             ph = np.atleast_1d(np.asarray(self.phases, dtype=float))
             if ph.shape != pa.shape:
                 raise ValueError("phases must match pa_x in shape")
+            if not np.isfinite(ph).all():
+                raise ValueError(f"phases must be finite, got {ph.tolist()}")
             ph.setflags(write=False)
             object.__setattr__(self, "phases", ph)
         if self.architecture == "SA2" and self.phases is None:

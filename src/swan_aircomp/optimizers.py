@@ -23,15 +23,20 @@ the exact path.  Both AO passes keep a change only if the rescored whole
 channel's MSE did not rise (a step that changes nothing is skipped, but still
 counted), so the recorded MSE is the one evaluate_placement recomputes.  The
 joint oracles count every feasible (position tuple, rotation) pair, although
-only the pairs their screen keeps are scored again on the exact path.  Every
-grid search reads the drop's ``DropGrids`` table passed as ``grids``, or
-builds one for its own config when none is passed.
+only the pairs their screen keeps are scored again on the exact path.  With
+more than one rotation (SA2), a tuple stage first drops whole position
+tuples: a closed-form bound on each tuple's best ratio over every rotation,
+taken from the same per-tuple statistics, certifies that all of its pairs
+score above an MSE already confirmed.  Every grid search reads the drop's
+``DropGrids`` table passed as ``grids``, or builds one for its own config
+when none is passed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -406,6 +411,16 @@ def phase_objective(
     return float(num / den)
 
 
+def _rounding_coef(k: int, n_rows: int) -> float:
+    """c of ``_contenders``: c T is 2 (1 + K) times its bound on a screened sum's rounding."""
+    return 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
+
+
+def _margin(ct: float, low: float, k: int) -> float:
+    """2E of ``_contenders``, with E = c T / D + 8 K eps for ``ct`` = c T and ``low`` = D."""
+    return 2.0 * (ct / low + 8 * k * _EPS)
+
+
 def _contenders(
     num: np.ndarray,
     den: np.ndarray,
@@ -442,13 +457,13 @@ def _contenders(
     candidates that may be kept.  The ratios overwrite ``num``.
     """
     t = weight * weight
-    c = 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
+    c = _rounding_coef(k, n_rows)
     low = float(den.min()) - c * t
     if low > 0.0:
         ratio = np.divide(num, den, out=num)
         if feasible is not None:
             ratio[~feasible] = -np.inf
-        keep = ratio >= ratio.max() - 2.0 * (c * t / low + 8 * k * _EPS)
+        keep = ratio >= ratio.max() - _margin(c * t, low, k)
     else:
         keep = np.ones(den.shape, dtype=bool) if feasible is None else feasible
     return np.flatnonzero(keep)
@@ -629,6 +644,55 @@ def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> 
     return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
+def _tuple_stats(a: np.ndarray, b: np.ndarray, noise_over_p: float) -> np.ndarray:
+    """Screen statistics of the channels rot * a[t] + b[t], one tuple t per row.
+
+    The (num, den) x basis term x tuple array of ``_joint_scan``: num is
+    (|A|^2, |B|^2, Re, -Im of A conj(B)) and den is (E_a, E_b + noise_var
+    / p_tx, Re, -Im of C), each dotted with (|rot|^2, 1, 2 Re rot, 2 Im rot).
+    """
+    sum_a = a.sum(axis=1)
+    sum_b = b.sum(axis=1)
+    ab = sum_a * sum_b.conj()
+    cross = (a * b.conj()).sum(axis=1)
+    return np.array([
+        [np.square(np.abs(sum_a)), np.square(np.abs(sum_b)), ab.real, -ab.imag],
+        [np.square(np.abs(a)).sum(axis=1), np.square(np.abs(b)).sum(axis=1) + noise_over_p,
+         cross.real, -cross.imag],
+    ])
+
+
+def _surviving_tuples(stats: np.ndarray, tau: float, ct: float, eta_t: float, k: int) -> np.ndarray:
+    """Indices of the tuples the tuple stage of ``_joint_scan`` keeps at the ratio tau.
+
+    With g = num terms - tau * den terms of ``stats``, a rotation's
+    num - tau den is |rot|^2 g_0 + g_1 + 2 (Re(rot) g_2 + Im(rot) g_3),
+    whose maximum over |rot| = 1 is g_0 + g_1 + 2 |(g_2, g_3)|
+    = alpha - tau gamma + 2 |beta - tau delta|.  A tuple is dropped when
+    that is below -err, with ``ct`` = c T and ``eta_t`` = eta T.
+    """
+    gamma = stats[1, 0] + stats[1, 1]
+    err = 4.0 * ct + (1 + k) * (32 * _EPS * gamma + 3.0 * eta_t)
+    g = stats[0] - tau * stats[1]
+    return np.flatnonzero(g[0] + g[1] + 2.0 * np.hypot(g[2], g[3]) >= -err)
+
+
+def _ratio_ceilings(stats: np.ndarray) -> np.ndarray:
+    """Per tuple, lambda_t: the largest ratio over unit rotations.
+
+    It is the largest root of (lambda gamma - alpha)^2 = 4 |beta - lambda delta|^2,
+    solved with every term divided by gamma; the quadratic's leading term
+    1 - 4 |delta / gamma|^2 is positive wherever every denominator is.
+    """
+    gamma = stats[1, 0] + stats[1, 1]
+    terms = np.stack([stats[0, 0] + stats[0, 1], *stats[0, 2:], *stats[1, 2:]])
+    alpha, b_re, b_im, d_re, d_im = terms / gamma
+    lead = 1.0 - 4.0 * (d_re * d_re + d_im * d_im)
+    half = alpha - 4.0 * (b_re * d_re + b_im * d_im)
+    const = alpha * alpha - 4.0 * (b_re * b_re + b_im * b_im)
+    return (half + np.sqrt(np.maximum(half * half - lead * const, 0.0))) / lead
+
+
 def _joint_scan(
     cfg: RadioConfig,
     scene: Scene,
@@ -643,16 +707,29 @@ def _joint_scan(
     in itertools.product order, last segment fastest; within a tuple the
     rotations ``rot`` run in order.  A pair's channel is built as
     rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
-    segment m's, and the pairs are screened, then confirmed:
+    segment m's.  Statistics are taken for up to ``_TUPLE_BLOCK`` tuples at
+    a time; with more than one rotation, a tuple stage first drops whole
+    tuples, and the pairs of the tuples left are screened, then confirmed:
 
-    * screen: per feasible tuple, with b = r_1 + ... + r_{M-1}, the
-      statistics A = sum a, B = sum b, C = sum a conj(b), E_a = sum |a|^2
-      and E_b = sum |b|^2 give every rotation's alignment ratio
-      |rot A + B|^2 / (|rot|^2 E_a + E_b + 2 Re(rot C) + noise_var / p_tx)
-      with no further work on the K axis.  Statistics are taken for up to
-      ``_TUPLE_BLOCK`` tuples at a time, and ratios in blocks of at most
-      ``_TUPLE_BLOCK`` pairs: whole tuples with all their rotations, or one
-      tuple with a run of rotations.
+    * statistics: per feasible tuple, with b = r_1 + ... + r_{M-1},
+      A = sum a, B = sum b, C = sum a conj(b), E_a = sum |a|^2 and
+      E_b = sum |b|^2 give every rotation's alignment ratio
+      num / den = |rot A + B|^2 / (|rot|^2 E_a + E_b + 2 Re(rot C)
+      + noise_var / p_tx) with no further work on the K axis.
+    * tuple stage: with alpha = |A|^2 + |B|^2, beta = A conj(B),
+      gamma = E_a + E_b + noise_var / p_tx and delta = C, the maximum of
+      num - tau den over |rot| = 1 is alpha - tau gamma + 2 |beta - tau delta|
+      (``_surviving_tuples``), so no rotation reaches the ratio tau where that
+      is negative (Dinkelbach's parametric test for a ratio), and a tuple's
+      largest ratio lambda_t is the largest root of
+      (lambda gamma - alpha)^2 = 4 |beta - lambda delta|^2
+      (``_ratio_ceilings``).  The rotations of the block's tuple of largest
+      lambda_t are screened and confirmed first; with m the lower of their
+      minimum and the incumbent's MSE, tau = K - m - 2E, and a tuple whose
+      bound is below -err is dropped whole.
+    * screen: the ratios of the tuples left come in blocks of at most
+      ``_TUPLE_BLOCK`` pairs, whole tuples with all their rotations or one
+      tuple with a run of rotations, in product order.
     * margin: ``_contenders`` keeps the pairs of a block whose ratio can
       still be the block's exact maximum.  Its weight, the largest
       max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the grids allow,
@@ -662,10 +739,30 @@ def _joint_scan(
       ``mse_rows``; the first of their minima is the block's, and a block
       replaces the incumbent only when strictly lower.
 
-    Every dropped pair scores strictly above its block's kept minimum, so
-    the result is, to the bit, the first minimum of scoring every pair with
-    ``mse_rows``.  Returns (MSE, positions, rotation index, pairs counted):
-    every feasible pair is counted, although only the kept ones are scored.
+    Rounding of the tuple stage, with T, c and E as in ``_contenders``
+    (n = M): each statistic is within c T / (2 (1 + K)) of its exact sum
+    over the stored rows, but for roundings relative to the noise term.
+    ``rot`` need not have |rot|^2 = 1 to rounding: eta bounds
+    ||rot|^2 - 1|, and any rotation's exact num - tau den is at most the
+    bound of the exact statistics plus 3 eta (1 + K) T.  As 0 < tau <= K,
+    the computed bound is within 2.5 c T + 27 eps (1 + K)(T + gamma) of the
+    exact statistics' bound, so err = 4 c T + (1 + K)(32 eps gamma
+    + 3 eta T) makes every rotation of a dropped tuple have exact
+    num - tau den < 0.  D = min(gamma - 2 max|rot| |delta|) - (2 c + eta) T,
+    the minimum over every tuple of the block, bounds every pair's den
+    below, screened, exact or ``mse_rows``', the pairs of dropped tuples
+    among them; E uses this D.  So a dropped pair's exact ratio is below
+    tau, its ``mse_rows`` ratio K - MSE, within E of that, is below K - m,
+    and it scores strictly above m, which is at least the final minimum:
+    the reference tuple is screened again in its place.  A pair that ties
+    m exactly is never dropped, and the survivors keep product order and
+    the strict replacement rule, so an exact tie across tuples still goes
+    to the first in product order.  If D <= 0 or tau <= 0, no tuple is
+    dropped.  Every pair the pair screen drops scores strictly above its
+    block's kept minimum.  The result is therefore, to the bit, the first
+    minimum of scoring every pair with ``mse_rows``.  Returns (MSE,
+    positions, rotation index, pairs counted): every feasible pair is
+    counted, although only the kept ones are scored.
     """
     grids = DropGrids.for_run(cfg, scene, q_grid, grids)
     m_seg = scene.layout.m_segments
@@ -693,7 +790,13 @@ def _joint_scan(
         cands.append(pts)
         shares.append(gains * scale)
     row_l1 = [float(np.abs(share).sum(axis=1).max()) for share in shares]
-    weight = float(np.abs(rot).max()) * row_l1[0] + sum(row_l1[1:])
+    rot_max = float(np.abs(rot).max())
+    weight = rot_max * row_l1[0] + sum(row_l1[1:])
+    k = scene.k
+    t_sq = weight * weight
+    ct = _rounding_coef(k, m_seg) * t_sq
+    # bounds ||rot|^2 - 1| over the rotations, this line's rounding included
+    eta = float(np.abs(np.square(np.abs(rot)) - 1.0).max()) + 4 * _EPS
     # |rot A + B|^2 = |rot|^2 |A|^2 + |B|^2 + 2 Re(rot A conj(B)) and
     # sum |rot a + b|^2 = |rot|^2 E_a + E_b + 2 Re(rot C), so a tuple's num
     # and den are its four terms of each dotted with a column of this basis
@@ -703,6 +806,7 @@ def _joint_scan(
     n_rot = len(rot)
     tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
     rots_per_block = min(n_rot, _TUPLE_BLOCK)
+    rot_starts = range(0, n_rot, rots_per_block)
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, _TUPLE_BLOCK):
@@ -712,37 +816,42 @@ def _joint_scan(
             keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
             pos = pos[keep]
             idx = [i[keep] for i in idx]
+        count += len(pos) * n_rot
         a, *others = [share[i] for share, i in zip(shares, idx)]
         b = np.zeros_like(a)
         for row in others:
             b += row
-        sum_a = a.sum(axis=1)
-        sum_b = b.sum(axis=1)
-        ab = sum_a * sum_b.conj()
-        cross = (a * b.conj()).sum(axis=1)
-        # (num, den) x basis term x tuple; a complex term splits into re, -im
-        stats = np.array([
-            [np.square(np.abs(sum_a)), np.square(np.abs(sum_b)), ab.real, -ab.imag],
-            [np.square(np.abs(a)).sum(axis=1), np.square(np.abs(b)).sum(axis=1) + noise_over_p,
-             cross.real, -cross.imag],
-        ])
-        for t0, r0 in itertools.product(range(0, len(pos), tuples_per_block), range(0, n_rot, rots_per_block)):
+        stats = _tuple_stats(a, b, noise_over_p)
+
+        def block_min(sel: np.ndarray, r0: int) -> tuple[float, int, int]:
+            """First MSE minimum of the kept pairs of tuples ``sel`` and rotations from r0."""
             block_rot = rot[r0:r0 + rots_per_block]
             # einsum, not matmul: a BLAS gemm touches its packing buffers,
             # about a quarter megabyte of peak memory, for an inner size of 4
-            num, den = np.einsum(
-                "sjt,jr->str", stats[:, :, t0:t0 + tuples_per_block], basis[:, r0:r0 + rots_per_block]
-            )
-            count += num.size
-            t, r = np.divmod(_contenders(num, den, weight, scene.k, m_seg), block_rot.size)
-            t += t0
+            num, den = np.einsum("sjt,jr->str", stats[:, :, sel], basis[:, r0:r0 + rots_per_block])
+            t, r = np.divmod(_contenders(num, den, weight, k, m_seg), block_rot.size)
+            t = sel[t]
             h = block_rot[r][:, None] * a[t]
             for row in others:
                 h += row[t]
             mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
-            if float(mses[j]) < best[0]:
-                best = (float(mses[j]), pos[t[j]].copy(), r0 + int(r[j]))
+            return float(mses[j]), int(t[j]), r0 + int(r[j])
+
+        live = np.arange(len(pos))
+        if n_rot > 1 and live.size:
+            den_floor = stats[1, 0] + stats[1, 1] - 2.0 * rot_max * np.hypot(stats[1, 2], stats[1, 3])
+            low = float(den_floor.min()) - 2.0 * ct - eta * t_sq
+            if low > 0.0:
+                ref = np.array([np.argmax(_ratio_ceilings(stats))])
+                m_ref = min(best[0], *(block_min(ref, r0)[0] for r0 in rot_starts))
+                tau = k - m_ref - _margin(ct, low, k)
+                if tau > 0.0:
+                    live = _surviving_tuples(stats, tau, ct, eta * t_sq, k)
+        for t0, r0 in itertools.product(range(0, live.size, tuples_per_block), rot_starts):
+            mse, t, r = block_min(live[t0:t0 + tuples_per_block], r0)
+            if mse < best[0]:
+                best = (mse, pos[t].copy(), r)
     if best[1] is None:
         raise ValueError("no feasible joint tuple on the grid")
     return (*best, count)
@@ -783,8 +892,8 @@ def sa2_joint_exhaustive(
     """
     if scene.layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")
-    if theta_grid < 1:
-        raise ValueError("theta_grid must be >= 1")
+    if isinstance(theta_grid, bool) or not isinstance(theta_grid, numbers.Integral) or theta_grid < 1:
+        raise ValueError(f"theta_grid must be >= 1 and an integer, got {theta_grid!r}")
     thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
     final, pa_x, j, count = _joint_scan(
         cfg, scene, q_grid, extra_candidates, np.exp(1j * thetas), grids

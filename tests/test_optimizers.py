@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import math
 
@@ -402,6 +403,32 @@ def test_sa2_joint_exhaustive_refuses_a_theta_grid_below_one(theta_grid):
         sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=theta_grid)
 
 
+@pytest.mark.parametrize("theta_grid", [2.5, 720.0, True, False, "720"])
+def test_sa2_joint_exhaustive_refuses_a_theta_grid_that_is_no_integer(theta_grid):
+    """2.5 once scanned 3 phases 2 pi / 2.5 apart, and True ran as a 1-point grid."""
+    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
+    with pytest.raises(ValueError, match="theta_grid must be >= 1 and an integer"):
+        sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=theta_grid)
+    got, want = (sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=n) for n in (np.int64(3), 3))
+    assert (got.final_mse, got.evaluations) == (want.final_mse, want.evaluations)
+    assert np.array_equal(got.placement.phases, want.placement.phases)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_placements_refuse_non_finite_phases(bad):
+    """A NaN or infinite phase once gave sa2_ao and evaluate_placement a NaN MSE."""
+    cfg = make_config()
+    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
+    mid = scene.layout.midpoints
+    with pytest.raises(ValueError, match="phases must be finite"):
+        sa2_ao(cfg, scene, 10, init=sa.Placement("SA2", mid, phases=[bad, 0.0]))
+    with pytest.raises(ValueError, match="phases must be finite"):
+        evaluate_placement(cfg, scene, sa.Placement("SA2", mid, phases=[0.0, bad]))
+    rec = sa2_ao(cfg, scene, 10, init=sa.Placement("SA2", mid, phases=[1e300, 0.0]))
+    assert 0.0 <= rec.final_mse <= scene.k
+    assert rec.final_mse == evaluate_placement(cfg, scene, rec.placement)
+
+
 def test_sa2_joint_exhaustive_is_a_lower_bound_for_positions_on_grid():
     cfg = make_config()
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=2, seed=38)
@@ -536,10 +563,18 @@ def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, p_dbm, delta_m
     _check_sa2_joint(kappa, delta_min, p_dbm)
 
 
-def _check_sa2_joint(kappa, delta_min, p_dbm=10.0):
+def _check_sa2_joint(kappa, delta_min, p_dbm=10.0, theta_grid=48, duplicates=False):
+    """The oracle against the reference; returns the winner's index in product order.
+
+    The extra candidates are the midpoints, or with ``duplicates`` every grid
+    point again, so each tuple ties exactly with three later ones.
+    """
     cfg, scene = _equivalence_case(2, kappa, delta_min, p_dbm)
-    q, theta_grid = 12, 48
-    extra = [[float(x)] for x in midpoint_init(scene, "SA2").pa_x]
+    q = 12
+    if duplicates:
+        extra = [sa.grid_points(scene.layout, m, q).tolist() for m in range(2)]
+    else:
+        extra = [[float(x)] for x in midpoint_init(scene, "SA2").pa_x]
     rec = sa2_joint_exhaustive(cfg, scene, q, theta_grid=theta_grid, extra_candidates=extra)
     cands = [np.append(sa.grid_points(scene.layout, m, q), extra[m]) for m in range(2)]
     best, pa_x, theta0, count = reference_sa2_joint(cfg, scene, cands, theta_grid)
@@ -548,6 +583,37 @@ def _check_sa2_joint(kappa, delta_min, p_dbm=10.0):
     assert np.array_equal(rec.placement.pa_x, pa_x)
     assert np.array_equal(rec.placement.phases, [theta0, 0.0])
     assert rec.evaluations == count
+    return next(i for i, combo in enumerate(itertools.product(*cands)) if np.array_equal(combo, pa_x))
+
+
+def _count_survivors(monkeypatch):
+    """Record (tuples kept, tuples in the block) of each tuple stage's certificate."""
+    stages = []
+    surviving = optimizers._surviving_tuples
+
+    def counting(stats, *args):
+        live = surviving(stats, *args)
+        stages.append((live.size, stats.shape[-1]))
+        return live
+
+    monkeypatch.setattr(optimizers, "_surviving_tuples", counting)
+    return stages
+
+
+@pytest.mark.parametrize("theta_grid,duplicates", [(48, True), (2, False), (3, False), (7, False)])
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+@pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
+def test_sa2_joint_tuple_stage_matches_the_reference_bitwise(
+    monkeypatch, theta_grid, duplicates, kappa, delta_min
+):
+    """Exact ties across tuples, and phase grids whose best ratio sits well below lambda_t.
+
+    The tuple stage must drop tuples here, so a certificate that dropped one
+    tuple too many would move the result or the tie's winner.
+    """
+    stages = _count_survivors(monkeypatch)
+    _check_sa2_joint(kappa, delta_min, theta_grid=theta_grid, duplicates=duplicates)
+    assert stages and all(n_live < n_tuples for n_live, n_tuples in stages)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -557,7 +623,8 @@ def test_joint_oracles_do_not_depend_on_the_block_size(monkeypatch, block, delta
     monkeypatch.setattr(optimizers, "_TUPLE_BLOCK", block)
     for m_seg, q in ((1, 30), (2, 15), (5, 3)):
         _check_sa1_joint(m_seg, q, 0.08, delta_min)
-    _check_sa2_joint(0.08, delta_min)
+    # the SA2 winner lies in a later block than the first tuple stage's
+    assert _check_sa2_joint(0.08, delta_min) >= block
 
 
 def _count_contenders(monkeypatch):
@@ -582,20 +649,25 @@ def test_joint_oracles_match_the_reference_when_every_pair_is_kept(monkeypatch):
     rescored; the result is still the reference's to the bit.
     """
     kept = _count_contenders(monkeypatch)
+    stages = _count_survivors(monkeypatch)
     _check_sa1_joint(2, 15, 100.0, None, p_dbm=100.0)
     _check_sa2_joint(100.0, None, p_dbm=100.0)
     assert any(n_kept == size > 1 for n_kept, size in kept)
+    assert not stages  # the SA2 tuple stage kept every tuple too
 
 
 def test_joint_screen_confirms_few_pairs(monkeypatch):
-    """On oracle-check scenes the exact path rescores about one pair per block.
+    """On oracle-check scenes an SA2 oracle call screens the rotations of two tuples at most.
 
-    A loose screening margin would stay exact but rescore many pairs, which
-    shows only as a slowdown; this pins the pairs an SA2 oracle call rescores
-    per block and an SA1 call in all.
+    Its tuple stage screens the reference tuple, and then the tuples the
+    certificate keeps, here the reference alone.  A loose certificate or
+    screening margin would stay exact but screen or rescore many pairs,
+    which shows only as a slowdown; this pins the tuples an SA2 call
+    screens, the pairs it rescores per block, and the pairs an SA1 call
+    rescores in all.
     """
     kept = _count_contenders(monkeypatch)
-    sa2_blocks = []
+    theta_grid = 720
     for drop in range(5):
         scene = wide_scene(k=3, seed=derive_seed(1, drop))
         extra = [[x] for x in scene.layout.midpoints.tolist()]
@@ -605,11 +677,65 @@ def test_joint_screen_confirms_few_pairs(monkeypatch):
             sa1_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
             assert sum(n_kept for n_kept, _ in kept) <= 2
             kept.clear()
-            sa2_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
-            sa2_blocks += [n_kept for n_kept, _ in kept]
-    assert len(sa2_blocks) > 100
-    assert max(sa2_blocks) <= 2
-    assert np.mean(sa2_blocks) <= 1.1
+            sa2_joint_exhaustive(cfg, scene, 20, theta_grid=theta_grid, extra_candidates=extra)
+            assert sum(size for _, size in kept) <= 2 * theta_grid
+            assert max(n_kept for n_kept, _ in kept) <= 2
+
+
+def _exact_ratio(a, b, rot, noise_over_p):
+    """|sum h|^2 / (sum |h|^2 + noise_over_p) of h = rot * a + b, in rationals from the stored floats."""
+    fr = fractions.Fraction
+    rr, ri = fr(rot.real), fr(rot.imag)
+    h = [(rr * fr(x.real) - ri * fr(x.imag) + fr(y.real), rr * fr(x.imag) + ri * fr(x.real) + fr(y.imag))
+         for x, y in zip(a.tolist(), b.tolist())]
+    num = sum(re for re, _ in h) ** 2 + sum(im for _, im in h) ** 2
+    return num / (sum(re * re + im * im for re, im in h) + fr(noise_over_p))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_tuple_certificate_drops_only_tuples_below_tau(k):
+    """Every rotation of a tuple the certificate drops has an exact ratio below tau.
+
+    Random splits rot * a + b, some nearly cancelling, with tau either well
+    below or above a tuple's best ratio or within a few ulps of it, where
+    only the rounding margin err tells a sound drop from a wrong one.  Each
+    dropped tuple is checked on a phase grid and at its own best phase,
+    with ratios computed exactly from the stored floats.
+    """
+    g = philox_stream(900 + k)
+    n = 60
+
+    def cplx(*shape):
+        return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+    a = 10.0 ** g.uniform(-6, -4, (n, 1)) * cplx(n, k)
+    b = 10.0 ** g.uniform(-6, -4, (n, 1)) * cplx(n, k)
+    phase = np.exp(1j * g.uniform(0, 2 * math.pi, (n, 1)))
+    b[::5] = -phase[::5] * a[::5] * (1.0 + 1e-9 * cplx(12, k))
+    noise_over_p = 1e-10 * 10.0 ** g.uniform(-4, 2)
+    best_rot = np.array([
+        np.exp(1j * optimizers._phase_solution(a[t], b[t], noise_over_p, 0.0)[0]) for t in range(n)
+    ])
+    grid = np.exp(1j * np.arange(48) * (2 * math.pi / 48))
+    best = np.array([max(float(_exact_ratio(a[t], b[t], r, noise_over_p)) for r in (best_rot[t], *grid))
+                     for t in range(n)])
+    eps = float(np.finfo(float).eps)
+    near = best * (1.0 + eps * g.integers(-6, 7, n))
+    below = best * g.uniform(0.3, 0.9, n)
+    above = best + (k - best) * g.uniform(0.1, 0.9, n)
+    far = np.where(g.random(n) < 0.5, below, above)
+    tau = np.where(np.arange(n) % 2, near, far)
+    rots = np.concatenate([grid, best_rot])
+    eta = float(np.abs(np.square(np.abs(rots)) - 1.0).max()) + 4 * eps
+    weight = np.abs(a).sum(axis=1) * float(np.abs(rots).max()) + np.abs(b).sum(axis=1)
+    t_sq = weight * weight
+    ct = optimizers._rounding_coef(k, 2) * t_sq
+    live = optimizers._surviving_tuples(optimizers._tuple_stats(a, b, noise_over_p), tau, ct, eta * t_sq, k)
+    dropped = np.setdiff1d(np.arange(n), live)
+    assert 0 < dropped.size < n
+    for t in dropped.tolist():
+        assert all(_exact_ratio(a[t], b[t], r, noise_over_p) < fractions.Fraction(tau[t])
+                   for r in (best_rot[t], *grid))
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
