@@ -156,13 +156,20 @@ def segment_gain_matrix(
 class GridStats(NamedTuple):
     """What the AO's position screen reads of one grid's (Q, K) gains G.
 
-    Per row q: ``sums`` holds S_q = sum_k g_qk and ``energy`` holds
-    E_q = sum_k |g_qk|^2; ``l1`` is the largest row 1-norm sum_k |g_qk|.
+    ``flat`` is G viewed as a real (Q, 2K) array, real and imaginary parts
+    interleaved: it shares G's read-only memory, so the screen's cross term
+    is one real matrix-vector product and copies no gains.  ``table`` is a
+    read-only real (5, Q) array whose column q is
+    (|S_q|^2, Re S_q, Im S_q, E_q, 1), with S_q = sum_k g_qk,
+    E_q = sum_k |g_qk|^2 and |S_q|^2 rounded from the stored S_q, so one
+    (2, 5) @ (5, Q) product gives every row's screen numerator and the
+    denominator but its cross term.  ``l1`` is the largest row 1-norm
+    sum_k |g_qk|.
     """
 
     gains: np.ndarray
-    sums: np.ndarray
-    energy: np.ndarray
+    flat: np.ndarray
+    table: np.ndarray
     l1: float
 
 
@@ -218,7 +225,13 @@ class DropGrids:
     def _row_stats(gains: np.ndarray) -> GridStats:
         ones = np.ones(gains.shape[1])
         mag = np.abs(gains)
-        return GridStats(gains, gains @ ones, np.square(mag) @ ones, float((mag @ ones).max()))
+        sums = gains @ ones
+        table = np.stack([
+            np.square(sums.real) + np.square(sums.imag), sums.real, sums.imag,
+            np.square(mag) @ ones, np.ones(len(gains)),
+        ])
+        table.setflags(write=False)
+        return GridStats(gains, gains.view(np.float64), table, float((mag @ ones).max()))
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

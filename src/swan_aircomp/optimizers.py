@@ -18,18 +18,21 @@ contain the midpoint.  ``evaluations`` counts objective evaluations, one per
 candidate probed (for the closed-form phase update: its two stationary
 candidates plus the acceptance check).  An AO position update counts every
 feasible grid point plus the incumbent: its screen scores each of them from
-per-row statistics, and only the few that can still win are scored again on
-the exact path.  Both AO passes keep a change only if the rescored whole
-channel's MSE did not rise (a step that changes nothing is skipped, but still
-counted), so the recorded MSE is the one evaluate_placement recomputes.  The
-joint oracles count every feasible (position tuple, rotation) pair, although
-only the pairs their screen keeps are scored again on the exact path.  With
-more than one rotation (SA2), a tuple stage first drops whole position
-tuples: a closed-form bound on each tuple's best ratio over every rotation,
-taken from the same per-tuple statistics, certifies that all of its pairs
-score above an MSE already confirmed.  Every grid search reads the drop's
-``DropGrids`` table passed as ``grids``, or builds one for its own config
-when none is passed.
+one real table of per-row statistics per grid, and only the few that can
+still win are scored again on the exact path.  When the PA already sits on
+a grid row and the screen keeps that row alone, nothing is scored again:
+the PA stays, and the update still counts every feasible candidate.  Each
+segment's spacing mask is kept until another PA moves.  Both AO passes keep
+a change only if the rescored whole channel's MSE did not rise (a step that
+changes nothing is skipped, but still counted), so the recorded MSE is the
+one evaluate_placement recomputes.  The joint oracles count every feasible
+(position tuple, rotation) pair, although only the pairs their screen keeps
+are scored again on the exact path.  With more than one rotation (SA2), a
+tuple stage first drops whole position tuples: a closed-form bound on each
+tuple's best ratio over every rotation, taken from the same per-tuple
+statistics, certifies that all of its pairs score above an MSE already
+confirmed.  Every grid search reads the drop's ``DropGrids`` table passed
+as ``grids``, or builds one for its own config when none is passed.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ _DEGENERATE_RTOL = 1e-15
 # rotation) pairs it screens at once, which bounds its working set at any
 # grid size the tuple cap admits.
 _TUPLE_BLOCK = 1 << 13
+
+# A position update on a grid of at most this many gains (Q K) confirms
+# every feasible row: up to here, scoring them all costs no more than the
+# screen, even when the screen keeps the PA's own row alone.
+_FULL_SCAN_SIZE = 128
 
 _EPS = float(np.finfo(float).eps)
 
@@ -237,13 +245,13 @@ def _phase_solution(
     cap_c = complex(np.vdot(b, a))  # sum_k a_k * conj(b_k)
     alpha = abs(cap_a) ** 2 + abs(cap_b) ** 2
     gamma = float((np.abs(a) ** 2 + np.abs(b) ** 2).sum()) + noise_over_p
-    ab = cap_a * np.conj(cap_b)
+    ab = cap_a * cap_b.conjugate()
     beta_mag = abs(ab)
     delta_mag = abs(cap_c)
     coef_a = 2.0 * (gamma * ab.real - alpha * cap_c.real)
     coef_b = 2.0 * (gamma * ab.imag - alpha * cap_c.imag)
     # 4 |beta| |delta| sin(q - p) = 4 Im(C * conj(A * conj(B)))
-    xi = 4.0 * float((cap_c * np.conj(ab)).imag)
+    xi = 4.0 * (cap_c * ab.conjugate()).imag
     r_norm = math.hypot(coef_a, coef_b)
     phi_ang = math.atan2(coef_a, coef_b)
     scale_ref = gamma * beta_mag + alpha * delta_mag
@@ -284,7 +292,7 @@ def _closed_form_phase(
     theta, (cap_a, cap_b, cap_c, alpha, gamma, beta_mag, delta_mag, *rest) = _phase_solution(
         a, b, noise_over_p, theta_current
     )
-    p_ang = float(np.angle(cap_a * np.conj(cap_b)))
+    p_ang = float(np.angle(cap_a * cap_b.conjugate()))
     q_ang = float(np.angle(cap_c))
     return theta, PhaseUpdateIntermediates(
         a, b, cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag, q_ang, *rest
@@ -295,12 +303,20 @@ class _AOState:
     """The AO's state at a feasible SA placement, its phases taken as given.
 
     SA1 is SA2 with every phase held at zero: e^{j0} = 1 + 0j leaves every
-    MSE bit as it is.  ``base`` holds every segment's gain row (M, K) and
-    ``shares`` is always ``segment_shares(base, thetas)``: a change to
-    segment m's PA or phase recomputes row m alone, with segment_shares'
-    arithmetic.  ``others[m]`` lists the segments but m in order, so
-    ``shares[others[m]]`` is np.delete's array and rest sums keep their
-    bits.  ``current`` is the MSE of the whole channel ``shares.sum(axis=0)``.
+    MSE bit as it is.  ``base`` holds every segment's gain row (M, K),
+    ``unphased`` is ``base * scale`` and ``shares`` is always
+    ``segment_shares(base, thetas)``: a change to segment m's PA or phase
+    recomputes row m alone, with segment_shares' arithmetic, and a phase
+    change leaves ``base[m]`` and ``unphased[m]`` as they are.
+    ``others[m]`` lists the segments but m in order, so ``shares[others[m]]``
+    is np.delete's array and rest sums keep their bits.  ``current`` is the
+    MSE of the whole channel ``shares.sum(axis=0)``.  ``rows[m]`` is the
+    grid row segment m's PA sits on, or None while the PA is off the grid
+    (its midpoint or random start): the AO sets it when ``settle`` accepts a
+    move to that row, so ``base[m]`` then holds the row's bits, and a
+    position step whose screen keeps that row alone confirms nothing.  Each
+    segment's spacing mask is kept, with the other PAs' positions it was
+    built for, until one of them moves.
     """
 
     def __init__(self, cfg: RadioConfig, scene: Scene, placement: Placement) -> None:
@@ -310,16 +326,19 @@ class _AOState:
         self.psis = placement.pa_x.copy()
         self.thetas = placement.phases.copy() if placement.architecture == "SA2" else np.zeros(m_seg)
         self.base = placement_gains(cfg, scene, placement)
+        self.unphased = self.base * self.scale
         self.shares = segment_shares(self.base, self.thetas)
         self.others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
         self.current = self._mse()
+        self.rows: list[Optional[int]] = [None] * m_seg
+        self._masks: list[Optional[tuple]] = [None] * m_seg
 
     def _mse(self) -> float:
         return float(mse_rows(self.shares.sum(axis=0), self.cfg.p_tx, self.cfg.noise_var))
 
     def split(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Segment m's unphased share a and the others' sum b: h = b + e^{j theta_m} a."""
-        return self.base[m] * self.scale, self.shares[self.others[m]].sum(axis=0)
+        return self.unphased[m], self.shares[self.others[m]].sum(axis=0)
 
     def solve_phase(self, m: int, solver=_phase_solution) -> tuple:
         """Segment m's closed-form best phase, every other segment frozen.
@@ -329,54 +348,87 @@ class _AOState:
         """
         return solver(*self.split(m), self.cfg.noise_var / self.cfg.p_tx, float(self.thetas[m]))
 
+    def _spacing(self, m: int, pts: np.ndarray) -> tuple[Optional[np.ndarray], int]:
+        """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count.
+
+        The pair is built for the other PAs' positions and kept, keyed on
+        their bytes, until one of them moves.
+        """
+        fixed = self.psis[self.others[m]]
+        key = fixed.tobytes()
+        cached = self._masks[m]
+        if cached is None or cached[0] != key:
+            delta = self.cfg.delta_min
+            lo, hi = pts[0], pts[-1]
+            # a fixed PA delta_min clear of the grid's nearer end is clear of
+            # every grid point (rounding is monotone), so no mask is needed
+            if all(lo - x >= delta or x - hi >= delta for x in fixed.tolist()):
+                cached = (key, None, pts.size)
+            else:
+                feasible = spacing_mask(pts, fixed, delta)
+                feasible.setflags(write=False)
+                cached = (key, feasible, int(np.count_nonzero(feasible)))
+            self._masks[m] = cached
+        return cached[1], cached[2]
+
     def position_step(
         self, m: int, pts: np.ndarray, stats: GridStats
-    ) -> tuple[Optional[int], float, int]:
+    ) -> tuple[Optional[int], Optional[float], int]:
         """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
 
-        ``_screened_scan`` scores the feasible grid points in grid order, then
-        the incumbent, so ties go to the lowest grid index.  Returns the first
-        minimum's grid row (None for the incumbent), its MSE and the
-        candidates counted: every feasible grid point plus the incumbent.
+        ``pts`` is segment m's grid, the same on every call.  ``_screened_scan``
+        scores the feasible grid points in grid order, then the incumbent, so
+        ties go to the lowest grid index.  Returns the first minimum's grid
+        row (None for the incumbent), its MSE and the candidates counted:
+        every feasible grid point plus the incumbent.  When the screen keeps
+        the PA's own grid row ``rows[m]`` alone, that row is the first
+        minimum and the PA stays: nothing is scored, and the result is
+        (None, None, count).
         """
-        cfg = self.cfg
-        fixed = self.psis[self.others[m]]
-        lo, hi = pts[0], pts[-1]
-        # a fixed PA delta_min clear of the grid's nearer end is clear of
-        # every grid point (rounding is monotone), so no mask is needed
-        if all(lo - x >= cfg.delta_min or x - hi >= cfg.delta_min for x in fixed.tolist()):
-            feasible, n_feasible = None, pts.size
-        else:
-            feasible = spacing_mask(pts, fixed, cfg.delta_min)
-            n_feasible = int(np.count_nonzero(feasible))
+        feasible, n_feasible = self._spacing(m, pts)
         factor = self.scale * np.exp(1j * self.thetas[m])
         rest = self.shares[self.others[m]].sum(axis=0)
-        rows, mses = _screened_scan(stats, rest, factor, self.base[m], feasible, cfg.p_tx, cfg.noise_var)
+        rows, mses = _screened_scan(
+            stats, rest, factor, self.base[m], self.rows[m], feasible, self.cfg.p_tx, self.cfg.noise_var
+        )
+        if mses is None:
+            return None, None, n_feasible + 1
         j = int(np.argmin(mses))
         return (int(rows[j]) if j < rows.size else None), float(mses[j]), n_feasible + 1
 
-    def settle(self, m: int, psi: float, row: np.ndarray, theta: float) -> None:
-        """The one accept rule of both AO passes.
+    def settle(
+        self, m: int, theta: float, psi: Optional[float] = None, row: Optional[np.ndarray] = None
+    ) -> bool:
+        """The one accept rule of both AO passes; returns whether the change was kept.
 
-        A change that moves neither m's PA nor its phase costs nothing; any
-        other is undone if it raised the whole channel's MSE, which is what
-        evaluate_placement computes.
+        A phase step passes theta alone, a position step also the PA's new
+        position psi and its gain row.  A change that moves neither m's PA
+        nor its phase costs nothing and is not kept; any other is undone if
+        it raised the whole channel's MSE, which is what evaluate_placement
+        computes.
         """
-        if psi == self.psis[m] and theta == self.thetas[m]:
-            return
-        undo = (float(self.psis[m]), self.base[m].copy(), float(self.thetas[m]))
-        self._move(m, psi, row, theta)
+        if (psi is None or psi == self.psis[m]) and theta == self.thetas[m]:
+            return False
+        undo = (float(self.thetas[m]),)
+        if psi is not None:
+            undo += (float(self.psis[m]), self.base[m].copy())
+        self._move(m, theta, psi, row)
         candidate = self._mse()
         if candidate <= self.current:
             self.current = candidate
-        else:
-            self._move(m, *undo)
+            return True
+        self._move(m, *undo)
+        return False
 
-    def _move(self, m: int, psi: float, row: np.ndarray, theta: float) -> None:
-        self.psis[m] = psi
-        self.base[m] = row
+    def _move(
+        self, m: int, theta: float, psi: Optional[float] = None, row: Optional[np.ndarray] = None
+    ) -> None:
+        if psi is not None:
+            self.psis[m] = psi
+            self.base[m] = row
+            self.unphased[m] = self.base[m] * self.scale
         self.thetas[m] = theta
-        self.shares[m] = self.base[m] * self.scale * np.exp(1j * theta)
+        self.shares[m] = self.unphased[m] * np.exp(1j * theta)
 
 
 def _require_sa2_segment(scene: Scene, placement: Placement, segment: int) -> None:
@@ -445,7 +497,26 @@ def _contenders(
     terms within (8K + 4n + 8) eps T: (8K + 8) eps T covers the sums over
     K and the squares and products, and each of the n rows, scaled by f or
     added in, moves a sum by at most 4 eps T more, however the screen's b
-    and the built candidate group their additions.  As both ratios are at
+    and the built candidate group their additions.  The position screen
+    (``_screened_scan``, n = 2, a = g_q) stays well inside that budget.
+    With u = eps / 2, its num is a 5-term dot, in any order, of the stored
+    (|A|^2, Re A, Im A, E_a, 1) with the coefficients (|f|^2, 2 Re w,
+    -2 Im w, 0, |B|^2), w = f conj(B).  The stored A and the computed B are
+    K-term sums, each off by at most sqrt(2) K u times its row's 1-norm,
+    which moves |f A + B|^2 by at most 1.5 K eps T.  |A|^2, rounded from
+    the stored A, adds eps T.  The coefficients, |f|^2 and |B|^2 within 5u
+    of their values and 2 Re w and 2 Im w within 2 eps |f| |B|, add
+    3.3 eps T.  The dot's terms sum in magnitude to at most sqrt(2) T, so it
+    adds 5 sqrt(2) u T < 3.6 eps T.  That is (1.5 K + 8) eps T in all.  Its
+    den is |f|^2 E_a + E_b + noise from the same dot, plus the cross term
+    2 Re(f C) as a 2K-term real dot, in BLAS order, of the gains' floats
+    with b conj(2 f).  E_a (K rounded squared moduli) and E_b (2K rounded
+    squares) are within (K + 5) eps T.  The cross term's products sum in
+    magnitude to at most 2 |f| ||a||_1 ||b||_1 <= T / 2, so it is within
+    (K + 2) eps T / 2, its vector's rounding included.  The 5-term dot and
+    the last addition add 3 eps T.  So num and den are each within
+    (2K + 9) eps T, against (8K + 16) eps T, and c is not raised for this
+    form.  As both ratios are at
     most K, they differ by at most E = c T / D + 8 K eps, with
     c = 2 (8K + 4n + 8) eps (1 + K) and D = min den - c T; the last term
     covers the roundings relative to the ratio (the noise term's among
@@ -474,24 +545,36 @@ def _screened_scan(
     rest: np.ndarray,
     factor: complex,
     incumbent: np.ndarray,
+    held: Optional[int],
     feasible: Optional[np.ndarray],
     p_tx: float,
     noise_var: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Score the candidates of one position update that can win.
 
     The candidates are h_q = rest + factor * g_q for the grid rows that
     ``feasible`` keeps (all of them when None), then the incumbent gain row.
     The first MSE minimum of the scored candidates is, to the bit, the first
-    minimum of scoring every candidate with ``mse_rows``:
+    minimum of scoring every candidate with ``mse_rows``.  A grid of at
+    most ``_FULL_SCAN_SIZE`` gains, or one with no feasible row, skips the
+    screen, and every feasible row is confirmed.  Otherwise:
 
-    * screen: with f = factor and b = rest, each row's alignment ratio
-      r_q = |sum b + f S_q|^2 / (sum |b|^2 + |f|^2 E_q + 2 Re(f X_q)
-      + noise_var / p_tx), with X_q = sum_k g_qk conj(b_k), comes from the
-      row statistics and one matrix-vector product.  MSE_q = K - r_q.
+    * screen: with f = factor, b = rest, B = sum b and E_b = sum |b|^2, each
+      row's alignment ratio r_q = num_q / den_q, with
+      num_q = |f|^2 |S_q|^2 + |B|^2 + 2 Re(f S_q conj(B)) and
+      den_q = |f|^2 E_q + E_b + noise_var / p_tx + 2 Re(f X_q),
+      X_q = sum_k g_qk conj(b_k), comes from one (2, 5) @ (5, Q) product
+      with the grid's real table and, for 2 Re(f X_q), one real
+      matrix-vector product of the gains' float view with
+      b conj(2 f) viewed as 2K floats.  MSE_q = K - r_q.
     * margin: ``_contenders`` keeps the rows whose r_q can still be the
       exact maximum, with weight sqrt(K) ||b||_2 + |f| L >= ||b||_1 + |f|
       ||g_q||_1 for two rows per candidate.
+    * skip: ``held`` is the grid row the incumbent equals bit for bit (None
+      when it is off the grid).  If the screen keeps that row alone, it is
+      the exact first minimum of the grid rows, and the incumbent, built
+      from the same bits, ties it after it; nothing is confirmed, and the
+      result is (rows, None).
     * confirm: the kept rows, in grid order, and then the incumbent are
       built as ``raw * factor + rest`` and scored by ``mse_rows``, which
       gives a row the same bits in any batch.  Every dropped row scores
@@ -501,22 +584,26 @@ def _screened_scan(
     candidates followed by the incumbent's.
     """
     k = stats.gains.shape[1]
-    if feasible is not None and not feasible.any():
-        rows = np.empty(0, dtype=np.intp)
+    if stats.gains.size <= _FULL_SCAN_SIZE or (feasible is not None and not feasible.any()):
+        rows = np.arange(len(stats.gains)) if feasible is None else np.flatnonzero(feasible)
     else:
         f = complex(factor)
         f_sq = abs(f) ** 2
         sum_b = complex(rest.sum())
         energy_b = float(np.vdot(rest, rest).real)
-        z = stats.sums * f
-        z += sum_b
-        num = z.real ** 2
-        num += z.imag ** 2
-        den = f_sq * stats.energy
-        den += (stats.gains @ (rest.conjugate() * (2.0 * f))).real
-        den += energy_b + noise_var / p_tx
+        # 2 Re(f S conj(B)) = Re S Re w - Im S Im w, w = 2 f conj(B)
+        w = 2.0 * f * sum_b.conjugate()
+        coef = np.array([
+            [f_sq, w.real, -w.imag, 0.0, abs(sum_b) ** 2],
+            [0.0, 0.0, 0.0, f_sq, energy_b + noise_var / p_tx],
+        ])
+        num, den = np.dot(coef, stats.table)
+        # Re(g conj(v)) = g.re v.re + g.im v.im with v = b conj(2 f)
+        den += np.dot(stats.flat, (rest * (2.0 * f).conjugate()).view(np.float64))
         weight = math.sqrt(k * energy_b) + math.sqrt(f_sq) * stats.l1
         rows = _contenders(num, den, weight, k, 2, feasible)
+        if held is not None and rows.size == 1 and rows[0] == held:
+            return rows, None
     raw = np.concatenate((stats.gains[rows], incumbent[None, :]))
     h = raw * factor
     h += rest
@@ -561,14 +648,13 @@ def _ao_engine(
         sweep_start = state.current
         if phased:
             for m in segments:
-                theta = state.solve_phase(m)[0]
                 evaluations += 3
-                state.settle(m, state.psis[m], state.base[m], theta)
+                state.settle(m, state.solve_phase(m)[0])
         for m, (pts, st) in enumerate(grid_stats):
             row, _, n = state.position_step(m, pts, st)
             evaluations += n
-            if row is not None:
-                state.settle(m, pts[row], st.gains[row], state.thetas[m])
+            if row is not None and state.settle(m, state.thetas[m], pts[row], st.gains[row]):
+                state.rows[m] = row
         trace.append(state.current)
         if sweep_start - state.current < tol:
             break

@@ -173,6 +173,30 @@ def test_drop_grids_are_the_grid_call_bitwise_in_any_kappa_order():
                     assert not gains.flags.writeable
 
 
+def test_screen_statistics_read_the_grid_gains_in_place():
+    """The position screen's float view is the grid's gains, and its table is the row sums.
+
+    The view shares the gains' read-only memory, so a screen copies no
+    (Q, K) gains; the table holds (|S_q|^2, Re S_q, Im S_q, E_q, 1) per row.
+    """
+    cfg = make_config(kappa=0.08)
+    scene = make_scene(m_segments=3, seg_length=2.0, k=6, seed=29)
+    grids = DropGrids(scene, 50, (cfg,))
+    for seg in range(3):
+        gains = grids.grid(cfg, seg)[1]
+        stats = grids.stats(cfg, seg)
+        assert stats.gains is gains
+        assert stats.flat.shape == (50, 12) and stats.flat.dtype == np.float64
+        assert np.shares_memory(stats.flat, gains)
+        assert not stats.flat.flags.writeable and not stats.table.flags.writeable
+        sums = gains.sum(axis=1)
+        want = [np.abs(sums) ** 2, sums.real, sums.imag, (np.abs(gains) ** 2).sum(axis=1), np.ones(50)]
+        assert stats.l1 == pytest.approx(np.abs(gains).sum(axis=1).max(), rel=1e-13)
+        # sums may cancel, so each entry is held to its term sizes: l1 or l1^2
+        for got, ref, size in zip(stats.table, want, (stats.l1 ** 2, stats.l1, stats.l1, stats.l1 ** 2, 1.0)):
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * size)
+
+
 def test_a_run_refuses_a_grid_table_built_for_another_run():
     """Another scene (even with the same users), another q, or a missing config is refused.
 

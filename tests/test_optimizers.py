@@ -866,8 +866,9 @@ def _screen_cases(seed, k):
             if m_seg == 1:
                 # with no rest sum, permuted rows tie exactly but round apart
                 gains[:] = np.array([g.permutation(gains[0]) for _ in range(q)])
-        # the incumbent is often a grid row itself
-        incumbent = gains[int(g.integers(q))].copy() if case % 2 else 1e-4 * cplx(k)
+        # the incumbent is often a grid row itself, held by the AO
+        held = int(g.integers(q)) if case % 2 else None
+        incumbent = 1e-4 * cplx(k) if held is None else gains[held].copy()
         # 80 dB SNR every third case, otherwise the suite's -90 dBm noise
         noise_var = P_TX * 1e-8 * float(np.mean(np.abs(gains) ** 2)) if case % 3 == 2 else 1e-12
         mask_kind = case % 4
@@ -879,40 +880,77 @@ def _screen_cases(seed, k):
             feasible = np.zeros(q, dtype=bool)
         else:
             feasible = np.ones(q, dtype=bool)
-        yield gains, rest, factor, incumbent, feasible, noise_var
-        if q > 1 and feasible is None:
+        yield gains, rest, factor, incumbent, held, feasible, noise_var
+        j, _ = _full_scan(gains, rest, factor, incumbent, feasible, noise_var)
+        if j is not None:
+            # the AO's PA already sits on the winning row, often the only row kept
+            yield gains, rest, factor, gains[j].copy(), j, feasible, noise_var
+        if q > 1 and feasible is None and j is not None and j > 0:
             # make the winner a duplicate of a lower row
-            j, _ = _full_scan(gains, rest, factor, incumbent, None, noise_var)
-            if j is not None and j > 0:
-                gains = gains.copy()
-                gains[int(g.integers(j))] = gains[j]
-                yield gains, rest, factor, incumbent, None, noise_var
+            gains = gains.copy()
+            i = int(g.integers(j))
+            gains[i] = gains[j]
+            yield gains, rest, factor, incumbent, None if held == i else held, None, noise_var
 
 
 @pytest.mark.parametrize("k", [1, 2, 20])
-def test_position_screen_picks_the_full_scans_row(k):
-    """Screen-then-confirm chooses the full scan's row with the same MSE bits."""
-    kept = 0
-    for gains, rest, factor, incumbent, feasible, noise_var in _screen_cases(300 + k, k):
+def test_position_screen_picks_the_full_scans_row(monkeypatch, k):
+    """Screen-then-confirm chooses the full scan's row with the same MSE bits.
+
+    When the incumbent is a grid row and the screen keeps that row alone,
+    nothing is confirmed: the full scan must pick that row, with the bits
+    the incumbent scores on its own.  The size rule is off, so every case
+    with a feasible row is screened.
+    """
+    monkeypatch.setattr(optimizers, "_FULL_SCAN_SIZE", 0)
+    kept = skipped = 0
+    for gains, rest, factor, incumbent, held, feasible, noise_var in _screen_cases(300 + k, k):
         want_row, want_mse = _full_scan(gains, rest, factor, incumbent, feasible, noise_var)
         rows, mses = optimizers._screened_scan(
-            DropGrids._row_stats(gains), rest, factor, incumbent, feasible, P_TX, noise_var
+            DropGrids._row_stats(gains), rest, factor, incumbent, held, feasible, P_TX, noise_var
         )
+        if mses is None:
+            assert rows.tolist() == [held] == [want_row]
+            alone = _full_scan(gains, rest, factor, incumbent, np.zeros(len(gains), dtype=bool), noise_var)
+            assert alone[1].tobytes() == want_mse.tobytes()
+            skipped += 1
+            continue
         j = int(np.argmin(mses))
         assert (int(rows[j]) if j < rows.size else None) == want_row
         assert mses[j].tobytes() == want_mse.tobytes()
         if feasible is not None:
             assert feasible[rows].all()
         kept += rows.size
-    assert kept > 0
+    assert kept > 0 and skipped > 0
 
 
-def test_position_screen_confirms_few_rows(monkeypatch):
-    """On sweep-k scenes the exact path scores about one grid row per update.
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_small_grids_confirm_every_feasible_row_bitwise(monkeypatch, kappa):
+    """Oracle-check's Q = 20, K = 3 is under the size rule: every update confirms every feasible row.
 
-    A loose screening margin would stay exact but score many rows, which
-    shows only as a slowdown; this pins the mean rows confirmed per update.
+    No update is screened, so none skips its confirm, and SA1 and SA2 match
+    the per-candidate reference to the bit, evaluations included.
     """
+    confirmed = _count_confirms(monkeypatch)
+    assert 20 * 3 <= optimizers._FULL_SCAN_SIZE
+    cfg = make_config(kappa=kappa, delta_min=0.3)
+    dropped = 0
+    for drop in range(4):
+        scene = make_scene(m_segments=2, seg_length=1.0, d_x=20.0, k=3, seed=derive_seed(1, drop))
+        for arch, run in (("SA1", sa1_ao), ("SA2", sa2_ao)):
+            init = midpoint_init(scene, arch)
+            confirmed.clear()
+            rec = run(cfg, scene, 20, init=init)
+            ref = reference_ao(cfg, scene, 20, init.pa_x, init.phases)
+            _assert_same_run(rec, ref)
+            assert len(confirmed) == 2 * rec.iterations
+            assert sum(confirmed) == rec.evaluations - 1 - 2 * rec.iterations * (1 + 3 * (arch == "SA2"))
+            dropped += ref["dropped"]
+    assert dropped > 0  # the spacing mask was exercised
+
+
+def _count_confirms(monkeypatch):
+    """Record the grid rows of each position update's confirm batch, incumbent left out."""
     confirmed = []
     mse_rows = optimizers.mse_rows
 
@@ -922,6 +960,16 @@ def test_position_screen_confirms_few_rows(monkeypatch):
         return mse_rows(h, *args, **kwargs)
 
     monkeypatch.setattr(optimizers, "mse_rows", counting)
+    return confirmed
+
+
+def test_position_screen_confirms_few_rows(monkeypatch):
+    """On sweep-k scenes the exact path scores about one grid row per update.
+
+    A loose screening margin would stay exact but score many rows, which
+    shows only as a slowdown; this pins the mean rows confirmed per update.
+    """
+    confirmed = _count_confirms(monkeypatch)
     for k in (2, 20):
         scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=k, seed=derive_seed(1, k))
         for kappa in (0.0, 0.08):
@@ -930,3 +978,64 @@ def test_position_screen_confirms_few_rows(monkeypatch):
             sa2_ao(cfg, scene, 1000)
     assert len(confirmed) > 100
     assert np.mean(confirmed) <= 2.0
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_most_sa2_updates_on_sweep_k_scenes_confirm_nothing_bitwise(monkeypatch, kappa):
+    """M = 5, Q = 1000, K = 2: once a PA sits on a grid row, its screen mostly keeps that row alone.
+
+    Such an update skips its confirm batch.  SA1 and SA2 still match the
+    per-candidate reference to the bit, evaluations included, and a skip
+    that quietly stopped firing shows in the count of confirm batches.
+    """
+    confirmed = _count_confirms(monkeypatch)
+    cfg = make_config(kappa=kappa)
+    scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=2, seed=derive_seed(2, 2))
+    for arch, run in (("SA1", sa1_ao), ("SA2", sa2_ao)):
+        init = midpoint_init(scene, arch)
+        confirmed.clear()
+        rec = run(cfg, scene, 1000, max_iters=6)
+        _assert_same_run(rec, reference_ao(cfg, scene, 1000, init.pa_x, init.phases, max_iters=6))
+        if arch == "SA2":
+            assert rec.iterations > 2
+            assert len(confirmed) < 5 * rec.iterations / 2
+
+
+def test_ao_settle_reports_whether_it_kept_the_change():
+    """A move that raises the MSE is undone to the bit and reported as not kept."""
+    cfg = make_config(kappa=0.08)
+    scene = make_scene(m_segments=3, seg_length=2.0, k=5, seed=7)
+    pts, gains = DropGrids(scene, 41, (cfg,)).grid(cfg, 1)
+    state = optimizers._AOState(cfg, scene, midpoint_init(scene, "SA2"))
+    mses = [evaluate_placement(cfg, scene, sa.Placement("SA2", np.array([state.psis[0], x, state.psis[2]]),
+                                                        phases=state.thetas.copy()))
+            for x in pts.tolist()]
+    worst, best = int(np.argmax(mses)), int(np.argmin(mses))
+    assert mses[worst] > state.current > mses[best]
+    before = [a.tobytes() for a in (state.psis, state.thetas, state.base, state.unphased, state.shares)]
+    assert not state.settle(1, state.thetas[1], pts[worst], gains[worst])
+    assert not state.settle(1, state.thetas[1])  # a step that changes nothing
+    assert [a.tobytes() for a in (state.psis, state.thetas, state.base, state.unphased, state.shares)] == before
+    assert state.settle(1, state.thetas[1], pts[best], gains[best])
+    assert state.current == mses[best] and state.psis[1] == pts[best]
+
+
+def test_a_refused_move_leaves_the_pa_off_the_grid(monkeypatch):
+    """The AO marks a PA's grid row only when settle keeps the move.
+
+    With every position move refused, each PA stays at its midpoint, off
+    the grid, so no update may skip its confirm batch.
+    """
+    confirmed = _count_confirms(monkeypatch)
+    settle = optimizers._AOState.settle
+
+    def refuse_moves(self, m, theta, psi=None, row=None):
+        return False if psi is not None else settle(self, m, theta)
+
+    monkeypatch.setattr(optimizers._AOState, "settle", refuse_moves)
+    cfg = make_config()
+    scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=2, seed=derive_seed(2, 2))
+    rec = sa2_ao(cfg, scene, 1000, max_iters=3)
+    assert rec.iterations > 1
+    assert np.array_equal(rec.placement.pa_x, scene.layout.midpoints)
+    assert len(confirmed) == 5 * rec.iterations
