@@ -46,7 +46,7 @@ class UserDrop:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.array(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (K, 2) with K >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
@@ -80,7 +80,7 @@ class WaveguideLayout:
             raise ValueError(f"seg_length must be positive and finite, got {self.seg_length}")
         if not 0 < self.height < math.inf:
             raise ValueError(f"height must be positive and finite, got {self.height}")
-        feeds = np.asarray(self.feed_x, dtype=float)
+        feeds = np.array(self.feed_x, dtype=float)
         if feeds.shape != (self.m_segments,):
             raise ValueError(
                 f"feed_x must have shape ({self.m_segments},), got {feeds.shape}"
@@ -128,7 +128,7 @@ class Placement:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
             )
-        pa = np.atleast_1d(np.asarray(self.pa_x, dtype=float))
+        pa = np.atleast_1d(np.array(self.pa_x, dtype=float))
         if pa.ndim != 1 or pa.size < 1:
             raise ValueError("pa_x must be a non-empty 1-d array")
         pa.setflags(write=False)
@@ -139,7 +139,7 @@ class Placement:
             if self.segment is None:
                 raise ValueError(f"{self.architecture} placements need a segment index")
         if self.phases is not None:
-            ph = np.atleast_1d(np.asarray(self.phases, dtype=float))
+            ph = np.atleast_1d(np.array(self.phases, dtype=float))
             if ph.shape != pa.shape:
                 raise ValueError("phases must match pa_x in shape")
             if not np.isfinite(ph).all():

@@ -25,19 +25,18 @@ the PA stays, and the update still counts every feasible candidate.  Each
 segment's spacing mask is kept until another PA moves.  Both AO passes keep
 a change only if the rescored whole channel's MSE did not rise (a step that
 changes nothing is skipped, but still counted), so the recorded MSE is the
-one evaluate_placement recomputes.  The joint oracles count every feasible
-(position tuple, rotation) pair, although only the pairs their screen keeps
-are scored again on the exact path.  With more than one rotation (SA2), a
-tuple stage first drops whole position tuples: a closed-form bound on each
-tuple's best ratio over every rotation, taken from the same per-tuple
-statistics, certifies that all of its pairs score above an MSE already
-confirmed.  Every grid search reads the drop's ``DropGrids`` table passed
-as ``grids``, or builds one for its own config when none is passed.
+one evaluate_placement recomputes.  The joint oracles score every
+(position tuple, rotation) pair of the tuples they keep, and count every
+feasible pair.  SA1 keeps every feasible tuple.  With more than one
+rotation (SA2), a tuple stage drops whole position tuples: a closed-form
+bound on each tuple's best ratio over every rotation, taken from five
+per-tuple statistics, certifies that all of its pairs score above an MSE
+already scored.  Every grid search reads the drop's ``DropGrids`` table
+passed as ``grids``, or builds one for its own config when none is passed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -73,9 +72,10 @@ TWO_PI = 2.0 * math.pi
 # scale) carries no phase information; the incumbent phase is kept.
 _DEGENERATE_RTOL = 1e-15
 
-# Position tuples a joint oracle takes statistics of at once, and (tuple,
-# rotation) pairs it screens at once, which bounds its working set at any
-# grid size the tuple cap admits.
+# Position tuples a joint oracle gathers at once, and (tuple, rotation)
+# pairs it scores at once, in whole tuples: this bounds its working set at
+# any grid size the tuple cap admits, but for one tuple of a larger phase
+# grid.
 _TUPLE_BLOCK = 1 << 13
 
 # A position update on a grid of at most this many gains (Q K) confirms
@@ -93,8 +93,9 @@ class RunRecord:
     mse_trace holds the objective after the initial evaluation and then per
     sweep or stage (optimizer-dependent); final_mse is its last entry.
     evaluate_placement(cfg, scene, placement) recomputes it exactly for SS,
-    PASS, SA1 and SA2, and to about 1e-12 relative for the joint oracles,
-    whose best candidate's channel is summed in a different order.
+    PASS, SA1, SA2 and the SA1 joint oracle, and to about 1e-12 relative for
+    the SA2 joint oracle, whose best candidate's channel is built by other
+    array operations.
     """
 
     placement: Placement
@@ -464,12 +465,28 @@ def phase_objective(
 
 
 def _rounding_coef(k: int, n_rows: int) -> float:
-    """c of ``_contenders``: c T is 2 (1 + K) times its bound on a screened sum's rounding."""
+    """c, with c T / (2 (1 + K)) a bound on the rounding of a candidate's sums.
+
+    A candidate is a channel h over K users built left to right from
+    ``n_rows`` rows (f times the first, then the others added one by one),
+    with T bounding every channel term of its numerator |sum h|^2 and its
+    denominator sum |h|^2.  Scored by ``mse_rows`` or from a screen's
+    statistics, each sum is within (8K + 4n + 8) eps T of its exact value:
+    (8K + 8) eps T covers the sums over K and the squares and products, and
+    each of the n rows, scaled by f or added in, moves a sum by at most
+    4 eps T more, however the additions are grouped.
+    """
     return 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
 
 
 def _margin(ct: float, low: float, k: int) -> float:
-    """2E of ``_contenders``, with E = c T / D + 8 K eps for ``ct`` = c T and ``low`` = D."""
+    """2E, with E = c T / D + 8 K eps for ``ct`` = c T and ``low`` = D.
+
+    Two ratios num / den, each at most K, whose sums are each within the
+    bound of ``_rounding_coef`` and whose denominators are at least D
+    differ by at most E; the last term covers the roundings relative to the
+    ratio (the noise term's among them) and to K minus it.
+    """
     return 2.0 * (ct / low + 8 * k * _EPS)
 
 
@@ -478,57 +495,47 @@ def _contenders(
     den: np.ndarray,
     weight: float,
     k: int,
-    n_rows: int,
     feasible: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Flat indices, in order, of the screened candidates that can hold the exact first minimum.
+    """Indices, in order, of the screened rows that can hold the exact first minimum.
 
-    A candidate is the channel h = f a + r_1 + ... + r_{n-1} over K users,
-    built left to right from ``n_rows`` rows (f times the first row, then the
-    others added one by one) and scored by ``mse_rows``.  The screen gives it
-    the alignment ratio num / den, with num = |f A + B|^2 and
-    den = |f|^2 E_a + E_b + 2 Re(f C) + noise_var / p_tx, where b is the
-    computed sum of the other rows, A = sum a, B = sum b, C = sum a conj(b),
-    E_a = sum |a|^2 and E_b = sum |b|^2 (num either as written or expanded
-    as |f|^2 |A|^2 + |B|^2 + 2 Re(f A conj(B))).  ``weight`` bounds
-    |f| ||a||_1 + ||r_1||_1 + ... + ||r_{n-1}||_1 for every candidate, so
-    every channel term of the numerator and the denominator is at most
-    T = weight^2.  The screen and ``mse_rows`` each get the sums of those
-    terms within (8K + 4n + 8) eps T: (8K + 8) eps T covers the sums over
-    K and the squares and products, and each of the n rows, scaled by f or
-    added in, moves a sum by at most 4 eps T more, however the screen's b
-    and the built candidate group their additions.  The position screen
-    (``_screened_scan``, n = 2, a = g_q) stays well inside that budget.
-    With u = eps / 2, its num is a 5-term dot, in any order, of the stored
-    (|A|^2, Re A, Im A, E_a, 1) with the coefficients (|f|^2, 2 Re w,
-    -2 Im w, 0, |B|^2), w = f conj(B).  The stored A and the computed B are
-    K-term sums, each off by at most sqrt(2) K u times its row's 1-norm,
-    which moves |f A + B|^2 by at most 1.5 K eps T.  |A|^2, rounded from
-    the stored A, adds eps T.  The coefficients, |f|^2 and |B|^2 within 5u
-    of their values and 2 Re w and 2 Im w within 2 eps |f| |B|, add
-    3.3 eps T.  The dot's terms sum in magnitude to at most sqrt(2) T, so it
-    adds 5 sqrt(2) u T < 3.6 eps T.  That is (1.5 K + 8) eps T in all.  Its
-    den is |f|^2 E_a + E_b + noise from the same dot, plus the cross term
-    2 Re(f C) as a 2K-term real dot, in BLAS order, of the gains' floats
-    with b conj(2 f).  E_a (K rounded squared moduli) and E_b (2K rounded
-    squares) are within (K + 5) eps T.  The cross term's products sum in
-    magnitude to at most 2 |f| ||a||_1 ||b||_1 <= T / 2, so it is within
-    (K + 2) eps T / 2, its vector's rounding included.  The 5-term dot and
-    the last addition add 3 eps T.  So num and den are each within
-    (2K + 9) eps T, against (8K + 16) eps T, and c is not raised for this
-    form.  As both ratios are at
-    most K, they differ by at most E = c T / D + 8 K eps, with
-    c = 2 (8K + 4n + 8) eps (1 + K) and D = min den - c T; the last term
-    covers the roundings relative to the ratio (the noise term's among
-    them) and to K minus it.  So the exact first minimum has a screened
-    ratio of at least max ratio - 2E, and every candidate that close to the
-    maximum is kept: each dropped one scores strictly above the kept
-    minimum.  If D <= 0, rounding could swamp a denominator, and every
-    candidate is kept.  ``feasible`` (num's shape, None for all) marks the
-    candidates that may be kept.  The ratios overwrite ``num``.
+    A candidate of the AO's position screen (``_screened_scan``) is the
+    channel h = f a + b over K users, f times a grid row a plus the rest
+    sum b, and is scored by ``mse_rows``.  The screen gives it the
+    alignment ratio num / den, with num = |f|^2 |A|^2 + |B|^2
+    + 2 Re(f A conj(B)) and den = |f|^2 E_a + E_b + 2 Re(f C)
+    + noise_var / p_tx, where A = sum a, B = sum b, C = sum a conj(b),
+    E_a = sum |a|^2 and E_b = sum |b|^2.  ``weight`` bounds
+    |f| ||a||_1 + ||b||_1 for every row, so every channel term of the
+    numerator and the denominator is at most T = weight^2, and
+    ``_rounding_coef`` (n = 2) budgets (8K + 16) eps T for each sum.  The
+    screen stays well inside that budget.  With u = eps / 2, its num is a
+    5-term dot, in any order, of the stored (|A|^2, Re A, Im A, E_a, 1)
+    with the coefficients (|f|^2, 2 Re w, -2 Im w, 0, |B|^2), w = f conj(B).
+    The stored A and the computed B are K-term sums, each off by at most
+    sqrt(2) K u times its row's 1-norm, which moves |f A + B|^2 by at most
+    1.5 K eps T.  |A|^2, rounded from the stored A, adds eps T.  The
+    coefficients, |f|^2 and |B|^2 within 5u of their values and 2 Re w and
+    2 Im w within 2 eps |f| |B|, add 3.3 eps T.  The dot's terms sum in
+    magnitude to at most sqrt(2) T, so it adds 5 sqrt(2) u T < 3.6 eps T.
+    That is (1.5 K + 8) eps T in all.  Its den is |f|^2 E_a + E_b + noise
+    from the same dot, plus the cross term 2 Re(f C) as a 2K-term real dot,
+    in BLAS order, of the gains' floats with b conj(2 f).  E_a (K rounded
+    squared moduli) and E_b (2K rounded squares) are within (K + 5) eps T.
+    The cross term's products sum in magnitude to at most
+    2 |f| ||a||_1 ||b||_1 <= T / 2, so it is within (K + 2) eps T / 2, its
+    vector's rounding included.  The 5-term dot and the last addition add
+    3 eps T.  So num and den are each within (2K + 9) eps T.  With
+    D = min den - c T, the screened and the ``mse_rows`` ratio of a row
+    differ by at most E (``_margin``), so the exact first minimum has a
+    screened ratio of at least max ratio - 2E, and every row that close to
+    the maximum is kept: each dropped one scores strictly above the kept
+    minimum.  If D <= 0, rounding could swamp a denominator, and every row
+    is kept.  ``feasible`` (None for all) marks the rows that may be kept.
+    The ratios overwrite ``num``.
     """
     t = weight * weight
-    c = _rounding_coef(k, n_rows)
+    c = _rounding_coef(k, 2)
     low = float(den.min()) - c * t
     if low > 0.0:
         ratio = np.divide(num, den, out=num)
@@ -601,7 +608,7 @@ def _screened_scan(
         # Re(g conj(v)) = g.re v.re + g.im v.im with v = b conj(2 f)
         den += np.dot(stats.flat, (rest * (2.0 * f).conjugate()).view(np.float64))
         weight = math.sqrt(k * energy_b) + math.sqrt(f_sq) * stats.l1
-        rows = _contenders(num, den, weight, k, 2, feasible)
+        rows = _contenders(num, den, weight, k, feasible)
         if held is not None and rows.size == 1 and rows[0] == held:
             return rows, None
     raw = np.concatenate((stats.gains[rows], incumbent[None, :]))
@@ -731,11 +738,12 @@ def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> 
 
 
 def _tuple_stats(a: np.ndarray, b: np.ndarray, noise_over_p: float) -> np.ndarray:
-    """Screen statistics of the channels rot * a[t] + b[t], one tuple t per row.
+    """Tuple-stage statistics of the channels rot * a[t] + b[t], one tuple t per row.
 
-    The (num, den) x basis term x tuple array of ``_joint_scan``: num is
-    (|A|^2, |B|^2, Re, -Im of A conj(B)) and den is (E_a, E_b + noise_var
-    / p_tx, Re, -Im of C), each dotted with (|rot|^2, 1, 2 Re rot, 2 Im rot).
+    A (num, den) x term x tuple array: num is (|A|^2, |B|^2, Re, -Im of
+    A conj(B)) and den is (E_a, E_b + noise_var / p_tx, Re, -Im of C); a
+    rotation's num and den are their terms dotted with
+    (|rot|^2, 1, 2 Re rot, 2 Im rot).
     """
     sum_a = a.sum(axis=1)
     sum_b = b.sum(axis=1)
@@ -793,62 +801,54 @@ def _joint_scan(
     in itertools.product order, last segment fastest; within a tuple the
     rotations ``rot`` run in order.  A pair's channel is built as
     rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
-    segment m's.  Statistics are taken for up to ``_TUPLE_BLOCK`` tuples at
-    a time; with more than one rotation, a tuple stage first drops whole
-    tuples, and the pairs of the tuples left are screened, then confirmed:
+    segment m's, and scored by ``mse_rows``.  Feasible tuples are gathered
+    up to ``_TUPLE_BLOCK`` at a time and scored in blocks of whole tuples
+    with all their rotations, in product order; a block replaces the
+    incumbent only when its first minimum is strictly lower.  With more
+    than one rotation (SA2), a tuple stage first drops whole tuples of each
+    gathering:
 
-    * statistics: per feasible tuple, with b = r_1 + ... + r_{M-1},
-      A = sum a, B = sum b, C = sum a conj(b), E_a = sum |a|^2 and
-      E_b = sum |b|^2 give every rotation's alignment ratio
+    * statistics: per tuple, with b = r_1 + ... + r_{M-1}, A = sum a,
+      B = sum b, C = sum a conj(b), E_a = sum |a|^2 and E_b = sum |b|^2
+      give every rotation's alignment ratio
       num / den = |rot A + B|^2 / (|rot|^2 E_a + E_b + 2 Re(rot C)
-      + noise_var / p_tx) with no further work on the K axis.
-    * tuple stage: with alpha = |A|^2 + |B|^2, beta = A conj(B),
+      + noise_var / p_tx) (``_tuple_stats``).
+    * test: with alpha = |A|^2 + |B|^2, beta = A conj(B),
       gamma = E_a + E_b + noise_var / p_tx and delta = C, the maximum of
       num - tau den over |rot| = 1 is alpha - tau gamma + 2 |beta - tau delta|
       (``_surviving_tuples``), so no rotation reaches the ratio tau where that
       is negative (Dinkelbach's parametric test for a ratio), and a tuple's
       largest ratio lambda_t is the largest root of
       (lambda gamma - alpha)^2 = 4 |beta - lambda delta|^2
-      (``_ratio_ceilings``).  The rotations of the block's tuple of largest
-      lambda_t are screened and confirmed first; with m the lower of their
-      minimum and the incumbent's MSE, tau = K - m - 2E, and a tuple whose
-      bound is below -err is dropped whole.
-    * screen: the ratios of the tuples left come in blocks of at most
-      ``_TUPLE_BLOCK`` pairs, whole tuples with all their rotations or one
-      tuple with a run of rotations, in product order.
-    * margin: ``_contenders`` keeps the pairs of a block whose ratio can
-      still be the block's exact maximum.  Its weight, the largest
-      max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the grids allow,
-      holds for every tuple, so a rest row b that differs per tuple is
-      covered.
-    * confirm: the kept pairs are built as above and scored by
-      ``mse_rows``; the first of their minima is the block's, and a block
-      replaces the incumbent only when strictly lower.
+      (``_ratio_ceilings``).  The rotations of the tuple of largest
+      lambda_t are scored first; with m the lower of their minimum and the
+      incumbent's MSE, tau = K - m - 2E, and a tuple whose bound is below
+      -err is dropped whole.
 
-    Rounding of the tuple stage, with T, c and E as in ``_contenders``
-    (n = M): each statistic is within c T / (2 (1 + K)) of its exact sum
-    over the stored rows, but for roundings relative to the noise term.
-    ``rot`` need not have |rot|^2 = 1 to rounding: eta bounds
-    ||rot|^2 - 1|, and any rotation's exact num - tau den is at most the
-    bound of the exact statistics plus 3 eta (1 + K) T.  As 0 < tau <= K,
-    the computed bound is within 2.5 c T + 27 eps (1 + K)(T + gamma) of the
-    exact statistics' bound, so err = 4 c T + (1 + K)(32 eps gamma
-    + 3 eta T) makes every rotation of a dropped tuple have exact
-    num - tau den < 0.  D = min(gamma - 2 max|rot| |delta|) - (2 c + eta) T,
-    the minimum over every tuple of the block, bounds every pair's den
-    below, screened, exact or ``mse_rows``', the pairs of dropped tuples
-    among them; E uses this D.  So a dropped pair's exact ratio is below
-    tau, its ``mse_rows`` ratio K - MSE, within E of that, is below K - m,
-    and it scores strictly above m, which is at least the final minimum:
-    the reference tuple is screened again in its place.  A pair that ties
-    m exactly is never dropped, and the survivors keep product order and
-    the strict replacement rule, so an exact tie across tuples still goes
-    to the first in product order.  If D <= 0 or tau <= 0, no tuple is
-    dropped.  Every pair the pair screen drops scores strictly above its
-    block's kept minimum.  The result is therefore, to the bit, the first
-    minimum of scoring every pair with ``mse_rows``.  Returns (MSE,
-    positions, rotation index, pairs counted): every feasible pair is
-    counted, although only the kept ones are scored.
+    Rounding of the tuple stage, with T, c and E as in ``_rounding_coef``
+    and ``_margin`` (n = M, weight the largest
+    max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the grids allow):
+    each statistic is within c T / (2 (1 + K)) of its exact sum over the
+    stored rows, but for roundings relative to the noise term.  ``rot``
+    need not have |rot|^2 = 1 to rounding: eta bounds ||rot|^2 - 1|, and
+    any rotation's exact num - tau den is at most the bound of the exact
+    statistics plus 3 eta (1 + K) T.  As 0 < tau <= K, the computed bound
+    is within 2.5 c T + 27 eps (1 + K)(T + gamma) of the exact statistics'
+    bound, so err = 4 c T + (1 + K)(32 eps gamma + 3 eta T) makes every
+    rotation of a dropped tuple have exact num - tau den < 0.
+    D = min(gamma - 2 max|rot| |delta|) - (2 c + eta) T, the minimum over
+    every gathered tuple, bounds every pair's den below, exact or
+    ``mse_rows``', the pairs of dropped tuples among them; E uses this D.
+    So a dropped pair's exact ratio is below tau, its ``mse_rows`` ratio
+    K - MSE, within E of that, is below K - m, and it scores strictly above
+    m, which is at least the final minimum: the reference tuple is scored
+    again in its place.  A pair that ties m exactly is never dropped, and
+    the survivors keep product order and the strict replacement rule, so an
+    exact tie across tuples still goes to the first in product order.  If
+    D <= 0 or tau <= 0, no tuple is dropped.  The result is therefore, to
+    the bit, the first minimum of scoring every pair with ``mse_rows``.
+    Returns (MSE, positions, rotation index, pairs counted): every feasible
+    pair is counted, the pairs of dropped tuples among them.
     """
     grids = DropGrids.for_run(cfg, scene, q_grid, grids)
     m_seg = scene.layout.m_segments
@@ -875,24 +875,18 @@ def _joint_scan(
             gains = np.vstack([gains, segment_gain_matrix(cfg, scene, m, extras[m])])
         cands.append(pts)
         shares.append(gains * scale)
-    row_l1 = [float(np.abs(share).sum(axis=1).max()) for share in shares]
-    rot_max = float(np.abs(rot).max())
-    weight = rot_max * row_l1[0] + sum(row_l1[1:])
     k = scene.k
-    t_sq = weight * weight
-    ct = _rounding_coef(k, m_seg) * t_sq
-    # bounds ||rot|^2 - 1| over the rotations, this line's rounding included
-    eta = float(np.abs(np.square(np.abs(rot)) - 1.0).max()) + 4 * _EPS
-    # |rot A + B|^2 = |rot|^2 |A|^2 + |B|^2 + 2 Re(rot A conj(B)) and
-    # sum |rot a + b|^2 = |rot|^2 E_a + E_b + 2 Re(rot C), so a tuple's num
-    # and den are its four terms of each dotted with a column of this basis
-    basis = np.stack([np.square(np.abs(rot)), np.ones(len(rot)), 2.0 * rot.real, 2.0 * rot.imag])
-    noise_over_p = cfg.noise_var / cfg.p_tx
-    pairs = np.triu_indices(m_seg, 1)
     n_rot = len(rot)
+    if n_rot > 1:
+        rot_max = float(np.abs(rot).max())
+        row_l1 = [float(np.abs(share).sum(axis=1).max()) for share in shares]
+        weight = rot_max * row_l1[0] + sum(row_l1[1:])
+        t_sq = weight * weight
+        ct = _rounding_coef(k, m_seg) * t_sq
+        # bounds ||rot|^2 - 1| over the rotations, this line's rounding included
+        eta = float(np.abs(np.square(np.abs(rot)) - 1.0).max()) + 4 * _EPS
+    pairs = np.triu_indices(m_seg, 1)
     tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
-    rots_per_block = min(n_rot, _TUPLE_BLOCK)
-    rot_starts = range(0, n_rot, rots_per_block)
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, _TUPLE_BLOCK):
@@ -904,38 +898,31 @@ def _joint_scan(
             idx = [i[keep] for i in idx]
         count += len(pos) * n_rot
         a, *others = [share[i] for share, i in zip(shares, idx)]
-        b = np.zeros_like(a)
-        for row in others:
-            b += row
-        stats = _tuple_stats(a, b, noise_over_p)
 
-        def block_min(sel: np.ndarray, r0: int) -> tuple[float, int, int]:
-            """First MSE minimum of the kept pairs of tuples ``sel`` and rotations from r0."""
-            block_rot = rot[r0:r0 + rots_per_block]
-            # einsum, not matmul: a BLAS gemm touches its packing buffers,
-            # about a quarter megabyte of peak memory, for an inner size of 4
-            num, den = np.einsum("sjt,jr->str", stats[:, :, sel], basis[:, r0:r0 + rots_per_block])
-            t, r = np.divmod(_contenders(num, den, weight, k, m_seg), block_rot.size)
-            t = sel[t]
-            h = block_rot[r][:, None] * a[t]
+        def block_min(sel: np.ndarray) -> tuple[float, int, int]:
+            """First MSE minimum over every rotation of the tuples ``sel``: (MSE, tuple, rotation)."""
+            h = rot[:, None] * a[sel, None]
             for row in others:
-                h += row[t]
+                h += row[sel, None]
             mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
-            j = int(np.argmin(mses))
-            return float(mses[j]), int(t[j]), r0 + int(r[j])
+            t, r = np.unravel_index(np.argmin(mses), mses.shape)
+            return float(mses[t, r]), int(sel[t]), int(r)
 
         live = np.arange(len(pos))
         if n_rot > 1 and live.size:
+            b = np.zeros_like(a)
+            for row in others:
+                b += row
+            stats = _tuple_stats(a, b, cfg.noise_var / cfg.p_tx)
             den_floor = stats[1, 0] + stats[1, 1] - 2.0 * rot_max * np.hypot(stats[1, 2], stats[1, 3])
             low = float(den_floor.min()) - 2.0 * ct - eta * t_sq
             if low > 0.0:
-                ref = np.array([np.argmax(_ratio_ceilings(stats))])
-                m_ref = min(best[0], *(block_min(ref, r0)[0] for r0 in rot_starts))
+                m_ref = min(best[0], block_min(np.array([np.argmax(_ratio_ceilings(stats))]))[0])
                 tau = k - m_ref - _margin(ct, low, k)
                 if tau > 0.0:
                     live = _surviving_tuples(stats, tau, ct, eta * t_sq, k)
-        for t0, r0 in itertools.product(range(0, live.size, tuples_per_block), rot_starts):
-            mse, t, r = block_min(live[t0:t0 + tuples_per_block], r0)
+        for t0 in range(0, live.size, tuples_per_block):
+            mse, t, r = block_min(live[t0:t0 + tuples_per_block])
             if mse < best[0]:
                 best = (mse, pos[t].copy(), r)
     if best[1] is None:

@@ -99,6 +99,22 @@ def test_placement_validation():
         p.phases[0] = 3.0
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda x: sa.UserDrop(x.reshape(1, 2)), "positions"),
+    (lambda x: sa.WaveguideLayout(2, 1.0, x, 3.0), "feed_x"),
+    (lambda x: sa.Placement("SA1", x), "pa_x"),
+    (lambda x: sa.Placement("SA2", np.array([0.5, 2.0]), phases=x), "phases"),
+], ids=["positions", "feed_x", "pa_x", "phases"])
+def test_constructors_freeze_a_copy_not_the_callers_array(build, field):
+    """A frozen field is the constructor's own copy: the caller's float64 array stays writable."""
+    x = np.array([0.0, 1.5])
+    obj = build(x)
+    x[0] = 0.25
+    assert getattr(obj, field).ravel()[0] == 0.0
+    with pytest.raises(ValueError):
+        getattr(obj, field)[..., 0] = 1.0
+
+
 def test_validate_placement_flags_out_of_segment():
     lay = sa.build_layout(2, 1.0, sa.ServiceRegion(100.0, 20.0), 3.0)  # feeds 49, 50
     p = sa.Placement("SA1", np.array([48.0, 50.5]))

@@ -81,7 +81,8 @@ def test_mse_rows_gives_a_row_the_same_bits_in_any_batch():
     """Scoring a subset of rows equals the matching entries of the full batch.
 
     The AO's position update scores only the candidates its screen keeps and
-    relies on this to return the full scan's bits.
+    relies on this to return the full scan's bits; the joint oracles score
+    (tuple, rotation) batches of any shape.
     """
     g = philox_stream(7)
     for k in range(1, 33):
@@ -94,6 +95,7 @@ def test_mse_rows_gives_a_row_the_same_bits_in_any_batch():
             assert full[rows].tobytes() == mse_rows(h[rows], P, NV).tobytes()
         for i in (0, n // 2, n - 1):
             assert full[i].tobytes() == mse_rows(h[i], P, NV).tobytes()
+        assert full.tobytes() == mse_rows(h.reshape(12, 5, k), P, NV).tobytes()
 
 
 def test_mse_min_matches_scaling_composition():

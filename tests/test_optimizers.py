@@ -530,7 +530,7 @@ def test_sa1_position_update_is_the_full_scan_bitwise(kappa):
 
 
 # (kappa, p_dbm): the suite's 10 dBm, then high SNR, where the noise term no
-# longer hides the screen's rounding in the joint oracles' ratios
+# longer hides rounding in the joint oracles' ratios
 _JOINT_RADIO = pytest.mark.parametrize(
     "kappa,p_dbm",
     [(0.0, 10.0), (0.08, 10.0), (0.0, 70.0), (0.08, 70.0), (0.0, 100.0), (0.08, 100.0)],
@@ -555,6 +555,7 @@ def _check_sa1_joint(m_seg, q, kappa, delta_min, p_dbm=10.0):
     assert rec.mse_trace == (best,)
     assert np.array_equal(rec.placement.pa_x, pa_x)
     assert rec.evaluations == count
+    assert rec.final_mse == evaluate_placement(cfg, scene, rec.placement)
 
 
 @_JOINT_RADIO
@@ -627,59 +628,54 @@ def test_joint_oracles_do_not_depend_on_the_block_size(monkeypatch, block, delta
     assert _check_sa2_joint(0.08, delta_min) >= block
 
 
-def _count_contenders(monkeypatch):
-    """Record how many candidates each screened block keeps."""
-    kept = []
-    contenders = optimizers._contenders
-
-    def counting(num, den, *args, **kwargs):
-        rows = contenders(num, den, *args, **kwargs)
-        kept.append((rows.size, num.size))
-        return rows
-
-    monkeypatch.setattr(optimizers, "_contenders", counting)
-    return kept
-
-
 def test_joint_oracles_match_the_reference_when_every_pair_is_kept(monkeypatch):
-    """At 100 dB/m and 100 dBm, D = min den - c T <= 0: the screen keeps a whole block.
+    """At 100 dB/m and 100 dBm, D <= 0: the SA2 tuple stage keeps every tuple.
 
     Gains at a segment's far end are 10^-10 of those at its feed, so
     rounding could swamp the smallest denominators, and every pair is
-    rescored; the result is still the reference's to the bit.
+    scored; the result is still the reference's to the bit.
     """
-    kept = _count_contenders(monkeypatch)
     stages = _count_survivors(monkeypatch)
     _check_sa1_joint(2, 15, 100.0, None, p_dbm=100.0)
     _check_sa2_joint(100.0, None, p_dbm=100.0)
-    assert any(n_kept == size > 1 for n_kept, size in kept)
-    assert not stages  # the SA2 tuple stage kept every tuple too
+    assert not stages  # the SA2 tuple stage kept every tuple
 
 
-def test_joint_screen_confirms_few_pairs(monkeypatch):
-    """On oracle-check scenes an SA2 oracle call screens the rotations of two tuples at most.
+def _count_scored(monkeypatch):
+    """Record the channels of each ``mse_rows`` call the optimizers make."""
+    scored = []
+    mse_rows = optimizers.mse_rows
 
-    Its tuple stage screens the reference tuple, and then the tuples the
-    certificate keeps, here the reference alone.  A loose certificate or
-    screening margin would stay exact but screen or rescore many pairs,
-    which shows only as a slowdown; this pins the tuples an SA2 call
-    screens, the pairs it rescores per block, and the pairs an SA1 call
-    rescores in all.
+    def counting(h, *args, **kwargs):
+        scored.append(h.size // h.shape[-1])
+        return mse_rows(h, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "mse_rows", counting)
+    return scored
+
+
+def test_joint_oracles_score_few_pairs(monkeypatch):
+    """On oracle-check scenes an SA2 oracle call scores the rotations of two tuples at most.
+
+    Its tuple stage scores the reference tuple, and then the tuples the
+    certificate keeps, here the reference alone.  A loose certificate would
+    stay exact but score many pairs, which shows only as a slowdown; this
+    pins the pairs an SA2 call scores.  An SA1 call scores every feasible
+    tuple once.
     """
-    kept = _count_contenders(monkeypatch)
+    scored = _count_scored(monkeypatch)
     theta_grid = 720
     for drop in range(5):
         scene = wide_scene(k=3, seed=derive_seed(1, drop))
         extra = [[x] for x in scene.layout.midpoints.tolist()]
         for kappa in (0.0, 0.08):
             cfg = make_config(kappa=kappa)
-            kept.clear()
-            sa1_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
-            assert sum(n_kept for n_kept, _ in kept) <= 2
-            kept.clear()
+            scored.clear()
+            rec = sa1_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
+            assert sum(scored) == rec.evaluations
+            scored.clear()
             sa2_joint_exhaustive(cfg, scene, 20, theta_grid=theta_grid, extra_candidates=extra)
-            assert sum(size for _, size in kept) <= 2 * theta_grid
-            assert max(n_kept for n_kept, _ in kept) <= 2
+            assert sum(scored) <= 2 * theta_grid
 
 
 def _exact_ratio(a, b, rot, noise_over_p):
