@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -135,22 +135,32 @@ def _in_waveguide(cfg: RadioConfig, ell: np.ndarray) -> np.ndarray:
 
 
 def segment_gain_matrix(
-    cfg: RadioConfig, scene: Scene, segment: int, psi: Sequence[float]
+    cfg: RadioConfig,
+    scene: Scene,
+    segment: Union[int, Sequence[int]],
+    psi: Sequence[float],
+    free: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """End-to-end gains for PA candidate positions on one segment.
+    """End-to-end gains for PA candidate positions.
 
     Returns a complex (P, K) matrix: entry (i, k) is the feed-to-user-k gain
-    with the PA at psi[i].  Candidates must lie at or after the feed.
+    with the PA at psi[i] on ``segment``, one segment index for every
+    candidate or a sequence of one per candidate.  Candidates must lie at or
+    after their feed.  ``free``, when given, is ``_free_space`` at psi under
+    cfg's carrier, computed once for several configs; each row's bits do
+    not depend on the batch it is computed in.
     """
     layout = scene.layout
-    if not (0 <= segment < layout.m_segments):
+    seg = np.asarray(segment)
+    if not np.all((0 <= seg) & (seg < layout.m_segments)):
         raise ValueError(f"segment index {segment} out of range")
     psi_arr = np.atleast_1d(np.asarray(psi, dtype=float))
-    feed = float(layout.feed_x[segment])
-    ell = psi_arr - feed
+    ell = psi_arr - layout.feed_x[seg]
     if np.any(ell < 0):
         raise ValueError("candidate positions must not precede the segment feed")
-    return _free_space(cfg, scene, psi_arr) * _in_waveguide(cfg, ell)[:, None]
+    if free is None:
+        free = _free_space(cfg, scene, psi_arr)
+    return free * _in_waveguide(cfg, ell)[:, None]
 
 
 class GridStats(NamedTuple):
@@ -178,10 +188,15 @@ class DropGrids:
 
     Segment m's grid is ``grid_points(layout, m, q)``; segment None is the
     PASS baseline's grid over the whole aperture.  A grid is built on first
-    request, for every config in ``cfgs`` at once, from one kappa-free
-    free-space pass that is then dropped, so its read-only gains are
-    ``segment_gain_matrix`` on the grid, bit for bit.  The row statistics
-    are built on first request per (segment, config).  The table belongs to
+    request, for every config in ``cfgs`` at once: one kappa-free
+    free-space pass, then one ``segment_gain_matrix`` call per config that
+    takes it as ``free``, so its read-only gains are that function's on the
+    grid, bit for bit.  The row statistics are built on first request per
+    (segment, config).  ``starts`` holds the read-only (M, K) gain rows
+    with every PA at its segment midpoint, built the same way from one
+    M-point pass: row m is ``segment_gain_matrix(cfg, scene, m,
+    [midpoint])``, bit for bit.  The midpoint AO starts, the SS probes and
+    the joint oracles' midpoint candidates read it.  The table belongs to
     the loop over drops that builds it and is dropped with the drop.
     """
 
@@ -191,6 +206,7 @@ class DropGrids:
             raise ValueError("a grid table needs configs that share one carrier frequency")
         self._grids: dict = {}
         self._stats: dict = {}
+        self._starts: dict = {}
 
     @classmethod
     def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
@@ -201,19 +217,31 @@ class DropGrids:
             raise ValueError(f"the grid table (q={grids.q}) is not for this run's scene, q={q} and config")
         return grids
 
+    def _gains(self, scene: Scene, segment, psi: np.ndarray) -> dict:
+        """Every config's read-only gains at psi, from one kappa-free free-space pass."""
+        free = _free_space(self.cfgs[0], scene, psi)
+        out = {}
+        for c in self.cfgs:
+            out[c] = segment_gain_matrix(c, scene, segment, psi, free)
+            out[c].setflags(write=False)
+        return out
+
     def grid(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
         """Points and (Q, K) gains of one grid under cfg."""
         if (segment, cfg) not in self._grids:
             scene = self.scene if segment is not None else baseline_scene(self.scene)
             pts = grid_points(scene.layout, segment or 0, self.q)
             pts.setflags(write=False)
-            free = _free_space(self.cfgs[0], scene, pts)
-            ell = pts - float(scene.layout.feed_x[segment or 0])
-            for c in self.cfgs:
-                gains = free * _in_waveguide(c, ell)[:, None]
-                gains.setflags(write=False)
+            for c, gains in self._gains(scene, segment or 0, pts).items():
                 self._grids[segment, c] = pts, gains
         return self._grids[segment, cfg]
+
+    def starts(self, cfg: RadioConfig) -> np.ndarray:
+        """(M, K) gain rows under cfg with each segment's PA at its midpoint."""
+        if cfg not in self._starts:
+            layout = self.scene.layout
+            self._starts = self._gains(self.scene, tuple(range(layout.m_segments)), layout.midpoints)
+        return self._starts[cfg]
 
     def stats(self, cfg: RadioConfig, segment: int) -> GridStats:
         """Row statistics of one segment grid's gains under cfg."""
@@ -245,16 +273,17 @@ def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) ->
     return segment_gain_matrix(cfg, scene, segment, [pa_x])[0]
 
 
-def placement_gains(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
-    """Per-segment gain rows (M, K) at a feasible SA placement's PA positions."""
+def require_feasible(cfg: RadioConfig, scene: Scene, placement: Placement) -> None:
+    """Raise ValueError naming every violation if the placement is infeasible under cfg."""
     bad = validate_placement(scene.layout, placement, cfg.delta_min)
     if bad:
         raise ValueError(f"infeasible placement: {[v.detail for v in bad]}")
-    rows = [
-        segment_gain_matrix(cfg, scene, m, [placement.pa_x[m]])[0]
-        for m in range(scene.layout.m_segments)
-    ]
-    return np.vstack(rows)
+
+
+def placement_gains(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
+    """Per-segment gain rows (M, K) at a feasible SA placement's PA positions."""
+    require_feasible(cfg, scene, placement)
+    return segment_gain_matrix(cfg, scene, tuple(range(scene.layout.m_segments)), placement.pa_x)
 
 
 def segment_shares(gains: np.ndarray, phases: Optional[np.ndarray] = None) -> np.ndarray:

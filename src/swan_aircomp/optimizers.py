@@ -33,10 +33,15 @@ bound on each tuple's best ratio over every rotation, taken from five
 per-tuple statistics, certifies that all of its pairs score above an MSE
 already scored.  Every grid search reads the drop's ``DropGrids`` table
 passed as ``grids``, or builds one for its own config when none is passed.
+The SS midpoint probes, the default (midpoint) AO start and a joint
+oracle's lone midpoint extra candidates read the table's start rows, the
+gains at every segment midpoint, so none of them builds a gain row of its
+own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,6 +57,7 @@ from .channel import (
     eff_channel_sa2,
     eff_channel_ss,
     placement_gains,
+    require_feasible,
     segment_gain_matrix,
     segment_shares,
 )
@@ -73,14 +79,15 @@ TWO_PI = 2.0 * math.pi
 _DEGENERATE_RTOL = 1e-15
 
 # Position tuples a joint oracle gathers at once, and (tuple, rotation)
-# pairs it scores at once, in whole tuples: this bounds its working set at
-# any grid size the tuple cap admits, but for one tuple of a larger phase
-# grid.
+# pairs it scores at once, in whole tuples, or in runs of one tuple's
+# rotations when the phase grid is larger: this bounds its working set at
+# any grid size the tuple cap admits and any phase grid.
 _TUPLE_BLOCK = 1 << 13
 
 # A position update on a grid of at most this many gains (Q K) confirms
-# every feasible row: up to here, scoring them all costs no more than the
-# screen, even when the screen keeps the PA's own row alone.
+# every feasible row, without building the screen's row statistics: up to
+# here, scoring them all costs no more than the screen, even when the
+# screen keeps the PA's own row alone.
 _FULL_SCAN_SIZE = 128
 
 _EPS = float(np.finfo(float).eps)
@@ -163,16 +170,17 @@ def ss_two_stage(
     """Segment selection by midpoint probing, then a grid search on the winner.
 
     Stage 1 evaluates the MSE with the PA at each segment midpoint (M
-    evaluations) and keeps the best segment; stage 2 grid-searches that
-    segment with Q points (Q evaluations).  Exactly M + Q evaluations total;
-    ties break toward the lowest segment index and lowest grid index.
+    evaluations, one ``mse_rows`` call over the drop's start rows) and
+    keeps the best segment; stage 2 grid-searches that segment with Q
+    points (Q evaluations).  Exactly M + Q evaluations total; ties break
+    toward the lowest segment index and lowest grid index.
     """
-    layout = scene.layout
-    probes = [ss_mse_objective(cfg, scene, m, x) for m, x in enumerate(layout.midpoints.tolist())]
+    grids = DropGrids.for_run(cfg, scene, q_grid, grids)
+    probes = mse_rows(grids.starts(cfg), cfg.p_tx, cfg.noise_var)
     best_m = int(np.argmin(probes))
-    final, x = _grid_search(cfg, DropGrids.for_run(cfg, scene, q_grid, grids), best_m)
+    final, x = _grid_search(cfg, grids, best_m)
     placement = Placement("SS", np.array([x]), segment=best_m)
-    return RunRecord(placement, (probes[best_m], final), final, 1, layout.m_segments + q_grid)
+    return RunRecord(placement, (float(probes[best_m]), final), final, 1, len(probes) + q_grid)
 
 
 def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
@@ -309,27 +317,33 @@ class _AOState:
     ``segment_shares(base, thetas)``: a change to segment m's PA or phase
     recomputes row m alone, with segment_shares' arithmetic, and a phase
     change leaves ``base[m]`` and ``unphased[m]`` as they are.
-    ``others[m]`` lists the segments but m in order, so ``shares[others[m]]``
-    is np.delete's array and rest sums keep their bits.  ``current`` is the
-    MSE of the whole channel ``shares.sum(axis=0)``.  ``rows[m]`` is the
-    grid row segment m's PA sits on, or None while the PA is off the grid
-    (its midpoint or random start): the AO sets it when ``settle`` accepts a
-    move to that row, so ``base[m]`` then holds the row's bits, and a
-    position step whose screen keeps that row alone confirms nothing.  Each
-    segment's spacing mask is kept, with the other PAs' positions it was
-    built for, until one of them moves.
+    ``others[m]`` is an intp array of the segments but m in order, so
+    ``shares[others[m]]`` stacks the other rows in segment order and rest
+    sums keep their bits.  ``current`` is the MSE of the whole channel
+    ``shares.sum(axis=0)``.  ``rows[m]`` is the grid row segment m's PA
+    sits on, or None while the PA is off the grid (its midpoint or random
+    start): the AO sets it when ``settle`` accepts a move to that row, so
+    ``base[m]`` then holds the row's bits, and a position step whose screen
+    keeps that row alone confirms nothing.  Each segment's spacing mask is
+    kept, with the other PAs' positions it was built for, until one of them
+    moves.
     """
 
-    def __init__(self, cfg: RadioConfig, scene: Scene, placement: Placement) -> None:
+    def __init__(
+        self, cfg: RadioConfig, scene: Scene, placement: Placement, base: Optional[np.ndarray] = None
+    ) -> None:
+        """``base``, when given, is the feasible placement's gain rows, copied; else they are built."""
         m_seg = scene.layout.m_segments
         self.cfg = cfg
         self.scale = 1.0 / math.sqrt(m_seg)
         self.psis = placement.pa_x.copy()
         self.thetas = placement.phases.copy() if placement.architecture == "SA2" else np.zeros(m_seg)
-        self.base = placement_gains(cfg, scene, placement)
+        self.base = placement_gains(cfg, scene, placement) if base is None else base.copy()
         self.unphased = self.base * self.scale
         self.shares = segment_shares(self.base, self.thetas)
-        self.others = [np.delete(np.arange(m_seg), m) for m in range(m_seg)]
+        self.others = [
+            np.array([j for j in range(m_seg) if j != m], dtype=np.intp) for m in range(m_seg)
+        ]
         self.current = self._mse()
         self.rows: list[Optional[int]] = [None] * m_seg
         self._masks: list[Optional[tuple]] = [None] * m_seg
@@ -373,11 +387,12 @@ class _AOState:
         return cached[1], cached[2]
 
     def position_step(
-        self, m: int, pts: np.ndarray, stats: GridStats
+        self, m: int, pts: np.ndarray, gains: np.ndarray, stats: Optional[GridStats]
     ) -> tuple[Optional[int], Optional[float], int]:
         """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
 
-        ``pts`` is segment m's grid, the same on every call.  ``_screened_scan``
+        ``pts``, ``gains`` and ``stats`` are segment m's ``_scan_tables``,
+        the same on every call.  ``_screened_scan``
         scores the feasible grid points in grid order, then the incumbent, so
         ties go to the lowest grid index.  Returns the first minimum's grid
         row (None for the incumbent), its MSE and the candidates counted:
@@ -390,7 +405,8 @@ class _AOState:
         factor = self.scale * np.exp(1j * self.thetas[m])
         rest = self.shares[self.others[m]].sum(axis=0)
         rows, mses = _screened_scan(
-            stats, rest, factor, self.base[m], self.rows[m], feasible, self.cfg.p_tx, self.cfg.noise_var
+            gains, stats, rest, factor, self.base[m], self.rows[m], feasible,
+            self.cfg.p_tx, self.cfg.noise_var,
         )
         if mses is None:
             return None, None, n_feasible + 1
@@ -547,8 +563,17 @@ def _contenders(
     return np.flatnonzero(keep)
 
 
+def _scan_tables(
+    grids: DropGrids, cfg: RadioConfig, segment: int
+) -> tuple[np.ndarray, np.ndarray, Optional[GridStats]]:
+    """A segment grid's points, gains and, above ``_FULL_SCAN_SIZE`` gains, its screen statistics."""
+    pts, gains = grids.grid(cfg, segment)
+    return pts, gains, (grids.stats(cfg, segment) if gains.size > _FULL_SCAN_SIZE else None)
+
+
 def _screened_scan(
-    stats: GridStats,
+    gains: np.ndarray,
+    stats: Optional[GridStats],
     rest: np.ndarray,
     factor: complex,
     incumbent: np.ndarray,
@@ -559,12 +584,14 @@ def _screened_scan(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Score the candidates of one position update that can win.
 
-    The candidates are h_q = rest + factor * g_q for the grid rows that
-    ``feasible`` keeps (all of them when None), then the incumbent gain row.
-    The first MSE minimum of the scored candidates is, to the bit, the first
-    minimum of scoring every candidate with ``mse_rows``.  A grid of at
-    most ``_FULL_SCAN_SIZE`` gains, or one with no feasible row, skips the
-    screen, and every feasible row is confirmed.  Otherwise:
+    The candidates are h_q = rest + factor * g_q for the rows g_q of
+    ``gains`` that ``feasible`` keeps (all of them when None), then the
+    incumbent gain row.  The first MSE minimum of the scored candidates is,
+    to the bit, the first minimum of scoring every candidate with
+    ``mse_rows``.  A grid without ``stats`` (one of at most
+    ``_FULL_SCAN_SIZE`` gains, see ``_scan_tables``), or one with no
+    feasible row, skips the screen, and every feasible row is confirmed.
+    Otherwise:
 
     * screen: with f = factor, b = rest, B = sum b and E_b = sum |b|^2, each
       row's alignment ratio r_q = num_q / den_q, with
@@ -590,9 +617,9 @@ def _screened_scan(
     Returns (rows, mses): the kept grid row indices and the MSEs of their
     candidates followed by the incumbent's.
     """
-    k = stats.gains.shape[1]
-    if stats.gains.size <= _FULL_SCAN_SIZE or (feasible is not None and not feasible.any()):
-        rows = np.arange(len(stats.gains)) if feasible is None else np.flatnonzero(feasible)
+    k = gains.shape[1]
+    if stats is None or (feasible is not None and not feasible.any()):
+        rows = np.arange(len(gains)) if feasible is None else np.flatnonzero(feasible)
     else:
         f = complex(factor)
         f_sq = abs(f) ** 2
@@ -611,7 +638,7 @@ def _screened_scan(
         rows = _contenders(num, den, weight, k, feasible)
         if held is not None and rows.size == 1 and rows[0] == held:
             return rows, None
-    raw = np.concatenate((stats.gains[rows], incumbent[None, :]))
+    raw = np.concatenate((gains[rows], incumbent[None, :]))
     h = raw * factor
     h += rest
     return rows, mse_rows(h, p_tx, noise_var)
@@ -631,23 +658,26 @@ def _ao_engine(
 
     Runs SA1 (positions only, phases held at zero) or SA2 (phases, then
     positions) from ``init``, by default every PA at its segment midpoint
-    with zero phases.  The trace holds the initial MSE, then one entry per
-    sweep.
+    with zero phases, whose gain rows are the drop's start rows.  The trace
+    holds the initial MSE, then one entry per sweep.
     """
     grids = DropGrids.for_run(cfg, scene, q_grid, grids)
+    base = None
     if init is None:
         init = midpoint_init(scene, architecture)
+        require_feasible(cfg, scene, init)
+        base = grids.starts(cfg)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
     phased = architecture == "SA2"
     if phased:
         # phases wrapped once here, so the placement returned is the one scored
         init = Placement("SA2", init.pa_x, phases=[_wrap_phase(t) for t in init.phases.tolist()])
-    state = _AOState(cfg, scene, init)
+    state = _AOState(cfg, scene, init, base)
     # an update scores only the grid rows its screen keeps, so the loop
     # builds no (Q, K) temporaries
     segments = range(scene.layout.m_segments)
-    grid_stats = [(grids.grid(cfg, m)[0], grids.stats(cfg, m)) for m in segments]
+    scans = [_scan_tables(grids, cfg, m) for m in segments]
 
     evaluations = 1
     trace = [state.current]
@@ -657,10 +687,10 @@ def _ao_engine(
             for m in segments:
                 evaluations += 3
                 state.settle(m, state.solve_phase(m)[0])
-        for m, (pts, st) in enumerate(grid_stats):
-            row, _, n = state.position_step(m, pts, st)
+        for m, (pts, gains, st) in enumerate(scans):
+            row, _, n = state.position_step(m, pts, gains, st)
             evaluations += n
-            if row is not None and state.settle(m, state.thetas[m], pts[row], st.gains[row]):
+            if row is not None and state.settle(m, state.thetas[m], pts[row], gains[row]):
                 state.rows[m] = row
         trace.append(state.current)
         if sweep_start - state.current < tol:
@@ -678,9 +708,8 @@ def sa1_position_update(
     position and returns (new_pa_x, new_mse); never worse than the
     incumbent.  SA2 phases are held fixed.
     """
-    grids = DropGrids(scene, q_grid, (cfg,))
-    pts = grids.grid(cfg, segment)[0]
-    row, mse, _ = _AOState(cfg, scene, placement).position_step(segment, pts, grids.stats(cfg, segment))
+    pts, gains, stats = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
+    row, mse, _ = _AOState(cfg, scene, placement).position_step(segment, pts, gains, stats)
     return float(placement.pa_x[segment] if row is None else pts[row]), mse
 
 
@@ -803,10 +832,11 @@ def _joint_scan(
     rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
     segment m's, and scored by ``mse_rows``.  Feasible tuples are gathered
     up to ``_TUPLE_BLOCK`` at a time and scored in blocks of whole tuples
-    with all their rotations, in product order; a block replaces the
-    incumbent only when its first minimum is strictly lower.  With more
-    than one rotation (SA2), a tuple stage first drops whole tuples of each
-    gathering:
+    with all their rotations (one tuple's rotations in runs of
+    ``_TUPLE_BLOCK`` when there are more), in product order; a block or run
+    replaces the incumbent only when its first minimum is strictly lower.
+    With more than one rotation (SA2), a tuple stage first drops whole
+    tuples of each gathering:
 
     * statistics: per tuple, with b = r_1 + ... + r_{M-1}, A = sum a,
       B = sum b, C = sum a conj(b), E_a = sum |a|^2 and E_b = sum |b|^2
@@ -823,7 +853,8 @@ def _joint_scan(
       (``_ratio_ceilings``).  The rotations of the tuple of largest
       lambda_t are scored first; with m the lower of their minimum and the
       incumbent's MSE, tau = K - m - 2E, and a tuple whose bound is below
-      -err is dropped whole.
+      -err is dropped whole.  When that reference tuple alone survives,
+      its score stands and it is not scored again.
 
     Rounding of the tuple stage, with T, c and E as in ``_rounding_coef``
     and ``_margin`` (n = M, weight the largest
@@ -866,13 +897,19 @@ def _joint_scan(
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
     cands = []
     shares = []
-    for m in range(m_seg):
+    mids = scene.layout.midpoints
+    for m, e in enumerate(extras):
         pts, gains = grids.grid(cfg, m)
-        if extras[m].size:
+        if e.size:
             # gain rows do not depend on the batch, so appending the extra
-            # candidates' rows equals one call over the extended grid
-            pts = np.append(pts, extras[m])
-            gains = np.vstack([gains, segment_gain_matrix(cfg, scene, m, extras[m])])
+            # candidates' rows (a lone midpoint's from the start rows)
+            # equals one call over the extended grid
+            pts = np.append(pts, e)
+            if e.size == 1 and e[0] == mids[m]:
+                rows = grids.starts(cfg)[m:m + 1]
+            else:
+                rows = segment_gain_matrix(cfg, scene, m, e)
+            gains = np.vstack([gains, rows])
         cands.append(pts)
         shares.append(gains * scale)
     k = scene.k
@@ -885,8 +922,9 @@ def _joint_scan(
         ct = _rounding_coef(k, m_seg) * t_sq
         # bounds ||rot|^2 - 1| over the rotations, this line's rounding included
         eta = float(np.abs(np.square(np.abs(rot)) - 1.0).max()) + 4 * _EPS
-    pairs = np.triu_indices(m_seg, 1)
+    pairs = [list(p) for p in zip(*itertools.combinations(range(m_seg), 2))]
     tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
+    rots_per_run = min(n_rot, _TUPLE_BLOCK)
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, _TUPLE_BLOCK):
@@ -900,15 +938,25 @@ def _joint_scan(
         a, *others = [share[i] for share, i in zip(shares, idx)]
 
         def block_min(sel: np.ndarray) -> tuple[float, int, int]:
-            """First MSE minimum over every rotation of the tuples ``sel``: (MSE, tuple, rotation)."""
-            h = rot[:, None] * a[sel, None]
-            for row in others:
-                h += row[sel, None]
-            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
-            t, r = np.unravel_index(np.argmin(mses), mses.shape)
-            return float(mses[t, r]), int(sel[t]), int(r)
+            """First MSE minimum over every rotation of the tuples ``sel``: (MSE, tuple, rotation).
+
+            The rotations are scored in runs of ``rots_per_run``.  There is
+            more than one run only for a single tuple, so the runs, each
+            replacing the minimum only when strictly lower, keep product order.
+            """
+            found = None
+            for r0 in range(0, n_rot, rots_per_run):
+                h = rot[r0:r0 + rots_per_run, None] * a[sel, None]
+                for row in others:
+                    h += row[sel, None]
+                mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
+                t, r = np.unravel_index(np.argmin(mses), mses.shape)
+                if found is None or mses[t, r] < found[0]:
+                    found = (float(mses[t, r]), int(sel[t]), r0 + int(r))
+            return found
 
         live = np.arange(len(pos))
+        ref = None
         if n_rot > 1 and live.size:
             b = np.zeros_like(a)
             for row in others:
@@ -917,12 +965,17 @@ def _joint_scan(
             den_floor = stats[1, 0] + stats[1, 1] - 2.0 * rot_max * np.hypot(stats[1, 2], stats[1, 3])
             low = float(den_floor.min()) - 2.0 * ct - eta * t_sq
             if low > 0.0:
-                m_ref = min(best[0], block_min(np.array([np.argmax(_ratio_ceilings(stats))]))[0])
-                tau = k - m_ref - _margin(ct, low, k)
+                ref = block_min(np.array([np.argmax(_ratio_ceilings(stats))]))
+                tau = k - min(best[0], ref[0]) - _margin(ct, low, k)
                 if tau > 0.0:
                     live = _surviving_tuples(stats, tau, ct, eta * t_sq, k)
-        for t0 in range(0, live.size, tuples_per_block):
-            mse, t, r = block_min(live[t0:t0 + tuples_per_block])
+        if ref is not None and live.size == 1 and live[0] == ref[1]:
+            # the stage kept the reference tuple alone, which is scored already
+            blocks = [ref]
+        else:
+            firsts = range(0, live.size, tuples_per_block)
+            blocks = (block_min(live[t0:t0 + tuples_per_block]) for t0 in firsts)
+        for mse, t, r in blocks:
             if mse < best[0]:
                 best = (mse, pos[t].copy(), r)
     if best[1] is None:

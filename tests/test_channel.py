@@ -173,6 +173,34 @@ def test_drop_grids_are_the_grid_call_bitwise_in_any_kappa_order():
                     assert not gains.flags.writeable
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_drop_start_rows_are_the_single_midpoint_call_bitwise(kappa):
+    """Row m of a table's start rows is segment_gain_matrix at segment m's midpoint, to the bit.
+
+    One M-point pass serves every config of the table, so neither the
+    table's other configs nor the order they ask in may change a bit.
+    """
+    cfg, other = make_config(kappa=kappa), make_config(kappa=0.03)
+    for m_seg, k in ((1, 1), (3, 6), (5, 20)):
+        scene = make_scene(m_segments=m_seg, seg_length=2.0, k=k, seed=31 + m_seg)
+        want = np.vstack([sa.segment_gain_matrix(cfg, scene, m, [x])[0]
+                          for m, x in enumerate(scene.layout.midpoints.tolist())])
+        for cfgs in ((cfg,), (other, cfg), (cfg, other)):
+            grids = DropGrids(scene, 12, cfgs)
+            if cfgs[0] is other:
+                grids.starts(other)
+            rows = grids.starts(cfg)
+            assert rows.shape == (m_seg, k)
+            assert rows.tobytes() == want.tobytes()
+            assert not rows.flags.writeable
+            assert grids.starts(cfg) is rows
+        # placement_gains is the same per-candidate-segment call at its PAs
+        mids = sa.Placement("SA1", scene.layout.midpoints)
+        assert sa.channel.placement_gains(cfg, scene, mids).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="out of range"):
+            sa.segment_gain_matrix(cfg, scene, (0, m_seg), [0.0, 0.0])
+
+
 def test_screen_statistics_read_the_grid_gains_in_place():
     """The position screen's float view is the grid's gains, and its table is the row sums.
 

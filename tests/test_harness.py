@@ -198,7 +198,12 @@ def test_sa2_rows_do_not_depend_on_the_other_schemes(tmp_path):
 
 
 def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
-    """Two kappas, four schemes: M segment grids plus the PASS grid, no more."""
+    """Per drop: M segment grids plus the PASS grid, one M-point start-row pass, no more.
+
+    Two kappas and four schemes, then oracle-check's AO runs and joint
+    oracles: the AO starts, the SS probes and the oracles' midpoint
+    candidates all read the drop's start rows, so no 1-point gain is built.
+    """
     from swan_aircomp import channel
 
     sizes = []
@@ -209,12 +214,17 @@ def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
         return real(cfg, scene, psi)
 
     monkeypatch.setattr(channel, "_free_space", counted)
-    m, q = 3, 40
-    spec = make_spec(sweep=(4,), n_drops=1, m_segments=m, q_grid=q,
-                     schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=(0.0, 0.08))
-    run_experiment(spec)
-    assert sizes.count(q) == m + 1
-    assert set(sizes) == {1, q}
+    sweep_k = make_spec(sweep=(4,), n_drops=1, m_segments=3, q_grid=40,
+                        schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=(0.0, 0.08))
+    oracle = parse_config(kind="oracle-check",
+                          overrides={"n_drops": 1, "theta_grid": 36, "kappa_db_per_m": "0,0.08"})
+    for spec, grids in [(sweep_k, 3 + 1), (oracle, 2)]:  # oracle-check runs no PASS
+        sizes.clear()
+        run_experiment(spec)
+        m, q = spec.m_segments, spec.q_grid
+        assert sizes.count(q) == grids
+        assert sizes.count(m) == 1
+        assert len(sizes) == grids + 1
 
 
 def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 import swan_aircomp as sa
 from swan_aircomp import optimizers
-from swan_aircomp.channel import DropGrids
+from swan_aircomp.channel import DropGrids, placement_gains
 from swan_aircomp.metrics import mse_min
 from swan_aircomp.geometry import baseline_layout, baseline_scene
 from swan_aircomp.optimizers import (
@@ -467,27 +467,52 @@ def _assert_same_run(rec, ref):
 @pytest.mark.parametrize("m_seg", [1, 2, 5])
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
-@pytest.mark.parametrize("init_kind", ["midpoint", "random"])
+@pytest.mark.parametrize("init_kind", ["midpoint", "random", "default"])
 def test_ao_matches_per_candidate_reference_bitwise(m_seg, kappa, delta_min, init_kind):
+    """``default`` runs with init=None, alone and on a shared table, against the midpoint reference.
+
+    Those runs take their start gains from the table's start rows, not
+    from ``placement_gains``; their records must not move a bit.
+    """
     cfg, scene = _equivalence_case(m_seg, kappa, delta_min)
     q = 41
+    shared = DropGrids(scene, q, (make_config(kappa=0.03, delta_min=delta_min), cfg))
     runs = []
-    for arch in ("SA1", "SA2"):
-        if init_kind == "midpoint":
-            init = midpoint_init(scene, arch)
-        else:
+    for run, arch in ((sa1_ao, "SA1"), (sa2_ao, "SA2")):
+        if init_kind == "random":
             init = random_init(scene, arch, seed=3 + m_seg, delta_min=cfg.delta_min)
-        if arch == "SA1":
-            runs.append((sa1_ao(cfg, scene, q, init=init), reference_ao(cfg, scene, q, init.pa_x), init))
         else:
-            runs.append((sa2_ao(cfg, scene, q, init=init),
-                         reference_ao(cfg, scene, q, init.pa_x, init.phases), init))
+            init = midpoint_init(scene, arch)
+        ref = reference_ao(cfg, scene, q, init.pa_x, init.phases)
+        if init_kind == "default":
+            recs = [run(cfg, scene, q), run(cfg, scene, q, grids=shared)]
+        else:
+            recs = [run(cfg, scene, q, init=init)]
+        runs += [(rec, ref, init) for rec in recs]
     for rec, ref, init in runs:
         _assert_same_run(rec, ref)
         # the AO's incumbent channel and the recomputation share one assembly
         assert rec.mse_trace[0] == evaluate_placement(cfg, scene, init)
     if delta_min == _WIDE_DELTA and m_seg > 1:
         assert sum(ref["dropped"] for _, ref, _ in runs) > 0  # the spacing mask was exercised
+
+
+def test_default_ao_start_refuses_infeasible_midpoints_before_any_sweep(monkeypatch):
+    """Midpoints closer than delta_min raise ``placement_gains``' error before any AO state."""
+    cfg = make_config(delta_min=2.5)  # segments are 2 m long
+    scene = make_scene(m_segments=3, seg_length=2.0, k=4, seed=9)
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("the AO built its state")
+
+    for run, arch in ((sa1_ao, "SA1"), (sa2_ao, "SA2")):
+        with pytest.raises(ValueError, match="infeasible placement") as want:
+            placement_gains(cfg, scene, midpoint_init(scene, arch))
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizers, "_AOState", no_state)
+            with pytest.raises(ValueError) as got:
+                run(cfg, scene, 20)
+        assert str(got.value) == str(want.value)
 
 
 def _full_position_scan(cfg, scene, placement, segment, q):
@@ -587,6 +612,20 @@ def _check_sa2_joint(kappa, delta_min, p_dbm=10.0, theta_grid=48, duplicates=Fal
     return next(i for i, combo in enumerate(itertools.product(*cands)) if np.array_equal(combo, pa_x))
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.08])
+def test_sa2_joint_scores_a_large_phase_grid_in_bounded_runs(monkeypatch, kappa):
+    """A phase grid larger than a block is scored in runs of at most ``_TUPLE_BLOCK`` pairs.
+
+    The runs keep product order and replace the minimum only when strictly
+    lower, so the result is the reference's to the bit.
+    """
+    block = 64
+    monkeypatch.setattr(optimizers, "_TUPLE_BLOCK", block)
+    scored = _count_scored(monkeypatch)
+    _check_sa2_joint(kappa, None, theta_grid=200)
+    assert scored and max(scored) <= block
+
+
 def _count_survivors(monkeypatch):
     """Record (tuples kept, tuples in the block) of each tuple stage's certificate."""
     stages = []
@@ -655,13 +694,13 @@ def _count_scored(monkeypatch):
 
 
 def test_joint_oracles_score_few_pairs(monkeypatch):
-    """On oracle-check scenes an SA2 oracle call scores the rotations of two tuples at most.
+    """On oracle-check scenes an SA2 oracle call scores the rotations of one tuple.
 
     Its tuple stage scores the reference tuple, and then the tuples the
-    certificate keeps, here the reference alone.  A loose certificate would
-    stay exact but score many pairs, which shows only as a slowdown; this
-    pins the pairs an SA2 call scores.  An SA1 call scores every feasible
-    tuple once.
+    certificate keeps, here the reference alone, whose score stands.  A
+    loose certificate would stay exact but score many pairs, which shows
+    only as a slowdown; this pins the pairs an SA2 call scores.  An SA1
+    call scores every feasible tuple once.
     """
     scored = _count_scored(monkeypatch)
     theta_grid = 720
@@ -675,7 +714,7 @@ def test_joint_oracles_score_few_pairs(monkeypatch):
             assert sum(scored) == rec.evaluations
             scored.clear()
             sa2_joint_exhaustive(cfg, scene, 20, theta_grid=theta_grid, extra_candidates=extra)
-            assert sum(scored) <= 2 * theta_grid
+            assert sum(scored) == theta_grid
 
 
 def _exact_ratio(a, b, rot, noise_over_p):
@@ -751,12 +790,21 @@ def test_ss_final_mse_is_the_chosen_segments_grid_minimum(seed, kappa):
 
     The trace is (best midpoint probe, grid minimum); an even Q grid misses
     the midpoint, so the second entry can exceed the first (seeds 4 and 11).
+    The probes, read from the drop's start rows, are ``ss_mse_objective``'s
+    bits, with or without a shared table.
     """
     cfg = make_config(kappa=kappa)
     scene = make_scene(m_segments=4, seg_length=1.5, k=5, seed=seed)
     q = 40
     rec = ss_two_stage(cfg, scene, q)
     m = rec.placement.segment
+    probes = [ss_mse_objective(cfg, scene, i, x) for i, x in enumerate(scene.layout.midpoints.tolist())]
+    assert m == int(np.argmin(probes))
+    assert rec.mse_trace[0] == probes[m]
+    shared = ss_two_stage(cfg, scene, q, grids=DropGrids(scene, q, (make_config(kappa=0.03), cfg)))
+    assert (shared.mse_trace, shared.placement.segment, shared.evaluations) == (
+        rec.mse_trace, m, rec.evaluations)
+    assert shared.placement.pa_x.tobytes() == rec.placement.pa_x.tobytes()
     grid = sa.grid_points(scene.layout, m, q)
     grid_min = min(ss_mse_objective(cfg, scene, m, float(x)) for x in grid)
     assert rec.final_mse == rec.mse_trace[-1]
@@ -890,20 +938,19 @@ def _screen_cases(seed, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 20])
-def test_position_screen_picks_the_full_scans_row(monkeypatch, k):
+def test_position_screen_picks_the_full_scans_row(k):
     """Screen-then-confirm chooses the full scan's row with the same MSE bits.
 
     When the incumbent is a grid row and the screen keeps that row alone,
     nothing is confirmed: the full scan must pick that row, with the bits
-    the incumbent scores on its own.  The size rule is off, so every case
-    with a feasible row is screened.
+    the incumbent scores on its own.  Every case gets its row statistics,
+    whatever its size, so every case with a feasible row is screened.
     """
-    monkeypatch.setattr(optimizers, "_FULL_SCAN_SIZE", 0)
     kept = skipped = 0
     for gains, rest, factor, incumbent, held, feasible, noise_var in _screen_cases(300 + k, k):
         want_row, want_mse = _full_scan(gains, rest, factor, incumbent, feasible, noise_var)
         rows, mses = optimizers._screened_scan(
-            DropGrids._row_stats(gains), rest, factor, incumbent, held, feasible, P_TX, noise_var
+            gains, DropGrids._row_stats(gains), rest, factor, incumbent, held, feasible, P_TX, noise_var
         )
         if mses is None:
             assert rows.tolist() == [held] == [want_row]
@@ -924,10 +971,12 @@ def test_position_screen_picks_the_full_scans_row(monkeypatch, k):
 def test_small_grids_confirm_every_feasible_row_bitwise(monkeypatch, kappa):
     """Oracle-check's Q = 20, K = 3 is under the size rule: every update confirms every feasible row.
 
-    No update is screened, so none skips its confirm, and SA1 and SA2 match
-    the per-candidate reference to the bit, evaluations included.
+    No update is screened, so none skips its confirm or builds row
+    statistics, and SA1 and SA2 match the per-candidate reference to the
+    bit, evaluations included.
     """
     confirmed = _count_confirms(monkeypatch)
+    monkeypatch.setattr(DropGrids, "_row_stats", None)  # any call fails
     assert 20 * 3 <= optimizers._FULL_SCAN_SIZE
     cfg = make_config(kappa=kappa, delta_min=0.3)
     dropped = 0
