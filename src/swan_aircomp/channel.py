@@ -173,14 +173,12 @@ class GridStats(NamedTuple):
     (|S_q|^2, Re S_q, Im S_q, E_q, 1), with S_q = sum_k g_qk,
     E_q = sum_k |g_qk|^2 and |S_q|^2 rounded from the stored S_q, so one
     (2, 5) @ (5, Q) product gives every row's screen numerator and the
-    denominator but its cross term.  ``l1`` is the largest row 1-norm
-    sum_k |g_qk|.
+    denominator but its cross term.
     """
 
     gains: np.ndarray
     flat: np.ndarray
     table: np.ndarray
-    l1: float
 
 
 class DropGrids:
@@ -252,14 +250,13 @@ class DropGrids:
     @staticmethod
     def _row_stats(gains: np.ndarray) -> GridStats:
         ones = np.ones(gains.shape[1])
-        mag = np.abs(gains)
         sums = gains @ ones
         table = np.stack([
             np.square(sums.real) + np.square(sums.imag), sums.real, sums.imag,
-            np.square(mag) @ ones, np.ones(len(gains)),
+            np.square(np.abs(gains)) @ ones, np.ones(len(gains)),
         ])
         table.setflags(write=False)
-        return GridStats(gains, gains.view(np.float64), table, float((mag @ ones).max()))
+        return GridStats(gains, gains.view(np.float64), table)
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

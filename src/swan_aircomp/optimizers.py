@@ -17,26 +17,24 @@ grid minimum on that segment) and can rise, because the grid need not
 contain the midpoint.  ``evaluations`` counts objective evaluations, one per
 candidate probed (for the closed-form phase update: its two stationary
 candidates plus the acceptance check).  An AO position update counts every
-feasible grid point plus the incumbent: its screen scores each of them from
-one real table of per-row statistics per grid, and only the few that can
-still win are scored again on the exact path.  When the PA already sits on
-a grid row and the screen keeps that row alone, nothing is scored again:
-the PA stays, and the update still counts every feasible candidate.  Each
-segment's spacing mask is kept until another PA moves.  Both AO passes keep
-a change only if the rescored whole channel's MSE did not rise (a step that
-changes nothing is skipped, but still counted), so the recorded MSE is the
-one evaluate_placement recomputes.  The joint oracles score every
-(position tuple, rotation) pair of the tuples they keep, and count every
-feasible pair.  SA1 keeps every feasible tuple.  With more than one
-rotation (SA2), a tuple stage drops whole position tuples: a closed-form
-bound on each tuple's best ratio over every rotation, taken from five
-per-tuple statistics, certifies that all of its pairs score above an MSE
-already scored.  Every grid search reads the drop's ``DropGrids`` table
-passed as ``grids``, or builds one for its own config when none is passed.
-The SS midpoint probes, the default (midpoint) AO start and a joint
-oracle's lone midpoint extra candidates read the table's start rows, the
-gains at every segment midpoint, so none of them builds a gain row of its
-own.
+feasible grid point plus the incumbent.  It ranks the feasible rows by a
+screen, one real table of per-row statistics per grid (small grids are
+scored with ``mse_rows`` instead), takes the first best row, and hands it
+to the accept rule.  Each segment's spacing mask is kept until another PA
+moves.  Both AO passes keep a change only if the rescored whole channel's
+MSE did not rise (a step that changes nothing is skipped, but still
+counted), so the recorded MSE is the one evaluate_placement recomputes.
+The joint oracles score every (position tuple, rotation) pair of the
+tuples they keep, and count every feasible pair.  SA1 keeps every feasible
+tuple.  With more than one rotation (SA2), a tuple stage drops whole
+position tuples: a closed-form bound on each tuple's best ratio over every
+rotation, taken from five per-tuple statistics, certifies that all of its
+pairs score above an MSE already scored.  Every grid search reads the
+drop's ``DropGrids`` table passed as ``grids``, or builds one for its own
+config when none is passed.  The SS midpoint probes, the default
+(midpoint) AO start and a joint oracle's lone midpoint extra candidates
+read the table's start rows, the gains at every segment midpoint, so none
+of them builds a gain row of its own.
 """
 
 from __future__ import annotations
@@ -84,10 +82,9 @@ _DEGENERATE_RTOL = 1e-15
 # any grid size the tuple cap admits and any phase grid.
 _TUPLE_BLOCK = 1 << 13
 
-# A position update on a grid of at most this many gains (Q K) confirms
-# every feasible row, without building the screen's row statistics: up to
-# here, scoring them all costs no more than the screen, even when the
-# screen keeps the PA's own row alone.
+# A position update on a grid of at most this many gains (Q K) scores every
+# row with mse_rows, without building the screen's row statistics: up to
+# here that costs less than the screen.
 _FULL_SCAN_SIZE = 128
 
 _EPS = float(np.finfo(float).eps)
@@ -320,13 +317,8 @@ class _AOState:
     ``others[m]`` is an intp array of the segments but m in order, so
     ``shares[others[m]]`` stacks the other rows in segment order and rest
     sums keep their bits.  ``current`` is the MSE of the whole channel
-    ``shares.sum(axis=0)``.  ``rows[m]`` is the grid row segment m's PA
-    sits on, or None while the PA is off the grid (its midpoint or random
-    start): the AO sets it when ``settle`` accepts a move to that row, so
-    ``base[m]`` then holds the row's bits, and a position step whose screen
-    keeps that row alone confirms nothing.  Each segment's spacing mask is
-    kept, with the other PAs' positions it was built for, until one of them
-    moves.
+    ``shares.sum(axis=0)``.  Each segment's spacing mask is kept, with the
+    other PAs' positions it was built for, until one of them moves.
     """
 
     def __init__(
@@ -345,7 +337,6 @@ class _AOState:
             np.array([j for j in range(m_seg) if j != m], dtype=np.intp) for m in range(m_seg)
         ]
         self.current = self._mse()
-        self.rows: list[Optional[int]] = [None] * m_seg
         self._masks: list[Optional[tuple]] = [None] * m_seg
 
     def _mse(self) -> float:
@@ -388,30 +379,20 @@ class _AOState:
 
     def position_step(
         self, m: int, pts: np.ndarray, gains: np.ndarray, stats: Optional[GridStats]
-    ) -> tuple[Optional[int], Optional[float], int]:
-        """Best point of segment m's grid ``pts`` for its PA, every other segment frozen.
+    ) -> tuple[Optional[int], int]:
+        """Segment m's grid row for its PA, every other segment frozen, and the candidates counted.
 
         ``pts``, ``gains`` and ``stats`` are segment m's ``_scan_tables``,
-        the same on every call.  ``_screened_scan``
-        scores the feasible grid points in grid order, then the incumbent, so
-        ties go to the lowest grid index.  Returns the first minimum's grid
-        row (None for the incumbent), its MSE and the candidates counted:
-        every feasible grid point plus the incumbent.  When the screen keeps
-        the PA's own grid row ``rows[m]`` alone, that row is the first
-        minimum and the PA stays: nothing is scored, and the result is
-        (None, None, count).
+        the same on every call.  The row is ``_screened_scan``'s (None when
+        the spacing rule leaves no grid point); the count is every feasible
+        grid point plus the incumbent.  The caller hands the row to
+        ``settle``, which keeps the move only if the MSE did not rise.
         """
         feasible, n_feasible = self._spacing(m, pts)
         factor = self.scale * np.exp(1j * self.thetas[m])
         rest = self.shares[self.others[m]].sum(axis=0)
-        rows, mses = _screened_scan(
-            gains, stats, rest, factor, self.base[m], self.rows[m], feasible,
-            self.cfg.p_tx, self.cfg.noise_var,
-        )
-        if mses is None:
-            return None, None, n_feasible + 1
-        j = int(np.argmin(mses))
-        return (int(rows[j]) if j < rows.size else None), float(mses[j]), n_feasible + 1
+        row = _screened_scan(gains, stats, rest, factor, feasible, self.cfg.p_tx, self.cfg.noise_var)
+        return row, n_feasible + 1
 
     def settle(
         self, m: int, theta: float, psi: Optional[float] = None, row: Optional[np.ndarray] = None
@@ -486,11 +467,11 @@ def _rounding_coef(k: int, n_rows: int) -> float:
     A candidate is a channel h over K users built left to right from
     ``n_rows`` rows (f times the first, then the others added one by one),
     with T bounding every channel term of its numerator |sum h|^2 and its
-    denominator sum |h|^2.  Scored by ``mse_rows`` or from a screen's
-    statistics, each sum is within (8K + 4n + 8) eps T of its exact value:
-    (8K + 8) eps T covers the sums over K and the squares and products, and
-    each of the n rows, scaled by f or added in, moves a sum by at most
-    4 eps T more, however the additions are grouped.
+    denominator sum |h|^2.  Scored by ``mse_rows`` or from a joint
+    oracle's tuple statistics, each sum is within (8K + 4n + 8) eps T of
+    its exact value: (8K + 8) eps T covers the sums over K and the squares
+    and products, and each of the n rows, scaled by f or added in, moves a
+    sum by at most 4 eps T more, however the additions are grouped.
     """
     return 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
 
@@ -506,63 +487,6 @@ def _margin(ct: float, low: float, k: int) -> float:
     return 2.0 * (ct / low + 8 * k * _EPS)
 
 
-def _contenders(
-    num: np.ndarray,
-    den: np.ndarray,
-    weight: float,
-    k: int,
-    feasible: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Indices, in order, of the screened rows that can hold the exact first minimum.
-
-    A candidate of the AO's position screen (``_screened_scan``) is the
-    channel h = f a + b over K users, f times a grid row a plus the rest
-    sum b, and is scored by ``mse_rows``.  The screen gives it the
-    alignment ratio num / den, with num = |f|^2 |A|^2 + |B|^2
-    + 2 Re(f A conj(B)) and den = |f|^2 E_a + E_b + 2 Re(f C)
-    + noise_var / p_tx, where A = sum a, B = sum b, C = sum a conj(b),
-    E_a = sum |a|^2 and E_b = sum |b|^2.  ``weight`` bounds
-    |f| ||a||_1 + ||b||_1 for every row, so every channel term of the
-    numerator and the denominator is at most T = weight^2, and
-    ``_rounding_coef`` (n = 2) budgets (8K + 16) eps T for each sum.  The
-    screen stays well inside that budget.  With u = eps / 2, its num is a
-    5-term dot, in any order, of the stored (|A|^2, Re A, Im A, E_a, 1)
-    with the coefficients (|f|^2, 2 Re w, -2 Im w, 0, |B|^2), w = f conj(B).
-    The stored A and the computed B are K-term sums, each off by at most
-    sqrt(2) K u times its row's 1-norm, which moves |f A + B|^2 by at most
-    1.5 K eps T.  |A|^2, rounded from the stored A, adds eps T.  The
-    coefficients, |f|^2 and |B|^2 within 5u of their values and 2 Re w and
-    2 Im w within 2 eps |f| |B|, add 3.3 eps T.  The dot's terms sum in
-    magnitude to at most sqrt(2) T, so it adds 5 sqrt(2) u T < 3.6 eps T.
-    That is (1.5 K + 8) eps T in all.  Its den is |f|^2 E_a + E_b + noise
-    from the same dot, plus the cross term 2 Re(f C) as a 2K-term real dot,
-    in BLAS order, of the gains' floats with b conj(2 f).  E_a (K rounded
-    squared moduli) and E_b (2K rounded squares) are within (K + 5) eps T.
-    The cross term's products sum in magnitude to at most
-    2 |f| ||a||_1 ||b||_1 <= T / 2, so it is within (K + 2) eps T / 2, its
-    vector's rounding included.  The 5-term dot and the last addition add
-    3 eps T.  So num and den are each within (2K + 9) eps T.  With
-    D = min den - c T, the screened and the ``mse_rows`` ratio of a row
-    differ by at most E (``_margin``), so the exact first minimum has a
-    screened ratio of at least max ratio - 2E, and every row that close to
-    the maximum is kept: each dropped one scores strictly above the kept
-    minimum.  If D <= 0, rounding could swamp a denominator, and every row
-    is kept.  ``feasible`` (None for all) marks the rows that may be kept.
-    The ratios overwrite ``num``.
-    """
-    t = weight * weight
-    c = _rounding_coef(k, 2)
-    low = float(den.min()) - c * t
-    if low > 0.0:
-        ratio = np.divide(num, den, out=num)
-        if feasible is not None:
-            ratio[~feasible] = -np.inf
-        keep = ratio >= ratio.max() - _margin(c * t, low, k)
-    else:
-        keep = np.ones(den.shape, dtype=bool) if feasible is None else feasible
-    return np.flatnonzero(keep)
-
-
 def _scan_tables(
     grids: DropGrids, cfg: RadioConfig, segment: int
 ) -> tuple[np.ndarray, np.ndarray, Optional[GridStats]]:
@@ -576,50 +500,33 @@ def _screened_scan(
     stats: Optional[GridStats],
     rest: np.ndarray,
     factor: complex,
-    incumbent: np.ndarray,
-    held: Optional[int],
     feasible: Optional[np.ndarray],
     p_tx: float,
     noise_var: float,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Score the candidates of one position update that can win.
+) -> Optional[int]:
+    """The grid row one position update moves to: the first best feasible candidate.
 
     The candidates are h_q = rest + factor * g_q for the rows g_q of
-    ``gains`` that ``feasible`` keeps (all of them when None), then the
-    incumbent gain row.  The first MSE minimum of the scored candidates is,
-    to the bit, the first minimum of scoring every candidate with
-    ``mse_rows``.  A grid without ``stats`` (one of at most
-    ``_FULL_SCAN_SIZE`` gains, see ``_scan_tables``), or one with no
-    feasible row, skips the screen, and every feasible row is confirmed.
-    Otherwise:
-
-    * screen: with f = factor, b = rest, B = sum b and E_b = sum |b|^2, each
-      row's alignment ratio r_q = num_q / den_q, with
-      num_q = |f|^2 |S_q|^2 + |B|^2 + 2 Re(f S_q conj(B)) and
-      den_q = |f|^2 E_q + E_b + noise_var / p_tx + 2 Re(f X_q),
-      X_q = sum_k g_qk conj(b_k), comes from one (2, 5) @ (5, Q) product
-      with the grid's real table and, for 2 Re(f X_q), one real
-      matrix-vector product of the gains' float view with
-      b conj(2 f) viewed as 2K floats.  MSE_q = K - r_q.
-    * margin: ``_contenders`` keeps the rows whose r_q can still be the
-      exact maximum, with weight sqrt(K) ||b||_2 + |f| L >= ||b||_1 + |f|
-      ||g_q||_1 for two rows per candidate.
-    * skip: ``held`` is the grid row the incumbent equals bit for bit (None
-      when it is off the grid).  If the screen keeps that row alone, it is
-      the exact first minimum of the grid rows, and the incumbent, built
-      from the same bits, ties it after it; nothing is confirmed, and the
-      result is (rows, None).
-    * confirm: the kept rows, in grid order, and then the incumbent are
-      built as ``raw * factor + rest`` and scored by ``mse_rows``, which
-      gives a row the same bits in any batch.  Every dropped row scores
-      strictly above the winner, so the first minimum does not move.
-
-    Returns (rows, mses): the kept grid row indices and the MSEs of their
-    candidates followed by the incumbent's.
+    ``gains`` that ``feasible`` keeps (all of them when None).  A grid
+    without ``stats`` (one of at most ``_FULL_SCAN_SIZE`` gains, see
+    ``_scan_tables``) scores every row with ``mse_rows``.  Otherwise each
+    row is screened by its alignment ratio r_q = num_q / den_q, with
+    f = factor, b = rest, B = sum b and E_b = sum |b|^2:
+    num_q = |f|^2 |S_q|^2 + |B|^2 + 2 Re(f S_q conj(B)) and
+    den_q = |f|^2 E_q + E_b + noise_var / p_tx + 2 Re(f X_q),
+    X_q = sum_k g_qk conj(b_k), from one (2, 5) @ (5, Q) product with the
+    grid's real table and, for 2 Re(f X_q), one real matrix-vector product
+    of the gains' float view with b conj(2 f) viewed as 2K floats;
+    MSE_q = K - r_q.  Returns the first row of the best score among the
+    feasible rows, or None when no row is feasible.  The row need not beat
+    the incumbent: the caller's accept rule rescores the channel.
     """
-    k = gains.shape[1]
-    if stats is None or (feasible is not None and not feasible.any()):
-        rows = np.arange(len(gains)) if feasible is None else np.flatnonzero(feasible)
+    if feasible is not None and not feasible.any():
+        return None
+    if stats is None:
+        h = gains * factor
+        h += rest
+        score = -mse_rows(h, p_tx, noise_var)
     else:
         f = complex(factor)
         f_sq = abs(f) ** 2
@@ -634,14 +541,10 @@ def _screened_scan(
         num, den = np.dot(coef, stats.table)
         # Re(g conj(v)) = g.re v.re + g.im v.im with v = b conj(2 f)
         den += np.dot(stats.flat, (rest * (2.0 * f).conjugate()).view(np.float64))
-        weight = math.sqrt(k * energy_b) + math.sqrt(f_sq) * stats.l1
-        rows = _contenders(num, den, weight, k, feasible)
-        if held is not None and rows.size == 1 and rows[0] == held:
-            return rows, None
-    raw = np.concatenate((gains[rows], incumbent[None, :]))
-    h = raw * factor
-    h += rest
-    return rows, mse_rows(h, p_tx, noise_var)
+        score = np.divide(num, den, out=num)
+    if feasible is not None:
+        score[~feasible] = -np.inf
+    return int(np.argmax(score))
 
 
 def _ao_engine(
@@ -674,8 +577,6 @@ def _ao_engine(
         # phases wrapped once here, so the placement returned is the one scored
         init = Placement("SA2", init.pa_x, phases=[_wrap_phase(t) for t in init.phases.tolist()])
     state = _AOState(cfg, scene, init, base)
-    # an update scores only the grid rows its screen keeps, so the loop
-    # builds no (Q, K) temporaries
     segments = range(scene.layout.m_segments)
     scans = [_scan_tables(grids, cfg, m) for m in segments]
 
@@ -688,10 +589,10 @@ def _ao_engine(
                 evaluations += 3
                 state.settle(m, state.solve_phase(m)[0])
         for m, (pts, gains, st) in enumerate(scans):
-            row, _, n = state.position_step(m, pts, gains, st)
+            row, n = state.position_step(m, pts, gains, st)
             evaluations += n
-            if row is not None and state.settle(m, state.thetas[m], pts[row], gains[row]):
-                state.rows[m] = row
+            if row is not None:
+                state.settle(m, state.thetas[m], pts[row], gains[row])
         trace.append(state.current)
         if sweep_start - state.current < tol:
             break
@@ -704,13 +605,17 @@ def sa1_position_update(
 ) -> tuple[float, float]:
     """Best PA position for one segment with the others frozen.
 
-    Runs the AO's position step on the feasible grid plus the incumbent
-    position and returns (new_pa_x, new_mse); never worse than the
-    incumbent.  SA2 phases are held fixed.
+    Runs the AO's position step and accept rule on the feasible grid and
+    returns (new_pa_x, new_mse): the grid row's position if the move did
+    not raise the MSE, else the incumbent's, and the MSE that
+    evaluate_placement recomputes for it.  SA2 phases are held fixed.
     """
     pts, gains, stats = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
-    row, mse, _ = _AOState(cfg, scene, placement).position_step(segment, pts, gains, stats)
-    return float(placement.pa_x[segment] if row is None else pts[row]), mse
+    state = _AOState(cfg, scene, placement)
+    row, _ = state.position_step(segment, pts, gains, stats)
+    if row is not None:
+        state.settle(segment, state.thetas[segment], pts[row], gains[row])
+    return float(state.psis[segment]), state.current
 
 
 def sa1_ao(

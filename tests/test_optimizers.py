@@ -537,7 +537,12 @@ def _full_position_scan(cfg, scene, placement, segment, q):
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 def test_sa1_position_update_is_the_full_scan_bitwise(kappa):
-    """The AO's screened step returns the full scan's position and MSE bits."""
+    """The AO's position step and accept rule return the full scan's position bits.
+
+    The MSE returned is the accept rule's rescore of the whole channel, so
+    it is ``evaluate_placement`` of the returned placement to the bit, and
+    the full scan's to rounding.
+    """
     cfg = make_config(kappa=kappa, delta_min=_WIDE_DELTA)
     dropped = 0
     for i in range(6):
@@ -548,8 +553,13 @@ def test_sa1_position_update_is_the_full_scan_bitwise(kappa):
             for placement in (start, finish):
                 for seg in range(3):
                     x, mse, masked = _full_position_scan(cfg, scene, placement, seg, 60)
-                    got = sa1_position_update(cfg, scene, placement, seg, 60)
-                    assert np.array(got).tobytes() == np.array([x, mse]).tobytes()
+                    got_x, got_mse = sa1_position_update(cfg, scene, placement, seg, 60)
+                    assert got_x == x
+                    moved = placement.pa_x.copy()
+                    moved[seg] = got_x
+                    after = sa.Placement(arch, moved, phases=placement.phases)
+                    assert got_mse == evaluate_placement(cfg, scene, after)
+                    assert rel_err(got_mse, mse) < 1e-12
                     dropped += masked
     assert dropped > 0  # the spacing rule removed grid points
 
@@ -939,43 +949,144 @@ def _screen_cases(seed, k):
 
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_position_screen_picks_the_full_scans_row(k):
-    """Screen-then-confirm chooses the full scan's row with the same MSE bits.
+    """The screen's row scores within a rounding margin of the full scan's first minimum.
 
-    When the incumbent is a grid row and the screen keeps that row alone,
-    nothing is confirmed: the full scan must pick that row, with the bits
-    the incumbent scores on its own.  Every case gets its row statistics,
-    whatever its size, so every case with a feasible row is screened.
+    A candidate of a position update is the channel h = f a + b over K
+    users, f times a grid row a plus the rest sum b, and ``mse_rows``
+    scores it.  The screen gives it the alignment ratio num / den, with
+    num = |f|^2 |A|^2 + |B|^2 + 2 Re(f A conj(B)) and
+    den = |f|^2 E_a + E_b + 2 Re(f C) + noise_var / p_tx, where A = sum a,
+    B = sum b, C = sum a conj(b), E_a = sum |a|^2 and E_b = sum |b|^2.
+    With weight = ||b||_1 + |f| max_q ||g_q||_1, every channel term of the
+    numerator and the denominator is at most T = weight^2, and
+    ``_rounding_coef`` (n = 2) budgets (8K + 16) eps T for each sum.  The
+    screen stays well inside that budget.  With u = eps / 2, its num is a
+    5-term dot, in any order, of the stored (|A|^2, Re A, Im A, E_a, 1)
+    with the coefficients (|f|^2, 2 Re w, -2 Im w, 0, |B|^2), w = f conj(B).
+    The stored A and the computed B are K-term sums, each off by at most
+    sqrt(2) K u times its row's 1-norm, which moves |f A + B|^2 by at most
+    1.5 K eps T.  |A|^2, rounded from the stored A, adds eps T.  The
+    coefficients, |f|^2 and |B|^2 within 5u of their values and 2 Re w and
+    2 Im w within 2 eps |f| |B|, add 3.3 eps T.  The dot's terms sum in
+    magnitude to at most sqrt(2) T, so it adds 5 sqrt(2) u T < 3.6 eps T.
+    That is (1.5 K + 8) eps T in all.  Its den is |f|^2 E_a + E_b + noise
+    from the same dot, plus the cross term 2 Re(f C) as a 2K-term real dot,
+    in BLAS order, of the gains' floats with b conj(2 f).  E_a (K rounded
+    squared moduli) and E_b (2K rounded squares) are within (K + 5) eps T.
+    The cross term's products sum in magnitude to at most
+    2 |f| ||a||_1 ||b||_1 <= T / 2, so it is within (K + 2) eps T / 2, its
+    vector's rounding included.  The 5-term dot and the last addition add
+    3 eps T.  So num and den are each within (2K + 9) eps T.  With
+    D = min den - c T > 0, a row's screened and ``mse_rows`` ratios differ
+    by at most E, and ``_margin`` is 2E: the screen's row scores at most
+    2E above the full scan's first minimum.  In near-ties it may pick
+    another row; the AO's accept rule then rescores the channel, so the
+    screen need not be exact.
+
+    Each case also runs without row statistics, the small-grid scan, which
+    scores every row with ``mse_rows`` and so picks the full scan's first
+    minimum among the grid rows, bit for bit.  The full scan also scores
+    the incumbent; where that wins, the accept rule undoes the move.
     """
-    kept = skipped = 0
-    for gains, rest, factor, incumbent, held, feasible, noise_var in _screen_cases(300 + k, k):
-        want_row, want_mse = _full_scan(gains, rest, factor, incumbent, feasible, noise_var)
-        rows, mses = optimizers._screened_scan(
-            gains, DropGrids._row_stats(gains), rest, factor, incumbent, held, feasible, P_TX, noise_var
+    same = other = incumbent = bounded = 0
+    for gains, rest, factor, held_row, _, feasible, noise_var in _screen_cases(300 + k, k):
+        want_row, _ = _full_scan(gains, rest, factor, held_row, feasible, noise_var)
+        rows = np.arange(len(gains)) if feasible is None else np.flatnonzero(feasible)
+        h = gains[rows] * factor
+        h += rest
+        mses = optimizers.mse_rows(h, P_TX, noise_var)
+        scanned = optimizers._screened_scan(gains, None, rest, factor, feasible, P_TX, noise_var)
+        row = optimizers._screened_scan(
+            gains, DropGrids._row_stats(gains), rest, factor, feasible, P_TX, noise_var
         )
-        if mses is None:
-            assert rows.tolist() == [held] == [want_row]
-            alone = _full_scan(gains, rest, factor, incumbent, np.zeros(len(gains), dtype=bool), noise_var)
-            assert alone[1].tobytes() == want_mse.tobytes()
-            skipped += 1
+        if not rows.size:
+            assert row is None and scanned is None
             continue
-        j = int(np.argmin(mses))
-        assert (int(rows[j]) if j < rows.size else None) == want_row
-        assert mses[j].tobytes() == want_mse.tobytes()
-        if feasible is not None:
-            assert feasible[rows].all()
-        kept += rows.size
-    assert kept > 0 and skipped > 0
+        first = int(np.argmin(mses))
+        assert scanned == rows[first]
+        assert want_row in (None, scanned)
+        assert row in rows
+        weight = np.abs(rest).sum() + abs(factor) * np.abs(gains).sum(axis=1).max()
+        ct = optimizers._rounding_coef(k, 2) * weight * weight
+        low = float((np.square(np.abs(h)).sum(axis=1) + noise_var / P_TX).min()) - ct
+        if low > 0.0:
+            assert mses[np.searchsorted(rows, row)] <= mses[first] + optimizers._margin(ct, low, k)
+            bounded += 1
+        if want_row is None:
+            incumbent += 1
+        elif row == want_row:
+            same += 1
+        else:
+            other += 1
+    assert same > 0 and incumbent > 0
+    assert bounded > (same + other + incumbent) // 2
+
+
+def _worst_row(gains, stats, rest, factor, feasible, p_tx, noise_var):
+    """The first worst feasible row by ``mse_rows``, or None: a stand-in for ``_screened_scan``."""
+    h = gains * factor
+    h += rest
+    mses = optimizers.mse_rows(h, p_tx, noise_var)
+    if feasible is not None:
+        if not feasible.any():
+            return None
+        mses[~feasible] = -np.inf
+    return int(np.argmax(mses))
+
+
+def _random_row(seed):
+    """A stand-in for ``_screened_scan`` that picks a seeded random feasible row."""
+    g = philox_stream(seed)
+
+    def pick(gains, stats, rest, factor, feasible, p_tx, noise_var):
+        rows = np.arange(len(gains)) if feasible is None else np.flatnonzero(feasible)
+        return int(g.choice(rows)) if rows.size else None
+
+    return pick
+
+
+@pytest.mark.parametrize("pick", ["worst", "random"])
+def test_ao_correctness_does_not_rest_on_the_screen(monkeypatch, pick):
+    """Whatever row the position step proposes, the accept rule keeps the AO sound.
+
+    With ``_screened_scan`` replaced by the worst feasible row or a seeded
+    random one, SA1 and SA2 traces never increase, ``final_mse`` is
+    ``evaluate_placement`` of the returned placement exactly, and the
+    placement keeps the spacing rule, on sweep-k (M = 5, Q = 1000) and
+    oracle-check (M = 2, K = 3, Q = 20) sized scenes.
+    """
+    monkeypatch.setattr(optimizers, "_screened_scan", _worst_row if pick == "worst" else _random_row(77))
+    cases = [
+        (make_config(kappa=kappa), make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0,
+                                              k=k, seed=derive_seed(1, k)), 1000)
+        for k in (2, 6) for kappa in (0.0, 0.08)
+    ] + [
+        (make_config(kappa=kappa, delta_min=0.3),
+         make_scene(m_segments=2, seg_length=1.0, d_x=20.0, k=3, seed=derive_seed(1, drop)), 20)
+        for drop in range(4) for kappa in (0.0, 0.08)
+    ]
+    moved = 0
+    for cfg, scene, q in cases:
+        for run in (sa1_ao, sa2_ao):
+            rec = run(cfg, scene, q, max_iters=8)
+            assert all(b <= a for a, b in zip(rec.mse_trace, rec.mse_trace[1:]))
+            assert rec.final_mse == evaluate_placement(cfg, scene, rec.placement)
+            assert not sa.validate_placement(scene.layout, rec.placement, cfg.delta_min)
+            moved += not np.array_equal(rec.placement.pa_x, scene.layout.midpoints)
+    if pick == "random":
+        assert moved > 0  # the accept rule kept some of the proposed moves
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 def test_small_grids_confirm_every_feasible_row_bitwise(monkeypatch, kappa):
-    """Oracle-check's Q = 20, K = 3 is under the size rule: every update confirms every feasible row.
+    """Oracle-check's Q = 20, K = 3 is under the size rule: each update scores its grid in one batch.
 
-    No update is screened, so none skips its confirm or builds row
-    statistics, and SA1 and SA2 match the per-candidate reference to the
-    bit, evaluations included.
+    No update builds row statistics.  Each position update scores the
+    whole grid with one ``mse_rows`` call, with no incumbent row, masks the
+    infeasible rows and hands the first best to the accept rule.  SA1 and
+    SA2 match the per-candidate reference to the bit, evaluations included.
     """
-    confirmed = _count_confirms(monkeypatch)
+    batches = _count_batches(monkeypatch)
     monkeypatch.setattr(DropGrids, "_row_stats", None)  # any call fails
     assert 20 * 3 <= optimizers._FULL_SCAN_SIZE
     cfg = make_config(kappa=kappa, delta_min=0.3)
@@ -984,66 +1095,68 @@ def test_small_grids_confirm_every_feasible_row_bitwise(monkeypatch, kappa):
         scene = make_scene(m_segments=2, seg_length=1.0, d_x=20.0, k=3, seed=derive_seed(1, drop))
         for arch, run in (("SA1", sa1_ao), ("SA2", sa2_ao)):
             init = midpoint_init(scene, arch)
-            confirmed.clear()
+            batches.clear()
             rec = run(cfg, scene, 20, init=init)
             ref = reference_ao(cfg, scene, 20, init.pa_x, init.phases)
             _assert_same_run(rec, ref)
-            assert len(confirmed) == 2 * rec.iterations
-            assert sum(confirmed) == rec.evaluations - 1 - 2 * rec.iterations * (1 + 3 * (arch == "SA2"))
+            assert batches == [20] * (2 * rec.iterations)
             dropped += ref["dropped"]
     assert dropped > 0  # the spacing mask was exercised
 
 
-def _count_confirms(monkeypatch):
-    """Record the grid rows of each position update's confirm batch, incumbent left out."""
-    confirmed = []
+def _count_batches(monkeypatch):
+    """Record the number of candidates of every batch ``mse_rows`` scores in the optimizers."""
+    batches = []
     mse_rows = optimizers.mse_rows
 
     def counting(h, *args, **kwargs):
-        if h.ndim == 2:  # a position update's confirm batch, incumbent last
-            confirmed.append(h.shape[0] - 1)
+        if h.ndim == 2:  # a batch of candidates, not one channel
+            batches.append(h.shape[0])
         return mse_rows(h, *args, **kwargs)
 
     monkeypatch.setattr(optimizers, "mse_rows", counting)
-    return confirmed
-
-
-def test_position_screen_confirms_few_rows(monkeypatch):
-    """On sweep-k scenes the exact path scores about one grid row per update.
-
-    A loose screening margin would stay exact but score many rows, which
-    shows only as a slowdown; this pins the mean rows confirmed per update.
-    """
-    confirmed = _count_confirms(monkeypatch)
-    for k in (2, 20):
-        scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=k, seed=derive_seed(1, k))
-        for kappa in (0.0, 0.08):
-            cfg = make_config(kappa=kappa)
-            sa1_ao(cfg, scene, 1000)
-            sa2_ao(cfg, scene, 1000)
-    assert len(confirmed) > 100
-    assert np.mean(confirmed) <= 2.0
+    return batches
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
-def test_most_sa2_updates_on_sweep_k_scenes_confirm_nothing_bitwise(monkeypatch, kappa):
-    """M = 5, Q = 1000, K = 2: once a PA sits on a grid row, its screen mostly keeps that row alone.
+def test_large_grid_position_steps_score_no_batch_bitwise(monkeypatch, kappa):
+    """M = 5, Q = 1000: a position step is the screen's row and one ``settle`` rescore.
 
-    Such an update skips its confirm batch.  SA1 and SA2 still match the
-    per-candidate reference to the bit, evaluations included, and a skip
-    that quietly stopped firing shows in the count of confirm batches.
+    No update scores a batch of candidates with ``mse_rows``, on sweep-k
+    scenes run to convergence, yet SA1 and SA2 match the per-candidate
+    reference to the bit, evaluations included.  With every position move
+    refused, each PA stays at its midpoint, off the grid, and every update
+    still proposes its row.
     """
-    confirmed = _count_confirms(monkeypatch)
+    batches = _count_batches(monkeypatch)
     cfg = make_config(kappa=kappa)
+    for k in (2, 20):
+        scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=k, seed=derive_seed(1, k))
+        sa1_ao(cfg, scene, 1000)
+        sa2_ao(cfg, scene, 1000)
     scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=2, seed=derive_seed(2, 2))
     for arch, run in (("SA1", sa1_ao), ("SA2", sa2_ao)):
         init = midpoint_init(scene, arch)
-        confirmed.clear()
         rec = run(cfg, scene, 1000, max_iters=6)
         _assert_same_run(rec, reference_ao(cfg, scene, 1000, init.pa_x, init.phases, max_iters=6))
-        if arch == "SA2":
-            assert rec.iterations > 2
-            assert len(confirmed) < 5 * rec.iterations / 2
+        assert rec.iterations > 2
+    assert batches == []
+
+    refused = []
+    settle = optimizers._AOState.settle
+
+    def refuse_moves(self, m, theta, psi=None, row=None):
+        if psi is None:
+            return settle(self, m, theta)
+        refused.append(m)
+        return False
+
+    monkeypatch.setattr(optimizers._AOState, "settle", refuse_moves)
+    rec = sa2_ao(cfg, scene, 1000, max_iters=3)
+    assert rec.iterations > 1
+    assert np.array_equal(rec.placement.pa_x, scene.layout.midpoints)
+    assert refused == list(range(5)) * rec.iterations
+    assert batches == []
 
 
 def test_ao_settle_reports_whether_it_kept_the_change():
@@ -1063,24 +1176,3 @@ def test_ao_settle_reports_whether_it_kept_the_change():
     assert [a.tobytes() for a in (state.psis, state.thetas, state.base, state.unphased, state.shares)] == before
     assert state.settle(1, state.thetas[1], pts[best], gains[best])
     assert state.current == mses[best] and state.psis[1] == pts[best]
-
-
-def test_a_refused_move_leaves_the_pa_off_the_grid(monkeypatch):
-    """The AO marks a PA's grid row only when settle keeps the move.
-
-    With every position move refused, each PA stays at its midpoint, off
-    the grid, so no update may skip its confirm batch.
-    """
-    confirmed = _count_confirms(monkeypatch)
-    settle = optimizers._AOState.settle
-
-    def refuse_moves(self, m, theta, psi=None, row=None):
-        return False if psi is not None else settle(self, m, theta)
-
-    monkeypatch.setattr(optimizers._AOState, "settle", refuse_moves)
-    cfg = make_config()
-    scene = make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0, k=2, seed=derive_seed(2, 2))
-    rec = sa2_ao(cfg, scene, 1000, max_iters=3)
-    assert rec.iterations > 1
-    assert np.array_equal(rec.placement.pa_x, scene.layout.midpoints)
-    assert len(confirmed) == 5 * rec.iterations
