@@ -176,7 +176,6 @@ class GridStats(NamedTuple):
     denominator but its cross term.
     """
 
-    gains: np.ndarray
     flat: np.ndarray
     table: np.ndarray
 
@@ -256,7 +255,7 @@ class DropGrids:
             np.square(np.abs(gains)) @ ones, np.ones(len(gains)),
         ])
         table.setflags(write=False)
-        return GridStats(gains, gains.view(np.float64), table)
+        return GridStats(gains.view(np.float64), table)
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

@@ -76,7 +76,7 @@ KINDS = {
 # Integer fields and their minimums (None: any integer).
 _INT_MINIMUMS = {
     "n_drops": 1, "master_seed": None, "k_users": 1, "m_segments": 1, "q_grid": 2,
-    "restarts": 0, "max_iters": 1, "theta_grid": 1,
+    "restarts": 0, "max_iters": 1,
 }
 
 
@@ -115,7 +115,6 @@ class ExperimentSpec:
     design_kappa: Optional[float] = None
     max_iters: int = 100
     tol: float = 1e-8
-    theta_grid: int = 720
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -411,8 +410,10 @@ def _run(
 
     That seed is the drop's, or, when a random restart beats the midpoint
     start, the seed that drew the winning restart's init.  An "-oracle" tag
-    runs its AO scheme's joint brute-force oracle, with the candidate grids
-    extended by the AO midpoint inits, which AO may legitimately retain.
+    runs its AO scheme's joint brute-force oracle, whose candidates are each
+    segment's grid and its midpoint, the AO start an AO run may keep.
+    It reads the oracles as module globals at call time, which perfbench's
+    probe swaps for its wrappers.
     """
     seed = derive_seed(spec.master_seed, drop)
     q = spec.q_grid
@@ -421,11 +422,8 @@ def _run(
     if tag == "PASS":
         return pass_baseline(cfg, scene, q, grids=grids), seed
     if tag.endswith("-oracle"):
-        extra = [[x] for x in scene.layout.midpoints.tolist()]
-        if tag == "SA1-oracle":
-            return sa1_joint_exhaustive(cfg, scene, q, extra_candidates=extra, grids=grids), seed
-        rec = sa2_joint_exhaustive(cfg, scene, q, spec.theta_grid, extra_candidates=extra, grids=grids)
-        return rec, seed
+        oracle = sa1_joint_exhaustive if tag == "SA1-oracle" else sa2_joint_exhaustive
+        return oracle(cfg, scene, q, grids=grids), seed
     runner = sa1_ao if tag == "SA1" else sa2_ao
     run = functools.partial(runner, cfg, scene, q, max_iters=spec.max_iters, tol=spec.tol, grids=grids)
     best = run()

@@ -32,8 +32,8 @@ rotation, taken from five per-tuple statistics, certifies that all of its
 pairs score above an MSE already scored.  Every grid search reads the
 drop's ``DropGrids`` table passed as ``grids``, or builds one for its own
 config when none is passed.  The SS midpoint probes, the default
-(midpoint) AO start and a joint oracle's lone midpoint extra candidates
-read the table's start rows, the gains at every segment midpoint, so none
+(midpoint) AO start and the joint oracles' midpoint candidates read the
+table's start rows, the gains at every segment midpoint, so none
 of them builds a gain row of its own.
 """
 
@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .channel import (
     eff_channel_ss,
     placement_gains,
     require_feasible,
-    segment_gain_matrix,
+    segment_gain_matrix,  # no caller here; perfbench's probe wraps optimizers.segment_gain_matrix
     segment_shares,
 )
 from .geometry import (
@@ -77,10 +76,13 @@ TWO_PI = 2.0 * math.pi
 _DEGENERATE_RTOL = 1e-15
 
 # Position tuples a joint oracle gathers at once, and (tuple, rotation)
-# pairs it scores at once, in whole tuples, or in runs of one tuple's
-# rotations when the phase grid is larger: this bounds its working set at
-# any grid size the tuple cap admits and any phase grid.
+# pairs it scores at once, in whole tuples with all their rotations: as
+# _THETA_GRID <= _TUPLE_BLOCK, a block holds at most _TUPLE_BLOCK pairs
+# at any grid size the tuple cap admits.
 _TUPLE_BLOCK = 1 << 13
+
+# Segment-0 phases the SA2 joint oracle scans, evenly spaced over [0, 2 pi).
+_THETA_GRID = 720
 
 # A position update on a grid of at most this many gains (Q K) scores every
 # row with mse_rows, without building the screen's row statistics: up to
@@ -721,25 +723,41 @@ def _ratio_ceilings(stats: np.ndarray) -> np.ndarray:
     return (half + np.sqrt(np.maximum(half * half - lead * const, 0.0))) / lead
 
 
+def _joint_candidates(
+    cfg: RadioConfig, scene: Scene, q_grid: int, grids: Optional[DropGrids]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each segment's joint-oracle candidates: its Q grid points, then its midpoint.
+
+    The midpoint is the AO's default start, which an AO run may keep.  Per
+    segment, returns (points, share rows): the grid's gains with the
+    midpoint's start row appended, times 1 / sqrt(M).  Gain rows do not
+    depend on the batch, so these are the rows of one ``segment_gain_matrix``
+    call over the extended grid.
+    """
+    grids = DropGrids.for_run(cfg, scene, q_grid, grids)
+    scale = 1.0 / math.sqrt(scene.layout.m_segments)
+    starts = grids.starts(cfg)
+    cands = []
+    for m, mid in enumerate(scene.layout.midpoints):
+        pts, gains = grids.grid(cfg, m)
+        cands.append((np.append(pts, mid), np.vstack([gains, starts[m:m + 1]]) * scale))
+    return cands
+
+
 def _joint_scan(
-    cfg: RadioConfig,
-    scene: Scene,
-    q_grid: int,
-    extra_candidates: Optional[Sequence[Sequence[float]]],
-    rot: np.ndarray,
-    grids: Optional[DropGrids],
+    cfg: RadioConfig, cands: list[tuple[np.ndarray, np.ndarray]], rot: np.ndarray
 ) -> tuple[float, np.ndarray, int, int]:
     """First MSE minimum over feasible (position tuple, segment-0 rotation) pairs.
 
-    Tuples run over each segment's Q grid (extended by ``extra_candidates``)
-    in itertools.product order, last segment fastest; within a tuple the
-    rotations ``rot`` run in order.  A pair's channel is built as
+    ``cands`` holds each segment's (points, share rows), as
+    ``_joint_candidates`` builds them.  Tuples run over each segment's
+    points in itertools.product order, last segment fastest; within a tuple
+    the rotations ``rot`` run in order.  A pair's channel is built as
     rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
     segment m's, and scored by ``mse_rows``.  Feasible tuples are gathered
     up to ``_TUPLE_BLOCK`` at a time and scored in blocks of whole tuples
-    with all their rotations (one tuple's rotations in runs of
-    ``_TUPLE_BLOCK`` when there are more), in product order; a block or run
-    replaces the incumbent only when its first minimum is strictly lower.
+    with all their rotations, in product order; a block replaces the
+    incumbent only when its first minimum is strictly lower.
     With more than one rotation (SA2), a tuple stage first drops whole
     tuples of each gathering:
 
@@ -763,7 +781,7 @@ def _joint_scan(
 
     Rounding of the tuple stage, with T, c and E as in ``_rounding_coef``
     and ``_margin`` (n = M, weight the largest
-    max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the grids allow):
+    max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the candidates allow):
     each statistic is within c T / (2 (1 + K)) of its exact sum over the
     stored rows, but for roundings relative to the noise term.  ``rot``
     need not have |rot|^2 = 1 to rounding: eta bounds ||rot|^2 - 1|, and
@@ -786,38 +804,13 @@ def _joint_scan(
     Returns (MSE, positions, rotation index, pairs counted): every feasible
     pair is counted, the pairs of dropped tuples among them.
     """
-    grids = DropGrids.for_run(cfg, scene, q_grid, grids)
-    m_seg = scene.layout.m_segments
-    scale = 1.0 / math.sqrt(m_seg)
-    extras = []
-    for m in range(m_seg):
-        e = np.asarray([] if extra_candidates is None else extra_candidates[m], dtype=float).ravel()
-        lo, hi = float(scene.layout.feed_x[m]), scene.layout.segment_end(m)
-        if not np.all((lo <= e) & (e <= hi)):
-            raise ValueError(f"extra candidates {e.tolist()} must lie on segment {m}, [{lo}, {hi}]")
-        extras.append(e)
-    shape = tuple(q_grid + e.size for e in extras)
+    points, shares = zip(*cands)
+    m_seg = len(cands)
+    shape = tuple(len(pts) for pts in points)
     n_tuples = math.prod(shape)
     if n_tuples > 2_000_000:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
-    cands = []
-    shares = []
-    mids = scene.layout.midpoints
-    for m, e in enumerate(extras):
-        pts, gains = grids.grid(cfg, m)
-        if e.size:
-            # gain rows do not depend on the batch, so appending the extra
-            # candidates' rows (a lone midpoint's from the start rows)
-            # equals one call over the extended grid
-            pts = np.append(pts, e)
-            if e.size == 1 and e[0] == mids[m]:
-                rows = grids.starts(cfg)[m:m + 1]
-            else:
-                rows = segment_gain_matrix(cfg, scene, m, e)
-            gains = np.vstack([gains, rows])
-        cands.append(pts)
-        shares.append(gains * scale)
-    k = scene.k
+    k = shares[0].shape[1]
     n_rot = len(rot)
     if n_rot > 1:
         rot_max = float(np.abs(rot).max())
@@ -829,12 +822,11 @@ def _joint_scan(
         eta = float(np.abs(np.square(np.abs(rot)) - 1.0).max()) + 4 * _EPS
     pairs = [list(p) for p in zip(*itertools.combinations(range(m_seg), 2))]
     tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
-    rots_per_run = min(n_rot, _TUPLE_BLOCK)
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, _TUPLE_BLOCK):
         idx = np.unravel_index(np.arange(start, min(start + _TUPLE_BLOCK, n_tuples)), shape)
-        pos = np.stack([c[i] for c, i in zip(cands, idx)], axis=1)
+        pos = np.stack([pts[i] for pts, i in zip(points, idx)], axis=1)
         if m_seg > 1:
             keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
             pos = pos[keep]
@@ -843,22 +835,13 @@ def _joint_scan(
         a, *others = [share[i] for share, i in zip(shares, idx)]
 
         def block_min(sel: np.ndarray) -> tuple[float, int, int]:
-            """First MSE minimum over every rotation of the tuples ``sel``: (MSE, tuple, rotation).
-
-            The rotations are scored in runs of ``rots_per_run``.  There is
-            more than one run only for a single tuple, so the runs, each
-            replacing the minimum only when strictly lower, keep product order.
-            """
-            found = None
-            for r0 in range(0, n_rot, rots_per_run):
-                h = rot[r0:r0 + rots_per_run, None] * a[sel, None]
-                for row in others:
-                    h += row[sel, None]
-                mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
-                t, r = np.unravel_index(np.argmin(mses), mses.shape)
-                if found is None or mses[t, r] < found[0]:
-                    found = (float(mses[t, r]), int(sel[t]), r0 + int(r))
-            return found
+            """First MSE minimum over every rotation of the tuples ``sel``: (MSE, tuple, rotation)."""
+            h = rot[:, None] * a[sel, None]
+            for row in others:
+                h += row[sel, None]
+            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
+            t, r = np.unravel_index(np.argmin(mses), mses.shape)
+            return float(mses[t, r]), int(sel[t]), int(r)
 
         live = np.arange(len(pos))
         ref = None
@@ -892,18 +875,17 @@ def sa1_joint_exhaustive(
     cfg: RadioConfig,
     scene: Scene,
     q_grid: int,
-    extra_candidates: Optional[Sequence[Sequence[float]]] = None,
     grids: Optional[DropGrids] = None,
 ) -> RunRecord:
-    """Global grid minimum over all feasible joint PA position tuples.
+    """Global minimum over all feasible joint PA position tuples.
 
-    Brute force over the Q^M product grid (optionally extended per segment by
-    ``extra_candidates``); intended for tiny instances as an optimizer oracle.
-    Ties resolve to the first tuple in itertools.product order.
+    Brute force over each segment's Q grid points and its midpoint (the
+    AO's default start), (Q + 1)^M tuples; intended for tiny instances as an
+    optimizer oracle.  Ties resolve to the first tuple in itertools.product
+    order.
     """
-    final, pa_x, _, count = _joint_scan(
-        cfg, scene, q_grid, extra_candidates, np.ones(1, dtype=complex), grids
-    )
+    cands = _joint_candidates(cfg, scene, q_grid, grids)
+    final, pa_x, _, count = _joint_scan(cfg, cands, np.ones(1, dtype=complex))
     return _one_pass(Placement("SA1", pa_x), final, count)
 
 
@@ -911,22 +893,19 @@ def sa2_joint_exhaustive(
     cfg: RadioConfig,
     scene: Scene,
     q_grid: int,
-    theta_grid: int = 720,
-    extra_candidates: Optional[Sequence[Sequence[float]]] = None,
     grids: Optional[DropGrids] = None,
 ) -> RunRecord:
     """Joint position-and-phase oracle for two segments.
 
-    A common phase on all segments cancels in the MSE, so the second phase is
-    pinned to zero and only the first is scanned over ``theta_grid`` points.
-    Brute force; intended for tiny oracle instances (M = 2 only).
+    Positions run over each segment's Q grid points and its midpoint, as
+    for ``sa1_joint_exhaustive``.  A common phase on all segments cancels in
+    the MSE, so the second phase is pinned to zero and only the first is
+    scanned over ``_THETA_GRID`` points.  Brute force; intended for tiny
+    oracle instances (M = 2 only).
     """
     if scene.layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")
-    if isinstance(theta_grid, bool) or not isinstance(theta_grid, numbers.Integral) or theta_grid < 1:
-        raise ValueError(f"theta_grid must be >= 1 and an integer, got {theta_grid!r}")
-    thetas = np.arange(theta_grid) * (TWO_PI / theta_grid)
-    final, pa_x, j, count = _joint_scan(
-        cfg, scene, q_grid, extra_candidates, np.exp(1j * thetas), grids
-    )
+    thetas = np.arange(_THETA_GRID) * (TWO_PI / _THETA_GRID)
+    cands = _joint_candidates(cfg, scene, q_grid, grids)
+    final, pa_x, j, count = _joint_scan(cfg, cands, np.exp(1j * thetas))
     return _one_pass(Placement("SA2", pa_x, phases=np.array([thetas[j], 0.0])), final, count)

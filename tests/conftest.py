@@ -170,6 +170,19 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8)
             "iterations": iterations, "evaluations": evaluations, "dropped": dropped}
 
 
+def joint_candidates(cfg, scene, positions):
+    """Per segment, (positions, share rows) for ``optimizers._joint_scan``.
+
+    A segment's share rows are its ``segment_gain_matrix`` rows at those
+    positions times 1 / sqrt(M), the scale the scalar references use.
+    """
+    scale = 1.0 / math.sqrt(scene.layout.m_segments)
+    return [
+        (np.asarray(pts, dtype=float), sa.segment_gain_matrix(cfg, scene, m, pts) * scale)
+        for m, pts in enumerate(positions)
+    ]
+
+
 def reference_sa1_joint(cfg, scene, cands):
     """SA1 joint grid oracle with one segment_gain_matrix call per tuple entry.
 

@@ -327,14 +327,13 @@ def test_criterion_10_small_instance_oracle_bounds(capsys):
     region = ServiceRegion(12.0, 6.0)
     layout = build_layout(2, 1.0, region, 3.0)
     mids = layout.feed_x + 0.5
-    extra = [[float(x)] for x in mids]
     gaps = {"SA1": [], "SA2": []}
     for i in range(20):
         users = sample_users(region, 3, derive_seed(404, i))
         scene = Scene(region, layout, users)
 
         rec1 = sa1_ao(cfg, scene, 20)
-        oracle1 = sa1_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
+        oracle1 = sa1_joint_exhaustive(cfg, scene, 20)
         assert rec1.final_mse >= oracle1.final_mse - 1e-12
         gaps["SA1"].append((rec1.final_mse - oracle1.final_mse) / oracle1.final_mse)
 

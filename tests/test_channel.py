@@ -213,7 +213,6 @@ def test_screen_statistics_read_the_grid_gains_in_place():
     for seg in range(3):
         gains = grids.grid(cfg, seg)[1]
         stats = grids.stats(cfg, seg)
-        assert stats.gains is gains
         assert stats.flat.shape == (50, 12) and stats.flat.dtype == np.float64
         assert np.shares_memory(stats.flat, gains)
         assert not stats.flat.flags.writeable and not stats.table.flags.writeable
@@ -231,8 +230,6 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
     A table that fits, with more configs than the run's, gives the bits of
     the run that builds its own.
     """
-    from functools import partial
-
     cfg = make_config(kappa=0.08)
     scene = make_scene(m_segments=2, k=4, seed=41)
     lossless = make_config(kappa=0.0)
@@ -243,7 +240,7 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
     )
     runs = (
         sa.ss_two_stage, sa.pass_baseline, sa.sa1_ao, sa.sa2_ao,
-        sa.sa1_joint_exhaustive, partial(sa.sa2_joint_exhaustive, theta_grid=8),
+        sa.sa1_joint_exhaustive, sa.sa2_joint_exhaustive,
     )
     for run in runs:
         for grids in refused:

@@ -240,8 +240,8 @@ def test_negative_zero_kappa_writes_the_outputs_of_zero(tmp_path, flag):
         {"n_drops": 1.9},
         {"master_seed": 3.5},
         {"n_drops": float("inf")},
-        {"theta_grid": 0},
-        {"theta_grid": -5},
+        {"q_grid": 1},
+        {"restarts": -1},
         {"max_iters": 0},
         {"max_iters": -1},
         {"tol": float("nan")},
@@ -252,6 +252,14 @@ def test_bad_integer_and_loop_fields_are_config_errors(tmp_path, capsys, values)
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
     _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
+
+
+def test_a_config_naming_the_removed_theta_grid_is_refused(tmp_path, capsys):
+    """The SA2 oracle's phase grid is a fixed 720 points; a file that still sets it fails loudly."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"theta_grid": 720}))
+    err = _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
+    assert "unknown config key: 'theta_grid'" in err
 
 
 @pytest.mark.parametrize(

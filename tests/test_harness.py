@@ -166,7 +166,7 @@ def test_parse_config_does_not_truncate_integer_fields():
         {"q_grid": 20.5},
         {"k_users": True},
         {"max_iters": float("inf")},
-        {"theta_grid": float("nan")},
+        {"m_segments": float("nan")},
         {"restarts": "1"},
     ],
 )
@@ -217,7 +217,7 @@ def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
     sweep_k = make_spec(sweep=(4,), n_drops=1, m_segments=3, q_grid=40,
                         schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=(0.0, 0.08))
     oracle = parse_config(kind="oracle-check",
-                          overrides={"n_drops": 1, "theta_grid": 36, "kappa_db_per_m": "0,0.08"})
+                          overrides={"n_drops": 1, "kappa_db_per_m": "0,0.08"})
     for spec, grids in [(sweep_k, 3 + 1), (oracle, 2)]:  # oracle-check runs no PASS
         sizes.clear()
         run_experiment(spec)
@@ -362,7 +362,6 @@ def test_oracle_check_pairs_each_run_with_a_bound():
         d_x=12.0,
         d_y=6.0,
         q_grid=12,
-        theta_grid=180,
         schemes=("SA1", "SA2"),
         master_seed=9,
     )
@@ -530,7 +529,7 @@ _SWAPPED = (
 
 _SMALL = {
     "n_drops": 2, "k_users": 3, "seg_length": 1.0, "d_x": 12.0, "d_y": 6.0,
-    "q_grid": 12, "theta_grid": 36, "kappa_db_per_m": "0,0.08",
+    "q_grid": 12, "kappa_db_per_m": "0,0.08",
 }
 
 

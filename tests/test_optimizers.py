@@ -27,6 +27,7 @@ from swan_aircomp.optimizers import (
 )
 from swan_aircomp.rng import derive_seed, philox_stream
 from conftest import (
+    joint_candidates,
     make_config,
     make_scene,
     naive_mse,
@@ -340,7 +341,8 @@ def test_sa1_joint_exhaustive_matches_hand_loop():
     cfg = make_config()
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=34)
     q = 6
-    cands = [sa.grid_points(scene.layout, m, q) for m in range(2)]
+    mids = scene.layout.midpoints
+    cands = [np.append(sa.grid_points(scene.layout, m, q), mids[m]) for m in range(2)]
     best = (math.inf, None)
     for x0, x1 in itertools.product(*cands):
         if abs(x0 - x1) < cfg.delta_min:
@@ -358,7 +360,7 @@ def test_sa1_joint_exhaustive_counts_only_feasible_pairs():
     cfg = make_config(delta_min=0.5)
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, k=2, seed=35)
     rec = sa1_joint_exhaustive(cfg, scene, 11)
-    assert rec.evaluations < 11 * 11
+    assert rec.evaluations < 12 * 12  # each segment's 11 grid points and its midpoint
 
 
 def test_sa1_joint_exhaustive_caps_grid_size():
@@ -371,7 +373,7 @@ def test_sa1_joint_exhaustive_caps_grid_size():
 def test_sa2_joint_exhaustive_contract():
     cfg = make_config()
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
-    rec = sa2_joint_exhaustive(cfg, scene, 12, theta_grid=360)
+    rec = sa2_joint_exhaustive(cfg, scene, 12)
     assert rec.placement.phases[1] == 0.0
     assert rel_err(rec.final_mse, evaluate_placement(cfg, scene, rec.placement)) < 1e-12
     # shifting both phases by a constant leaves the MSE unchanged
@@ -381,37 +383,6 @@ def test_sa2_joint_exhaustive_contract():
     assert rel_err(evaluate_placement(cfg, scene, shifted), rec.final_mse) < 1e-12
     with pytest.raises(ValueError):
         sa2_joint_exhaustive(cfg, make_scene(m_segments=3), 10)
-
-
-@pytest.mark.parametrize("oracle", [sa1_joint_exhaustive, sa2_joint_exhaustive])
-@pytest.mark.parametrize("offset", [-0.1, 1.9, math.nan])
-def test_joint_oracles_refuse_extra_candidates_off_their_segment(oracle, offset):
-    """A candidate before the feed or past the end would give an infeasible placement."""
-    cfg = make_config()
-    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
-    feed0 = float(scene.layout.feed_x[0])
-    with pytest.raises(ValueError, match="must lie on segment 0"):
-        oracle(cfg, scene, 5, extra_candidates=[[feed0 + offset], []])
-    rec = oracle(cfg, scene, 5, extra_candidates=[[feed0, feed0 + 1.0], []])
-    assert not sa.validate_placement(scene.layout, rec.placement, cfg.delta_min)
-
-
-@pytest.mark.parametrize("theta_grid", [0, -3])
-def test_sa2_joint_exhaustive_refuses_a_theta_grid_below_one(theta_grid):
-    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
-    with pytest.raises(ValueError, match="theta_grid must be >= 1"):
-        sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=theta_grid)
-
-
-@pytest.mark.parametrize("theta_grid", [2.5, 720.0, True, False, "720"])
-def test_sa2_joint_exhaustive_refuses_a_theta_grid_that_is_no_integer(theta_grid):
-    """2.5 once scanned 3 phases 2 pi / 2.5 apart, and True ran as a 1-point grid."""
-    scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=3, seed=37)
-    with pytest.raises(ValueError, match="theta_grid must be >= 1 and an integer"):
-        sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=theta_grid)
-    got, want = (sa2_joint_exhaustive(make_config(), scene, 5, theta_grid=n) for n in (np.int64(3), 3))
-    assert (got.final_mse, got.evaluations) == (want.final_mse, want.evaluations)
-    assert np.array_equal(got.placement.phases, want.placement.phases)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -432,12 +403,12 @@ def test_placements_refuse_non_finite_phases(bad):
 def test_sa2_joint_exhaustive_is_a_lower_bound_for_positions_on_grid():
     cfg = make_config()
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=12.0, d_y=6.0, k=2, seed=38)
-    rec = sa2_joint_exhaustive(cfg, scene, 10, theta_grid=240)
+    rec = sa2_joint_exhaustive(cfg, scene, 10)
     # any on-grid placement with any scanned phase is dominated
     x0 = sa.grid_points(scene.layout, 0, 10)[3]
     x1 = sa.grid_points(scene.layout, 1, 10)[7]
     probe = sa.Placement(
-        "SA2", np.array([x0, x1]), phases=np.array([2 * math.pi * 11 / 240, 0.0])
+        "SA2", np.array([x0, x1]), phases=np.array([2 * math.pi * 33 / 720, 0.0])
     )
     assert evaluate_placement(cfg, scene, probe) >= rec.final_mse - 1e-12
 
@@ -582,9 +553,9 @@ def test_sa1_joint_matches_per_candidate_reference_bitwise(m_seg, q, kappa, p_db
 
 def _check_sa1_joint(m_seg, q, kappa, delta_min, p_dbm=10.0):
     cfg, scene = _equivalence_case(m_seg, kappa, delta_min, p_dbm)
-    extra = [[float(x)] for x in midpoint_init(scene, "SA1").pa_x]
-    rec = sa1_joint_exhaustive(cfg, scene, q, extra_candidates=extra)
-    cands = [np.append(sa.grid_points(scene.layout, m, q), extra[m]) for m in range(m_seg)]
+    rec = sa1_joint_exhaustive(cfg, scene, q)
+    mids = midpoint_init(scene, "SA1").pa_x
+    cands = [np.append(sa.grid_points(scene.layout, m, q), mids[m]) for m in range(m_seg)]
     best, pa_x, count = reference_sa1_joint(cfg, scene, cands)
     assert rec.final_mse == best
     assert rec.mse_trace == (best,)
@@ -596,44 +567,41 @@ def _check_sa1_joint(m_seg, q, kappa, delta_min, p_dbm=10.0):
 @_JOINT_RADIO
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
 def test_sa2_joint_matches_per_candidate_reference_bitwise(kappa, p_dbm, delta_min):
-    _check_sa2_joint(kappa, delta_min, p_dbm)
-
-
-def _check_sa2_joint(kappa, delta_min, p_dbm=10.0, theta_grid=48, duplicates=False):
-    """The oracle against the reference; returns the winner's index in product order.
-
-    The extra candidates are the midpoints, or with ``duplicates`` every grid
-    point again, so each tuple ties exactly with three later ones.
-    """
+    """The oracle over grid and midpoint at its 720 phases, and its scan at 48 phases."""
     cfg, scene = _equivalence_case(2, kappa, delta_min, p_dbm)
     q = 12
-    if duplicates:
-        extra = [sa.grid_points(scene.layout, m, q).tolist() for m in range(2)]
-    else:
-        extra = [[float(x)] for x in midpoint_init(scene, "SA2").pa_x]
-    rec = sa2_joint_exhaustive(cfg, scene, q, theta_grid=theta_grid, extra_candidates=extra)
-    cands = [np.append(sa.grid_points(scene.layout, m, q), extra[m]) for m in range(2)]
-    best, pa_x, theta0, count = reference_sa2_joint(cfg, scene, cands, theta_grid)
+    rec = sa2_joint_exhaustive(cfg, scene, q)
+    mids = midpoint_init(scene, "SA2").pa_x
+    cands = [np.append(sa.grid_points(scene.layout, m, q), mids[m]) for m in range(2)]
+    best, pa_x, theta0, count = reference_sa2_joint(cfg, scene, cands, optimizers._THETA_GRID)
     assert rec.final_mse == best
     assert rec.mse_trace == (best,)
     assert np.array_equal(rec.placement.pa_x, pa_x)
     assert np.array_equal(rec.placement.phases, [theta0, 0.0])
     assert rec.evaluations == count
-    return next(i for i, combo in enumerate(itertools.product(*cands)) if np.array_equal(combo, pa_x))
+    _check_sa2_joint(kappa, delta_min, p_dbm)
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.08])
-def test_sa2_joint_scores_a_large_phase_grid_in_bounded_runs(monkeypatch, kappa):
-    """A phase grid larger than a block is scored in runs of at most ``_TUPLE_BLOCK`` pairs.
+def _check_sa2_joint(kappa, delta_min, p_dbm=10.0, theta_grid=48, duplicates=False):
+    """``_joint_scan`` against the reference; returns the winner's index in product order.
 
-    The runs keep product order and replace the minimum only when strictly
-    lower, so the result is the reference's to the bit.
+    The candidates are each segment's grid points and then its midpoint, or
+    with ``duplicates`` every grid point again, so each tuple ties exactly
+    with three later ones.
     """
-    block = 64
-    monkeypatch.setattr(optimizers, "_TUPLE_BLOCK", block)
-    scored = _count_scored(monkeypatch)
-    _check_sa2_joint(kappa, None, theta_grid=200)
-    assert scored and max(scored) <= block
+    cfg, scene = _equivalence_case(2, kappa, delta_min, p_dbm)
+    q = 12
+    grid = [sa.grid_points(scene.layout, m, q) for m in range(2)]
+    extra = grid if duplicates else [[x] for x in midpoint_init(scene, "SA2").pa_x]
+    positions = [np.append(pts, e) for pts, e in zip(grid, extra)]
+    thetas = np.arange(theta_grid) * (2.0 * math.pi / theta_grid)
+    got, pa_x, j, count = optimizers._joint_scan(
+        cfg, joint_candidates(cfg, scene, positions), np.exp(1j * thetas)
+    )
+    want = reference_sa2_joint(cfg, scene, positions, theta_grid)
+    assert (got, thetas[j], count) == (want[0], want[2], want[3])
+    assert np.array_equal(pa_x, want[1])
+    return next(i for i, combo in enumerate(itertools.product(*positions)) if np.array_equal(combo, pa_x))
 
 
 def _count_survivors(monkeypatch):
@@ -712,19 +680,19 @@ def test_joint_oracles_score_few_pairs(monkeypatch):
     only as a slowdown; this pins the pairs an SA2 call scores.  An SA1
     call scores every feasible tuple once.
     """
+    # so a block of whole tuples with all their rotations holds at most _TUPLE_BLOCK pairs
+    assert optimizers._THETA_GRID <= optimizers._TUPLE_BLOCK
     scored = _count_scored(monkeypatch)
-    theta_grid = 720
     for drop in range(5):
         scene = wide_scene(k=3, seed=derive_seed(1, drop))
-        extra = [[x] for x in scene.layout.midpoints.tolist()]
         for kappa in (0.0, 0.08):
             cfg = make_config(kappa=kappa)
             scored.clear()
-            rec = sa1_joint_exhaustive(cfg, scene, 20, extra_candidates=extra)
+            rec = sa1_joint_exhaustive(cfg, scene, 20)
             assert sum(scored) == rec.evaluations
             scored.clear()
-            sa2_joint_exhaustive(cfg, scene, 20, theta_grid=theta_grid, extra_candidates=extra)
-            assert sum(scored) == theta_grid
+            sa2_joint_exhaustive(cfg, scene, 20)
+            assert sum(scored) == optimizers._THETA_GRID
 
 
 def _exact_ratio(a, b, rot, noise_over_p):
