@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,23 +163,6 @@ def segment_gain_matrix(
     return free * _in_waveguide(cfg, ell)[:, None]
 
 
-class GridStats(NamedTuple):
-    """What the AO's position screen reads of one grid's (Q, K) gains G.
-
-    ``flat`` is G viewed as a real (Q, 2K) array, real and imaginary parts
-    interleaved: it shares G's read-only memory, so the screen's cross term
-    is one real matrix-vector product and copies no gains.  ``table`` is a
-    read-only real (5, Q) array whose column q is
-    (|S_q|^2, Re S_q, Im S_q, E_q, 1), with S_q = sum_k g_qk,
-    E_q = sum_k |g_qk|^2 and |S_q|^2 rounded from the stored S_q, so one
-    (2, 5) @ (5, Q) product gives every row's screen numerator and the
-    denominator but its cross term.
-    """
-
-    flat: np.ndarray
-    table: np.ndarray
-
-
 class DropGrids:
     """The Q-point PA search grids of one user drop, under each config it runs with.
 
@@ -188,13 +171,16 @@ class DropGrids:
     request, for every config in ``cfgs`` at once: one kappa-free
     free-space pass, then one ``segment_gain_matrix`` call per config that
     takes it as ``free``, so its read-only gains are that function's on the
-    grid, bit for bit.  The row statistics are built on first request per
-    (segment, config).  ``starts`` holds the read-only (M, K) gain rows
-    with every PA at its segment midpoint, built the same way from one
-    M-point pass: row m is ``segment_gain_matrix(cfg, scene, m,
-    [midpoint])``, bit for bit.  The midpoint AO starts, the SS probes and
-    the joint oracles' midpoint candidates read it.  The table belongs to
-    the loop over drops that builds it and is dropped with the drop.
+    grid, bit for bit.  ``stats`` is the AO position screen's table of a
+    segment grid, built on first request per (segment, config).  ``starts``
+    holds the read-only (M, K) gain rows with every PA at its segment
+    midpoint, built the same way from one M-point pass: row m is
+    ``segment_gain_matrix(cfg, scene, m, [midpoint])``, bit for bit.  The
+    midpoint AO starts, the SS probes and the joint oracles' midpoint
+    candidates read it.  Each of the three refuses a config not in
+    ``cfgs`` with ``for_run``'s error, before building anything.  The table
+    belongs to the loop over drops that builds it and is dropped with the
+    drop.
     """
 
     def __init__(self, scene: Scene, q: int, cfgs: Iterable[RadioConfig]) -> None:
@@ -225,6 +211,7 @@ class DropGrids:
 
     def grid(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
         """Points and (Q, K) gains of one grid under cfg."""
+        self.for_run(cfg, self.scene, self.q, self)
         if (segment, cfg) not in self._grids:
             scene = self.scene if segment is not None else baseline_scene(self.scene)
             pts = grid_points(scene.layout, segment or 0, self.q)
@@ -235,19 +222,26 @@ class DropGrids:
 
     def starts(self, cfg: RadioConfig) -> np.ndarray:
         """(M, K) gain rows under cfg with each segment's PA at its midpoint."""
+        self.for_run(cfg, self.scene, self.q, self)
         if cfg not in self._starts:
             layout = self.scene.layout
             self._starts = self._gains(self.scene, tuple(range(layout.m_segments)), layout.midpoints)
         return self._starts[cfg]
 
-    def stats(self, cfg: RadioConfig, segment: int) -> GridStats:
-        """Row statistics of one segment grid's gains under cfg."""
-        if (segment, cfg) not in self._stats:
+    def stats(self, cfg: RadioConfig, segment: int) -> np.ndarray:
+        """The AO position screen's read-only real (5, Q) table of one segment grid under cfg.
+
+        Column q is (|S_q|^2, Re S_q, Im S_q, E_q, 1) for the grid's gain
+        row g_q, with S_q = sum_k g_qk, E_q = sum_k |g_qk|^2 and |S_q|^2
+        rounded from the stored S_q, so one (2, 5) @ (5, Q) product gives
+        every row's screen numerator and its denominator but the cross term.
+        """
+        if (segment, cfg) not in self._stats:  # self.grid refuses a cfg not in cfgs
             self._stats[segment, cfg] = self._row_stats(self.grid(cfg, segment)[1])
         return self._stats[segment, cfg]
 
     @staticmethod
-    def _row_stats(gains: np.ndarray) -> GridStats:
+    def _row_stats(gains: np.ndarray) -> np.ndarray:
         ones = np.ones(gains.shape[1])
         sums = gains @ ones
         table = np.stack([
@@ -255,7 +249,7 @@ class DropGrids:
             np.square(np.abs(gains)) @ ones, np.ones(len(gains)),
         ])
         table.setflags(write=False)
-        return GridStats(gains.view(np.float64), table)
+        return table
 
 
 def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:

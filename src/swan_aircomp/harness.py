@@ -75,8 +75,7 @@ KINDS = {
 
 # Integer fields and their minimums (None: any integer).
 _INT_MINIMUMS = {
-    "n_drops": 1, "master_seed": None, "k_users": 1, "m_segments": 1, "q_grid": 2,
-    "restarts": 0, "max_iters": 1,
+    "n_drops": 1, "master_seed": None, "k_users": 1, "m_segments": 1, "q_grid": 2, "restarts": 0,
 }
 
 
@@ -113,8 +112,6 @@ class ExperimentSpec:
     schemes: tuple = ("SS", "SA1", "SA2", "PASS")
     restarts: int = 0
     design_kappa: Optional[float] = None
-    max_iters: int = 100
-    tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -136,8 +133,6 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep values must be strictly increasing, got {self.sweep}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad or not self.schemes:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}, got {self.schemes}")
@@ -425,7 +420,7 @@ def _run(
         oracle = sa1_joint_exhaustive if tag == "SA1-oracle" else sa2_joint_exhaustive
         return oracle(cfg, scene, q, grids=grids), seed
     runner = sa1_ao if tag == "SA1" else sa2_ao
-    run = functools.partial(runner, cfg, scene, q, max_iters=spec.max_iters, tol=spec.tol, grids=grids)
+    run = functools.partial(runner, cfg, scene, q, grids=grids)
     best = run()
     for r in range(spec.restarts):
         r_seed = derive_seed(spec.master_seed, drop, _RESTART_TAG + r)

@@ -44,9 +44,7 @@ def _as_channel(h) -> np.ndarray:
 
 def optimal_scaling(h, p_tx: float, noise_var: float) -> complex:
     """MSE-minimizing receive scaling for channel vector h."""
-    arr = _as_channel(h)
-    denom = p_tx * float(np.sum(np.abs(arr) ** 2)) + noise_var
-    return complex(np.sqrt(p_tx) * np.conj(arr.sum()) / denom)
+    return mse_min(h, p_tx, noise_var).r_opt
 
 
 def mse_given_scaling(h, r: complex, p_tx: float, noise_var: float) -> float:

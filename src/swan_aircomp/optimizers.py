@@ -20,10 +20,11 @@ candidates plus the acceptance check).  An AO position update counts every
 feasible grid point plus the incumbent.  It ranks the feasible rows by a
 screen, one real table of per-row statistics per grid (small grids are
 scored with ``mse_rows`` instead), takes the first best row, and hands it
-to the accept rule.  Each segment's spacing mask is kept until another PA
-moves.  Both AO passes keep a change only if the rescored whole channel's
-MSE did not rise (a step that changes nothing is skipped, but still
-counted), so the recorded MSE is the one evaluate_placement recomputes.
+to the accept rule.  A spacing mask is built only when a fixed PA lies
+within ``delta_min`` of the grid.  Both AO passes keep a change only if the
+rescored whole channel's MSE did not rise (a step that changes nothing is
+skipped, but still counted), so the recorded MSE is the one
+evaluate_placement recomputes.
 The joint oracles score every (position tuple, rotation) pair of the
 tuples they keep, and count every feasible pair.  SA1 keeps every feasible
 tuple.  With more than one rotation (SA2), a tuple stage drops whole
@@ -48,7 +49,6 @@ import numpy as np
 
 from .channel import (
     DropGrids,
-    GridStats,
     RadioConfig,
     eff_channel_sa1,
     eff_channel_sa2,
@@ -90,6 +90,9 @@ _THETA_GRID = 720
 _FULL_SCAN_SIZE = 128
 
 _EPS = float(np.finfo(float).eps)
+
+# Draws random_init makes before it gives up on finding a feasible start.
+_INIT_TRIES = 100
 
 
 @dataclass(frozen=True)
@@ -209,24 +212,22 @@ def midpoint_init(scene: Scene, architecture: str) -> Placement:
     return Placement(architecture, layout.midpoints, phases=phases)
 
 
-def random_init(
-    scene: Scene, architecture: str, seed: int, delta_min: float, max_tries: int = 100
-) -> Placement:
+def random_init(scene: Scene, architecture: str, seed: int, delta_min: float) -> Placement:
     """Random feasible AO start: uniform positions per segment, uniform phases.
 
     Draw order per attempt: M position uniforms, then (SA2 only) M phase
     uniforms.  Draws violating the ``delta_min`` spacing are rejected and
-    retried; raises if no feasible draw is found in ``max_tries``.
+    retried; raises if no feasible draw is found in ``_INIT_TRIES``.
     """
     layout = scene.layout
     g = philox_stream(seed)
-    for _ in range(max_tries):
+    for _ in range(_INIT_TRIES):
         psis = layout.feed_x + layout.seg_length * g.random(layout.m_segments)
         phases = TWO_PI * g.random(layout.m_segments) if architecture == "SA2" else None
         p = Placement(architecture, psis, phases=phases)
         if not validate_placement(layout, p, delta_min):
             return p
-    raise ValueError(f"no feasible random init found in {max_tries} tries")
+    raise ValueError(f"no feasible random init found in {_INIT_TRIES} tries")
 
 
 def _wrap_phase(theta: float) -> float:
@@ -311,35 +312,33 @@ class _AOState:
     """The AO's state at a feasible SA placement, its phases taken as given.
 
     SA1 is SA2 with every phase held at zero: e^{j0} = 1 + 0j leaves every
-    MSE bit as it is.  ``base`` holds every segment's gain row (M, K),
-    ``unphased`` is ``base * scale`` and ``shares`` is always
-    ``segment_shares(base, thetas)``: a change to segment m's PA or phase
-    recomputes row m alone, with segment_shares' arithmetic, and a phase
-    change leaves ``base[m]`` and ``unphased[m]`` as they are.
-    ``others[m]`` is an intp array of the segments but m in order, so
-    ``shares[others[m]]`` stacks the other rows in segment order and rest
-    sums keep their bits.  ``current`` is the MSE of the whole channel
-    ``shares.sum(axis=0)``.  Each segment's spacing mask is kept, with the
-    other PAs' positions it was built for, until one of them moves.
+    MSE bit as it is.  ``unphased`` is every segment's gain row (M, K)
+    times ``scale`` and ``shares`` is always ``segment_shares(rows,
+    thetas)``: a change to segment m's PA or phase recomputes row m alone,
+    with segment_shares' arithmetic, and a phase change leaves
+    ``unphased[m]`` as it is.  ``others[m]`` is an intp array of the
+    segments but m in order, so ``shares[others[m]]`` stacks the other rows
+    in segment order and rest sums keep their bits.  ``current`` is the MSE
+    of the whole channel ``shares.sum(axis=0)``.
     """
 
     def __init__(
-        self, cfg: RadioConfig, scene: Scene, placement: Placement, base: Optional[np.ndarray] = None
+        self, cfg: RadioConfig, scene: Scene, placement: Placement, rows: Optional[np.ndarray] = None
     ) -> None:
-        """``base``, when given, is the feasible placement's gain rows, copied; else they are built."""
+        """``rows``, when given, are the feasible placement's gain rows; else they are built."""
         m_seg = scene.layout.m_segments
         self.cfg = cfg
         self.scale = 1.0 / math.sqrt(m_seg)
         self.psis = placement.pa_x.copy()
         self.thetas = placement.phases.copy() if placement.architecture == "SA2" else np.zeros(m_seg)
-        self.base = placement_gains(cfg, scene, placement) if base is None else base.copy()
-        self.unphased = self.base * self.scale
-        self.shares = segment_shares(self.base, self.thetas)
+        if rows is None:
+            rows = placement_gains(cfg, scene, placement)
+        self.unphased = rows * self.scale
+        self.shares = segment_shares(rows, self.thetas)
         self.others = [
             np.array([j for j in range(m_seg) if j != m], dtype=np.intp) for m in range(m_seg)
         ]
         self.current = self._mse()
-        self._masks: list[Optional[tuple]] = [None] * m_seg
 
     def _mse(self) -> float:
         return float(mse_rows(self.shares.sum(axis=0), self.cfg.p_tx, self.cfg.noise_var))
@@ -357,34 +356,23 @@ class _AOState:
         return solver(*self.split(m), self.cfg.noise_var / self.cfg.p_tx, float(self.thetas[m]))
 
     def _spacing(self, m: int, pts: np.ndarray) -> tuple[Optional[np.ndarray], int]:
-        """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count.
-
-        The pair is built for the other PAs' positions and kept, keyed on
-        their bytes, until one of them moves.
-        """
+        """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count."""
         fixed = self.psis[self.others[m]]
-        key = fixed.tobytes()
-        cached = self._masks[m]
-        if cached is None or cached[0] != key:
-            delta = self.cfg.delta_min
-            lo, hi = pts[0], pts[-1]
-            # a fixed PA delta_min clear of the grid's nearer end is clear of
-            # every grid point (rounding is monotone), so no mask is needed
-            if all(lo - x >= delta or x - hi >= delta for x in fixed.tolist()):
-                cached = (key, None, pts.size)
-            else:
-                feasible = spacing_mask(pts, fixed, delta)
-                feasible.setflags(write=False)
-                cached = (key, feasible, int(np.count_nonzero(feasible)))
-            self._masks[m] = cached
-        return cached[1], cached[2]
+        delta = self.cfg.delta_min
+        lo, hi = pts[0], pts[-1]
+        # a fixed PA delta_min clear of the grid's nearer end is clear of
+        # every grid point (rounding is monotone), so no mask is needed
+        if all(lo - x >= delta or x - hi >= delta for x in fixed.tolist()):
+            return None, pts.size
+        feasible = spacing_mask(pts, fixed, delta)
+        return feasible, int(np.count_nonzero(feasible))
 
     def position_step(
-        self, m: int, pts: np.ndarray, gains: np.ndarray, stats: Optional[GridStats]
+        self, m: int, pts: np.ndarray, gains: np.ndarray, table: Optional[np.ndarray]
     ) -> tuple[Optional[int], int]:
         """Segment m's grid row for its PA, every other segment frozen, and the candidates counted.
 
-        ``pts``, ``gains`` and ``stats`` are segment m's ``_scan_tables``,
+        ``pts``, ``gains`` and ``table`` are segment m's ``_scan_tables``,
         the same on every call.  The row is ``_screened_scan``'s (None when
         the spacing rule leaves no grid point); the count is every feasible
         grid point plus the incumbent.  The caller hands the row to
@@ -393,7 +381,7 @@ class _AOState:
         feasible, n_feasible = self._spacing(m, pts)
         factor = self.scale * np.exp(1j * self.thetas[m])
         rest = self.shares[self.others[m]].sum(axis=0)
-        row = _screened_scan(gains, stats, rest, factor, feasible, self.cfg.p_tx, self.cfg.noise_var)
+        row = _screened_scan(gains, table, rest, factor, feasible, self.cfg.p_tx, self.cfg.noise_var)
         return row, n_feasible + 1
 
     def settle(
@@ -411,7 +399,8 @@ class _AOState:
             return False
         undo = (float(self.thetas[m]),)
         if psi is not None:
-            undo += (float(self.psis[m]), self.base[m].copy())
+            undo += (float(self.psis[m]), self.unphased[m].copy())
+            row = row * self.scale
         self._move(m, theta, psi, row)
         candidate = self._mse()
         if candidate <= self.current:
@@ -421,12 +410,11 @@ class _AOState:
         return False
 
     def _move(
-        self, m: int, theta: float, psi: Optional[float] = None, row: Optional[np.ndarray] = None
+        self, m: int, theta: float, psi: Optional[float] = None, unphased: Optional[np.ndarray] = None
     ) -> None:
         if psi is not None:
             self.psis[m] = psi
-            self.base[m] = row
-            self.unphased[m] = self.base[m] * self.scale
+            self.unphased[m] = unphased
         self.thetas[m] = theta
         self.shares[m] = self.unphased[m] * np.exp(1j * theta)
 
@@ -491,15 +479,15 @@ def _margin(ct: float, low: float, k: int) -> float:
 
 def _scan_tables(
     grids: DropGrids, cfg: RadioConfig, segment: int
-) -> tuple[np.ndarray, np.ndarray, Optional[GridStats]]:
-    """A segment grid's points, gains and, above ``_FULL_SCAN_SIZE`` gains, its screen statistics."""
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """A segment grid's points, gains and, above ``_FULL_SCAN_SIZE`` gains, its screen table."""
     pts, gains = grids.grid(cfg, segment)
     return pts, gains, (grids.stats(cfg, segment) if gains.size > _FULL_SCAN_SIZE else None)
 
 
 def _screened_scan(
     gains: np.ndarray,
-    stats: Optional[GridStats],
+    table: Optional[np.ndarray],
     rest: np.ndarray,
     factor: complex,
     feasible: Optional[np.ndarray],
@@ -510,22 +498,23 @@ def _screened_scan(
 
     The candidates are h_q = rest + factor * g_q for the rows g_q of
     ``gains`` that ``feasible`` keeps (all of them when None).  A grid
-    without ``stats`` (one of at most ``_FULL_SCAN_SIZE`` gains, see
+    without ``table`` (one of at most ``_FULL_SCAN_SIZE`` gains, see
     ``_scan_tables``) scores every row with ``mse_rows``.  Otherwise each
     row is screened by its alignment ratio r_q = num_q / den_q, with
     f = factor, b = rest, B = sum b and E_b = sum |b|^2:
     num_q = |f|^2 |S_q|^2 + |B|^2 + 2 Re(f S_q conj(B)) and
     den_q = |f|^2 E_q + E_b + noise_var / p_tx + 2 Re(f X_q),
     X_q = sum_k g_qk conj(b_k), from one (2, 5) @ (5, Q) product with the
-    grid's real table and, for 2 Re(f X_q), one real matrix-vector product
-    of the gains' float view with b conj(2 f) viewed as 2K floats;
+    grid's ``DropGrids.stats`` table and, for 2 Re(f X_q), one real
+    matrix-vector product of the gains' zero-copy float view (real and
+    imaginary parts interleaved) with b conj(2 f) viewed as 2K floats;
     MSE_q = K - r_q.  Returns the first row of the best score among the
     feasible rows, or None when no row is feasible.  The row need not beat
     the incumbent: the caller's accept rule rescores the channel.
     """
     if feasible is not None and not feasible.any():
         return None
-    if stats is None:
+    if table is None:
         h = gains * factor
         h += rest
         score = -mse_rows(h, p_tx, noise_var)
@@ -540,9 +529,9 @@ def _screened_scan(
             [f_sq, w.real, -w.imag, 0.0, abs(sum_b) ** 2],
             [0.0, 0.0, 0.0, f_sq, energy_b + noise_var / p_tx],
         ])
-        num, den = np.dot(coef, stats.table)
+        num, den = np.dot(coef, table)
         # Re(g conj(v)) = g.re v.re + g.im v.im with v = b conj(2 f)
-        den += np.dot(stats.flat, (rest * (2.0 * f).conjugate()).view(np.float64))
+        den += np.dot(gains.view(np.float64), (rest * (2.0 * f).conjugate()).view(np.float64))
         score = np.divide(num, den, out=num)
     if feasible is not None:
         score[~feasible] = -np.inf
@@ -567,18 +556,18 @@ def _ao_engine(
     holds the initial MSE, then one entry per sweep.
     """
     grids = DropGrids.for_run(cfg, scene, q_grid, grids)
-    base = None
+    rows = None
     if init is None:
         init = midpoint_init(scene, architecture)
         require_feasible(cfg, scene, init)
-        base = grids.starts(cfg)
+        rows = grids.starts(cfg)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
     phased = architecture == "SA2"
     if phased:
         # phases wrapped once here, so the placement returned is the one scored
         init = Placement("SA2", init.pa_x, phases=[_wrap_phase(t) for t in init.phases.tolist()])
-    state = _AOState(cfg, scene, init, base)
+    state = _AOState(cfg, scene, init, rows)
     segments = range(scene.layout.m_segments)
     scans = [_scan_tables(grids, cfg, m) for m in segments]
 
@@ -612,9 +601,9 @@ def sa1_position_update(
     not raise the MSE, else the incumbent's, and the MSE that
     evaluate_placement recomputes for it.  SA2 phases are held fixed.
     """
-    pts, gains, stats = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
+    pts, gains, table = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
     state = _AOState(cfg, scene, placement)
-    row, _ = state.position_step(segment, pts, gains, stats)
+    row, _ = state.position_step(segment, pts, gains, table)
     if row is not None:
         state.settle(segment, state.thetas[segment], pts[row], gains[row])
     return float(state.psis[segment]), state.current

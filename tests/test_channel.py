@@ -202,25 +202,27 @@ def test_drop_start_rows_are_the_single_midpoint_call_bitwise(kappa):
 
 
 def test_screen_statistics_read_the_grid_gains_in_place():
-    """The position screen's float view is the grid's gains, and its table is the row sums.
+    """The position screen's table is the row sums, and its float view is the grid's gains.
 
-    The view shares the gains' read-only memory, so a screen copies no
-    (Q, K) gains; the table holds (|S_q|^2, Re S_q, Im S_q, E_q, 1) per row.
+    The view the screen takes of the gains shares their read-only memory,
+    so a screen copies no (Q, K) gains; the read-only table holds
+    (|S_q|^2, Re S_q, Im S_q, E_q, 1) per row, built once per grid.
     """
     cfg = make_config(kappa=0.08)
     scene = make_scene(m_segments=3, seg_length=2.0, k=6, seed=29)
     grids = DropGrids(scene, 50, (cfg,))
     for seg in range(3):
         gains = grids.grid(cfg, seg)[1]
-        stats = grids.stats(cfg, seg)
-        assert stats.flat.shape == (50, 12) and stats.flat.dtype == np.float64
-        assert np.shares_memory(stats.flat, gains)
-        assert not stats.flat.flags.writeable and not stats.table.flags.writeable
+        table = grids.stats(cfg, seg)
+        flat = gains.view(np.float64)
+        assert flat.shape == (50, 12) and np.shares_memory(flat, gains) and not flat.flags.writeable
+        assert table.shape == (5, 50) and table.dtype == np.float64 and not table.flags.writeable
+        assert grids.stats(cfg, seg) is table
         sums = gains.sum(axis=1)
         want = [np.abs(sums) ** 2, sums.real, sums.imag, (np.abs(gains) ** 2).sum(axis=1), np.ones(50)]
         l1 = np.abs(gains).sum(axis=1).max()
         # sums may cancel, so each entry is held to its term sizes: l1 or l1^2
-        for got, ref, size in zip(stats.table, want, (l1 ** 2, l1, l1, l1 ** 2, 1.0)):
+        for got, ref, size in zip(table, want, (l1 ** 2, l1, l1, l1 ** 2, 1.0)):
             assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * size)
 
 
@@ -228,7 +230,8 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
     """Another scene (even with the same users), another q, or a missing config is refused.
 
     A table that fits, with more configs than the run's, gives the bits of
-    the run that builds its own.
+    the run that builds its own.  Read directly, a table refuses a config
+    it was not built for with the same error, before it builds anything.
     """
     cfg = make_config(kappa=0.08)
     scene = make_scene(m_segments=2, k=4, seed=41)
@@ -250,6 +253,11 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
         own = run(cfg, scene, 12)
         assert shared.final_mse.hex() == own.final_mse.hex()
         assert shared.placement.pa_x.tobytes() == own.placement.pa_x.tobytes()
+    table = refused[2]
+    for read in (lambda: table.grid(cfg, 0), lambda: table.stats(cfg, 0), lambda: table.starts(cfg)):
+        with pytest.raises(ValueError, match="is not for this run's scene, q=12 and config"):
+            read()
+    assert not (table._grids or table._stats or table._starts)
     with pytest.raises(ValueError, match="carrier"):
         DropGrids(scene, 12, (cfg, make_config(f_c=30e9)))
 

@@ -242,24 +242,31 @@ def test_negative_zero_kappa_writes_the_outputs_of_zero(tmp_path, flag):
         {"n_drops": float("inf")},
         {"q_grid": 1},
         {"restarts": -1},
-        {"max_iters": 0},
-        {"max_iters": -1},
-        {"tol": float("nan")},
-        {"tol": -1e-3},
+        {"k_users": 0},
+        {"k_users": -1},
+        {"k_users": float("nan")},
+        {"master_seed": float("-inf")},
     ],
 )
 def test_bad_integer_and_loop_fields_are_config_errors(tmp_path, capsys, values):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(values))
-    _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
-
-
-def test_a_config_naming_the_removed_theta_grid_is_refused(tmp_path, capsys):
-    """The SA2 oracle's phase grid is a fixed 720 points; a file that still sets it fails loudly."""
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({"theta_grid": 720}))
     err = _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
-    assert "unknown config key: 'theta_grid'" in err
+    assert next(iter(values)) in err
+
+
+@pytest.mark.parametrize("values", [{"theta_grid": 720}, {"max_iters": 100}, {"tol": 1e-8}],
+                         ids=["theta_grid", "max_iters", "tol"])
+def test_a_config_naming_a_removed_field_is_refused(tmp_path, capsys, values):
+    """A file that still sets a removed field fails loudly.
+
+    The SA2 oracle's phase grid is a fixed 720 points, and the AO's sweep
+    cap and tolerance are the optimizers' own defaults.
+    """
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(values))
+    err = _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
+    assert f"unknown config key: {next(iter(values))!r}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import argparse
 import re
 from pathlib import Path
+
+from swan_aircomp.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +21,17 @@ def test_readme_private_names_are_defined():
         if not re.search(rf"^\s*(?:(?:def|class)\s+{name}\b|{name}\s*[:=])", source, re.MULTILINE)
     ]
     assert not missing, f"README.md cites undefined names: {missing}"
+
+
+def test_readme_command_line_flags_are_cli_options():
+    """Every `--flag` in README's "Command line" section is an option of some subcommand.
+
+    A flag renamed or removed in `cli.py` that the README still names fails here.
+    """
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert flags
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings}
+    missing = sorted(flags - options)
+    assert not missing, f"README.md names unknown flags: {missing}"

@@ -165,7 +165,7 @@ def test_parse_config_does_not_truncate_integer_fields():
         {"n_drops": 1.5},
         {"q_grid": 20.5},
         {"k_users": True},
-        {"max_iters": float("inf")},
+        {"k_users": float("inf")},
         {"m_segments": float("nan")},
         {"restarts": "1"},
     ],

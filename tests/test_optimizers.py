@@ -1138,9 +1138,9 @@ def test_ao_settle_reports_whether_it_kept_the_change():
             for x in pts.tolist()]
     worst, best = int(np.argmax(mses)), int(np.argmin(mses))
     assert mses[worst] > state.current > mses[best]
-    before = [a.tobytes() for a in (state.psis, state.thetas, state.base, state.unphased, state.shares)]
+    before = [a.tobytes() for a in (state.psis, state.thetas, state.unphased, state.shares)]
     assert not state.settle(1, state.thetas[1], pts[worst], gains[worst])
     assert not state.settle(1, state.thetas[1])  # a step that changes nothing
-    assert [a.tobytes() for a in (state.psis, state.thetas, state.base, state.unphased, state.shares)] == before
+    assert [a.tobytes() for a in (state.psis, state.thetas, state.unphased, state.shares)] == before
     assert state.settle(1, state.thetas[1], pts[best], gains[best])
     assert state.current == mses[best] and state.psis[1] == pts[best]
