@@ -22,9 +22,10 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union, get_type_hin
 import numpy as np
 
 from . import svgplot
-from .channel import DropGrids, RadioConfig, dbm_to_watts
+from .channel import SPEED_OF_LIGHT, DropGrids, RadioConfig, dbm_to_watts
 from .geometry import Scene, ServiceRegion, build_layout, sample_users
 from .optimizers import (
+    MAX_JOINT_TUPLES,
     RunRecord,
     evaluate_placement,
     pass_baseline,
@@ -162,8 +163,14 @@ class ExperimentSpec:
                     f"{self.kind} experiments take no restarts, design_kappa or sweep, got "
                     f"restarts={self.restarts}, design_kappa={self.design_kappa}, sweep={self.sweep}"
                 )
-        if self.kind == "oracle-check" and self.m_segments != 2:
-            raise ConfigError("oracle-check experiments require m_segments = 2")
+        if self.kind == "oracle-check":
+            if self.m_segments != 2:
+                raise ConfigError("oracle-check experiments require m_segments = 2")
+            # each segment's candidates are its q_grid points and its midpoint
+            n_tuples = (self.q_grid + 1) ** self.m_segments
+            if n_tuples > MAX_JOINT_TUPLES:
+                raise ConfigError(f"oracle-check's joint grid of {n_tuples} tuples exceeds the "
+                                  f"oracles' cap of {MAX_JOINT_TUPLES}; lower q_grid")
         self._check_scenes()
 
     def _check_scenes(self) -> None:
@@ -185,46 +192,38 @@ class ExperimentSpec:
                 if not math.isfinite(far):
                     raise ValueError(f"scene at sweep value {value:g} is too large: "
                                      "its squared distances overflow")
-            design = () if self.design_kappa is None else (self.design_kappa,)
-            for kappa in self.kappa_db_per_m + design:
-                self.radio_config(kappa)
+            self.run_configs()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        except OverflowError as exc:  # a dBm power too large to convert
-            raise ConfigError(f"a config value overflows: {exc}") from exc
-
-    @property
-    def wavelength(self) -> float:
-        from .channel import SPEED_OF_LIGHT
-
-        return SPEED_OF_LIGHT / self.f_c_hz
-
-    @property
-    def delta_resolved(self) -> float:
-        return self.wavelength / 2.0 if self.delta_m is None else self.delta_m
-
-    @property
-    def p_tx_w(self) -> float:
-        return dbm_to_watts(self.p_dbm)
-
-    @property
-    def noise_var_w(self) -> float:
-        return dbm_to_watts(self.noise_dbm)
+        except ArithmeticError as exc:  # a dBm power too large to convert, or f_c_hz of 0
+            raise ConfigError(f"a config value is out of range: {exc}") from exc
 
     def radio_config(self, kappa: float) -> RadioConfig:
         return RadioConfig(
             f_c=self.f_c_hz,
             n_eff=self.n_eff,
             kappa=kappa,
-            delta_min=self.delta_resolved,
-            p_tx=self.p_tx_w,
-            noise_var=self.noise_var_w,
+            delta_min=SPEED_OF_LIGHT / self.f_c_hz / 2.0 if self.delta_m is None else self.delta_m,
+            p_tx=dbm_to_watts(self.p_dbm),
+            noise_var=dbm_to_watts(self.noise_dbm),
         )
+
+    def run_configs(self) -> dict[RadioConfig, tuple[tuple[float, RadioConfig], ...]]:
+        """Each config an optimizer runs under, mapped to the (kappa, config) rows it serves.
+
+        In kappa order, each kappa's config serves itself.  With
+        ``design_kappa`` set, the design config alone is run and serves every
+        kappa, whose rows re-evaluate its placements under their own configs.
+        """
+        scenarios = tuple((kappa, self.radio_config(kappa)) for kappa in self.kappa_db_per_m)
+        if self.design_kappa is None:
+            return {cfg: ((kappa, cfg),) for kappa, cfg in scenarios}
+        return {self.radio_config(self.design_kappa): scenarios}
 
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One optimizer run (or, for convergence kinds, one trace point)."""
+    """One optimizer run scored under one kappa (or, for convergence kinds, one trace point)."""
 
     experiment: str
     scheme: str
@@ -254,21 +253,13 @@ class AggregateRow:
 _FIELD_TYPES = get_type_hints(ExperimentSpec)
 
 
-def _parse_frequency(value) -> float:
+def _parse_units(units: tuple, value) -> float:
+    """A float, from a string that may end in one of ``units``' (suffix, scale) pairs."""
     if isinstance(value, str):
         text = value.strip().lower()
-        for suffix, mult in (("ghz", 1e9), ("mhz", 1e6), ("khz", 1e3), ("hz", 1.0)):
+        for suffix, scale in units:
             if text.endswith(suffix):
-                return float(text[: -len(suffix)].strip()) * mult
-        return float(text)
-    return float(value)
-
-
-def _parse_dbm(value) -> float:
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text.endswith("dbm"):
-            return float(text[:-3].strip())
+                return float(text[: -len(suffix)].strip()) * scale
         return float(text)
     return float(value)
 
@@ -309,9 +300,11 @@ def _parse_schemes(value) -> tuple:
 _VALUE_PARSERS = {
     "kind": str,
     "sweep": _parse_number_list,
-    "f_c_hz": _parse_frequency,
-    "p_dbm": _parse_dbm,
-    "noise_dbm": _parse_dbm,
+    "f_c_hz": functools.partial(
+        _parse_units, (("ghz", 1e9), ("mhz", 1e6), ("khz", 1e3), ("hz", 1.0))
+    ),
+    "p_dbm": functools.partial(_parse_units, (("dbm", 1.0),)),
+    "noise_dbm": functools.partial(_parse_units, (("dbm", 1.0),)),
     "kappa_db_per_m": _parse_number_list,
     "schemes": _parse_schemes,
 }
@@ -431,57 +424,58 @@ def _run(
 
 
 def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
-    """One (ResultRow, RunRecord) per optimizer run, in experiment order.
+    """One (ResultRow, RunRecord) per (optimizer run, kappa it serves), in experiment order.
 
-    Runs nest as (sweep value, drop, scheme, kappa).  Per-drop user
-    positions depend only on (master_seed, drop), so every sweep value,
-    scheme, and kappa sees the same drops.  With ``design_kappa`` set,
-    optimizers run with that attenuation and the row's MSE is re-evaluated
-    under the scenario kappa.  For oracle-check every AO run is followed by
+    Runs nest as (sweep value, drop, scheme, run config), and each run's
+    rows follow it in kappa order, so rows nest as (sweep value, drop,
+    scheme, kappa).  Per-drop user positions depend only on (master_seed,
+    drop), so every sweep value, scheme, and kappa sees the same drops.
+    ``spec.run_configs()`` decides the runs: one per kappa, or with
+    ``design_kappa`` set one under the design config whose placement each
+    kappa's row re-evaluates.  For oracle-check every AO run is followed by
     its joint oracle run, whose scheme name is suffixed "-oracle".  Every run
-    on a drop reads one grid table, built for the configs the optimizers run
-    with and dropped with the drop.
+    on a drop reads one grid table, built for the run configs and dropped
+    with the drop.  A row's ``elapsed`` is its own re-evaluation, plus, on
+    the first row of a run, the run, so per-drop sums count each run once.
     """
     region = ServiceRegion(spec.d_x, spec.d_y)
-    cfgs = {kappa: spec.radio_config(kappa) for kappa in spec.kappa_db_per_m}
-    design = None if spec.design_kappa is None else spec.radio_config(spec.design_kappa)
+    serves = spec.run_configs()
     for sweep_value in spec.sweep:
         m, seg_len, k = _sweep_scene_params(spec, sweep_value)
         layout = build_layout(m, seg_len, region, spec.height)
         for drop in range(spec.n_drops):
             users = sample_users(region, k, derive_seed(spec.master_seed, drop))
             scene = Scene(region, layout, users)
-            grids = DropGrids(scene, spec.q_grid, cfgs.values() if design is None else (design,))
+            grids = DropGrids(scene, spec.q_grid, tuple(serves))
             for scheme in spec.schemes:
-                for kappa, cfg in cfgs.items():
-                    runs = [(scheme, design or cfg)]
-                    if spec.kind == "oracle-check":
-                        runs.append((scheme + "-oracle", cfg))
-                    for tag, run_cfg in runs:
+                tags = (scheme, scheme + "-oracle") if spec.kind == "oracle-check" else (scheme,)
+                for run_cfg, scenarios in serves.items():
+                    for tag in tags:
                         t0 = time.perf_counter()
                         rec, seed = _run(tag, run_cfg, scene, spec, drop, grids)
-                        elapsed = time.perf_counter() - t0
-                        final = (
-                            rec.final_mse if run_cfg is cfg
-                            else evaluate_placement(cfg, scene, rec.placement)
-                        )
-                        row = ResultRow(
-                            experiment=spec.kind,
-                            scheme=tag,
-                            kappa=kappa,
-                            sweep_value=float(sweep_value),
-                            drop=drop,
-                            final_mse=final,
-                            iterations=rec.iterations,
-                            evaluations=rec.evaluations,
-                            seed=seed,
-                            elapsed=elapsed,
-                        )
-                        yield row, rec
+                        for kappa, cfg in scenarios:
+                            final = (
+                                rec.final_mse if cfg is run_cfg
+                                else evaluate_placement(cfg, scene, rec.placement)
+                            )
+                            row = ResultRow(
+                                experiment=spec.kind,
+                                scheme=tag,
+                                kappa=kappa,
+                                sweep_value=float(sweep_value),
+                                drop=drop,
+                                final_mse=final,
+                                iterations=rec.iterations,
+                                evaluations=rec.evaluations,
+                                seed=seed,
+                                elapsed=time.perf_counter() - t0,
+                            )
+                            yield row, rec
+                            t0 = time.perf_counter()
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """Run every cell of the experiment, one row per optimizer run.
+    """Run every cell of the experiment, one row per optimizer run and kappa it serves.
 
     Rows nest as (sweep value, drop, scheme, kappa); for oracle-check each
     AO row is followed by its "-oracle" row.  For convergence the rows are
@@ -603,14 +597,15 @@ def write_metadata(spec: ExperimentSpec, out_dir: Union[str, Path], files: Seque
     """Write the fully resolved run parameters and seeds as deterministic JSON."""
     from . import __version__
 
+    cfg = spec.radio_config(spec.kappa_db_per_m[0])
     meta = {
         "spec": {k: (list(v) if isinstance(v, tuple) else v)
                  for k, v in dataclasses.asdict(spec).items()},
         "derived": {
-            "wavelength_m": spec.wavelength,
-            "delta_min_m": spec.delta_resolved,
-            "p_tx_w": spec.p_tx_w,
-            "noise_var_w": spec.noise_var_w,
+            "wavelength_m": cfg.wavelength,
+            "delta_min_m": cfg.delta_min,
+            "p_tx_w": cfg.p_tx,
+            "noise_var_w": cfg.noise_var,
         },
         "drop_seeds": [derive_seed(spec.master_seed, d) for d in range(spec.n_drops)],
         "outputs": list(files),
@@ -630,10 +625,10 @@ def execute(
 ) -> dict[str, Path]:
     """Run the experiment and write results.csv, aggregates.csv, plot.svg."""
     t0 = time.perf_counter()
-    rows = run_experiment(spec)
-    aggs = aggregate(rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    rows = run_experiment(spec)
+    aggs = aggregate(rows)
     paths = {
         "results": out / "results.csv",
         "aggregates": out / "aggregates.csv",

@@ -81,6 +81,9 @@ _DEGENERATE_RTOL = 1e-15
 # at any grid size the tuple cap admits.
 _TUPLE_BLOCK = 1 << 13
 
+# The tuple cap: a joint oracle refuses a grid of more position tuples.
+MAX_JOINT_TUPLES = 2_000_000
+
 # Segment-0 phases the SA2 joint oracle scans, evenly spaced over [0, 2 pi).
 _THETA_GRID = 720
 
@@ -369,20 +372,22 @@ class _AOState:
 
     def position_step(
         self, m: int, pts: np.ndarray, gains: np.ndarray, table: Optional[np.ndarray]
-    ) -> tuple[Optional[int], int]:
-        """Segment m's grid row for its PA, every other segment frozen, and the candidates counted.
+    ) -> int:
+        """Move segment m's PA to its grid row, every other segment frozen; count the candidates.
 
         ``pts``, ``gains`` and ``table`` are segment m's ``_scan_tables``,
-        the same on every call.  The row is ``_screened_scan``'s (None when
-        the spacing rule leaves no grid point); the count is every feasible
-        grid point plus the incumbent.  The caller hands the row to
-        ``settle``, which keeps the move only if the MSE did not rise.
+        the same on every call.  The row is ``_screened_scan``'s, handed to
+        ``settle``, which keeps the move only if the MSE did not rise; when
+        the spacing rule leaves no grid point nothing moves.  The count is
+        every feasible grid point plus the incumbent.
         """
         feasible, n_feasible = self._spacing(m, pts)
         factor = self.scale * np.exp(1j * self.thetas[m])
         rest = self.shares[self.others[m]].sum(axis=0)
         row = _screened_scan(gains, table, rest, factor, feasible, self.cfg.p_tx, self.cfg.noise_var)
-        return row, n_feasible + 1
+        if row is not None:
+            self.settle(m, self.thetas[m], pts[row], gains[row])
+        return n_feasible + 1
 
     def settle(
         self, m: int, theta: float, psi: Optional[float] = None, row: Optional[np.ndarray] = None
@@ -580,10 +585,7 @@ def _ao_engine(
                 evaluations += 3
                 state.settle(m, state.solve_phase(m)[0])
         for m, (pts, gains, st) in enumerate(scans):
-            row, n = state.position_step(m, pts, gains, st)
-            evaluations += n
-            if row is not None:
-                state.settle(m, state.thetas[m], pts[row], gains[row])
+            evaluations += state.position_step(m, pts, gains, st)
         trace.append(state.current)
         if sweep_start - state.current < tol:
             break
@@ -603,9 +605,7 @@ def sa1_position_update(
     """
     pts, gains, table = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
     state = _AOState(cfg, scene, placement)
-    row, _ = state.position_step(segment, pts, gains, table)
-    if row is not None:
-        state.settle(segment, state.thetas[segment], pts[row], gains[row])
+    state.position_step(segment, pts, gains, table)
     return float(state.psis[segment]), state.current
 
 
@@ -797,7 +797,7 @@ def _joint_scan(
     m_seg = len(cands)
     shape = tuple(len(pts) for pts in points)
     n_tuples = math.prod(shape)
-    if n_tuples > 2_000_000:
+    if n_tuples > MAX_JOINT_TUPLES:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
     k = shares[0].shape[1]
     n_rot = len(rot)

@@ -7,7 +7,7 @@ import pytest
 
 from swan_aircomp.cli import build_parser, main
 from swan_aircomp.geometry import Scene, ServiceRegion, build_layout, sample_users
-from swan_aircomp.harness import KINDS, ExperimentSpec
+from swan_aircomp.harness import KINDS, ExperimentSpec, parse_config
 from swan_aircomp.optimizers import random_init, sa1_ao, sa2_ao
 from swan_aircomp.rng import derive_seed
 
@@ -40,12 +40,20 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+def test_unwritable_out_dir_exits_2(tmp_path, capsys, monkeypatch):
+    """An output directory that cannot be made fails before any drop is drawn or run."""
+    import swan_aircomp.harness as harness
+
+    calls = []
+    for name in ("sample_users", "ss_two_stage", "pass_baseline", "sa1_ao", "sa2_ao"):
+        monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: calls.append(_name))
     blocker = tmp_path / "occupied"
     blocker.write_text("")
-    code = main(["sweep-k", "--out-dir", str(blocker), *FAST])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for out_dir in (blocker, blocker / "sub"):
+        code = main(["sweep-k", "--out-dir", str(out_dir), *FAST])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -102,6 +110,13 @@ def test_infinite_kappa_is_a_config_error(tmp_path, capsys):
 
 def test_nan_design_kappa_is_a_config_error(tmp_path, capsys):
     _rejected_before_work(tmp_path, capsys, "sweep-k", "--design-kappa", "nan")
+
+
+def test_oracle_check_grid_over_the_oracles_cap_is_a_config_error(tmp_path, capsys):
+    """(q + 1)^2 joint tuples: q = 1414 gives 2,002,225, over the 2,000,000 cap; 1413 is under."""
+    err = _rejected_before_work(tmp_path, capsys, "oracle-check", "--q", "1414")
+    assert "2002225" in err
+    assert parse_config(kind="oracle-check", overrides={"q_grid": "1413"}).q_grid == 1413
 
 
 def test_fractional_segment_count_is_a_config_error(tmp_path, capsys):
@@ -282,6 +297,7 @@ def test_a_config_naming_a_removed_field_is_refused(tmp_path, capsys, values):
         {"seg_length": 1e200},
         {"p_dbm": 1e300},
         {"f_c_hz": 1e-150},
+        {"f_c_hz": 0},
     ],
 )
 def test_non_finite_or_overflowing_physical_values_are_config_errors(tmp_path, capsys, values):

@@ -50,15 +50,13 @@ def test_spec_defaults_and_derived_quantities():
     assert spec.q_grid == 1000
     assert spec.d_x == 100.0 and spec.d_y == 20.0 and spec.height == 3.0
     assert spec.restarts == 0 and spec.design_kappa is None
-    assert rel_err(spec.wavelength, 0.0107068735) < 1e-12
-    assert spec.delta_resolved == spec.wavelength / 2.0
-    assert rel_err(spec.p_tx_w, 0.01) < 1e-12
-    assert rel_err(spec.noise_var_w, 1e-12) < 1e-12
     cfg = spec.radio_config(0.08)
     assert cfg.kappa == 0.08
     assert cfg.f_c == 28e9
-    assert cfg.delta_min == spec.delta_resolved
-    assert cfg.p_tx == spec.p_tx_w
+    assert rel_err(cfg.wavelength, 0.0107068735) < 1e-12
+    assert cfg.delta_min == cfg.wavelength / 2.0
+    assert rel_err(cfg.p_tx, 0.01) < 1e-12
+    assert rel_err(cfg.noise_var, 1e-12) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -311,16 +309,18 @@ def test_single_segment_switched_equals_full_span_baseline():
 
 
 def test_design_kappa_reevaluates_under_scenario_kappa():
-    spec = make_spec(schemes=("SS",), kappa_db_per_m=(0.08,), design_kappa=0.0,
+    """Every scenario kappa, the design kappa itself included, re-evaluates the design run."""
+    spec = make_spec(schemes=("SS",), kappa_db_per_m=(0.0, 0.08), design_kappa=0.0,
                      sweep=(3,), n_drops=2)
     rows = run_experiment(spec)
+    assert [(r.drop, r.kappa) for r in rows] == [(0, 0.0), (0, 0.08), (1, 0.0), (1, 0.08)]
     region = ServiceRegion(spec.d_x, spec.d_y)
     layout = build_layout(spec.m_segments, spec.seg_length, region, spec.height)
     for row in rows:
         users = sample_users(region, 3, derive_seed(spec.master_seed, row.drop))
         scene = Scene(region, layout, users)
         rec = ss_two_stage(spec.radio_config(0.0), scene, spec.q_grid)
-        want = evaluate_placement(spec.radio_config(0.08), scene, rec.placement)
+        want = evaluate_placement(spec.radio_config(row.kappa), scene, rec.placement)
         assert rel_err(row.final_mse, want) < 1e-12
 
 
@@ -549,6 +549,9 @@ _SMALL = {
         ("oracle-check", {},
          {"sample_users": 2, "sa1_ao": 4, "sa2_ao": 4,
           "sa1_joint_exhaustive": 4, "sa2_joint_exhaustive": 4}),
+        # one design-config run per (sweep value, drop, scheme) serves both kappas
+        ("sweep-k", {"sweep": "2,3", "m_segments": 2, "design_kappa": 0},
+         {"sample_users": 4, "ss_two_stage": 4, "pass_baseline": 4, "sa1_ao": 4, "sa2_ao": 4}),
     ],
 )
 def test_harness_calls_every_swappable_name_at_call_time(monkeypatch, kind, overrides, want):
