@@ -20,7 +20,14 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Placement, Scene, baseline_scene, grid_points, validate_placement
+from .geometry import (
+    Placement,
+    Scene,
+    WaveguideLayout,
+    baseline_scene,
+    grid_points,
+    validate_placement,
+)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -176,9 +183,10 @@ class DropGrids:
     holds the read-only (M, K) gain rows with every PA at its segment
     midpoint, built the same way from one M-point pass: row m is
     ``segment_gain_matrix(cfg, scene, m, [midpoint])``, bit for bit.  The
-    midpoint AO starts, the SS probes and the joint oracles' midpoint
-    candidates read it.  Each of the three refuses a config not in
-    ``cfgs`` with ``for_run``'s error, before building anything.  The table
+    midpoint AO starts, the SS probes and ``joint``, the joint oracles'
+    candidates (each grid plus its midpoint), read it.  Each of the four
+    refuses a config not in ``cfgs`` with ``for_run``'s error, before
+    building anything.  The table
     belongs to the loop over drops that builds it and is dropped with the
     drop.
     """
@@ -190,6 +198,7 @@ class DropGrids:
         self._grids: dict = {}
         self._stats: dict = {}
         self._starts: dict = {}
+        self._joint: dict = {}
 
     @classmethod
     def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
@@ -228,6 +237,29 @@ class DropGrids:
             self._starts = self._gains(self.scene, tuple(range(layout.m_segments)), layout.midpoints)
         return self._starts[cfg]
 
+    def joint(self, cfg: RadioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each segment's joint-oracle candidates under cfg: (points, share rows).
+
+        A segment's points are its Q grid points, then its midpoint, the
+        AO's default start; its share rows are the grid's gains with the
+        midpoint's start row appended, times 1 / sqrt(M).  Gain rows do not
+        depend on the batch, so these are the rows of one
+        ``segment_gain_matrix`` call over the extended grid.  Built on
+        first request per config, read-only, and read by both joint oracles.
+        """
+        if cfg not in self._joint:
+            starts = self.starts(cfg)  # refuses a cfg not in cfgs
+            layout = self.scene.layout
+            scale = 1.0 / math.sqrt(layout.m_segments)
+            cands = []
+            for m, mid in enumerate(layout.midpoints.tolist()):
+                pts, gains = self.grid(cfg, m)
+                cands.append((np.append(pts, mid), np.vstack([gains, starts[m:m + 1]]) * scale))
+                for arr in cands[-1]:
+                    arr.setflags(write=False)
+            self._joint[cfg] = cands
+        return self._joint[cfg]
+
     def stats(self, cfg: RadioConfig, segment: int) -> np.ndarray:
         """The AO position screen's read-only real (5, Q) table of one segment grid under cfg.
 
@@ -263,16 +295,16 @@ def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) ->
     return segment_gain_matrix(cfg, scene, segment, [pa_x])[0]
 
 
-def require_feasible(cfg: RadioConfig, scene: Scene, placement: Placement) -> None:
+def require_feasible(cfg: RadioConfig, layout: WaveguideLayout, placement: Placement) -> None:
     """Raise ValueError naming every violation if the placement is infeasible under cfg."""
-    bad = validate_placement(scene.layout, placement, cfg.delta_min)
+    bad = validate_placement(layout, placement, cfg.delta_min)
     if bad:
         raise ValueError(f"infeasible placement: {[v.detail for v in bad]}")
 
 
 def placement_gains(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
     """Per-segment gain rows (M, K) at a feasible SA placement's PA positions."""
-    require_feasible(cfg, scene, placement)
+    require_feasible(cfg, scene.layout, placement)
     return segment_gain_matrix(cfg, scene, tuple(range(scene.layout.m_segments)), placement.pa_x)
 
 

@@ -22,8 +22,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union, get_type_hin
 import numpy as np
 
 from . import svgplot
-from .channel import SPEED_OF_LIGHT, DropGrids, RadioConfig, dbm_to_watts
-from .geometry import Scene, ServiceRegion, build_layout, sample_users
+from .channel import SPEED_OF_LIGHT, DropGrids, RadioConfig, dbm_to_watts, require_feasible
+from .geometry import Placement, Scene, ServiceRegion, build_layout, sample_users
 from .optimizers import (
     MAX_JOINT_TUPLES,
     RunRecord,
@@ -174,7 +174,12 @@ class ExperimentSpec:
         self._check_scenes()
 
     def _check_scenes(self) -> None:
-        """Fail now on a sweep value whose scene or radio config cannot be built."""
+        """Fail now on a sweep value whose scene, radio config or AO start a run would refuse.
+
+        SA1 and SA2 start from every PA at its segment midpoint, so under
+        each run config that start must pass ``require_feasible``, the
+        check the run makes.
+        """
         if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
         ):
@@ -183,16 +188,27 @@ class ExperimentSpec:
             )
         try:
             region = ServiceRegion(self.d_x, self.d_y)
+            layouts = {}
             for value in self.sweep:
                 m, seg_len, _ = _sweep_scene_params(self, value)
-                lo, hi = build_layout(m, seg_len, region, self.height).span
+                layouts[value] = layout = build_layout(m, seg_len, region, self.height)
+                lo, hi = layout.span
                 # every user-to-PA squared distance is at most this sum
                 reach = max(hi, self.d_x) - min(lo, 0.0)
                 far = reach * reach + self.d_y * self.d_y + self.height * self.height
                 if not math.isfinite(far):
                     raise ValueError(f"scene at sweep value {value:g} is too large: "
                                      "its squared distances overflow")
-            self.run_configs()
+            configs = self.run_configs()
+            if {"SA1", "SA2"} & set(self.schemes):
+                for value, layout in layouts.items():
+                    start = Placement("SA1", layout.midpoints)
+                    for cfg in configs:
+                        try:
+                            require_feasible(cfg, layout, start)
+                        except ValueError as exc:
+                            raise ValueError(f"the SA midpoint start at sweep value {value:g} "
+                                             f"is an {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except ArithmeticError as exc:  # a dBm power too large to convert, or f_c_hz of 0

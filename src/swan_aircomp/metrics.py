@@ -62,8 +62,9 @@ def mse_rows(h: np.ndarray, p_tx: float, noise_var: float) -> np.ndarray:
     every scheme, scan and oracle scores its candidates here, so a value
     found in a batch equals the recomputation from the same channel vector.
     """
-    signal = p_tx * np.abs(h.sum(axis=-1)) ** 2
-    denom = p_tx * np.square(np.abs(h)).sum(axis=-1) + noise_var
+    # np.add.reduce is what .sum() calls, without its Python wrapper
+    signal = p_tx * np.abs(np.add.reduce(h, axis=-1)) ** 2
+    denom = p_tx * np.add.reduce(np.square(np.abs(h)), axis=-1) + noise_var
     return h.shape[-1] - signal / denom
 
 

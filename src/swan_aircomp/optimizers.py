@@ -240,75 +240,101 @@ def _wrap_phase(theta: float) -> float:
 
 
 def _phase_solution(
-    a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
-) -> tuple[float, tuple]:
+    a: np.ndarray, sum_a: complex, a_sq: np.ndarray, b: np.ndarray, noise_over_p: float,
+    theta_current: float,
+) -> float:
     """Maximize phi(theta) = |B + e^{j theta} A|^2 / (gamma + 2 Re(C e^{j theta})) terms.
 
     The objective is a ratio of two sinusoids in theta; its stationary points
     solve coef_a * sin(theta) + coef_b * cos(theta) = xi, giving at most two
     candidates phi +- arccos(xi / r_norm).  The better candidate is returned
     (ties toward the smaller angle); a degenerate system returns the incumbent.
-    Returns (theta, terms) with terms the PhaseUpdateIntermediates fields
-    after a and b but for the angles p and q, as a plain tuple: the AO uses
-    theta only, and only the audit record pays for the two angles.
+    ``sum_a`` and ``a_sq`` are a's terms ``_a_terms(a)``, which the AO keeps
+    while a is unchanged; ``_closed_form_phase`` recomputes every
+    intermediate of the audit record from the same formulas.
     """
-    cap_a = complex(a.sum())
-    cap_b = complex(b.sum())
+    cap_b = complex(np.add.reduce(b))
     cap_c = complex(np.vdot(b, a))  # sum_k a_k * conj(b_k)
-    alpha = abs(cap_a) ** 2 + abs(cap_b) ** 2
-    gamma = float((np.abs(a) ** 2 + np.abs(b) ** 2).sum()) + noise_over_p
-    ab = cap_a * cap_b.conjugate()
-    beta_mag = abs(ab)
-    delta_mag = abs(cap_c)
+    alpha = abs(sum_a) ** 2 + abs(cap_b) ** 2
+    gamma = float(np.add.reduce(a_sq + np.square(np.abs(b)))) + noise_over_p
+    ab = sum_a * cap_b.conjugate()
     coef_a = 2.0 * (gamma * ab.real - alpha * cap_c.real)
     coef_b = 2.0 * (gamma * ab.imag - alpha * cap_c.imag)
+    r_norm = math.hypot(coef_a, coef_b)
+    scale_ref = gamma * abs(ab) + alpha * abs(cap_c)
+    if r_norm <= _DEGENERATE_RTOL * scale_ref or scale_ref == 0.0:
+        return _wrap_phase(theta_current)
     # 4 |beta| |delta| sin(q - p) = 4 Im(C * conj(A * conj(B)))
     xi = 4.0 * (cap_c * ab.conjugate()).imag
-    r_norm = math.hypot(coef_a, coef_b)
     phi_ang = math.atan2(coef_a, coef_b)
-    scale_ref = gamma * beta_mag + alpha * delta_mag
-    terms = (
-        cap_a, cap_b, cap_c, alpha, gamma, beta_mag, delta_mag,
-        coef_a, coef_b, xi, r_norm, phi_ang,
-    )
-
-    def phi_of(theta: float) -> float:
-        rot = complex(math.cos(theta), math.sin(theta))
-        num = alpha + 2.0 * (ab * rot).real
-        den = gamma + 2.0 * (cap_c * rot).real
-        return num / den
-
-    if r_norm <= _DEGENERATE_RTOL * scale_ref or scale_ref == 0.0:
-        theta = _wrap_phase(theta_current)
-        return theta, terms + ((theta, theta),)
-
-    acos_arg = min(1.0, max(-1.0, xi / r_norm))
-    spread = math.acos(acos_arg)
+    spread = math.acos(min(1.0, max(-1.0, xi / r_norm)))
     th1 = _wrap_phase(phi_ang + spread)
     th2 = _wrap_phase(phi_ang - spread)
-    f1 = phi_of(th1)
-    f2 = phi_of(th2)
+    rot1 = complex(math.cos(th1), math.sin(th1))
+    rot2 = complex(math.cos(th2), math.sin(th2))
+    f1 = (alpha + 2.0 * (ab * rot1).real) / (gamma + 2.0 * (cap_c * rot1).real)
+    f2 = (alpha + 2.0 * (ab * rot2).real) / (gamma + 2.0 * (cap_c * rot2).real)
     if f1 > f2:
-        theta = th1
-    elif f2 > f1:
-        theta = th2
-    else:
-        theta = min(th1, th2)
-    return theta, terms + ((th1, th2),)
+        return th1
+    if f2 > f1:
+        return th2
+    return min(th1, th2)
+
+
+def _a_terms(a: np.ndarray) -> tuple[complex, np.ndarray]:
+    """The phase solve's terms of the updated segment's share a alone: (sum a, |a|^2)."""
+    return complex(np.add.reduce(a)), np.square(np.abs(a))
 
 
 def _closed_form_phase(
     a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
 ) -> tuple[float, PhaseUpdateIntermediates]:
-    """The closed-form phase update with its audit record (``_phase_solution``)."""
-    theta, (cap_a, cap_b, cap_c, alpha, gamma, beta_mag, delta_mag, *rest) = _phase_solution(
-        a, b, noise_over_p, theta_current
-    )
-    p_ang = float(np.angle(cap_a * cap_b.conjugate()))
-    q_ang = float(np.angle(cap_c))
+    """The closed-form phase update with its audit record.
+
+    theta is ``_phase_solution``'s, to the bit; the record's fields are
+    recomputed here from the formulas ``_phase_solution`` uses, so its
+    candidates hold theta.
+    """
+    theta = _phase_solution(a, *_a_terms(a), b, noise_over_p, theta_current)
+    cap_a = complex(a.sum())
+    cap_b = complex(b.sum())
+    cap_c = complex(np.vdot(b, a))
+    alpha = abs(cap_a) ** 2 + abs(cap_b) ** 2
+    gamma = float((np.abs(a) ** 2 + np.abs(b) ** 2).sum()) + noise_over_p
+    ab = cap_a * cap_b.conjugate()
+    coef_a = 2.0 * (gamma * ab.real - alpha * cap_c.real)
+    coef_b = 2.0 * (gamma * ab.imag - alpha * cap_c.imag)
+    xi = 4.0 * (cap_c * ab.conjugate()).imag
+    r_norm = math.hypot(coef_a, coef_b)
+    phi_ang = math.atan2(coef_a, coef_b)
+    scale_ref = gamma * abs(ab) + alpha * abs(cap_c)
+    if r_norm <= _DEGENERATE_RTOL * scale_ref or scale_ref == 0.0:
+        candidates = (theta, theta)
+    else:
+        spread = math.acos(min(1.0, max(-1.0, xi / r_norm)))
+        candidates = (_wrap_phase(phi_ang + spread), _wrap_phase(phi_ang - spread))
     return theta, PhaseUpdateIntermediates(
-        a, b, cap_a, cap_b, cap_c, alpha, gamma, beta_mag, p_ang, delta_mag, q_ang, *rest
+        a, b, cap_a, cap_b, cap_c, alpha, gamma, abs(ab), float(np.angle(ab)), abs(cap_c),
+        float(np.angle(cap_c)), coef_a, coef_b, xi, r_norm, phi_ang, candidates,
     )
+
+
+class _ScreenWork:
+    """The buffers ``_screened_scan`` fills for a (5, Q) table and K users.
+
+    coef is the (2, 5) coefficient matrix (its entries that are always zero
+    stay zero), num_den the (2, Q) product and num, den its rows, cross
+    the (Q,) cross term, and vec the (K,) complex vector b conj(2 f) with
+    vec_floats its float view.
+    """
+
+    def __init__(self, q: int, k: int) -> None:
+        self.coef = np.zeros((2, 5))
+        self.num_den = np.empty((2, q))
+        self.num, self.den = self.num_den
+        self.cross = np.empty(q)
+        self.vec = np.empty(k, dtype=complex)
+        self.vec_floats = self.vec.view(np.float64)
 
 
 class _AOState:
@@ -320,9 +346,26 @@ class _AOState:
     thetas)``: a change to segment m's PA or phase recomputes row m alone,
     with segment_shares' arithmetic, and a phase change leaves
     ``unphased[m]`` as it is.  ``others[m]`` is an intp array of the
-    segments but m in order, so ``shares[others[m]]`` stacks the other rows
-    in segment order and rest sums keep their bits.  ``current`` is the MSE
-    of the whole channel ``shares.sum(axis=0)``.
+    segments but m in order, so ``shares.take(others[m], axis=0)`` stacks
+    the other rows in segment order and rest sums keep their bits.
+    ``current`` is the MSE of the whole channel ``shares.sum(axis=0)``.
+
+    Per segment it also caches what a step would otherwise recompute, each
+    with the bits of its recomputation:
+
+    * ``rots[m]``, the rotation e^{j theta_m}: recomputed only when
+      theta_m changes, and restored with theta_m on an undo;
+    * ``a_terms[m]``, the phase solve's ``_a_terms(unphased[m])``: built
+      by the first phase step that needs it, and dropped whenever
+      ``unphased[m]`` changes, an undo included;
+    * ``psi_list``, the PA positions as Python floats, which the spacing
+      shortcut reads.
+
+    ``unphased_rows`` and ``share_rows`` are row views of ``unphased`` and
+    ``shares``, made once, so a step indexes neither array to read or
+    write a segment's row.  ``work`` holds the screen's buffers, allocated by the first position
+    step on a grid with a screen table (all of a state's grids have one
+    size), so small grids, scored without a table, allocate none.
     """
 
     def __init__(
@@ -331,44 +374,55 @@ class _AOState:
         """``rows``, when given, are the feasible placement's gain rows; else they are built."""
         m_seg = scene.layout.m_segments
         self.cfg = cfg
+        self.noise_over_p = cfg.noise_var / cfg.p_tx
         self.scale = 1.0 / math.sqrt(m_seg)
         self.psis = placement.pa_x.copy()
+        self.psi_list = self.psis.tolist()
         self.thetas = placement.phases.copy() if placement.architecture == "SA2" else np.zeros(m_seg)
+        self.rots = [np.exp(1j * theta) for theta in self.thetas.tolist()]
         if rows is None:
             rows = placement_gains(cfg, scene, placement)
         self.unphased = rows * self.scale
         self.shares = segment_shares(rows, self.thetas)
+        self.unphased_rows = list(self.unphased)
+        self.share_rows = list(self.shares)
+        self.p_tx, self.noise_var = cfg.p_tx, cfg.noise_var
+        self.a_terms: list = [None] * m_seg
         self.others = [
             np.array([j for j in range(m_seg) if j != m], dtype=np.intp) for m in range(m_seg)
         ]
+        self.work: Optional[_ScreenWork] = None
         self.current = self._mse()
 
     def _mse(self) -> float:
-        return float(mse_rows(self.shares.sum(axis=0), self.cfg.p_tx, self.cfg.noise_var))
+        return float(mse_rows(np.add.reduce(self.shares, 0), self.p_tx, self.noise_var))
+
+    def _rest(self, m: int) -> np.ndarray:
+        """The other segments' shares summed in segment order: the b of h = b + e^{j theta_m} a."""
+        return np.add.reduce(self.shares.take(self.others[m], 0), 0)
 
     def split(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Segment m's unphased share a and the others' sum b: h = b + e^{j theta_m} a."""
-        return self.unphased[m], self.shares[self.others[m]].sum(axis=0)
+        return self.unphased[m], self._rest(m)
 
-    def solve_phase(self, m: int, solver=_phase_solution) -> tuple:
-        """Segment m's closed-form best phase, every other segment frozen.
-
-        Returns ``solver``'s (theta, terms): ``_phase_solution`` for the AO,
-        ``_closed_form_phase`` for the audit record.
-        """
-        return solver(*self.split(m), self.cfg.noise_var / self.cfg.p_tx, float(self.thetas[m]))
+    def solve_phase(self, m: int) -> float:
+        """Segment m's closed-form best phase (``_phase_solution``), every other segment frozen."""
+        a = self.unphased_rows[m]
+        if self.a_terms[m] is None:
+            self.a_terms[m] = _a_terms(a)
+        return _phase_solution(a, *self.a_terms[m], self._rest(m), self.noise_over_p, float(self.thetas[m]))
 
     def _spacing(self, m: int, pts: np.ndarray) -> tuple[Optional[np.ndarray], int]:
         """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count."""
-        fixed = self.psis[self.others[m]]
         delta = self.cfg.delta_min
-        lo, hi = pts[0], pts[-1]
-        # a fixed PA delta_min clear of the grid's nearer end is clear of
-        # every grid point (rounding is monotone), so no mask is needed
-        if all(lo - x >= delta or x - hi >= delta for x in fixed.tolist()):
-            return None, pts.size
-        feasible = spacing_mask(pts, fixed, delta)
-        return feasible, int(np.count_nonzero(feasible))
+        lo, hi = float(pts[0]), float(pts[-1])
+        for j, x in enumerate(self.psi_list):
+            # a fixed PA delta_min clear of the grid's nearer end is clear of
+            # every grid point (rounding is monotone), so it needs no mask
+            if j != m and not (lo - x >= delta or x - hi >= delta):
+                feasible = spacing_mask(pts, self.psis[self.others[m]], delta)
+                return feasible, int(np.count_nonzero(feasible))
+        return None, pts.size
 
     def position_step(
         self, m: int, pts: np.ndarray, gains: np.ndarray, table: Optional[np.ndarray]
@@ -382,9 +436,12 @@ class _AOState:
         every feasible grid point plus the incumbent.
         """
         feasible, n_feasible = self._spacing(m, pts)
-        factor = self.scale * np.exp(1j * self.thetas[m])
-        rest = self.shares[self.others[m]].sum(axis=0)
-        row = _screened_scan(gains, table, rest, factor, feasible, self.cfg.p_tx, self.cfg.noise_var)
+        if table is not None and self.work is None:
+            self.work = _ScreenWork(*gains.shape)
+        row = _screened_scan(
+            gains, table, self._rest(m), self.scale * self.rots[m], feasible,
+            self.p_tx, self.noise_var, self.work,
+        )
         if row is not None:
             self.settle(m, self.thetas[m], pts[row], gains[row])
         return n_feasible + 1
@@ -400,13 +457,14 @@ class _AOState:
         it raised the whole channel's MSE, which is what evaluate_placement
         computes.
         """
-        if (psi is None or psi == self.psis[m]) and theta == self.thetas[m]:
+        same_phase = theta == self.thetas[m]
+        if (psi is None or psi == self.psi_list[m]) and same_phase:
             return False
-        undo = (float(self.thetas[m]),)
+        undo = (float(self.thetas[m]), self.rots[m])
         if psi is not None:
-            undo += (float(self.psis[m]), self.unphased[m].copy())
+            undo += (self.psi_list[m], self.unphased_rows[m].copy())
             row = row * self.scale
-        self._move(m, theta, psi, row)
+        self._move(m, theta, self.rots[m] if same_phase else np.exp(1j * theta), psi, row)
         candidate = self._mse()
         if candidate <= self.current:
             self.current = candidate
@@ -415,13 +473,17 @@ class _AOState:
         return False
 
     def _move(
-        self, m: int, theta: float, psi: Optional[float] = None, unphased: Optional[np.ndarray] = None
+        self, m: int, theta: float, rot: complex, psi: Optional[float] = None,
+        unphased: Optional[np.ndarray] = None,
     ) -> None:
+        """Set segment m's phase and rotation and, with psi, its PA and unphased row; rewrite its share."""
         if psi is not None:
-            self.psis[m] = psi
-            self.unphased[m] = unphased
+            self.psis[m] = self.psi_list[m] = float(psi)
+            self.unphased_rows[m][...] = unphased
+            self.a_terms[m] = None
         self.thetas[m] = theta
-        self.shares[m] = self.unphased[m] * np.exp(1j * theta)
+        self.rots[m] = rot
+        np.multiply(self.unphased_rows[m], rot, self.share_rows[m])
 
 
 def _require_sa2_segment(scene: Scene, placement: Placement, segment: int) -> None:
@@ -436,7 +498,8 @@ def phase_update_closed(
 ) -> tuple[float, PhaseUpdateIntermediates]:
     """Closed-form best phase for one segment, other segments held fixed."""
     _require_sa2_segment(scene, placement, segment)
-    return _AOState(cfg, scene, placement).solve_phase(segment, _closed_form_phase)
+    state = _AOState(cfg, scene, placement)
+    return _closed_form_phase(*state.split(segment), state.noise_over_p, float(state.thetas[segment]))
 
 
 def phase_objective(
@@ -498,6 +561,7 @@ def _screened_scan(
     feasible: Optional[np.ndarray],
     p_tx: float,
     noise_var: float,
+    work: Optional[_ScreenWork] = None,
 ) -> Optional[int]:
     """The grid row one position update moves to: the first best feasible candidate.
 
@@ -513,9 +577,10 @@ def _screened_scan(
     grid's ``DropGrids.stats`` table and, for 2 Re(f X_q), one real
     matrix-vector product of the gains' zero-copy float view (real and
     imaginary parts interleaved) with b conj(2 f) viewed as 2K floats;
-    MSE_q = K - r_q.  Returns the first row of the best score among the
-    feasible rows, or None when no row is feasible.  The row need not beat
-    the incumbent: the caller's accept rule rescores the channel.
+    MSE_q = K - r_q.  These fill the buffers of ``work`` (new ones when
+    None).  Returns the first row of the best score among the feasible
+    rows, or None when no row is feasible.  The row need not beat the
+    incumbent: the caller's accept rule rescores the channel.
     """
     if feasible is not None and not feasible.any():
         return None
@@ -524,23 +589,28 @@ def _screened_scan(
         h += rest
         score = -mse_rows(h, p_tx, noise_var)
     else:
+        if work is None:
+            work = _ScreenWork(*gains.shape)
         f = complex(factor)
         f_sq = abs(f) ** 2
-        sum_b = complex(rest.sum())
-        energy_b = float(np.vdot(rest, rest).real)
+        sum_b = complex(np.add.reduce(rest))
         # 2 Re(f S conj(B)) = Re S Re w - Im S Im w, w = 2 f conj(B)
         w = 2.0 * f * sum_b.conjugate()
-        coef = np.array([
-            [f_sq, w.real, -w.imag, 0.0, abs(sum_b) ** 2],
-            [0.0, 0.0, 0.0, f_sq, energy_b + noise_var / p_tx],
-        ])
-        num, den = np.dot(coef, table)
+        coef = work.coef
+        coef[0, 0] = coef[1, 3] = f_sq
+        coef[0, 1] = w.real
+        coef[0, 2] = -w.imag
+        coef[0, 4] = abs(sum_b) ** 2
+        coef[1, 4] = float(np.vdot(rest, rest).real) + noise_var / p_tx
+        np.dot(coef, table, out=work.num_den)
         # Re(g conj(v)) = g.re v.re + g.im v.im with v = b conj(2 f)
-        den += np.dot(gains.view(np.float64), (rest * (2.0 * f).conjugate()).view(np.float64))
-        score = np.divide(num, den, out=num)
+        np.multiply(rest, (2.0 * f).conjugate(), out=work.vec)
+        np.dot(gains.view(np.float64), work.vec_floats, out=work.cross)
+        np.add(work.den, work.cross, out=work.den)
+        score = np.divide(work.num, work.den, out=work.num)
     if feasible is not None:
         score[~feasible] = -np.inf
-    return int(np.argmax(score))
+    return int(score.argmax())
 
 
 def _ao_engine(
@@ -564,7 +634,7 @@ def _ao_engine(
     rows = None
     if init is None:
         init = midpoint_init(scene, architecture)
-        require_feasible(cfg, scene, init)
+        require_feasible(cfg, scene.layout, init)
         rows = grids.starts(cfg)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
@@ -583,7 +653,7 @@ def _ao_engine(
         if phased:
             for m in segments:
                 evaluations += 3
-                state.settle(m, state.solve_phase(m)[0])
+                state.settle(m, state.solve_phase(m))
         for m, (pts, gains, st) in enumerate(scans):
             evaluations += state.position_step(m, pts, gains, st)
         trace.append(state.current)
@@ -712,34 +782,13 @@ def _ratio_ceilings(stats: np.ndarray) -> np.ndarray:
     return (half + np.sqrt(np.maximum(half * half - lead * const, 0.0))) / lead
 
 
-def _joint_candidates(
-    cfg: RadioConfig, scene: Scene, q_grid: int, grids: Optional[DropGrids]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each segment's joint-oracle candidates: its Q grid points, then its midpoint.
-
-    The midpoint is the AO's default start, which an AO run may keep.  Per
-    segment, returns (points, share rows): the grid's gains with the
-    midpoint's start row appended, times 1 / sqrt(M).  Gain rows do not
-    depend on the batch, so these are the rows of one ``segment_gain_matrix``
-    call over the extended grid.
-    """
-    grids = DropGrids.for_run(cfg, scene, q_grid, grids)
-    scale = 1.0 / math.sqrt(scene.layout.m_segments)
-    starts = grids.starts(cfg)
-    cands = []
-    for m, mid in enumerate(scene.layout.midpoints):
-        pts, gains = grids.grid(cfg, m)
-        cands.append((np.append(pts, mid), np.vstack([gains, starts[m:m + 1]]) * scale))
-    return cands
-
-
 def _joint_scan(
     cfg: RadioConfig, cands: list[tuple[np.ndarray, np.ndarray]], rot: np.ndarray
 ) -> tuple[float, np.ndarray, int, int]:
     """First MSE minimum over feasible (position tuple, segment-0 rotation) pairs.
 
     ``cands`` holds each segment's (points, share rows), as
-    ``_joint_candidates`` builds them.  Tuples run over each segment's
+    ``DropGrids.joint`` builds them.  Tuples run over each segment's
     points in itertools.product order, last segment fastest; within a tuple
     the rotations ``rot`` run in order.  A pair's channel is built as
     rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
@@ -873,7 +922,7 @@ def sa1_joint_exhaustive(
     optimizer oracle.  Ties resolve to the first tuple in itertools.product
     order.
     """
-    cands = _joint_candidates(cfg, scene, q_grid, grids)
+    cands = DropGrids.for_run(cfg, scene, q_grid, grids).joint(cfg)
     final, pa_x, _, count = _joint_scan(cfg, cands, np.ones(1, dtype=complex))
     return _one_pass(Placement("SA1", pa_x), final, count)
 
@@ -895,6 +944,6 @@ def sa2_joint_exhaustive(
     if scene.layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")
     thetas = np.arange(_THETA_GRID) * (TWO_PI / _THETA_GRID)
-    cands = _joint_candidates(cfg, scene, q_grid, grids)
+    cands = DropGrids.for_run(cfg, scene, q_grid, grids).joint(cfg)
     final, pa_x, j, count = _joint_scan(cfg, cands, np.exp(1j * thetas))
     return _one_pass(Placement("SA2", pa_x, phases=np.array([thetas[j], 0.0])), final, count)

@@ -92,7 +92,7 @@ def rel_err(a, b):
     return abs(a - b) / scale
 
 
-def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8):
+def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8, move_pas=True):
     """The AO loop with every candidate's gains recomputed on every update.
 
     Mirrors the library's alternating sweeps but builds each position
@@ -100,9 +100,11 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8)
     per candidate, so no gain row is ever reused.  Both passes keep a change
     only if the whole channel, rescored with it, has no higher MSE; a
     position update whose winner is the current position changes nothing.
-    Returns a dict with the final pa_x and phases, the trace, the iteration
-    and evaluation counts, and how many grid points the spacing rule dropped
-    in total.
+    With ``move_pas`` False a position update scores and counts its
+    candidates but keeps every PA, as an AO whose position moves are all
+    refused does.  Returns a dict with the final pa_x and phases, the
+    trace, the iteration and evaluation counts, and how many grid points
+    the spacing rule dropped in total.
     """
     from swan_aircomp.metrics import mse_rows
     from swan_aircomp.optimizers import _closed_form_phase
@@ -154,7 +156,7 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8)
             mses = mse_rows(b[None, :] + raw * factor, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             evaluations += cand_arr.size
-            if cand_arr[j] != psis[m]:
+            if move_pas and cand_arr[j] != psis[m]:
                 kept = psis[m], base[m].copy()
                 psis[m], base[m] = cand_arr[j], raw[j]
                 candidate = float(mse_rows(total().sum(axis=0), cfg.p_tx, cfg.noise_var))

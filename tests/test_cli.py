@@ -2,12 +2,16 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from swan_aircomp.cli import build_parser, main
 from swan_aircomp.geometry import Scene, ServiceRegion, build_layout, sample_users
-from swan_aircomp.harness import KINDS, ExperimentSpec, parse_config
+from swan_aircomp.harness import KINDS, ConfigError, ExperimentSpec, parse_config
 from swan_aircomp.optimizers import random_init, sa1_ao, sa2_ao
 from swan_aircomp.rng import derive_seed
 
@@ -117,6 +121,44 @@ def test_oracle_check_grid_over_the_oracles_cap_is_a_config_error(tmp_path, caps
     err = _rejected_before_work(tmp_path, capsys, "oracle-check", "--q", "1414")
     assert "2002225" in err
     assert parse_config(kind="oracle-check", overrides={"q_grid": "1413"}).q_grid == 1413
+
+
+def test_a_midpoint_start_closer_than_delta_min_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """Adjacent segment midpoints are seg_length apart; 1 mm is below delta_min (5.35 mm at 28 GHz).
+
+    SA1 and SA2 would refuse that start once SS had run; the run is
+    refused before any drop is drawn or optimizer called.  Without SA1 and
+    SA2 the same scene is valid, and so is a sweep-m value of one segment
+    (4 mm long, as at d_x = 100 m the layout of two 1 mm segments is refused).
+    """
+    import swan_aircomp.harness as harness
+
+    calls = []
+    names = ("sample_users", "ss_two_stage", "pass_baseline", "sa1_ao", "sa2_ao",
+             "sa1_joint_exhaustive", "sa2_joint_exhaustive")
+    for name in names:
+        monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: calls.append(_name))
+    err = _rejected_before_work(
+        tmp_path, capsys, "sweep-k", "--m", "2", "--seg-length", "0.001", "--drops", "2",
+        "--sweep", "2", "--q", "50",
+    )
+    assert "midpoint start at sweep value 2" in err
+    assert calls == []
+    assert parse_config(kind="sweep-k", overrides={
+        "m_segments": 2, "seg_length": 0.001, "schemes": "SS,PASS"}).seg_length == 0.001
+    assert parse_config(kind="sweep-m-fixed-L", overrides={"sweep": "1", "seg_length": 0.004})
+    with pytest.raises(ConfigError, match="midpoint start at sweep value 2"):
+        parse_config(kind="sweep-m-fixed-L", overrides={"sweep": "1,2", "seg_length": 0.004})
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m swan_aircomp`` is the CLI entry point, run from a checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "swan_aircomp", "--help"], env=env,
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 0
+    assert "oracle-check" in done.stdout
 
 
 def test_fractional_segment_count_is_a_config_error(tmp_path, capsys):

@@ -257,6 +257,29 @@ def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):
     assert set(stats) == {(q, 4)}
 
 
+def test_joint_oracles_read_one_candidate_list_per_drop_and_config(monkeypatch):
+    """oracle-check, 2 drops, two kappas: each drop's table builds its oracle candidates
+    once per config, and the SA1 and SA2 oracles read that one list."""
+    from swan_aircomp import channel
+
+    reads = []
+    real = channel.DropGrids.joint
+
+    def recorded(self, cfg):
+        cands = real(self, cfg)
+        reads.append((self, cfg, cands))
+        return cands
+
+    monkeypatch.setattr(channel.DropGrids, "joint", recorded)
+    spec = parse_config(kind="oracle-check", overrides={"n_drops": 2, "kappa_db_per_m": "0,0.08"})
+    run_experiment(spec)
+    lists = {}
+    for table, cfg, cands in reads:
+        lists.setdefault((table, cfg), []).append(cands)
+    assert len(lists) == 2 * 2
+    assert all(len(got) == 2 and got[0] is got[1] for got in lists.values())
+
+
 @pytest.mark.parametrize(
     "values", [{"n_drops": True}, {"kappa_db_per_m": [True]}, {"restarts": False}]
 )

@@ -468,6 +468,59 @@ def test_ao_matches_per_candidate_reference_bitwise(m_seg, kappa, delta_min, ini
         assert sum(ref["dropped"] for _, ref, _ in runs) > 0  # the spacing mask was exercised
 
 
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 33])
+@pytest.mark.parametrize("m_seg", [1, 2, 5])
+def test_ao_matches_the_reference_bitwise_at_pairwise_sum_block_edges(k, m_seg):
+    """K on either side of numpy's pairwise-summation block edges.
+
+    A sum over the K users rounds by how numpy groups it, so the AO's
+    cached rotations and phase terms and its screen buffers must round
+    exactly as the reference's fresh arrays do.  SA1 and SA2 run from a
+    random start, SA2's phases nonzero from its first step; K = 1 scores
+    its Q = 23 grid rows with ``mse_rows``, every larger K screens them.
+    """
+    cfg = make_config(kappa=0.08)
+    scene = make_scene(m_segments=m_seg, seg_length=2.0, d_x=20.0, k=k, seed=derive_seed(60, k))
+    q = 23
+    for run, arch in ((sa1_ao, "SA1"), (sa2_ao, "SA2")):
+        init = random_init(scene, arch, seed=derive_seed(61, m_seg), delta_min=cfg.delta_min)
+        rec = run(cfg, scene, q, init=init, max_iters=12)
+        _assert_same_run(rec, reference_ao(cfg, scene, q, init.pa_x, init.phases, max_iters=12))
+
+
+def test_ao_with_every_position_move_refused_matches_the_reference(monkeypatch):
+    """Every position step proposes its worst feasible row, and the accept rule undoes it.
+
+    Each undo restores the segment's PA, gain row and rotation and drops
+    its cached phase terms, so the next phase pass sees exactly the state
+    it would have seen had the PA never moved: the run is the reference's
+    with every PA held, to the bit, evaluations included.
+    """
+    cfg = make_config(kappa=0.08)
+    scene = make_scene(m_segments=5, seg_length=2.0, d_x=20.0, k=9, seed=derive_seed(62, 0))
+    q = 41
+    outcomes = []
+    settle = optimizers._AOState.settle
+
+    def recording(self, m, theta, psi=None, row=None):
+        if psi is None:
+            return settle(self, m, theta)
+        moved = psi != self.psis[m]
+        kept = settle(self, m, theta, psi, row)
+        outcomes.append((moved, kept))
+        return kept
+
+    monkeypatch.setattr(optimizers._AOState, "settle", recording)
+    monkeypatch.setattr(optimizers, "_screened_scan", _worst_row)
+    init = random_init(scene, "SA2", seed=derive_seed(63, 0), delta_min=cfg.delta_min)
+    rec = sa2_ao(cfg, scene, q, init=init, max_iters=6)
+    assert len(outcomes) == 5 * rec.iterations
+    assert all(moved and not kept for moved, kept in outcomes)
+    _assert_same_run(
+        rec, reference_ao(cfg, scene, q, init.pa_x, init.phases, max_iters=6, move_pas=False)
+    )
+
+
 def test_default_ao_start_refuses_infeasible_midpoints_before_any_sweep(monkeypatch):
     """Midpoints closer than delta_min raise ``placement_gains``' error before any AO state."""
     cfg = make_config(delta_min=2.5)  # segments are 2 m long
@@ -727,7 +780,7 @@ def test_tuple_certificate_drops_only_tuples_below_tau(k):
     b[::5] = -phase[::5] * a[::5] * (1.0 + 1e-9 * cplx(12, k))
     noise_over_p = 1e-10 * 10.0 ** g.uniform(-4, 2)
     best_rot = np.array([
-        np.exp(1j * optimizers._phase_solution(a[t], b[t], noise_over_p, 0.0)[0]) for t in range(n)
+        np.exp(1j * optimizers._closed_form_phase(a[t], b[t], noise_over_p, 0.0)[0]) for t in range(n)
     ])
     grid = np.exp(1j * np.arange(48) * (2 * math.pi / 48))
     best = np.array([max(float(_exact_ratio(a[t], b[t], r, noise_over_p)) for r in (best_rot[t], *grid))
@@ -990,7 +1043,7 @@ def test_position_screen_picks_the_full_scans_row(k):
     assert bounded > (same + other + incumbent) // 2
 
 
-def _worst_row(gains, stats, rest, factor, feasible, p_tx, noise_var):
+def _worst_row(gains, stats, rest, factor, feasible, p_tx, noise_var, work=None):
     """The first worst feasible row by ``mse_rows``, or None: a stand-in for ``_screened_scan``."""
     h = gains * factor
     h += rest
@@ -1006,7 +1059,7 @@ def _random_row(seed):
     """A stand-in for ``_screened_scan`` that picks a seeded random feasible row."""
     g = philox_stream(seed)
 
-    def pick(gains, stats, rest, factor, feasible, p_tx, noise_var):
+    def pick(gains, stats, rest, factor, feasible, p_tx, noise_var, work=None):
         rows = np.arange(len(gains)) if feasible is None else np.flatnonzero(feasible)
         return int(g.choice(rows)) if rows.size else None
 
@@ -1023,7 +1076,14 @@ def test_ao_correctness_does_not_rest_on_the_screen(monkeypatch, pick):
     placement keeps the spacing rule, on sweep-k (M = 5, Q = 1000) and
     oracle-check (M = 2, K = 3, Q = 20) sized scenes.
     """
-    monkeypatch.setattr(optimizers, "_screened_scan", _worst_row if pick == "worst" else _random_row(77))
+    stand_in = _worst_row if pick == "worst" else _random_row(77)
+    asked = []
+
+    def recording(gains, *args):
+        asked.append(len(gains))
+        return stand_in(gains, *args)
+
+    monkeypatch.setattr(optimizers, "_screened_scan", recording)
     cases = [
         (make_config(kappa=kappa), make_scene(m_segments=5, seg_length=1.0, d_x=50.0, d_y=20.0,
                                               k=k, seed=derive_seed(1, k)), 1000)
@@ -1036,7 +1096,10 @@ def test_ao_correctness_does_not_rest_on_the_screen(monkeypatch, pick):
     moved = 0
     for cfg, scene, q in cases:
         for run in (sa1_ao, sa2_ao):
+            asked.clear()
             rec = run(cfg, scene, q, max_iters=8)
+            # every position step of the run, on either grid size, asked the stand-in
+            assert asked == [q] * (scene.layout.m_segments * rec.iterations)
             assert all(b <= a for a, b in zip(rec.mse_trace, rec.mse_trace[1:]))
             assert rec.final_mse == evaluate_placement(cfg, scene, rec.placement)
             assert not sa.validate_placement(scene.layout, rec.placement, cfg.delta_min)
