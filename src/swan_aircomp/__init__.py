@@ -11,6 +11,22 @@ baseline (PASS), together with a deterministic Monte-Carlo harness.
 
 __version__ = "0.1.0"
 
+from .audit import (
+    MseReport,
+    PhaseUpdateIntermediates,
+    empirical_mse,
+    freespace_gain,
+    inwaveguide_gain,
+    mse_given_scaling,
+    mse_min,
+    optimal_scaling,
+    phase_objective,
+    phase_update_closed,
+    sa1_position_update,
+    ss_exhaustive,
+    ss_mse_objective,
+    watts_to_dbm,
+)
 from .channel import (
     RadioConfig,
     SPEED_OF_LIGHT,
@@ -18,10 +34,7 @@ from .channel import (
     eff_channel_sa1,
     eff_channel_sa2,
     eff_channel_ss,
-    freespace_gain,
-    inwaveguide_gain,
     segment_gain_matrix,
-    watts_to_dbm,
 )
 from .geometry import (
     Placement,
@@ -50,23 +63,16 @@ from .harness import (
     parse_config,
     run_experiment,
 )
-from .metrics import MseReport, empirical_mse, mse_given_scaling, mse_min, optimal_scaling
 from .optimizers import (
-    PhaseUpdateIntermediates,
     RunRecord,
     evaluate_placement,
     midpoint_init,
     pass_baseline,
-    phase_objective,
-    phase_update_closed,
     random_init,
     sa1_ao,
     sa1_joint_exhaustive,
-    sa1_position_update,
     sa2_ao,
     sa2_joint_exhaustive,
-    ss_exhaustive,
-    ss_mse_objective,
     ss_two_stage,
 )
 from .rng import derive_seed, philox_stream

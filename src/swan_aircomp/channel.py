@@ -38,10 +38,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclass(frozen=True)
 class RadioConfig:
     """Carrier, waveguide, and link-budget parameters.
@@ -107,27 +103,6 @@ class RadioConfig:
     def guided_phase_rate(self) -> float:
         """Phase accumulated per meter of guide: 2 pi / lambda_g."""
         return 2.0 * math.pi / self.guided_wavelength
-
-
-def freespace_gain(cfg: RadioConfig, user, pa) -> complex:
-    """Complex line-of-sight gain between two points (2-d or 3-d coordinates)."""
-    u = np.asarray(user, dtype=float)
-    p = np.asarray(pa, dtype=float)
-    if u.shape != p.shape:
-        raise ValueError(f"coordinate shapes differ: {u.shape} vs {p.shape}")
-    r = float(np.linalg.norm(u - p))
-    if r == 0.0:
-        raise ValueError("free-space gain undefined for coincident points")
-    return complex(math.sqrt(cfg.eta) / r * np.exp(-1j * cfg.wavenumber * r))
-
-
-def inwaveguide_gain(cfg: RadioConfig, pa_x: float, feed_x: float) -> complex:
-    """Complex gain from a segment feed to a PA at pa_x on the same segment."""
-    ell = pa_x - feed_x
-    if ell < 0:
-        raise ValueError(f"pa_x={pa_x} lies before the feed at {feed_x}")
-    amp = 10.0 ** (-cfg.kappa * ell / 20.0)
-    return complex(amp * np.exp(-1j * cfg.guided_phase_rate * ell))
 
 
 def _free_space(cfg: RadioConfig, scene: Scene, psi: np.ndarray) -> np.ndarray:

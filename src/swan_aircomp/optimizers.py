@@ -35,7 +35,9 @@ drop's ``DropGrids`` table passed as ``grids``, or builds one for its own
 config when none is passed.  The SS midpoint probes, the default
 (midpoint) AO start and the joint oracles' midpoint candidates read the
 table's start rows, the gains at every segment midpoint, so none
-of them builds a gain row of its own.
+of them builds a gain row of its own.  This module holds only what a run
+executes: the audit forms of single steps and ``ss_exhaustive`` are in
+``audit``, which calls the code here.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .geometry import (
     baseline_scene,
     feasible_grid,  # no caller here; perfbench's probe wraps optimizers.feasible_grid
     spacing_mask,
-    validate_placement,
 )
 from .metrics import mse_rows
 from .rng import philox_stream
@@ -94,9 +95,6 @@ _FULL_SCAN_SIZE = 128
 
 _EPS = float(np.finfo(float).eps)
 
-# Draws random_init makes before it gives up on finding a feasible start.
-_INIT_TRIES = 100
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -117,48 +115,9 @@ class RunRecord:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class PhaseUpdateIntermediates:
-    """Every intermediate of the closed-form phase update, for auditing.
-
-    a, b are the per-user channel split for the updated segment: the channel
-    is b_k + exp(1j * theta) * a_k.  cap_a = sum(a), cap_b = sum(b),
-    cap_c = sum(a * conj(b)); alpha = |A|^2 + |B|^2 and
-    gamma = sum(|a|^2 + |b|^2) + noise_var / p_tx.  beta_mag * exp(1j * p) is
-    A * conj(B) and delta_mag * exp(1j * q) is C.  The stationarity condition
-    is coef_a * sin(theta) + coef_b * cos(theta) = xi with norm
-    r_norm = hypot(coef_a, coef_b) and angle phi = atan2(coef_a, coef_b);
-    candidates are the two (or, when degenerate, one repeated) roots.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    cap_a: complex
-    cap_b: complex
-    cap_c: complex
-    alpha: float
-    gamma: float
-    beta_mag: float
-    p: float
-    delta_mag: float
-    q: float
-    coef_a: float
-    coef_b: float
-    xi: float
-    r_norm: float
-    phi: float
-    candidates: tuple
-
-
 def _one_pass(placement: Placement, final: float, evaluations: int) -> RunRecord:
     """Record of a search that scores its candidates once: its trace is its result."""
     return RunRecord(placement, (final,), final, 1, evaluations)
-
-
-def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> float:
-    """MSE when only ``segment`` is active with its PA at pa_x."""
-    h = eff_channel_ss(cfg, scene, segment, pa_x)
-    return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
 def _grid_search(cfg: RadioConfig, grids: DropGrids, segment: Optional[int]) -> tuple[float, float]:
@@ -188,14 +147,6 @@ def ss_two_stage(
     return RunRecord(placement, (float(probes[best_m]), final), final, 1, len(probes) + q_grid)
 
 
-def ss_exhaustive(cfg: RadioConfig, scene: Scene, q_grid: int) -> RunRecord:
-    """Grid search over every segment's Q points: exactly M * Q evaluations."""
-    grids = DropGrids(scene, q_grid, (cfg,))
-    m_seg = scene.layout.m_segments
-    final, x, m = min(((*_grid_search(cfg, grids, m), m) for m in range(m_seg)), key=lambda r: r[0])
-    return _one_pass(Placement("SS", np.array([x]), segment=m), final, m_seg * q_grid)
-
-
 def pass_baseline(
     cfg: RadioConfig, scene: Scene, q_grid: int, grids: Optional[DropGrids] = None
 ) -> RunRecord:
@@ -216,21 +167,31 @@ def midpoint_init(scene: Scene, architecture: str) -> Placement:
 
 
 def random_init(scene: Scene, architecture: str, seed: int, delta_min: float) -> Placement:
-    """Random feasible AO start: uniform positions per segment, uniform phases.
+    """Random feasible AO start: PAs drawn left to right, uniform phases.
 
-    Draw order per attempt: M position uniforms, then (SA2 only) M phase
-    uniforms.  Draws violating the ``delta_min`` spacing are rejected and
-    retried; raises if no feasible draw is found in ``_INIT_TRIES``.
+    Draw order: M position uniforms, then (SA2 only) M phase uniforms.  PA m
+    is uniform on the part of its segment at least ``delta_min`` past PA
+    m - 1, [max(feed_m, psi_{m-1} + delta_min), feed_m + L], whose lower end
+    is nudged up until its gap to PA m - 1, computed as
+    ``validate_placement`` computes it, is ``delta_min``.  Rounding is
+    monotone, so every pair of PAs then keeps its gap and every draw is
+    feasible.  Raises if a segment has no such part, which on a tiled layout
+    needs delta_min to reach L.
     """
     layout = scene.layout
     g = philox_stream(seed)
-    for _ in range(_INIT_TRIES):
-        psis = layout.feed_x + layout.seg_length * g.random(layout.m_segments)
-        phases = TWO_PI * g.random(layout.m_segments) if architecture == "SA2" else None
-        p = Placement(architecture, psis, phases=phases)
-        if not validate_placement(layout, p, delta_min):
-            return p
-    raise ValueError(f"no feasible random init found in {_INIT_TRIES} tries")
+    draws = g.random(layout.m_segments).tolist()
+    phases = TWO_PI * g.random(layout.m_segments) if architecture == "SA2" else None
+    psis, prev = [], -math.inf
+    for m, (feed, u) in enumerate(zip(layout.feed_x.tolist(), draws)):
+        lo, hi = max(feed, prev + delta_min), feed + layout.seg_length
+        while lo - prev < delta_min:
+            lo = math.nextafter(lo, math.inf)
+        if not lo <= hi:
+            raise ValueError(f"no feasible random init: segment {m} has no point {delta_min} past PA {m - 1}")
+        prev = min(hi, lo + (hi - lo) * u)
+        psis.append(prev)
+    return Placement(architecture, psis, phases=phases)
 
 
 def _wrap_phase(theta: float) -> float:
@@ -250,8 +211,8 @@ def _phase_solution(
     candidates phi +- arccos(xi / r_norm).  The better candidate is returned
     (ties toward the smaller angle); a degenerate system returns the incumbent.
     ``sum_a`` and ``a_sq`` are a's terms ``_a_terms(a)``, which the AO keeps
-    while a is unchanged; ``_closed_form_phase`` recomputes every
-    intermediate of the audit record from the same formulas.
+    while a is unchanged; ``audit._closed_form_phase`` recomputes every
+    intermediate of its audit record from the same formulas.
     """
     cap_b = complex(np.add.reduce(b))
     cap_c = complex(np.vdot(b, a))  # sum_k a_k * conj(b_k)
@@ -284,39 +245,6 @@ def _phase_solution(
 def _a_terms(a: np.ndarray) -> tuple[complex, np.ndarray]:
     """The phase solve's terms of the updated segment's share a alone: (sum a, |a|^2)."""
     return complex(np.add.reduce(a)), np.square(np.abs(a))
-
-
-def _closed_form_phase(
-    a: np.ndarray, b: np.ndarray, noise_over_p: float, theta_current: float
-) -> tuple[float, PhaseUpdateIntermediates]:
-    """The closed-form phase update with its audit record.
-
-    theta is ``_phase_solution``'s, to the bit; the record's fields are
-    recomputed here from the formulas ``_phase_solution`` uses, so its
-    candidates hold theta.
-    """
-    theta = _phase_solution(a, *_a_terms(a), b, noise_over_p, theta_current)
-    cap_a = complex(a.sum())
-    cap_b = complex(b.sum())
-    cap_c = complex(np.vdot(b, a))
-    alpha = abs(cap_a) ** 2 + abs(cap_b) ** 2
-    gamma = float((np.abs(a) ** 2 + np.abs(b) ** 2).sum()) + noise_over_p
-    ab = cap_a * cap_b.conjugate()
-    coef_a = 2.0 * (gamma * ab.real - alpha * cap_c.real)
-    coef_b = 2.0 * (gamma * ab.imag - alpha * cap_c.imag)
-    xi = 4.0 * (cap_c * ab.conjugate()).imag
-    r_norm = math.hypot(coef_a, coef_b)
-    phi_ang = math.atan2(coef_a, coef_b)
-    scale_ref = gamma * abs(ab) + alpha * abs(cap_c)
-    if r_norm <= _DEGENERATE_RTOL * scale_ref or scale_ref == 0.0:
-        candidates = (theta, theta)
-    else:
-        spread = math.acos(min(1.0, max(-1.0, xi / r_norm)))
-        candidates = (_wrap_phase(phi_ang + spread), _wrap_phase(phi_ang - spread))
-    return theta, PhaseUpdateIntermediates(
-        a, b, cap_a, cap_b, cap_c, alpha, gamma, abs(ab), float(np.angle(ab)), abs(cap_c),
-        float(np.angle(cap_c)), coef_a, coef_b, xi, r_norm, phi_ang, candidates,
-    )
 
 
 class _ScreenWork:
@@ -401,10 +329,6 @@ class _AOState:
         """The other segments' shares summed in segment order: the b of h = b + e^{j theta_m} a."""
         return np.add.reduce(self.shares.take(self.others[m], 0), 0)
 
-    def split(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Segment m's unphased share a and the others' sum b: h = b + e^{j theta_m} a."""
-        return self.unphased[m], self._rest(m)
-
     def solve_phase(self, m: int) -> float:
         """Segment m's closed-form best phase (``_phase_solution``), every other segment frozen."""
         a = self.unphased_rows[m]
@@ -484,39 +408,6 @@ class _AOState:
         self.thetas[m] = theta
         self.rots[m] = rot
         np.multiply(self.unphased_rows[m], rot, self.share_rows[m])
-
-
-def _require_sa2_segment(scene: Scene, placement: Placement, segment: int) -> None:
-    if placement.architecture != "SA2":
-        raise ValueError("phase updates apply to SA2 placements")
-    if not (0 <= segment < scene.layout.m_segments):
-        raise ValueError(f"segment index {segment} out of range")
-
-
-def phase_update_closed(
-    cfg: RadioConfig, scene: Scene, placement: Placement, segment: int
-) -> tuple[float, PhaseUpdateIntermediates]:
-    """Closed-form best phase for one segment, other segments held fixed."""
-    _require_sa2_segment(scene, placement, segment)
-    state = _AOState(cfg, scene, placement)
-    return _closed_form_phase(*state.split(segment), state.noise_over_p, float(state.thetas[segment]))
-
-
-def phase_objective(
-    cfg: RadioConfig, scene: Scene, placement: Placement, segment: int, theta: float
-) -> float:
-    """Alignment ratio phi(theta) evaluated directly from the channel split.
-
-    phi = |sum_k h_k|^2 / (sum_k |h_k|^2 + noise_var / p_tx) with
-    h_k = b_k + exp(1j * theta) * a_k; the minimum MSE at this phase is
-    K - phi(theta).
-    """
-    _require_sa2_segment(scene, placement, segment)
-    a, b = _AOState(cfg, scene, placement).split(segment)
-    h = b + np.exp(1j * theta) * a
-    num = abs(h.sum()) ** 2
-    den = float((np.abs(h) ** 2).sum()) + cfg.noise_var / cfg.p_tx
-    return float(num / den)
 
 
 def _rounding_coef(k: int, n_rows: int) -> float:
@@ -661,22 +552,6 @@ def _ao_engine(
             break
     placement = Placement(architecture, state.psis, phases=state.thetas if phased else None)
     return RunRecord(placement, tuple(trace), trace[-1], len(trace) - 1, evaluations)
-
-
-def sa1_position_update(
-    cfg: RadioConfig, scene: Scene, placement: Placement, segment: int, q_grid: int
-) -> tuple[float, float]:
-    """Best PA position for one segment with the others frozen.
-
-    Runs the AO's position step and accept rule on the feasible grid and
-    returns (new_pa_x, new_mse): the grid row's position if the move did
-    not raise the MSE, else the incumbent's, and the MSE that
-    evaluate_placement recomputes for it.  SA2 phases are held fixed.
-    """
-    pts, gains, table = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
-    state = _AOState(cfg, scene, placement)
-    state.position_step(segment, pts, gains, table)
-    return float(state.psis[segment]), state.current
 
 
 def sa1_ao(

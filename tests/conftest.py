@@ -107,7 +107,7 @@ def reference_ao(cfg, scene, q_grid, pa_x, phases=None, max_iters=100, tol=1e-8,
     the spacing rule dropped in total.
     """
     from swan_aircomp.metrics import mse_rows
-    from swan_aircomp.optimizers import _closed_form_phase
+    from swan_aircomp.audit import _closed_form_phase
 
     layout = scene.layout
     m_seg = layout.m_segments

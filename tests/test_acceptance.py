@@ -20,23 +20,23 @@ from swan_aircomp.geometry import (
     sample_users,
 )
 from swan_aircomp.harness import ExperimentSpec, aggregate, execute, run_experiment
-from swan_aircomp.metrics import (
+from swan_aircomp.audit import (
     empirical_mse,
     mse_given_scaling,
     mse_min,
     optimal_scaling,
+    phase_objective,
+    phase_update_closed,
+    ss_exhaustive,
 )
 from swan_aircomp.optimizers import (
     baseline_scene,
     evaluate_placement,
     pass_baseline,
-    phase_objective,
-    phase_update_closed,
     random_init,
     sa1_ao,
     sa1_joint_exhaustive,
     sa2_ao,
-    ss_exhaustive,
     ss_two_stage,
 )
 from swan_aircomp.rng import derive_seed, philox_stream

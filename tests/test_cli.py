@@ -128,8 +128,8 @@ def test_a_midpoint_start_closer_than_delta_min_is_a_config_error(tmp_path, caps
 
     SA1 and SA2 would refuse that start once SS had run; the run is
     refused before any drop is drawn or optimizer called.  Without SA1 and
-    SA2 the same scene is valid, and so is a sweep-m value of one segment
-    (4 mm long, as at d_x = 100 m the layout of two 1 mm segments is refused).
+    SA2 the same scene is valid, and so is a sweep-m value of one 4 mm
+    segment.
     """
     import swan_aircomp.harness as harness
 
@@ -149,6 +149,26 @@ def test_a_midpoint_start_closer_than_delta_min_is_a_config_error(tmp_path, caps
     assert parse_config(kind="sweep-m-fixed-L", overrides={"sweep": "1", "seg_length": 0.004})
     with pytest.raises(ConfigError, match="midpoint start at sweep value 2"):
         parse_config(kind="sweep-m-fixed-L", overrides={"sweep": "1,2", "seg_length": 0.004})
+
+
+def test_millimetre_segments_are_refused_for_their_start_not_their_layout(tmp_path, capsys):
+    """Two 1 mm segments at d_x = 100 m build, so the config error names the
+    midpoint start closer than delta_min, not the feed spacing."""
+    err = _rejected_before_work(
+        tmp_path, capsys, "sweep-m", "--sweep", "1,2", "--seg-length", "0.001", "--q", "20"
+    )
+    assert "midpoint start at sweep value 2" in err
+    assert "feed_x" not in err
+
+
+def test_restarts_near_delta_min_find_a_feasible_init(tmp_path):
+    """5.4 mm segments are barely wider than delta_min (5.35 mm): a restart
+    drawn left to right is feasible, so the run completes."""
+    out = tmp_path / "out"
+    code = main(["sweep-k", "--out-dir", str(out), "--m", "8", "--sweep", "2", "--seg-length", "0.0054",
+                 "--restarts", "1", "--drops", "1", "--q", "20", "--schemes", "SA1", "--quiet"])
+    assert code == 0
+    assert (out / "results.csv").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -22,7 +22,6 @@ def test_build_layout_centers_the_segment_block():
 
     lay = sa.build_layout(2, 1.0, region, 3.0)
     assert np.array_equal(lay.feed_x, [49.0, 50.0])
-    assert lay.segment_end(0) == 50.0
     assert lay.span == (49.0, 51.0)
 
     lay = sa.build_layout(5, 10.0, sa.ServiceRegion(50.0, 20.0), 3.0)
@@ -47,6 +46,20 @@ def test_layout_validation():
         sa.WaveguideLayout(1, -1.0, np.array([0.0]), 3.0)
     with pytest.raises(ValueError):
         sa.WaveguideLayout(1, 1.0, np.array([0.0]), 0.0)
+
+
+def test_feed_gap_check_allows_rounding_at_the_feeds_scale():
+    """At d_x = 100 m two 1 mm feeds are 50.0 - 49.999, 2.3e-12 short of 1 mm.
+
+    The slack scales with the feeds' magnitude, so that layout builds as it
+    does at d_x = 10 m; feeds 0.999 L apart, or not increasing, are refused.
+    """
+    for d_x in (100.0, 10.0):
+        lay = sa.build_layout(2, 0.001, sa.ServiceRegion(d_x, 20.0), 3.0)
+        assert lay.feed_x[1] - lay.feed_x[0] == pytest.approx(0.001, rel=1e-9)
+    for feeds in ([49.999, 49.999 + 0.999 * 0.001], [50.0, 50.0]):
+        with pytest.raises(ValueError, match="gaps >= seg_length"):
+            sa.WaveguideLayout(2, 0.001, np.array(feeds), 3.0)
 
 
 def test_user_drop_validation():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from swan_aircomp.metrics import (
+from swan_aircomp.audit import (
     empirical_mse,
     mse_given_scaling,
     mse_min,
-    mse_rows,
     optimal_scaling,
 )
+from swan_aircomp.metrics import mse_rows
 from swan_aircomp.rng import philox_stream
 from conftest import naive_mse, rel_err
 

@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
-from swan_aircomp import optimizers
+from swan_aircomp import audit, optimizers
+from swan_aircomp.audit import phase_update_closed, sa1_position_update, ss_exhaustive, ss_mse_objective
 from swan_aircomp.channel import DropGrids, placement_gains
-from swan_aircomp.metrics import mse_min
 from swan_aircomp.geometry import baseline_layout, baseline_scene
 from swan_aircomp.optimizers import (
     evaluate_placement,
     midpoint_init,
     pass_baseline,
-    phase_update_closed,
     random_init,
     sa1_ao,
     sa1_joint_exhaustive,
-    sa1_position_update,
     sa2_ao,
     sa2_joint_exhaustive,
-    ss_exhaustive,
-    ss_mse_objective,
     ss_two_stage,
 )
 from swan_aircomp.rng import derive_seed, philox_stream
@@ -198,6 +194,19 @@ def test_random_init_gives_up_when_infeasible():
     scene = make_scene(m_segments=2, seg_length=1.0, d_x=100.0)
     with pytest.raises(ValueError):
         random_init(scene, "SA1", 7, delta_min=3.0)
+
+
+def test_random_init_draws_are_feasible_when_seg_length_is_near_delta_min():
+    """PAs are drawn left to right, each delta_min past the one before, so
+    every draw passes validate_placement, rounding included, even where a
+    draw of every PA at once would almost never be feasible."""
+    cfg = make_config()
+    for seg_length in (cfg.delta_min * (1.0 + 1e-9), 0.0054, 0.01):
+        for d_x in (0.05, 100.0, 1e6):
+            scene = make_scene(m_segments=8, seg_length=seg_length, d_x=d_x)
+            for seed in range(40):
+                p = random_init(scene, "SA2", derive_seed(17, seed), cfg.delta_min)
+                assert sa.validate_placement(scene.layout, p, cfg.delta_min) == []
 
 
 def test_sa1_position_update_never_worsens():
@@ -780,7 +789,7 @@ def test_tuple_certificate_drops_only_tuples_below_tau(k):
     b[::5] = -phase[::5] * a[::5] * (1.0 + 1e-9 * cplx(12, k))
     noise_over_p = 1e-10 * 10.0 ** g.uniform(-4, 2)
     best_rot = np.array([
-        np.exp(1j * optimizers._closed_form_phase(a[t], b[t], noise_over_p, 0.0)[0]) for t in range(n)
+        np.exp(1j * audit._closed_form_phase(a[t], b[t], noise_over_p, 0.0)[0]) for t in range(n)
     ])
     grid = np.exp(1j * np.arange(48) * (2 * math.pi / 48))
     best = np.array([max(float(_exact_ratio(a[t], b[t], r, noise_over_p)) for r in (best_rot[t], *grid))

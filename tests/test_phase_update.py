@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
-from swan_aircomp.metrics import mse_min
-from swan_aircomp.optimizers import (
-    _closed_form_phase,
-    phase_objective,
-    phase_update_closed,
-    random_init,
-)
+from swan_aircomp.audit import _closed_form_phase, mse_min, phase_objective, phase_update_closed
+from swan_aircomp.optimizers import random_init
 from swan_aircomp.rng import philox_stream, derive_seed
 from conftest import make_config, make_scene, rel_err, scene_with_users
 
