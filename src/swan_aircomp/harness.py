@@ -23,7 +23,7 @@ import numpy as np
 
 from . import svgplot
 from .channel import SPEED_OF_LIGHT, DropGrids, RadioConfig, dbm_to_watts, require_feasible
-from .geometry import Placement, Scene, ServiceRegion, build_layout, sample_users
+from .geometry import ARCHITECTURES, Placement, Scene, ServiceRegion, build_layout, sample_users
 from .optimizers import (
     MAX_JOINT_TUPLES,
     RunRecord,
@@ -37,8 +37,6 @@ from .optimizers import (
     ss_two_stage,
 )
 from .rng import derive_seed
-
-SCHEMES = ("SS", "SA1", "SA2", "PASS")
 
 # Seed-derivation tag separating restart streams from drop streams.
 _RESTART_TAG = 7001
@@ -110,7 +108,7 @@ class ExperimentSpec:
     noise_dbm: float = -90.0
     kappa_db_per_m: tuple = (0.0,)
     q_grid: int = 1000
-    schemes: tuple = ("SS", "SA1", "SA2", "PASS")
+    schemes: tuple = ARCHITECTURES
     restarts: int = 0
     design_kappa: Optional[float] = None
 
@@ -134,9 +132,9 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep values must be strictly increasing, got {self.sweep}")
-        bad = [s for s in self.schemes if s not in SCHEMES]
+        bad = [s for s in self.schemes if s not in ARCHITECTURES]
         if bad or not self.schemes:
-            raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}, got {self.schemes}")
+            raise ConfigError(f"schemes must be a non-empty subset of {ARCHITECTURES}, got {self.schemes}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigError(f"schemes must not repeat, got {self.schemes}")
         if not self.kappa_db_per_m or not all(

@@ -25,19 +25,16 @@ within ``delta_min`` of the grid.  Both AO passes keep a change only if the
 rescored whole channel's MSE did not rise (a step that changes nothing is
 skipped, but still counted), so the recorded MSE is the one
 evaluate_placement recomputes.
-The joint oracles score every (position tuple, rotation) pair of the
-tuples they keep, and count every feasible pair.  SA1 keeps every feasible
-tuple.  With more than one rotation (SA2), a tuple stage drops whole
-position tuples: a closed-form bound on each tuple's best ratio over every
-rotation, taken from five per-tuple statistics, certifies that all of its
-pairs score above an MSE already scored.  Every grid search reads the
-drop's ``DropGrids`` table passed as ``grids``, or builds one for its own
-config when none is passed.  The SS midpoint probes, the default
-(midpoint) AO start and the joint oracles' midpoint candidates read the
-table's start rows, the gains at every segment midpoint, so none
-of them builds a gain row of its own.  This module holds only what a run
-executes: the audit forms of single steps and ``ss_exhaustive`` are in
-``audit``, which calls the code here.
+The joint oracles count every feasible (position tuple, rotation) pair.
+SA1 scores every feasible tuple.  SA2 scores, per feasible tuple, the two
+grid phases around the tuple's closed-form best phase, one of which is its
+best grid phase.  Every grid search reads the drop's ``DropGrids`` table
+passed as ``grids``, or builds one for its own config when none is passed.
+The SS midpoint probes, the default (midpoint) AO start and the joint
+oracles' midpoint candidates read the table's start rows, the gains at
+every segment midpoint, so none of them builds a gain row of its own.  This
+module holds only what a run executes: the audit forms of single steps and
+``ss_exhaustive`` are in ``audit``, which calls the code here.
 """
 
 from __future__ import annotations
@@ -73,13 +70,12 @@ from .rng import philox_stream
 TWO_PI = 2.0 * math.pi
 
 # A stationary-point system with norm this small (relative to its natural
-# scale) carries no phase information; the incumbent phase is kept.
+# scale) carries no phase information: the AO keeps the incumbent phase, and
+# the SA2 oracle scores phases 0 and 1.
 _DEGENERATE_RTOL = 1e-15
 
-# Position tuples a joint oracle gathers at once, and (tuple, rotation)
-# pairs it scores at once, in whole tuples with all their rotations: as
-# _THETA_GRID <= _TUPLE_BLOCK, a block holds at most _TUPLE_BLOCK pairs
-# at any grid size the tuple cap admits.
+# Position tuples a joint oracle gathers and scores at once, at most two
+# (tuple, rotation) pairs each.
 _TUPLE_BLOCK = 1 << 13
 
 # The tuple cap: a joint oracle refuses a grid of more position tuples.
@@ -92,8 +88,6 @@ _THETA_GRID = 720
 # row with mse_rows, without building the screen's row statistics: up to
 # here that costs less than the screen.
 _FULL_SCAN_SIZE = 128
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -410,32 +404,6 @@ class _AOState:
         np.multiply(self.unphased_rows[m], rot, self.share_rows[m])
 
 
-def _rounding_coef(k: int, n_rows: int) -> float:
-    """c, with c T / (2 (1 + K)) a bound on the rounding of a candidate's sums.
-
-    A candidate is a channel h over K users built left to right from
-    ``n_rows`` rows (f times the first, then the others added one by one),
-    with T bounding every channel term of its numerator |sum h|^2 and its
-    denominator sum |h|^2.  Scored by ``mse_rows`` or from a joint
-    oracle's tuple statistics, each sum is within (8K + 4n + 8) eps T of
-    its exact value: (8K + 8) eps T covers the sums over K and the squares
-    and products, and each of the n rows, scaled by f or added in, moves a
-    sum by at most 4 eps T more, however the additions are grouped.
-    """
-    return 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
-
-
-def _margin(ct: float, low: float, k: int) -> float:
-    """2E, with E = c T / D + 8 K eps for ``ct`` = c T and ``low`` = D.
-
-    Two ratios num / den, each at most K, whose sums are each within the
-    bound of ``_rounding_coef`` and whose denominators are at least D
-    differ by at most E; the last term covers the roundings relative to the
-    ratio (the noise term's among them) and to K minus it.
-    """
-    return 2.0 * (ct / low + 8 * k * _EPS)
-
-
 def _scan_tables(
     grids: DropGrids, cfg: RadioConfig, segment: int
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -607,54 +575,39 @@ def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> 
     return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 
-def _tuple_stats(a: np.ndarray, b: np.ndarray, noise_over_p: float) -> np.ndarray:
-    """Tuple-stage statistics of the channels rot * a[t] + b[t], one tuple t per row.
+def _phase_cells(a: np.ndarray, b: np.ndarray, noise_over_p: float, n_rot: int) -> np.ndarray:
+    """Per tuple t, the two grid phases around the best phase of e^{j theta} a[t] + b[t].
 
-    A (num, den) x term x tuple array: num is (|A|^2, |B|^2, Re, -Im of
-    A conj(B)) and den is (E_a, E_b + noise_var / p_tx, Re, -Im of C); a
-    rotation's num and den are their terms dotted with
-    (|rot|^2, 1, 2 Re rot, 2 Im rot).
+    On the grid theta_r = 2 pi r / n_rot, with A = sum a, B = sum b,
+    C = sum a conj(b), alpha = |A|^2 + |B|^2, beta = A conj(B) and
+    gamma = sum |a|^2 + sum |b|^2 + noise_over_p, the alignment ratio is
+    f(theta) = (alpha + 2 Re(e^{j theta} beta)) / (gamma + 2 Re(e^{j theta} C)).
+    With c = 2 (gamma beta - alpha C), phi = atan2(Re c, Im c) and
+    xi = 4 Im(C conj(beta)), f' has the sign of xi - |c| cos(theta - phi),
+    so of ``_phase_solution``'s stationary points phi +- arccos(xi / |c|)
+    the maximum is theta* = phi - arccos(xi / |c|).  f has one maximum per
+    period, so the best grid phase is one of the two cells that bracket
+    theta*: floor(theta* n_rot / 2 pi) and the next, mod n_rot.  A
+    degenerate tuple (``_phase_solution``'s test) gets cells 0 and 1; with
+    a = 0 every phase scores the same bits, and a full scan's tie-break
+    picks phase 0 too.  Returns an (N, 2) intp array, each row in
+    ascending order.
     """
     sum_a = a.sum(axis=1)
     sum_b = b.sum(axis=1)
-    ab = sum_a * sum_b.conj()
-    cross = (a * b.conj()).sum(axis=1)
-    return np.array([
-        [np.square(np.abs(sum_a)), np.square(np.abs(sum_b)), ab.real, -ab.imag],
-        [np.square(np.abs(a)).sum(axis=1), np.square(np.abs(b)).sum(axis=1) + noise_over_p,
-         cross.real, -cross.imag],
-    ])
-
-
-def _surviving_tuples(stats: np.ndarray, tau: float, ct: float, eta_t: float, k: int) -> np.ndarray:
-    """Indices of the tuples the tuple stage of ``_joint_scan`` keeps at the ratio tau.
-
-    With g = num terms - tau * den terms of ``stats``, a rotation's
-    num - tau den is |rot|^2 g_0 + g_1 + 2 (Re(rot) g_2 + Im(rot) g_3),
-    whose maximum over |rot| = 1 is g_0 + g_1 + 2 |(g_2, g_3)|
-    = alpha - tau gamma + 2 |beta - tau delta|.  A tuple is dropped when
-    that is below -err, with ``ct`` = c T and ``eta_t`` = eta T.
-    """
-    gamma = stats[1, 0] + stats[1, 1]
-    err = 4.0 * ct + (1 + k) * (32 * _EPS * gamma + 3.0 * eta_t)
-    g = stats[0] - tau * stats[1]
-    return np.flatnonzero(g[0] + g[1] + 2.0 * np.hypot(g[2], g[3]) >= -err)
-
-
-def _ratio_ceilings(stats: np.ndarray) -> np.ndarray:
-    """Per tuple, lambda_t: the largest ratio over unit rotations.
-
-    It is the largest root of (lambda gamma - alpha)^2 = 4 |beta - lambda delta|^2,
-    solved with every term divided by gamma; the quadratic's leading term
-    1 - 4 |delta / gamma|^2 is positive wherever every denominator is.
-    """
-    gamma = stats[1, 0] + stats[1, 1]
-    terms = np.stack([stats[0, 0] + stats[0, 1], *stats[0, 2:], *stats[1, 2:]])
-    alpha, b_re, b_im, d_re, d_im = terms / gamma
-    lead = 1.0 - 4.0 * (d_re * d_re + d_im * d_im)
-    half = alpha - 4.0 * (b_re * d_re + b_im * d_im)
-    const = alpha * alpha - 4.0 * (b_re * b_re + b_im * b_im)
-    return (half + np.sqrt(np.maximum(half * half - lead * const, 0.0))) / lead
+    cap_c = (a * b.conj()).sum(axis=1)
+    alpha = np.square(np.abs(sum_a)) + np.square(np.abs(sum_b))
+    gamma = np.square(np.abs(a)).sum(axis=1) + np.square(np.abs(b)).sum(axis=1) + noise_over_p
+    beta = sum_a * sum_b.conj()
+    coef = 2.0 * (gamma * beta - alpha * cap_c)
+    r_norm = np.abs(coef)
+    scale_ref = gamma * np.abs(beta) + alpha * np.abs(cap_c)
+    degenerate = (r_norm <= _DEGENERATE_RTOL * scale_ref) | (scale_ref == 0.0)
+    xi = 4.0 * (cap_c * beta.conj()).imag
+    spread = np.arccos(np.clip(xi / np.where(degenerate, 1.0, r_norm), -1.0, 1.0))
+    best = np.arctan2(coef.real, coef.imag) - spread
+    j = np.where(degenerate, 0, np.floor(best * (n_rot / TWO_PI)).astype(np.intp) % n_rot)
+    return np.sort(np.stack([j, (j + 1) % n_rot], axis=1), axis=1)
 
 
 def _joint_scan(
@@ -663,59 +616,19 @@ def _joint_scan(
     """First MSE minimum over feasible (position tuple, segment-0 rotation) pairs.
 
     ``cands`` holds each segment's (points, share rows), as
-    ``DropGrids.joint`` builds them.  Tuples run over each segment's
-    points in itertools.product order, last segment fastest; within a tuple
-    the rotations ``rot`` run in order.  A pair's channel is built as
-    rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
+    ``DropGrids.joint`` builds them, and ``rot`` the rotations
+    e^{j 2 pi r / R}, r = 0 .. R - 1, evenly spaced.  Tuples run over each
+    segment's points in itertools.product order, last segment fastest;
+    within a tuple the rotations run in order.  A pair's channel is built
+    as rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
     segment m's, and scored by ``mse_rows``.  Feasible tuples are gathered
-    up to ``_TUPLE_BLOCK`` at a time and scored in blocks of whole tuples
-    with all their rotations, in product order; a block replaces the
-    incumbent only when its first minimum is strictly lower.
-    With more than one rotation (SA2), a tuple stage first drops whole
-    tuples of each gathering:
-
-    * statistics: per tuple, with b = r_1 + ... + r_{M-1}, A = sum a,
-      B = sum b, C = sum a conj(b), E_a = sum |a|^2 and E_b = sum |b|^2
-      give every rotation's alignment ratio
-      num / den = |rot A + B|^2 / (|rot|^2 E_a + E_b + 2 Re(rot C)
-      + noise_var / p_tx) (``_tuple_stats``).
-    * test: with alpha = |A|^2 + |B|^2, beta = A conj(B),
-      gamma = E_a + E_b + noise_var / p_tx and delta = C, the maximum of
-      num - tau den over |rot| = 1 is alpha - tau gamma + 2 |beta - tau delta|
-      (``_surviving_tuples``), so no rotation reaches the ratio tau where that
-      is negative (Dinkelbach's parametric test for a ratio), and a tuple's
-      largest ratio lambda_t is the largest root of
-      (lambda gamma - alpha)^2 = 4 |beta - lambda delta|^2
-      (``_ratio_ceilings``).  The rotations of the tuple of largest
-      lambda_t are scored first; with m the lower of their minimum and the
-      incumbent's MSE, tau = K - m - 2E, and a tuple whose bound is below
-      -err is dropped whole.  When that reference tuple alone survives,
-      its score stands and it is not scored again.
-
-    Rounding of the tuple stage, with T, c and E as in ``_rounding_coef``
-    and ``_margin`` (n = M, weight the largest
-    max|rot| ||a||_1 + ||r_1||_1 + ... + ||r_{M-1}||_1 the candidates allow):
-    each statistic is within c T / (2 (1 + K)) of its exact sum over the
-    stored rows, but for roundings relative to the noise term.  ``rot``
-    need not have |rot|^2 = 1 to rounding: eta bounds ||rot|^2 - 1|, and
-    any rotation's exact num - tau den is at most the bound of the exact
-    statistics plus 3 eta (1 + K) T.  As 0 < tau <= K, the computed bound
-    is within 2.5 c T + 27 eps (1 + K)(T + gamma) of the exact statistics'
-    bound, so err = 4 c T + (1 + K)(32 eps gamma + 3 eta T) makes every
-    rotation of a dropped tuple have exact num - tau den < 0.
-    D = min(gamma - 2 max|rot| |delta|) - (2 c + eta) T, the minimum over
-    every gathered tuple, bounds every pair's den below, exact or
-    ``mse_rows``', the pairs of dropped tuples among them; E uses this D.
-    So a dropped pair's exact ratio is below tau, its ``mse_rows`` ratio
-    K - MSE, within E of that, is below K - m, and it scores strictly above
-    m, which is at least the final minimum: the reference tuple is scored
-    again in its place.  A pair that ties m exactly is never dropped, and
-    the survivors keep product order and the strict replacement rule, so an
-    exact tie across tuples still goes to the first in product order.  If
-    D <= 0 or tau <= 0, no tuple is dropped.  The result is therefore, to
-    the bit, the first minimum of scoring every pair with ``mse_rows``.
-    Returns (MSE, positions, rotation index, pairs counted): every feasible
-    pair is counted, the pairs of dropped tuples among them.
+    up to ``_TUPLE_BLOCK`` at a time; with one rotation (SA1) every
+    gathered tuple is scored, and with more (SA2) only the two rotations
+    ``_phase_cells`` names, of which one is the tuple's best.  A block
+    replaces the incumbent only when its first minimum is strictly lower,
+    so ties go to the first pair in product order.  Returns (MSE,
+    positions, rotation index, pairs counted): every feasible pair is
+    counted, scored or not.
     """
     points, shares = zip(*cands)
     m_seg = len(cands)
@@ -723,18 +636,8 @@ def _joint_scan(
     n_tuples = math.prod(shape)
     if n_tuples > MAX_JOINT_TUPLES:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
-    k = shares[0].shape[1]
     n_rot = len(rot)
-    if n_rot > 1:
-        rot_max = float(np.abs(rot).max())
-        row_l1 = [float(np.abs(share).sum(axis=1).max()) for share in shares]
-        weight = rot_max * row_l1[0] + sum(row_l1[1:])
-        t_sq = weight * weight
-        ct = _rounding_coef(k, m_seg) * t_sq
-        # bounds ||rot|^2 - 1| over the rotations, this line's rounding included
-        eta = float(np.abs(np.square(np.abs(rot)) - 1.0).max()) + 4 * _EPS
     pairs = [list(p) for p in zip(*itertools.combinations(range(m_seg), 2))]
-    tuples_per_block = max(1, _TUPLE_BLOCK // n_rot)
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, _TUPLE_BLOCK):
@@ -745,40 +648,20 @@ def _joint_scan(
             pos = pos[keep]
             idx = [i[keep] for i in idx]
         count += len(pos) * n_rot
+        if not len(pos):
+            continue
         a, *others = [share[i] for share, i in zip(shares, idx)]
-
-        def block_min(sel: np.ndarray) -> tuple[float, int, int]:
-            """First MSE minimum over every rotation of the tuples ``sel``: (MSE, tuple, rotation)."""
-            h = rot[:, None] * a[sel, None]
-            for row in others:
-                h += row[sel, None]
-            mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
-            t, r = np.unravel_index(np.argmin(mses), mses.shape)
-            return float(mses[t, r]), int(sel[t]), int(r)
-
-        live = np.arange(len(pos))
-        ref = None
-        if n_rot > 1 and live.size:
-            b = np.zeros_like(a)
-            for row in others:
-                b += row
-            stats = _tuple_stats(a, b, cfg.noise_var / cfg.p_tx)
-            den_floor = stats[1, 0] + stats[1, 1] - 2.0 * rot_max * np.hypot(stats[1, 2], stats[1, 3])
-            low = float(den_floor.min()) - 2.0 * ct - eta * t_sq
-            if low > 0.0:
-                ref = block_min(np.array([np.argmax(_ratio_ceilings(stats))]))
-                tau = k - min(best[0], ref[0]) - _margin(ct, low, k)
-                if tau > 0.0:
-                    live = _surviving_tuples(stats, tau, ct, eta * t_sq, k)
-        if ref is not None and live.size == 1 and live[0] == ref[1]:
-            # the stage kept the reference tuple alone, which is scored already
-            blocks = [ref]
+        if n_rot > 1:
+            cells = _phase_cells(a, sum(others, np.zeros_like(a)), cfg.noise_var / cfg.p_tx, n_rot)
         else:
-            firsts = range(0, live.size, tuples_per_block)
-            blocks = (block_min(live[t0:t0 + tuples_per_block]) for t0 in firsts)
-        for mse, t, r in blocks:
-            if mse < best[0]:
-                best = (mse, pos[t].copy(), r)
+            cells = np.zeros((len(pos), 1), dtype=np.intp)
+        h = rot[cells][..., None] * a[:, None]
+        for row in others:
+            h += row[:, None]
+        mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
+        t, c = np.unravel_index(np.argmin(mses), mses.shape)
+        if mses[t, c] < best[0]:
+            best = (float(mses[t, c]), pos[t].copy(), int(cells[t, c]))
     if best[1] is None:
         raise ValueError("no feasible joint tuple on the grid")
     return (*best, count)
@@ -812,9 +695,11 @@ def sa2_joint_exhaustive(
 
     Positions run over each segment's Q grid points and its midpoint, as
     for ``sa1_joint_exhaustive``.  A common phase on all segments cancels in
-    the MSE, so the second phase is pinned to zero and only the first is
-    scanned over ``_THETA_GRID`` points.  Brute force; intended for tiny
-    oracle instances (M = 2 only).
+    the MSE, so the second phase is pinned to zero and the first runs over
+    ``_THETA_GRID`` points.  Per position tuple only the two grid phases
+    around its closed-form best phase are scored (``_phase_cells``), one of
+    which is its best grid phase; every feasible pair is counted.
+    Intended for tiny oracle instances (M = 2 only).
     """
     if scene.layout.m_segments != 2:
         raise ValueError("the reduced phase oracle supports exactly two segments")

@@ -1,5 +1,4 @@
 import csv
-import itertools
 import json
 
 import numpy as np

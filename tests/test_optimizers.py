@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
-from swan_aircomp import audit, optimizers
+from swan_aircomp import optimizers
 from swan_aircomp.audit import phase_update_closed, sa1_position_update, ss_exhaustive, ss_mse_objective
 from swan_aircomp.channel import DropGrids, placement_gains
 from swan_aircomp.geometry import baseline_layout, baseline_scene
@@ -666,34 +666,16 @@ def _check_sa2_joint(kappa, delta_min, p_dbm=10.0, theta_grid=48, duplicates=Fal
     return next(i for i, combo in enumerate(itertools.product(*positions)) if np.array_equal(combo, pa_x))
 
 
-def _count_survivors(monkeypatch):
-    """Record (tuples kept, tuples in the block) of each tuple stage's certificate."""
-    stages = []
-    surviving = optimizers._surviving_tuples
-
-    def counting(stats, *args):
-        live = surviving(stats, *args)
-        stages.append((live.size, stats.shape[-1]))
-        return live
-
-    monkeypatch.setattr(optimizers, "_surviving_tuples", counting)
-    return stages
-
-
 @pytest.mark.parametrize("theta_grid,duplicates", [(48, True), (2, False), (3, False), (7, False)])
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
 @pytest.mark.parametrize("delta_min", [None, _WIDE_DELTA])
-def test_sa2_joint_tuple_stage_matches_the_reference_bitwise(
-    monkeypatch, theta_grid, duplicates, kappa, delta_min
-):
-    """Exact ties across tuples, and phase grids whose best ratio sits well below lambda_t.
+def test_sa2_joint_tuple_stage_matches_the_reference_bitwise(theta_grid, duplicates, kappa, delta_min):
+    """Exact ties across tuples, and coarse phase grids far from each tuple's best phase.
 
-    The tuple stage must drop tuples here, so a certificate that dropped one
-    tuple too many would move the result or the tie's winner.
+    Each tuple scores only the two grid phases around its best phase, so a
+    wrong pair of cells would move the result or the tie's winner.
     """
-    stages = _count_survivors(monkeypatch)
     _check_sa2_joint(kappa, delta_min, theta_grid=theta_grid, duplicates=duplicates)
-    assert stages and all(n_live < n_tuples for n_live, n_tuples in stages)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -703,21 +685,43 @@ def test_joint_oracles_do_not_depend_on_the_block_size(monkeypatch, block, delta
     monkeypatch.setattr(optimizers, "_TUPLE_BLOCK", block)
     for m_seg, q in ((1, 30), (2, 15), (5, 3)):
         _check_sa1_joint(m_seg, q, 0.08, delta_min)
-    # the SA2 winner lies in a later block than the first tuple stage's
+    # the SA2 winner lies in a later block than the first
     assert _check_sa2_joint(0.08, delta_min) >= block
 
 
-def test_joint_oracles_match_the_reference_when_every_pair_is_kept(monkeypatch):
-    """At 100 dB/m and 100 dBm, D <= 0: the SA2 tuple stage keeps every tuple.
+def test_joint_oracles_match_the_reference_when_every_pair_is_kept():
+    """At 100 dB/m and 100 dBm the results are still the reference's to the bit.
 
     Gains at a segment's far end are 10^-10 of those at its feed, so
-    rounding could swamp the smallest denominators, and every pair is
-    scored; the result is still the reference's to the bit.
+    rounding could swamp the smallest denominators.
     """
-    stages = _count_survivors(monkeypatch)
     _check_sa1_joint(2, 15, 100.0, None, p_dbm=100.0)
     _check_sa2_joint(100.0, None, p_dbm=100.0)
-    assert not stages  # the SA2 tuple stage kept every tuple
+
+
+@pytest.mark.parametrize("theta_grid", [2, 7, 720])
+@pytest.mark.parametrize("n_live", [0, 2])
+def test_sa2_joint_scan_with_silent_segment_0_rows_matches_the_reference_bitwise(theta_grid, n_live):
+    """Segment 0's share rows are zero away from its feed, as at 10^6 dB/m.
+
+    Such a tuple's phase system is degenerate and every phase scores the
+    same bits, so its cells are phases 0 and 1 and phase 0 wins, as in a
+    scan of every phase.  With ``n_live`` positions right at segment 0's
+    feed, which keep their gains, both kinds of tuple meet in one block.
+    """
+    cfg = make_config(kappa=1e6, p_dbm=40.0)
+    scene = make_scene(m_segments=2, seg_length=2.0, d_x=20.0, k=5, seed=42)
+    feed = scene.layout.feed_x
+    offsets = [0.0, 2e-6][:n_live] + [0.5, 1.0, 1.5]
+    positions = [feed[0] + np.array(offsets), feed[1] + np.array([0.0, 1e-6, 3e-6, 1e-5])]
+    cands = joint_candidates(cfg, scene, positions)
+    silent = cands[0][1][n_live:]
+    assert not silent.any() and cands[0][1][:n_live].all() and cands[1][1].all()
+    thetas = np.arange(theta_grid) * (2.0 * math.pi / theta_grid)
+    got, pa_x, j, count = optimizers._joint_scan(cfg, cands, np.exp(1j * thetas))
+    want = reference_sa2_joint(cfg, scene, positions, theta_grid)
+    assert (got, thetas[j], count) == (want[0], want[2], want[3])
+    assert np.array_equal(pa_x, want[1])
 
 
 def _count_scored(monkeypatch):
@@ -734,16 +738,12 @@ def _count_scored(monkeypatch):
 
 
 def test_joint_oracles_score_few_pairs(monkeypatch):
-    """On oracle-check scenes an SA2 oracle call scores the rotations of one tuple.
+    """On oracle-check scenes an SA2 oracle call scores two phases per feasible tuple.
 
-    Its tuple stage scores the reference tuple, and then the tuples the
-    certificate keeps, here the reference alone, whose score stands.  A
-    loose certificate would stay exact but score many pairs, which shows
-    only as a slowdown; this pins the pairs an SA2 call scores.  An SA1
-    call scores every feasible tuple once.
+    Scoring more would stay exact and show only as a slowdown; this pins
+    the pairs an SA2 call scores.  An SA1 call scores every feasible tuple
+    once.
     """
-    # so a block of whole tuples with all their rotations holds at most _TUPLE_BLOCK pairs
-    assert optimizers._THETA_GRID <= optimizers._TUPLE_BLOCK
     scored = _count_scored(monkeypatch)
     for drop in range(5):
         scene = wide_scene(k=3, seed=derive_seed(1, drop))
@@ -753,8 +753,9 @@ def test_joint_oracles_score_few_pairs(monkeypatch):
             rec = sa1_joint_exhaustive(cfg, scene, 20)
             assert sum(scored) == rec.evaluations
             scored.clear()
-            sa2_joint_exhaustive(cfg, scene, 20)
-            assert sum(scored) == optimizers._THETA_GRID
+            rec2 = sa2_joint_exhaustive(cfg, scene, 20)
+            assert rec2.evaluations == rec.evaluations * optimizers._THETA_GRID
+            assert sum(scored) == 2 * rec.evaluations
 
 
 def _exact_ratio(a, b, rot, noise_over_p):
@@ -768,14 +769,14 @@ def _exact_ratio(a, b, rot, noise_over_p):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_tuple_certificate_drops_only_tuples_below_tau(k):
-    """Every rotation of a tuple the certificate drops has an exact ratio below tau.
+def test_phase_cells_hold_the_best_grid_phase(k):
+    """Each tuple's two cells include the grid phase of its largest exact ratio.
 
-    Random splits rot * a + b, some nearly cancelling, with tau either well
-    below or above a tuple's best ratio or within a few ulps of it, where
-    only the rounding margin err tells a sound drop from a wrong one.  Each
-    dropped tuple is checked on a phase grid and at its own best phase,
-    with ratios computed exactly from the stored floats.
+    Random splits rot * a + b, some nearly cancelling, on grids of 2 to 720
+    phases, with ratios computed exactly from the stored floats.  Only the
+    phases whose float ratio is within 1e-9 of the largest are computed
+    exactly; the float ratios here are far closer than that to the exact
+    ones, so the exact best phase is among them.
     """
     g = philox_stream(900 + k)
     n = 60
@@ -788,29 +789,18 @@ def test_tuple_certificate_drops_only_tuples_below_tau(k):
     phase = np.exp(1j * g.uniform(0, 2 * math.pi, (n, 1)))
     b[::5] = -phase[::5] * a[::5] * (1.0 + 1e-9 * cplx(12, k))
     noise_over_p = 1e-10 * 10.0 ** g.uniform(-4, 2)
-    best_rot = np.array([
-        np.exp(1j * audit._closed_form_phase(a[t], b[t], noise_over_p, 0.0)[0]) for t in range(n)
-    ])
-    grid = np.exp(1j * np.arange(48) * (2 * math.pi / 48))
-    best = np.array([max(float(_exact_ratio(a[t], b[t], r, noise_over_p)) for r in (best_rot[t], *grid))
-                     for t in range(n)])
-    eps = float(np.finfo(float).eps)
-    near = best * (1.0 + eps * g.integers(-6, 7, n))
-    below = best * g.uniform(0.3, 0.9, n)
-    above = best + (k - best) * g.uniform(0.1, 0.9, n)
-    far = np.where(g.random(n) < 0.5, below, above)
-    tau = np.where(np.arange(n) % 2, near, far)
-    rots = np.concatenate([grid, best_rot])
-    eta = float(np.abs(np.square(np.abs(rots)) - 1.0).max()) + 4 * eps
-    weight = np.abs(a).sum(axis=1) * float(np.abs(rots).max()) + np.abs(b).sum(axis=1)
-    t_sq = weight * weight
-    ct = optimizers._rounding_coef(k, 2) * t_sq
-    live = optimizers._surviving_tuples(optimizers._tuple_stats(a, b, noise_over_p), tau, ct, eta * t_sq, k)
-    dropped = np.setdiff1d(np.arange(n), live)
-    assert 0 < dropped.size < n
-    for t in dropped.tolist():
-        assert all(_exact_ratio(a[t], b[t], r, noise_over_p) < fractions.Fraction(tau[t])
-                   for r in (best_rot[t], *grid))
+    for n_rot in (2, 3, 7, 48, 720):
+        rot = np.exp(1j * np.arange(n_rot) * (2 * math.pi / n_rot))
+        cells = optimizers._phase_cells(a, b, noise_over_p, n_rot)
+        assert cells.shape == (n, 2)
+        assert np.all((0 <= cells[:, 0]) & (cells[:, 0] < cells[:, 1]) & (cells[:, 1] < n_rot))
+        h = rot[:, None] * a[:, None]
+        h += b[:, None]
+        ratio = np.square(np.abs(h.sum(axis=-1))) / (np.square(np.abs(h)).sum(axis=-1) + noise_over_p)
+        for t in range(n):
+            near = np.flatnonzero(ratio[t] >= ratio[t].max() * (1.0 - 1e-9)).tolist()
+            best = max(near, key=lambda r: _exact_ratio(a[t], b[t], rot[r], noise_over_p))
+            assert best in cells[t]
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.08])
@@ -977,6 +967,35 @@ def _screen_cases(seed, k):
             yield gains, rest, factor, incumbent, None if held == i else held, None, noise_var
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _rounding_coef(k: int, n_rows: int) -> float:
+    """c, with c T / (2 (1 + K)) a bound on the rounding of a candidate's sums.
+
+    A candidate is a channel h over K users built left to right from
+    ``n_rows`` rows (f times the first, then the others added one by one),
+    with T bounding every channel term of its numerator |sum h|^2 and its
+    denominator sum |h|^2.  Scored by ``mse_rows`` or from row statistics,
+    each sum is within (8K + 4n + 8) eps T of its exact value: (8K + 8)
+    eps T covers the sums over K and the squares and products, and each of
+    the n rows, scaled by f or added in, moves a sum by at most 4 eps T
+    more, however the additions are grouped.
+    """
+    return 2.0 * (8 * k + 4 * n_rows + 8) * _EPS * (1 + k)
+
+
+def _margin(ct: float, low: float, k: int) -> float:
+    """2E, with E = c T / D + 8 K eps for ``ct`` = c T and ``low`` = D.
+
+    Two ratios num / den, each at most K, whose sums are each within the
+    bound of ``_rounding_coef`` and whose denominators are at least D
+    differ by at most E; the last term covers the roundings relative to the
+    ratio (the noise term's among them) and to K minus it.
+    """
+    return 2.0 * (ct / low + 8 * k * _EPS)
+
+
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_position_screen_picks_the_full_scans_row(k):
     """The screen's row scores within a rounding margin of the full scan's first minimum.
@@ -1037,10 +1056,10 @@ def test_position_screen_picks_the_full_scans_row(k):
         assert want_row in (None, scanned)
         assert row in rows
         weight = np.abs(rest).sum() + abs(factor) * np.abs(gains).sum(axis=1).max()
-        ct = optimizers._rounding_coef(k, 2) * weight * weight
+        ct = _rounding_coef(k, 2) * weight * weight
         low = float((np.square(np.abs(h)).sum(axis=1) + noise_var / P_TX).min()) - ct
         if low > 0.0:
-            assert mses[np.searchsorted(rows, row)] <= mses[first] + optimizers._margin(ct, low, k)
+            assert mses[np.searchsorted(rows, row)] <= mses[first] + _margin(ct, low, k)
             bounded += 1
         if want_row is None:
             incumbent += 1
