@@ -146,34 +146,31 @@ def segment_gain_matrix(
 
 
 class DropGrids:
-    """The Q-point PA search grids of one user drop, under each config it runs with.
+    """The PA search candidates of one user drop, under each config it runs with.
 
-    Segment m's grid is ``grid_points(layout, m, q)``; segment None is the
-    PASS baseline's grid over the whole aperture.  A grid is built on first
-    request, for every config in ``cfgs`` at once: one kappa-free
-    free-space pass, then one ``segment_gain_matrix`` call per config that
-    takes it as ``free``, so its read-only gains are that function's on the
-    grid, bit for bit.  ``stats`` is the AO position screen's table of a
-    segment grid, built on first request per (segment, config).  ``starts``
-    holds the read-only (M, K) gain rows with every PA at its segment
-    midpoint, built the same way from one M-point pass: row m is
-    ``segment_gain_matrix(cfg, scene, m, [midpoint])``, bit for bit.  The
-    midpoint AO starts, the SS probes and ``joint``, the joint oracles'
-    candidates (each grid plus its midpoint), read it.  Each of the four
-    refuses a config not in ``cfgs`` with ``for_run``'s error, before
-    building anything.  The table
-    belongs to the loop over drops that builds it and is dropped with the
-    drop.
+    Per (segment, config) the table holds one read-only block: the
+    segment's Q grid points ``grid_points(layout, m, q)``, then its
+    midpoint, where the AO starts, with their gains.  Segment None is the
+    PASS baseline's grid over the whole aperture; its midpoint row goes
+    unused.  A block is built on first request, for every config in
+    ``cfgs`` at once: one kappa-free free-space pass over its Q + 1
+    points, then one ``segment_gain_matrix`` call per config that takes it
+    as ``free``, so every gain the table holds is that function's, bit for
+    bit.  ``grid`` is a block's first Q rows, ``starts`` its last row per
+    segment (the midpoint AO starts and the SS probes), and ``joint`` the
+    joint oracles' candidates, every row of it.  ``stats`` is the AO
+    position screen's table of a segment grid, built on first request per
+    (segment, config).  Each of the four refuses a config not in ``cfgs``
+    with ``for_run``'s error, before building anything.  The table belongs
+    to the loop over drops that builds it and is dropped with the drop.
     """
 
     def __init__(self, scene: Scene, q: int, cfgs: Iterable[RadioConfig]) -> None:
         self.scene, self.q, self.cfgs = scene, q, tuple(cfgs)
         if len({cfg.f_c for cfg in self.cfgs}) != 1:
             raise ValueError("a grid table needs configs that share one carrier frequency")
-        self._grids: dict = {}
+        self._blocks: dict = {}
         self._stats: dict = {}
-        self._starts: dict = {}
-        self._joint: dict = {}
 
     @classmethod
     def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
@@ -184,56 +181,42 @@ class DropGrids:
             raise ValueError(f"the grid table (q={grids.q}) is not for this run's scene, q={q} and config")
         return grids
 
-    def _gains(self, scene: Scene, segment, psi: np.ndarray) -> dict:
-        """Every config's read-only gains at psi, from one kappa-free free-space pass."""
-        free = _free_space(self.cfgs[0], scene, psi)
-        out = {}
-        for c in self.cfgs:
-            out[c] = segment_gain_matrix(c, scene, segment, psi, free)
-            out[c].setflags(write=False)
-        return out
+    def _block(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Points and (Q + 1, K) gains under cfg of one segment's grid, then its midpoint."""
+        self.for_run(cfg, self.scene, self.q, self)
+        if (segment, cfg) not in self._blocks:
+            scene = self.scene if segment is not None else baseline_scene(self.scene)
+            m = segment or 0
+            pts = np.append(grid_points(scene.layout, m, self.q), scene.layout.midpoints[m])
+            pts.setflags(write=False)
+            free = _free_space(self.cfgs[0], scene, pts)
+            for c in self.cfgs:
+                gains = segment_gain_matrix(c, scene, m, pts, free)
+                gains.setflags(write=False)
+                self._blocks[segment, c] = pts, gains
+        return self._blocks[segment, cfg]
 
     def grid(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Points and (Q, K) gains of one grid under cfg."""
-        self.for_run(cfg, self.scene, self.q, self)
-        if (segment, cfg) not in self._grids:
-            scene = self.scene if segment is not None else baseline_scene(self.scene)
-            pts = grid_points(scene.layout, segment or 0, self.q)
-            pts.setflags(write=False)
-            for c, gains in self._gains(scene, segment or 0, pts).items():
-                self._grids[segment, c] = pts, gains
-        return self._grids[segment, cfg]
+        """Points and (Q, K) gains of one grid under cfg: views of its block."""
+        pts, gains = self._block(cfg, segment)
+        return pts[:self.q], gains[:self.q]
 
     def starts(self, cfg: RadioConfig) -> np.ndarray:
         """(M, K) gain rows under cfg with each segment's PA at its midpoint."""
-        self.for_run(cfg, self.scene, self.q, self)
-        if cfg not in self._starts:
-            layout = self.scene.layout
-            self._starts = self._gains(self.scene, tuple(range(layout.m_segments)), layout.midpoints)
-        return self._starts[cfg]
+        rows = np.stack([self._block(cfg, m)[1][-1] for m in range(self.scene.layout.m_segments)])
+        rows.setflags(write=False)
+        return rows
 
     def joint(self, cfg: RadioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each segment's joint-oracle candidates under cfg: (points, share rows).
+        """Each segment's joint-oracle candidates under cfg: its block's points and share rows.
 
-        A segment's points are its Q grid points, then its midpoint, the
-        AO's default start; its share rows are the grid's gains with the
-        midpoint's start row appended, times 1 / sqrt(M).  Gain rows do not
-        depend on the batch, so these are the rows of one
-        ``segment_gain_matrix`` call over the extended grid.  Built on
-        first request per config, read-only, and read by both joint oracles.
+        A segment's candidates are its Q grid points, then its midpoint, the
+        AO's default start; their share rows are the block's gains times
+        1 / sqrt(M).  Both joint oracles read them.
         """
-        if cfg not in self._joint:
-            starts = self.starts(cfg)  # refuses a cfg not in cfgs
-            layout = self.scene.layout
-            scale = 1.0 / math.sqrt(layout.m_segments)
-            cands = []
-            for m, mid in enumerate(layout.midpoints.tolist()):
-                pts, gains = self.grid(cfg, m)
-                cands.append((np.append(pts, mid), np.vstack([gains, starts[m:m + 1]]) * scale))
-                for arr in cands[-1]:
-                    arr.setflags(write=False)
-            self._joint[cfg] = cands
-        return self._joint[cfg]
+        m_segments = self.scene.layout.m_segments
+        scale = 1.0 / math.sqrt(m_segments)
+        return [(pts, gains * scale) for pts, gains in (self._block(cfg, m) for m in range(m_segments))]
 
     def stats(self, cfg: RadioConfig, segment: int) -> np.ndarray:
         """The AO position screen's read-only real (5, Q) table of one segment grid under cfg.

@@ -85,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except KeyboardInterrupt:
         return 2
-    except (OSError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -494,10 +494,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     Rows nest as (sweep value, drop, scheme, kappa); for oracle-check each
     AO row is followed by its "-oracle" row.  For convergence the rows are
     per-iteration MSE traces instead, emitted iteration-major with
-    sweep_value carrying the iteration index.  Traces shorter than the
-    longest one are padded with their final value (the optimizer would hold
-    that MSE if swept further), keeping every iteration's aggregate over the
-    same number of drops.
+    sweep_value carrying the iteration index and ``elapsed`` only on
+    iteration 0.  Traces shorter than the longest one are padded with their
+    final value (the optimizer would hold that MSE if swept further),
+    keeping every iteration's aggregate over the same number of drops.
     """
     if spec.kind != "convergence":
         return [row for row, _ in _cells(spec)]
@@ -508,6 +508,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             row,
             sweep_value=float(it),
             final_mse=rec.mse_trace[min(it, len(rec.mse_trace) - 1)],
+            elapsed=row.elapsed if it == 0 else 0.0,
         )
         for it in range(max_len)
         for row, rec in runs

@@ -30,9 +30,9 @@ SA1 scores every feasible tuple.  SA2 scores, per feasible tuple, the two
 grid phases around the tuple's closed-form best phase, one of which is its
 best grid phase.  Every grid search reads the drop's ``DropGrids`` table
 passed as ``grids``, or builds one for its own config when none is passed.
-The SS midpoint probes, the default (midpoint) AO start and the joint
-oracles' midpoint candidates read the table's start rows, the gains at
-every segment midpoint, so none of them builds a gain row of its own.  This
+Its blocks (each segment's grid, then its midpoint) hold every candidate:
+SS probes and midpoint AO starts read their midpoint rows and the joint
+oracles all of them, so none of them builds a gain row of its own.  This
 module holds only what a run executes: the audit forms of single steps and
 ``ss_exhaustive`` are in ``audit``, which calls the code here.
 """

@@ -177,8 +177,9 @@ def test_drop_grids_are_the_grid_call_bitwise_in_any_kappa_order():
 def test_drop_start_rows_are_the_single_midpoint_call_bitwise(kappa):
     """Row m of a table's start rows is segment_gain_matrix at segment m's midpoint, to the bit.
 
-    One M-point pass serves every config of the table, so neither the
-    table's other configs nor the order they ask in may change a bit.
+    Each row is the last row of its segment's block, whose one free-space
+    pass serves every config of the table, so neither the table's other
+    configs nor the order they ask in may change a bit.
     """
     cfg, other = make_config(kappa=kappa), make_config(kappa=0.03)
     for m_seg, k in ((1, 1), (3, 6), (5, 20)):
@@ -193,7 +194,6 @@ def test_drop_start_rows_are_the_single_midpoint_call_bitwise(kappa):
             assert rows.shape == (m_seg, k)
             assert rows.tobytes() == want.tobytes()
             assert not rows.flags.writeable
-            assert grids.starts(cfg) is rows
         # placement_gains is the same per-candidate-segment call at its PAs
         mids = sa.Placement("SA1", scene.layout.midpoints)
         assert sa.channel.placement_gains(cfg, scene, mids).tobytes() == want.tobytes()
@@ -254,10 +254,12 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
         assert shared.final_mse.hex() == own.final_mse.hex()
         assert shared.placement.pa_x.tobytes() == own.placement.pa_x.tobytes()
     table = refused[2]
-    for read in (lambda: table.grid(cfg, 0), lambda: table.stats(cfg, 0), lambda: table.starts(cfg)):
+    reads = (lambda: table.grid(cfg, 0), lambda: table.stats(cfg, 0), lambda: table.starts(cfg),
+             lambda: table.joint(cfg))
+    for read in reads:
         with pytest.raises(ValueError, match="is not for this run's scene, q=12 and config"):
             read()
-    assert not (table._grids or table._stats or table._starts)
+    assert not (table._blocks or table._stats)
     with pytest.raises(ValueError, match="carrier"):
         DropGrids(scene, 12, (cfg, make_config(f_c=30e9)))
 

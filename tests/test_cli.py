@@ -60,6 +60,18 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    """A run too large to allocate is a runtime failure (exit 2), not a traceback."""
+    import swan_aircomp.cli as cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "execute", too_large)
+    assert main(["sweep-k", "--out-dir", str(tmp_path / "out"), *FAST]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: Unable to allocate 8.00 EiB for an array"]
+
+
 def test_reruns_are_byte_identical(tmp_path):
     _, out1 = run(tmp_path, "r1", "--seed", "11")
     _, out2 = run(tmp_path, "r2", "--seed", "11")
@@ -74,6 +86,20 @@ def test_timing_flag_adds_elapsed_column(tmp_path):
         assert "elapsed" not in csv.DictReader(f).fieldnames
     with open(timed / "results.csv", newline="") as f:
         assert "elapsed" in csv.DictReader(f).fieldnames
+
+
+def test_convergence_timing_counts_each_run_once(tmp_path):
+    """A convergence run's time is on its iteration-0 row; its later rows hold 0."""
+    out = tmp_path / "conv"
+    args = ["--drops", "2", "--q", "25", "--k", "3", "--m", "2", "--seg-length", "1",
+            "--d-x", "12", "--kappa", "0,0.08", "--timing", "--quiet"]
+    assert main(["convergence", "--out-dir", str(out), *args]) == 0
+    with open(out / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    first = [r for r in rows if float(r["sweep_value"]) == 0.0]
+    assert len(first) == 2 * 2 * 2 and len(rows) > len(first)
+    assert all(float(r["elapsed"]) > 0.0 for r in first)
+    assert all(float(r["elapsed"]) == 0.0 for r in rows if float(r["sweep_value"]) > 0.0)
 
 
 def test_config_file_and_flags_reach_metadata(tmp_path):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -39,3 +41,14 @@ def test_readme_command_line_flags_are_cli_options():
     }
     assert sorted(flags - options) == [], "README.md names unknown flags"
     assert sorted(options - flags) == [], "README.md leaves CLI options out"
+
+
+def test_readme_library_example_runs():
+    """README's one python block runs, and the MSE it recomputes is the optimizer's, to the digit."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0].split()[0] == lines[-1]

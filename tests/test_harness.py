@@ -195,11 +195,11 @@ def test_sa2_rows_do_not_depend_on_the_other_schemes(tmp_path):
 
 
 def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
-    """Per drop: M segment grids plus the PASS grid, one M-point start-row pass, no more.
+    """Per drop: one Q + 1 point pass per block, M segment blocks plus the PASS block, no more.
 
     Two kappas and four schemes, then oracle-check's AO runs and joint
-    oracles: the AO starts, the SS probes and the oracles' midpoint
-    candidates all read the drop's start rows, so no 1-point gain is built.
+    oracles: the AO starts, the SS probes and the oracles' candidates all
+    read the drop's blocks, so no M-point or 1-point gain is built.
     """
     from swan_aircomp import channel
 
@@ -215,20 +215,17 @@ def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
                         schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=(0.0, 0.08))
     oracle = parse_config(kind="oracle-check",
                           overrides={"n_drops": 1, "kappa_db_per_m": "0,0.08"})
-    for spec, grids in [(sweep_k, 3 + 1), (oracle, 2)]:  # oracle-check runs no PASS
+    for spec, blocks in [(sweep_k, 3 + 1), (oracle, 2)]:  # oracle-check runs no PASS
         sizes.clear()
         run_experiment(spec)
-        m, q = spec.m_segments, spec.q_grid
-        assert sizes.count(q) == grids
-        assert sizes.count(m) == 1
-        assert len(sizes) == grids + 1
+        assert sizes == [spec.q_grid + 1] * blocks
 
 
 def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):
-    """One table per drop: M + 1 free-space grid builds per drop, M row statistics per kappa.
+    """One table per drop: M + 1 free-space block builds per drop, M row statistics per kappa.
 
     With a restart, SA1 and SA2 each run twice per kappa on a drop; every
-    run on the drop reads the same grids, and the AO runs share statistics.
+    run on the drop reads the same blocks, and the AO runs share statistics.
     """
     from swan_aircomp import channel
 
@@ -249,34 +246,48 @@ def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):
     spec = make_spec(sweep=(4,), n_drops=drops, m_segments=m, q_grid=q, restarts=1,
                      schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=kappas)
     run_experiment(spec)
-    grid_builds = [users for users, size in free if size == q]
-    assert len(grid_builds) == drops * (m + 1)
-    assert all(sum(u is users for u in grid_builds) == m + 1 for users in grid_builds)
+    block_builds = [users for users, size in free if size == q + 1]
+    assert all(size in (q + 1, m) for _, size in free)  # M points: a restart's random init
+    assert len(block_builds) == drops * (m + 1)
+    assert all(sum(u is users for u in block_builds) == m + 1 for users in block_builds)
     assert len(stats) == drops * len(kappas) * m
     assert set(stats) == {(q, 4)}
 
 
 def test_joint_oracles_read_one_candidate_list_per_drop_and_config(monkeypatch):
-    """oracle-check, 2 drops, two kappas: each drop's table builds its oracle candidates
-    once per config, and the SA1 and SA2 oracles read that one list."""
+    """oracle-check, 2 drops, two kappas: the SA1 and SA2 oracles' candidates are the
+    drop's blocks, points and gains times 1/sqrt(M) to the bit, and no oracle builds
+    a gain of its own: every gain of the run is one block's."""
     from swan_aircomp import channel
 
-    reads = []
-    real = channel.DropGrids.joint
+    reads, gain_calls = [], []
+    real_joint, real_gains = channel.DropGrids.joint, channel.segment_gain_matrix
 
     def recorded(self, cfg):
-        cands = real(self, cfg)
+        cands = real_joint(self, cfg)
         reads.append((self, cfg, cands))
         return cands
 
+    def counted(cfg, scene, segment, psi, free=None):
+        gain_calls.append((len(psi), free is not None))
+        return real_gains(cfg, scene, segment, psi, free)
+
     monkeypatch.setattr(channel.DropGrids, "joint", recorded)
+    monkeypatch.setattr(channel, "segment_gain_matrix", counted)
     spec = parse_config(kind="oracle-check", overrides={"n_drops": 2, "kappa_db_per_m": "0,0.08"})
     run_experiment(spec)
+    m, q = spec.m_segments, spec.q_grid
+    assert gain_calls == [(q + 1, True)] * (2 * m * 2)
     lists = {}
     for table, cfg, cands in reads:
         lists.setdefault((table, cfg), []).append(cands)
+        assert len(cands) == m
+        for seg, (pts, shares) in enumerate(cands):
+            block_pts, block_gains = table._block(cfg, seg)
+            assert pts.tobytes() == block_pts.tobytes()
+            assert shares.tobytes() == (block_gains * (1.0 / np.sqrt(m))).tobytes()
     assert len(lists) == 2 * 2
-    assert all(len(got) == 2 and got[0] is got[1] for got in lists.values())
+    assert all(len(got) == 2 for got in lists.values())
 
 
 @pytest.mark.parametrize(
