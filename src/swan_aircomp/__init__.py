@@ -31,9 +31,7 @@ from .channel import (
     RadioConfig,
     SPEED_OF_LIGHT,
     dbm_to_watts,
-    eff_channel_sa1,
-    eff_channel_sa2,
-    eff_channel_ss,
+    eff_channel,
     segment_gain_matrix,
 )
 from .geometry import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DropGrids, RadioConfig, eff_channel_ss
+from .channel import DropGrids, RadioConfig, eff_channel
 from .geometry import Placement, Scene
 from .metrics import mse_rows
 from .optimizers import (
@@ -129,7 +129,7 @@ def empirical_mse(
 
 def ss_mse_objective(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> float:
     """MSE when only ``segment`` is active with its PA at pa_x."""
-    h = eff_channel_ss(cfg, scene, segment, pa_x)
+    h = eff_channel(cfg, scene, Placement("SS", [pa_x], segment=segment))
     return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
 
 

@@ -242,17 +242,6 @@ class DropGrids:
         return table
 
 
-def eff_channel_ss(cfg: RadioConfig, scene: Scene, segment: int, pa_x: float) -> ChannelVector:
-    """Per-user channel when only ``segment`` is active with its PA at pa_x."""
-    layout = scene.layout
-    if not (0 <= segment < layout.m_segments):
-        raise ValueError(f"segment index {segment} out of range")
-    lo = float(layout.feed_x[segment])
-    if not (lo <= pa_x <= lo + layout.seg_length):
-        raise ValueError(f"pa_x={pa_x} outside segment {segment}")
-    return segment_gain_matrix(cfg, scene, segment, [pa_x])[0]
-
-
 def require_feasible(cfg: RadioConfig, layout: WaveguideLayout, placement: Placement) -> None:
     """Raise ValueError naming every violation if the placement is infeasible under cfg."""
     bad = validate_placement(layout, placement, cfg.delta_min)
@@ -261,17 +250,23 @@ def require_feasible(cfg: RadioConfig, layout: WaveguideLayout, placement: Place
 
 
 def placement_gains(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
-    """Per-segment gain rows (M, K) at a feasible SA placement's PA positions."""
+    """Gain rows (N, K) at a feasible placement's PAs, one per active segment.
+
+    N is 1 for SS and PASS (the placement's segment of ``scene``) and M for
+    SA1 and SA2.
+    """
     require_feasible(cfg, scene.layout, placement)
-    return segment_gain_matrix(cfg, scene, tuple(range(scene.layout.m_segments)), placement.pa_x)
+    single = placement.architecture in ("SS", "PASS")
+    segments = (placement.segment,) if single else tuple(range(scene.layout.m_segments))
+    return segment_gain_matrix(cfg, scene, segments, placement.pa_x)
 
 
 def segment_shares(gains: np.ndarray, phases: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each segment's share of the combined SA channel, shape (M, K).
+    """Each active segment's share of the channel, shape (N, K) for N gain rows.
 
-    The transmit signal splits evenly over the M segments, so each gain row
-    is scaled by 1 / sqrt(M) and then, with phase shifters, rotated by
-    exp(1j * phases[m]).  A placement's SA channel is
+    The transmit signal splits evenly over the N active segments, so each
+    gain row is scaled by 1 / sqrt(N) and then, with phase shifters, rotated
+    by exp(1j * phases[m]).  A placement's channel is
     ``segment_shares(...).sum(axis=0)`` wherever it is built (recomputation,
     phase split, position audit, the AO's incumbent), so all of them round
     alike.
@@ -282,14 +277,14 @@ def segment_shares(gains: np.ndarray, phases: Optional[np.ndarray] = None) -> np
     return shares
 
 
-def eff_channel_sa1(cfg: RadioConfig, scene: Scene, placement: Placement) -> ChannelVector:
-    """Per-user channel with all segments active and feeds fed equal shares."""
-    return segment_shares(placement_gains(cfg, scene, placement)).sum(axis=0)
+def eff_channel(cfg: RadioConfig, scene: Scene, placement: Placement) -> ChannelVector:
+    """Per-user channel of any feasible placement: its segment shares, summed.
 
-
-def eff_channel_sa2(cfg: RadioConfig, scene: Scene, placement: Placement) -> ChannelVector:
-    """Like eff_channel_sa1 but each segment m is rotated by exp(1j * phases[m])."""
-    if placement.phases is None:
-        raise ValueError("SA2 channel needs phases")
-    gains = placement_gains(cfg, scene, placement)
-    return segment_shares(gains, placement.phases).sum(axis=0)
+    SS is one active segment, SA1 is SA2 with no rotation, and PASS is SS on
+    ``baseline_scene(scene)``.  A single row's share is the row times
+    1 / sqrt(1) = 1.0 and its sum is that row, so an SS or PASS channel is
+    exactly ``segment_gain_matrix``'s row.
+    """
+    if placement.architecture == "PASS":
+        scene = baseline_scene(scene)
+    return segment_shares(placement_gains(cfg, scene, placement), placement.phases).sum(axis=0)

@@ -114,6 +114,9 @@ class Placement:
         "SA2"  - all segments active with phase shifts; ``phases`` has M entries.
         "PASS" - conventional single-waveguide baseline; pa_x has one entry on
                  the spanning segment (``segment`` is 0).
+
+    Only SS and PASS carry a segment and only SA2 carries phases; any other
+    combination is refused rather than ignored.
     """
 
     architecture: str
@@ -136,6 +139,14 @@ class Placement:
                 raise ValueError(f"{self.architecture} placements carry exactly one PA")
             if self.segment is None:
                 raise ValueError(f"{self.architecture} placements need a segment index")
+            if self.architecture == "PASS" and self.segment != 0:
+                raise ValueError(f"PASS placements are on segment 0, got {self.segment}")
+        elif self.segment is not None:
+            raise ValueError(f"{self.architecture} placements carry no segment index")
+        if self.architecture == "SA2" and self.phases is None:
+            raise ValueError("SA2 placements need phases")
+        if self.architecture != "SA2" and self.phases is not None:
+            raise ValueError(f"{self.architecture} placements carry no phases")
         if self.phases is not None:
             ph = np.atleast_1d(np.array(self.phases, dtype=float))
             if ph.shape != pa.shape:
@@ -144,8 +155,6 @@ class Placement:
                 raise ValueError(f"phases must be finite, got {ph.tolist()}")
             ph.setflags(write=False)
             object.__setattr__(self, "phases", ph)
-        if self.architecture == "SA2" and self.phases is None:
-            raise ValueError("SA2 placements need phases")
 
 
 @dataclass(frozen=True)
@@ -236,7 +245,7 @@ def validate_placement(
     single = placement.architecture in ("SS", "PASS")
     if single:
         seg = placement.segment
-        if seg is None or not (0 <= seg < layout.m_segments):
+        if not 0 <= seg < layout.m_segments:
             raise ValueError(f"segment index {seg} out of range")
         on_segments = [(seg, placement.pa_x[0])]
     elif placement.pa_x.size != layout.m_segments:

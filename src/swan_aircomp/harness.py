@@ -649,9 +649,11 @@ def execute(
         "aggregates": out / "aggregates.csv",
         "plot": out / "plot.svg",
     }
+    # the plot first: it is the one output whose rendering can refuse (a log
+    # scale of a zero MSE), and it refuses before any file is written
+    emit_plot(aggs, paths["plot"], log_y=log_y)
     emit_csv(rows, paths["results"], include_elapsed=include_elapsed)
     emit_csv(aggs, paths["aggregates"])
-    emit_plot(aggs, paths["plot"], log_y=log_y)
     paths["metadata"] = write_metadata(
         spec, out, [p.name for p in paths.values()]
     )

@@ -49,9 +49,7 @@ import numpy as np
 from .channel import (
     DropGrids,
     RadioConfig,
-    eff_channel_sa1,
-    eff_channel_sa2,
-    eff_channel_ss,
+    eff_channel,
     placement_gains,
     require_feasible,
     segment_gain_matrix,  # no caller here; perfbench's probe wraps optimizers.segment_gain_matrix
@@ -60,7 +58,6 @@ from .channel import (
 from .geometry import (
     Placement,
     Scene,
-    baseline_scene,
     feasible_grid,  # no caller here; perfbench's probe wraps optimizers.feasible_grid
     spacing_mask,
 )
@@ -560,19 +557,7 @@ def sa2_ao(
 
 def evaluate_placement(cfg: RadioConfig, scene: Scene, placement: Placement) -> float:
     """Recompute the minimum MSE of a finished placement from scratch."""
-    arch = placement.architecture
-    if arch == "SS":
-        h = eff_channel_ss(cfg, scene, placement.segment, float(placement.pa_x[0]))
-    elif arch == "SA1":
-        h = eff_channel_sa1(cfg, scene, placement)
-    elif arch == "SA2":
-        h = eff_channel_sa2(cfg, scene, placement)
-    elif arch == "PASS":
-        bscene = baseline_scene(scene)
-        h = eff_channel_ss(cfg, bscene, 0, float(placement.pa_x[0]))
-    else:  # pragma: no cover - Placement rejects unknown tags
-        raise ValueError(f"unknown architecture {arch!r}")
-    return float(mse_rows(h, cfg.p_tx, cfg.noise_var))
+    return float(mse_rows(eff_channel(cfg, scene, placement), cfg.p_tx, cfg.noise_var))
 
 
 def _phase_cells(a: np.ndarray, b: np.ndarray, noise_over_p: float, n_rot: int) -> np.ndarray:

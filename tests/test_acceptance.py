@@ -15,6 +15,7 @@ from swan_aircomp.geometry import (
     Placement,
     Scene,
     ServiceRegion,
+    baseline_scene,
     build_layout,
     grid_points,
     sample_users,
@@ -30,7 +31,6 @@ from swan_aircomp.audit import (
     ss_exhaustive,
 )
 from swan_aircomp.optimizers import (
-    baseline_scene,
     evaluate_placement,
     pass_baseline,
     random_init,

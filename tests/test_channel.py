@@ -264,13 +264,18 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
         DropGrids(scene, 12, (cfg, make_config(f_c=30e9)))
 
 
+def ss_channel(cfg, scene, segment, psi):
+    """``eff_channel`` with only ``segment`` active, its PA at psi."""
+    return sa.eff_channel(cfg, scene, sa.Placement("SS", [psi], segment=segment))
+
+
 def test_eff_channel_ss_phase_structure():
     """Channel phase is -(k0 * r + guided_rate * ell) mod 2 pi."""
     cfg = make_config(kappa=0.08)
     scene = make_scene(m_segments=2, seg_length=1.0, k=4, seed=31)
     feed = float(scene.layout.feed_x[1])
     psi = feed + 0.37
-    h = sa.eff_channel_ss(cfg, scene, 1, psi)
+    h = ss_channel(cfg, scene, 1, psi)
     for k in range(scene.k):
         r = math.sqrt((scene.user_x[k] - psi) ** 2 + scene.line_dist_sq[k])
         want = (-(cfg.wavenumber * r + cfg.guided_phase_rate * (psi - feed))) % TWO_PI
@@ -283,7 +288,7 @@ def test_eff_channel_ss_pa_at_feed_reduces_to_freespace():
     cfg = make_config(kappa=0.0)
     scene = make_scene(m_segments=2, seg_length=1.0, k=3, seed=41)
     feed = float(scene.layout.feed_x[0])
-    h = sa.eff_channel_ss(cfg, scene, 0, feed)
+    h = ss_channel(cfg, scene, 0, feed)
     height = scene.layout.height
     for k in range(scene.k):
         user = (scene.users.positions[k, 0], scene.users.positions[k, 1], 0.0)
@@ -296,7 +301,7 @@ def test_eff_channel_ss_lossless_magnitude_only_from_distance():
     scene = make_scene(m_segments=1, seg_length=4.0, k=4, seed=51)
     feed = float(scene.layout.feed_x[0])
     for psi in (feed, feed + 1.3, feed + 4.0):
-        h = sa.eff_channel_ss(cfg, scene, 0, psi)
+        h = ss_channel(cfg, scene, 0, psi)
         r = np.sqrt((scene.user_x - psi) ** 2 + scene.line_dist_sq)
         assert np.all(np.abs(np.abs(h) - math.sqrt(cfg.eta) / r) <= 1e-12 * np.abs(h))
 
@@ -307,7 +312,7 @@ def test_eff_channel_ss_mirror_symmetric_users():
     scene = scene_with_users([[psi - 1.5, 2.0], [psi + 1.5, 2.0]],
                              m_segments=2, seg_length=1.0, d_x=12.0)
     # feeds at 5 and 6; psi = 6.0 is the feed of segment 1
-    h = sa.eff_channel_ss(cfg, scene, 1, psi)
+    h = ss_channel(cfg, scene, 1, psi)
     assert rel_err(abs(h[0]), abs(h[1])) < 1e-14
 
 
@@ -315,18 +320,9 @@ def test_eff_channel_ss_bounds():
     cfg = make_config()
     scene = make_scene(m_segments=2, seg_length=1.0)
     with pytest.raises(ValueError):
-        sa.eff_channel_ss(cfg, scene, 0, float(scene.layout.feed_x[0]) - 0.5)
+        ss_channel(cfg, scene, 0, float(scene.layout.feed_x[0]) - 0.5)
     with pytest.raises(ValueError):
-        sa.eff_channel_ss(cfg, scene, 3, 1.0)
-
-
-def test_eff_channel_sa1_single_segment_is_bitwise_ss():
-    cfg = make_config(kappa=0.08)
-    scene = make_scene(m_segments=1, seg_length=4.0, k=5, seed=61)
-    psi = float(scene.layout.feed_x[0]) + 2.2
-    h_ss = sa.eff_channel_ss(cfg, scene, 0, psi)
-    h_sa = sa.eff_channel_sa1(cfg, scene, sa.Placement("SA1", np.array([psi])))
-    assert np.array_equal(h_ss, h_sa)
+        ss_channel(cfg, scene, 3, 1.0)
 
 
 def test_eff_channel_sa1_matches_naive_and_triangle_bound():
@@ -335,7 +331,7 @@ def test_eff_channel_sa1_matches_naive_and_triangle_bound():
         scene = make_scene(m_segments=3, seg_length=2.0, k=5, seed=71)
         pa_x = scene.layout.feed_x + np.array([0.3, 1.1, 1.9])
         placement = sa.Placement("SA1", pa_x)
-        h = sa.eff_channel_sa1(cfg, scene, placement)
+        h = sa.eff_channel(cfg, scene, placement)
         want = naive_combined_channel(cfg, scene, pa_x)
         assert np.all(np.abs(h - want) <= 1e-12 * np.abs(want))
         bound = np.zeros(scene.k)
@@ -350,18 +346,39 @@ def test_eff_channel_sa1_rejects_infeasible():
     scene = make_scene(m_segments=2, seg_length=1.0)
     bad = sa.Placement("SA1", scene.layout.feed_x - 0.5)
     with pytest.raises(ValueError):
-        sa.eff_channel_sa1(cfg, scene, bad)
+        sa.eff_channel(cfg, scene, bad)
 
 
-def test_eff_channel_sa2_zero_phases_is_bitwise_sa1():
-    cfg = make_config(kappa=0.08)
+def _one_segment_sa1_and_ss():
+    scene = make_scene(m_segments=1, seg_length=4.0, k=5, seed=61)
+    psi = float(scene.layout.feed_x[0]) + 2.2
+    return (scene, sa.Placement("SA1", [psi])), (scene, sa.Placement("SS", [psi], segment=0))
+
+
+def _zero_phase_sa2_and_sa1():
     scene = make_scene(m_segments=3, seg_length=2.0, k=4, seed=81)
     pa_x = scene.layout.feed_x + 1.0
-    h1 = sa.eff_channel_sa1(cfg, scene, sa.Placement("SA1", pa_x))
-    h2 = sa.eff_channel_sa2(
-        cfg, scene, sa.Placement("SA2", pa_x, phases=np.zeros(3))
+    return (scene, sa.Placement("SA2", pa_x, phases=np.zeros(3))), (scene, sa.Placement("SA1", pa_x))
+
+
+def _pass_and_ss_on_the_baseline():
+    scene = make_scene(m_segments=3, seg_length=2.0, k=4, seed=83)
+    x = float(scene.layout.feed_x[1]) + 0.7
+    return (scene, sa.Placement("PASS", [x], segment=0)), (
+        sa.baseline_scene(scene), sa.Placement("SS", [x], segment=0)
     )
-    assert np.array_equal(h1, h2)
+
+
+@pytest.mark.parametrize(
+    "pair", [_one_segment_sa1_and_ss, _zero_phase_sa2_and_sa1, _pass_and_ss_on_the_baseline],
+    ids=["sa1-one-segment-is-ss", "sa2-zero-phases-is-sa1", "pass-is-ss-on-the-baseline"],
+)
+def test_eff_channel_reductions_are_bitwise(pair):
+    """The schemes share one signal model, so each reduction keeps every channel bit."""
+    cfg = make_config(kappa=0.08)
+    (scene_a, placement_a), (scene_b, placement_b) = pair()
+    h_a = sa.eff_channel(cfg, scene_a, placement_a)
+    assert h_a.tobytes() == sa.eff_channel(cfg, scene_b, placement_b).tobytes()
 
 
 def test_zero_phases_keep_every_sa_mse_bit():
@@ -390,9 +407,9 @@ def test_eff_channel_sa2_global_phase():
     scene = make_scene(m_segments=3, seg_length=2.0, k=4, seed=91)
     pa_x = scene.layout.feed_x + 0.7
     phases = np.array([0.3, 1.1, 2.9])
-    h = sa.eff_channel_sa2(cfg, scene, sa.Placement("SA2", pa_x, phases=phases))
+    h = sa.eff_channel(cfg, scene, sa.Placement("SA2", pa_x, phases=phases))
     shift = 0.8
-    h_shift = sa.eff_channel_sa2(
+    h_shift = sa.eff_channel(
         cfg, scene, sa.Placement("SA2", pa_x, phases=phases + shift)
     )
     rot = np.exp(1j * shift)
@@ -408,7 +425,7 @@ def test_eff_channel_sa2_alignment_single_user():
     t0 = sa.segment_gain_matrix(cfg, scene, 0, [pa_x[0]])[0, 0]
     t1 = sa.segment_gain_matrix(cfg, scene, 1, [pa_x[1]])[0, 0]
     theta = np.angle(t1) - np.angle(t0)
-    h = sa.eff_channel_sa2(
+    h = sa.eff_channel(
         cfg, scene, sa.Placement("SA2", pa_x, phases=np.array([theta, 0.0]))
     )
     want = (abs(t0) + abs(t1)) / math.sqrt(2)
@@ -420,6 +437,6 @@ def test_eff_channel_sa2_matches_naive():
     scene = make_scene(m_segments=3, seg_length=2.0, k=5, seed=101)
     pa_x = scene.layout.feed_x + np.array([0.2, 1.0, 1.8])
     phases = np.array([0.5, 2.2, 4.4])
-    h = sa.eff_channel_sa2(cfg, scene, sa.Placement("SA2", pa_x, phases=phases))
+    h = sa.eff_channel(cfg, scene, sa.Placement("SA2", pa_x, phases=phases))
     want = naive_combined_channel(cfg, scene, pa_x, phases)
     assert np.all(np.abs(h - want) <= 1e-12 * np.abs(want))

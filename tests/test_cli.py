@@ -60,6 +60,20 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_a_log_scale_refused_by_the_plot_writes_no_output(tmp_path, capsys):
+    """At 300 dBm every mean MSE is exactly 0, which a log axis cannot show:
+    the run exits 2, and no CSV is left behind without its plot and metadata."""
+    hot = tmp_path / "hot.json"
+    hot.write_text(json.dumps({"p_dbm": 300}))
+    out = tmp_path / "out"
+    code = main(["sweep-k", "--out-dir", str(out), "--config", str(hot), "--sweep", "1,2", "--m", "2",
+                 "--q", "20", "--drops", "2", "--log-y", "--quiet"])
+    assert code == 2
+    assert "log scale impossible" in capsys.readouterr().err
+    for name in ("results.csv", "aggregates.csv", "plot.svg", "metadata.json"):
+        assert not (out / name).exists()
+
+
 def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
     """A run too large to allocate is a runtime failure (exit 2), not a traceback."""
     import swan_aircomp.cli as cli

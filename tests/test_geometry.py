@@ -112,6 +112,26 @@ def test_placement_validation():
         p.phases[0] = 3.0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sa.Placement("SA1", [1.0, 2.0], phases=[1.0, 2.0]),
+    lambda: sa.Placement("SS", [1.0], segment=0, phases=[0.0]),
+    lambda: sa.Placement("PASS", [1.0], segment=0, phases=[0.0]),
+], ids=["SA1", "SS", "PASS"])
+def test_placement_refuses_phases_outside_sa2(build):
+    """Every scorer would ignore them, so a phase-free scheme's placement carries none."""
+    with pytest.raises(ValueError, match="carry no phases"):
+        build()
+
+
+def test_placement_refuses_a_segment_it_would_ignore():
+    with pytest.raises(ValueError, match="PASS placements are on segment 0, got 3"):
+        sa.Placement("PASS", [1.0], segment=3)
+    for arch, phases in (("SA1", None), ("SA2", [0.0, 0.0])):
+        with pytest.raises(ValueError, match="carry no segment index"):
+            sa.Placement(arch, [1.0, 2.0], segment=1, phases=phases)
+    assert sa.Placement("PASS", [1.0], segment=0).segment == 0
+
+
 @pytest.mark.parametrize("build,field", [
     (lambda x: sa.UserDrop(x.reshape(1, 2)), "positions"),
     (lambda x: sa.WaveguideLayout(2, 1.0, x, 3.0), "feed_x"),

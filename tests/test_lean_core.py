@@ -8,16 +8,23 @@ it, as a bare name or as an attribute; a method is reached when its class
 is and its name is referenced (a dunder method comes with its class).
 Matching is by name alone, so the scan can only over-read what is reached:
 a definition it finds unreached is one no run can call.
+
+A second scan finds imports that nothing in their module names, in every
+package module but ``__init__`` (whose imports are its exports) and in
+every test module.
 """
 
 import ast
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "swan_aircomp"
+TESTS = Path(__file__).resolve().parent
 CORE = ("channel", "geometry", "metrics", "optimizers")
 ENTRIES = ("harness", "cli", "svgplot")
 # No run calls it, but perfbench's probe wraps the name optimizers imports it under.
 ALLOWED = {"geometry.feasible_grid"}
+# Imported for no use but as perfbench's probe's wrapping targets.
+UNUSED_IMPORTS_ALLOWED = {"optimizers.segment_gain_matrix", "optimizers.feasible_grid"}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -103,3 +110,30 @@ def test_only_the_package_init_imports_audit():
             ):
                 importers.append(path.stem)
     assert importers == []
+
+
+def _unused_imports(path):
+    """Names an import binds in the module at ``path`` that no expression there reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def unused_imports():
+    """``module.name`` for every unused import in the package (but ``__init__``) and the tests."""
+    paths = [p for p in sorted(PKG.glob("*.py")) if p.stem != "__init__"]
+    paths += sorted(TESTS.glob("*.py"))
+    return {f"{path.stem}.{name}" for path in paths for name in _unused_imports(path)}
+
+
+def test_no_module_imports_what_it_does_not_use():
+    unused = unused_imports()
+    assert sorted(unused - UNUSED_IMPORTS_ALLOWED) == []
+    # an allow-listed import that is used, or gone, is a stale entry
+    assert unused >= UNUSED_IMPORTS_ALLOWED

@@ -43,7 +43,7 @@ def wide_scene(k=6, seed=5):
 def test_ss_objective_matches_naive_composition():
     cfg = make_config(kappa=0.08)
     scene = wide_scene()
-    h = sa.eff_channel_ss(cfg, scene, 0, 49.3)
+    h = sa.eff_channel(cfg, scene, sa.Placement("SS", [49.3], segment=0))
     assert rel_err(
         ss_mse_objective(cfg, scene, 0, 49.3), naive_mse(h, cfg.p_tx, cfg.noise_var)
     ) < 1e-12
@@ -356,7 +356,7 @@ def test_sa1_joint_exhaustive_matches_hand_loop():
     for x0, x1 in itertools.product(*cands):
         if abs(x0 - x1) < cfg.delta_min:
             continue
-        h = sa.eff_channel_sa1(cfg, scene, sa.Placement("SA1", np.array([x0, x1])))
+        h = sa.eff_channel(cfg, scene, sa.Placement("SA1", np.array([x0, x1])))
         val = naive_mse(h, cfg.p_tx, cfg.noise_var)
         if val < best[0]:
             best = (val, (float(x0), float(x1)))

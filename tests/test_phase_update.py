@@ -112,13 +112,13 @@ def test_update_never_worsens_the_placement_objective():
         placement = sa.Placement("SA2", scene.layout.feed_x + 1.0, phases=phases)
         seg = int(g.integers(0, 3))
         before = mse_min(
-            sa.eff_channel_sa2(cfg, scene, placement), cfg.p_tx, cfg.noise_var
+            sa.eff_channel(cfg, scene, placement), cfg.p_tx, cfg.noise_var
         ).mse
         theta, _ = phase_update_closed(cfg, scene, placement, seg)
         new_phases = phases.copy()
         new_phases[seg] = theta
         after = mse_min(
-            sa.eff_channel_sa2(
+            sa.eff_channel(
                 cfg, scene, sa.Placement("SA2", placement.pa_x, phases=new_phases)
             ),
             cfg.p_tx,
@@ -173,7 +173,7 @@ def test_mse_equals_k_minus_phase_objective():
     for theta in (0.0, 0.9, 4.2):
         phases = base.copy()
         phases[2] = theta
-        h = sa.eff_channel_sa2(
+        h = sa.eff_channel(
             cfg, scene, sa.Placement("SA2", placement.pa_x, phases=phases)
         )
         mse = mse_min(h, cfg.p_tx, cfg.noise_var).mse
