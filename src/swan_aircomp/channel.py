@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import (
     Placement,
     Scene,
+    UserDrop,
     WaveguideLayout,
     baseline_scene,
     grid_points,
@@ -162,15 +163,35 @@ class DropGrids:
     position screen's table of a segment grid, built on first request per
     (segment, config).  Each of the four refuses a config not in ``cfgs``
     with ``for_run``'s error, before building anything.  The table belongs
-    to the loop over drops that builds it and is dropped with the drop.
+    to the loop over drops that builds it and is dropped with the drop, or
+    handed to the drop's next table.
+
+    ``prior``, a table on the same layout object, with the same q and
+    configs, whose users are the first users of ``scene``, hands its blocks
+    over and keeps none (nor its statistics); any other is refused.  A
+    block with fewer user columns than the scene is widened on first
+    request: the same two steps over only the users it lacks, their
+    columns appended to its own.  A new block is the case of no columns
+    yet.  Each gain is a product of two elementwise factors of its (point,
+    user) pair, so a widened block is the fresh one, bit for bit; ``stats``
+    are built from it afresh.
     """
 
-    def __init__(self, scene: Scene, q: int, cfgs: Iterable[RadioConfig]) -> None:
+    def __init__(
+        self, scene: Scene, q: int, cfgs: Iterable[RadioConfig], prior: Optional[DropGrids] = None
+    ) -> None:
         self.scene, self.q, self.cfgs = scene, q, tuple(cfgs)
         if len({cfg.f_c for cfg in self.cfgs}) != 1:
             raise ValueError("a grid table needs configs that share one carrier frequency")
         self._blocks: dict = {}
         self._stats: dict = {}
+        if prior is not None:
+            first = prior.scene.users.positions
+            if (prior.scene.layout is not scene.layout or prior.q != q or prior.cfgs != self.cfgs
+                    or first.tobytes() != scene.users.positions[:len(first)].tobytes()):
+                raise ValueError("a grid table takes over only a table of its layout, q and "
+                                 "configs whose users come first in its scene")
+            self._blocks, prior._blocks, prior._stats = prior._blocks, {}, {}
 
     @classmethod
     def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
@@ -184,14 +205,21 @@ class DropGrids:
     def _block(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
         """Points and (Q + 1, K) gains under cfg of one segment's grid, then its midpoint."""
         self.for_run(cfg, self.scene, self.q, self)
-        if (segment, cfg) not in self._blocks:
+        pts, gains = self._blocks.get((segment, cfg), (None, None))
+        have = 0 if gains is None else gains.shape[1]
+        if have < self.scene.k:
             scene = self.scene if segment is not None else baseline_scene(self.scene)
             m = segment or 0
-            pts = np.append(grid_points(scene.layout, m, self.q), scene.layout.midpoints[m])
-            pts.setflags(write=False)
+            if pts is None:
+                pts = np.append(grid_points(scene.layout, m, self.q), scene.layout.midpoints[m])
+                pts.setflags(write=False)
+            if have:
+                scene = Scene(scene.region, scene.layout, UserDrop(scene.users.positions[have:]))
             free = _free_space(self.cfgs[0], scene, pts)
             for c in self.cfgs:
                 gains = segment_gain_matrix(c, scene, m, pts, free)
+                if have:
+                    gains = np.concatenate((self._blocks[segment, c][1], gains), axis=1)
                 gains.setflags(write=False)
                 self._blocks[segment, c] = pts, gains
         return self._blocks[segment, cfg]

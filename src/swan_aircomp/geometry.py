@@ -222,7 +222,10 @@ def sample_users(region: ServiceRegion, k: int, seed: int) -> UserDrop:
 
     Draw order is fixed: one (K, 2) block of unit uniforms, column 0 scaled to
     [0, d_x] and column 1 to [-d_y/2, +d_y/2], so a given seed always yields
-    the same drop.
+    the same drop.  The block is filled user by user from the stream, so a
+    drop's first k users do not depend on how many are drawn:
+    ``sample_users(region, k, seed)`` is the first k rows of any larger draw,
+    bit for bit, and sweep-k draws each drop once at its largest K.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -23,7 +23,15 @@ import numpy as np
 
 from . import svgplot
 from .channel import SPEED_OF_LIGHT, DropGrids, RadioConfig, dbm_to_watts, require_feasible
-from .geometry import ARCHITECTURES, Placement, Scene, ServiceRegion, build_layout, sample_users
+from .geometry import (
+    ARCHITECTURES,
+    Placement,
+    Scene,
+    ServiceRegion,
+    UserDrop,
+    build_layout,
+    sample_users,
+)
 from .optimizers import (
     MAX_JOINT_TUPLES,
     RunRecord,
@@ -440,27 +448,40 @@ def _run(
 def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
     """One (ResultRow, RunRecord) per (optimizer run, kappa it serves), in experiment order.
 
-    Runs nest as (sweep value, drop, scheme, run config), and each run's
-    rows follow it in kappa order, so rows nest as (sweep value, drop,
-    scheme, kappa).  Per-drop user positions depend only on (master_seed,
-    drop), so every sweep value, scheme, and kappa sees the same drops.
-    ``spec.run_configs()`` decides the runs: one per kappa, or with
-    ``design_kappa`` set one under the design config whose placement each
-    kappa's row re-evaluates.  For oracle-check every AO run is followed by
-    its joint oracle run, whose scheme name is suffixed "-oracle".  Every run
-    on a drop reads one grid table, built for the run configs and dropped
-    with the drop.  A row's ``elapsed`` is its own re-evaluation, plus, on
-    the first row of a run, the run, so per-drop sums count each run once.
+    Runs nest as (drop, sweep value, scheme, run config), and each run's
+    rows follow it in kappa order, so rows nest as (drop, sweep value,
+    scheme, kappa).  A drop's users are drawn once, from (master_seed,
+    drop) alone, at the sweep's largest K, and each sweep value sees the
+    first K of them: ``sample_users`` draws a user's position from the
+    stream ahead of any later user's, so that scene is the one a draw of
+    K users gives, and every sweep value, scheme, and kappa sees the same
+    drops.  ``spec.run_configs()`` decides the runs: one per kappa, or
+    with ``design_kappa`` set one under the design config whose placement
+    each kappa's row re-evaluates.  For oracle-check every AO run is
+    followed by its joint oracle run, whose scheme name is suffixed
+    "-oracle".  Every run on a (drop, sweep value) reads one grid table,
+    built for the run configs.  When consecutive sweep values share a
+    layout (sweep-k's K), the next table takes over the last one's blocks,
+    which gain only the new users' columns when a run first reads them.
+    A row's ``elapsed`` is its own re-evaluation, plus, on the first row
+    of a run, the run (with any block building it caused), so per-drop
+    sums count each run once.
     """
     region = ServiceRegion(spec.d_x, spec.d_y)
     serves = spec.run_configs()
-    for sweep_value in spec.sweep:
-        m, seg_len, k = _sweep_scene_params(spec, sweep_value)
-        layout = build_layout(m, seg_len, region, spec.height)
-        for drop in range(spec.n_drops):
-            users = sample_users(region, k, derive_seed(spec.master_seed, drop))
-            scene = Scene(region, layout, users)
-            grids = DropGrids(scene, spec.q_grid, tuple(serves))
+    shapes = {value: _sweep_scene_params(spec, value) for value in spec.sweep}
+    layouts = {
+        (m, seg_len): build_layout(m, seg_len, region, spec.height) for m, seg_len, _ in shapes.values()
+    }
+    k_max = max(k for _, _, k in shapes.values())
+    for drop in range(spec.n_drops):
+        users = sample_users(region, k_max, derive_seed(spec.master_seed, drop)).positions
+        grids = None
+        for sweep_value, (m, seg_len, k) in shapes.items():
+            layout = layouts[m, seg_len]
+            scene = Scene(region, layout, UserDrop(users[:k]))
+            prior = grids if grids is not None and grids.scene.layout is layout else None
+            grids = DropGrids(scene, spec.q_grid, tuple(serves), prior)
             for scheme in spec.schemes:
                 tags = (scheme, scheme + "-oracle") if spec.kind == "oracle-check" else (scheme,)
                 for run_cfg, scenarios in serves.items():
@@ -491,13 +512,15 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every cell of the experiment, one row per optimizer run and kappa it serves.
 
-    Rows nest as (sweep value, drop, scheme, kappa); for oracle-check each
-    AO row is followed by its "-oracle" row.  For convergence the rows are
-    per-iteration MSE traces instead, emitted iteration-major with
-    sweep_value carrying the iteration index and ``elapsed`` only on
-    iteration 0.  Traces shorter than the longest one are padded with their
-    final value (the optimizer would hold that MSE if swept further),
-    keeping every iteration's aggregate over the same number of drops.
+    Rows nest as (drop, sweep value, scheme, kappa); for oracle-check each
+    AO row is followed by its "-oracle" row.  Sweep-k draws each drop's
+    users once and reuses their gain columns from one K to the next.  For
+    convergence the rows are per-iteration MSE traces instead, emitted
+    iteration-major with sweep_value carrying the iteration index and
+    ``elapsed`` only on iteration 0.  Traces shorter than the longest one
+    are padded with their final value (the optimizer would hold that MSE if
+    swept further), keeping every iteration's aggregate over the same
+    number of drops.
     """
     if spec.kind != "convergence":
         return [row for row, _ in _cells(spec)]

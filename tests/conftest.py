@@ -51,6 +51,41 @@ def scene_with_users(positions, m_segments=2, seg_length=1.0, d_x=12.0,
     return sa.Scene(region, layout, sa.UserDrop(np.asarray(positions, dtype=float)))
 
 
+def rows_run_alone(spec):
+    """Each row of ``spec``'s experiment, from its cell run alone on a fresh grid table.
+
+    Keyed (drop, sweep value, scheme, kappa), the value is (final_mse hex,
+    iterations, evaluations, seed) of the run on that drop's users drawn at
+    the sweep value's own K, in a table built for that run alone.
+    """
+    from swan_aircomp import harness
+    from swan_aircomp.channel import DropGrids
+
+    region = sa.ServiceRegion(spec.d_x, spec.d_y)
+    out = {}
+    for drop in range(spec.n_drops):
+        for value in spec.sweep:
+            m, seg_len, k = harness._sweep_scene_params(spec, value)
+            users = sa.sample_users(region, k, sa.derive_seed(spec.master_seed, drop))
+            scene = sa.Scene(region, sa.build_layout(m, seg_len, region, spec.height), users)
+            for scheme in spec.schemes:
+                for run_cfg, scenarios in spec.run_configs().items():
+                    grids = DropGrids(scene, spec.q_grid, (run_cfg,))
+                    rec, seed = harness._run(scheme, run_cfg, scene, spec, drop, grids)
+                    for kappa, cfg in scenarios:
+                        final = rec.final_mse if cfg is run_cfg else sa.evaluate_placement(
+                            cfg, scene, rec.placement)
+                        out[drop, float(value), scheme, kappa] = (
+                            final.hex(), rec.iterations, rec.evaluations, seed)
+    return out
+
+
+def rows_as_run(rows):
+    """``rows_run_alone``'s mapping, of the rows an experiment wrote."""
+    return {(r.drop, r.sweep_value, r.scheme, r.kappa): (r.final_mse.hex(), r.iterations,
+                                                        r.evaluations, r.seed) for r in rows}
+
+
 def naive_user_gain(cfg, scene, segment, pa_x, user_ix):
     """Scalar feed-to-user gain, recomputed one factor at a time."""
     feed = float(scene.layout.feed_x[segment])

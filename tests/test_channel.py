@@ -264,6 +264,69 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
         DropGrids(scene, 12, (cfg, make_config(f_c=30e9)))
 
 
+def test_a_widened_table_is_the_fresh_table_bitwise():
+    """A table built from one for fewer users of the same drop answers as a fresh one, to the bit.
+
+    The K = 2 table builds every block; the K = 4 table takes them over and
+    widens only segment 1's; the K = 7 table takes them over again, so the
+    other blocks skip K = 4 and gain five columns at once.  Each hand-over
+    leaves the old table with no block and no statistics.
+    """
+    cfgs = (make_config(kappa=0.0), make_config(kappa=0.08))
+    region = sa.ServiceRegion(20.0, 8.0)
+    layout = sa.build_layout(3, 2.0, region, 3.0)
+    scenes = [sa.Scene(region, layout, sa.sample_users(region, k, 43)) for k in (2, 4, 7)]
+    small = DropGrids(scenes[0], 30, cfgs)
+    for cfg in cfgs:
+        small.starts(cfg)
+        small.grid(cfg, None)
+        small.stats(cfg, 0)
+    middle = DropGrids(scenes[1], 30, cfgs, small)
+    assert not (small._blocks or small._stats)
+    assert middle.stats(cfgs[1], 1).shape == (5, 30)
+    wide = DropGrids(scenes[2], 30, cfgs, middle)
+    assert not (middle._blocks or middle._stats)
+    fresh = DropGrids(scenes[2], 30, cfgs)
+    for cfg in cfgs:
+        for seg in (0, 1, 2, None):
+            for got, want in zip(wide.grid(cfg, seg), fresh.grid(cfg, seg)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            if seg is not None:
+                assert wide.stats(cfg, seg).tobytes() == fresh.stats(cfg, seg).tobytes()
+        assert wide.starts(cfg).tobytes() == fresh.starts(cfg).tobytes()
+        for (pts, shares), (want_pts, want_shares) in zip(wide.joint(cfg), fresh.joint(cfg)):
+            assert pts.tobytes() == want_pts.tobytes()
+            assert shares.tobytes() == want_shares.tobytes()
+
+
+def test_a_table_takes_over_only_a_table_for_its_first_users():
+    """Another layout, q or config list, or users that are not the scene's first, are refused.
+
+    A refused table keeps its blocks.
+    """
+    cfg = make_config(kappa=0.08)
+    region = sa.ServiceRegion(20.0, 8.0)
+    layout = sa.build_layout(2, 2.0, region, 3.0)
+    scene = sa.Scene(region, layout, sa.sample_users(region, 5, 47))
+    fits = sa.Scene(region, layout, sa.sample_users(region, 3, 47))
+    priors = (
+        DropGrids(sa.Scene(region, sa.build_layout(2, 2.0, region, 3.0), fits.users), 12, (cfg,)),
+        DropGrids(fits, 10, (cfg,)),
+        DropGrids(fits, 12, (cfg, make_config(kappa=0.0))),
+        DropGrids(sa.Scene(region, layout, sa.sample_users(region, 3, 48)), 12, (cfg,)),
+        DropGrids(sa.Scene(region, layout, sa.sample_users(region, 6, 47)), 12, (cfg,)),
+    )
+    for prior in priors:
+        prior.starts(cfg)
+        with pytest.raises(ValueError, match="takes over only"):
+            DropGrids(scene, 12, (cfg,), prior)
+        assert prior._blocks
+    taken = DropGrids(fits, 12, (cfg,))
+    taken.starts(cfg)
+    assert DropGrids(scene, 12, (cfg,), taken).starts(cfg).shape == (2, 5)
+
+
 def ss_channel(cfg, scene, segment, psi):
     """``eff_channel`` with only ``segment`` active, its PA at psi."""
     return sa.eff_channel(cfg, scene, sa.Placement("SS", [psi], segment=segment))

@@ -10,6 +10,9 @@ and inf, and dBm values of +-400.  Each run must
 * exit 0, with every MSE it wrote in [0, K];
 * exit 1, with no optimizer called and no file written; or
 * exit 2, from an OSError only.
+
+A second seeded draw of small sweep-k configs checks that every row equals
+its cell run alone on a fresh grid table.
 """
 
 import csv
@@ -18,6 +21,7 @@ import math
 import random
 
 from swan_aircomp import cli, harness
+from conftest import rows_as_run, rows_run_alone
 
 VALUES = ("0", "-0", "1e-300", "1e-12", "1e-3", "1", "3", "50", "1e12", "1e300", "-1", "nan", "inf")
 DBM_VALUES = ("-400", "400")
@@ -104,3 +108,26 @@ def test_edge_configs_end_in_one_of_three_outcomes(tmp_path, monkeypatch):
             assert [type(e) for e in raised if not isinstance(e, OSError)] == [], argv
     # the draw reaches both ends: runs that complete and configs that are refused
     assert outcomes[0] > 0 and outcomes[1] > 0, outcomes
+
+
+def test_sweep_k_rows_are_each_cell_run_alone_on_random_configs():
+    """20 seeded small sweep-k configs: every row is its cell run alone on a fresh table.
+
+    Each draws its K values, M, Q, drops, restarts, kappa list, design kappa
+    and a scheme subset (one scheme alone among them), so the gain columns
+    each drop reuses across K meet every run path.
+    """
+    rng = random.Random(20261020)
+    subsets = (("PASS",), ("SA1",), ("SS",), ("SA2",), ("SS", "SA2"), ("SA1", "PASS"),
+               ("SS", "SA1", "SA2", "PASS"))
+    kappa_lists = ("0", "0.08", "0,0.08", "0.5,0,0.03")
+    for i in range(20):
+        overrides = {
+            "sweep": sorted(rng.sample(range(1, 7), rng.randint(1, 3))),
+            "m_segments": rng.randint(1, 3), "q_grid": rng.randint(4, 16),
+            "n_drops": rng.randint(1, 2), "restarts": rng.randint(0, 1),
+            "schemes": subsets[i % len(subsets)], "kappa_db_per_m": rng.choice(kappa_lists),
+            "design_kappa": rng.choice((None, 0.0, 0.03)), "master_seed": rng.randint(0, 99),
+        }
+        spec = harness.parse_config(kind="sweep-k", overrides=overrides)
+        assert rows_as_run(harness.run_experiment(spec)) == rows_run_alone(spec), overrides

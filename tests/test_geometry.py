@@ -96,6 +96,41 @@ def test_sample_users_moments():
     assert abs(drop.positions[:, 1].mean() - 0.0) < 4 * se_y
 
 
+def test_a_drops_first_users_do_not_depend_on_how_many_are_drawn():
+    """sample_users(r, k, s) is the first k rows of sample_users(r, K, s), bit for bit."""
+    region = sa.ServiceRegion(50.0, 20.0)
+    for seed in (1, 7, 2**63 + 5, sa.derive_seed(1, 3)):
+        draws = {k: sa.sample_users(region, k, seed).positions for k in range(1, 26)}
+        for big in range(1, 26):
+            for k in range(1, big + 1):
+                assert draws[k].tobytes() == draws[big][:k].tobytes(), (seed, k, big)
+
+
+@pytest.mark.parametrize("kind,sweep", [("sweep-k", "2,3,5"), ("sweep-m-fixed-L", "1,3")])
+def test_the_harness_scene_of_each_drop_and_sweep_value_is_a_fresh_draw(monkeypatch, kind, sweep):
+    """Each (drop, sweep value) scene holds the users a draw of its K users gives."""
+    from swan_aircomp import harness
+
+    seen = []
+
+    def recorded(tag, cfg, scene, spec, drop, grids, _run=harness._run):
+        seen.append((drop, scene))
+        return _run(tag, cfg, scene, spec, drop, grids)
+
+    monkeypatch.setattr(harness, "_run", recorded)
+    spec = sa.parse_config(kind=kind, overrides={
+        "sweep": sweep, "n_drops": 3, "k_users": 4, "m_segments": 2, "q_grid": 10,
+        "schemes": "SS", "master_seed": 9,
+    })
+    harness.run_experiment(spec)
+    region = sa.ServiceRegion(spec.d_x, spec.d_y)
+    ks = [harness._sweep_scene_params(spec, v)[2] for v in spec.sweep]
+    assert [(drop, scene.k) for drop, scene in seen] == [(d, k) for d in range(3) for k in ks]
+    for drop, scene in seen:
+        want = sa.sample_users(region, scene.k, sa.derive_seed(spec.master_seed, drop))
+        assert scene.users.positions.tobytes() == want.positions.tobytes()
+
+
 def test_placement_validation():
     with pytest.raises(ValueError):
         sa.Placement("XX", np.array([1.0]))

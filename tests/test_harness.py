@@ -20,7 +20,7 @@ from swan_aircomp.harness import (
 )
 from swan_aircomp.optimizers import evaluate_placement, ss_two_stage
 from swan_aircomp.rng import derive_seed
-from conftest import rel_err
+from conftest import rel_err, rows_as_run, rows_run_alone
 
 
 def make_spec(**kw):
@@ -305,8 +305,8 @@ def test_run_experiment_row_order_and_seeds():
     rows = run_experiment(spec)
     want = [
         (float(sv), d, sch, kap)
-        for sv in spec.sweep
         for d in range(spec.n_drops)
+        for sv in spec.sweep
         for sch in spec.schemes
         for kap in spec.kappa_db_per_m
     ]
@@ -316,6 +316,20 @@ def test_run_experiment_row_order_and_seeds():
         assert r.seed == derive_seed(spec.master_seed, r.drop)
         assert r.experiment == "sweep-k"
         assert r.elapsed >= 0.0
+
+
+def test_sweep_k_rows_are_each_cell_run_alone():
+    """Reusing a drop's gain columns across K moves no number.
+
+    Every row of a K = 2, 3, 5 sweep, over two drops, two kappas, all four
+    schemes and a restart, equals its cell run alone on a fresh table of
+    the K-user drop: final_mse to the bit, iterations, evaluations, seed.
+    """
+    spec = make_spec(sweep=(2, 3, 5), m_segments=3, q_grid=40, kappa_db_per_m=(0.0, 0.08),
+                     schemes=("SS", "SA1", "SA2", "PASS"), restarts=1)
+    rows = run_experiment(spec)
+    assert len(rows) == 2 * 3 * 4 * 2
+    assert rows_as_run(rows) == rows_run_alone(spec)
 
 
 def test_single_segment_switched_equals_full_span_baseline():
@@ -569,13 +583,13 @@ _SMALL = {
 @pytest.mark.parametrize(
     "kind,overrides,want",
     [
-        # 2 sweep values x 2 drops scenes; 8 cells per scheme
+        # 2 sweep values x 2 drops scenes, users drawn once per drop; 8 cells per scheme
         ("sweep-m-fixed-L", {"sweep": "1,2", "restarts": 1},
-         {"sample_users": 4, "ss_two_stage": 8, "pass_baseline": 8, "sa1_ao": 16, "sa2_ao": 16}),
+         {"sample_users": 2, "ss_two_stage": 8, "pass_baseline": 8, "sa1_ao": 16, "sa2_ao": 16}),
         ("sweep-m-fixed-span", {"sweep": "1,2", "schemes": "SA1,SA2"},
-         {"sample_users": 4, "sa1_ao": 8, "sa2_ao": 8}),
+         {"sample_users": 2, "sa1_ao": 8, "sa2_ao": 8}),
         ("sweep-k", {"sweep": "2,3", "m_segments": 2, "restarts": 2},
-         {"sample_users": 4, "ss_two_stage": 8, "pass_baseline": 8, "sa1_ao": 24, "sa2_ao": 24}),
+         {"sample_users": 2, "ss_two_stage": 8, "pass_baseline": 8, "sa1_ao": 24, "sa2_ao": 24}),
         # 2 drops; 4 cells per scheme
         ("convergence", {"m_segments": 2},
          {"sample_users": 2, "sa1_ao": 4, "sa2_ao": 4}),
@@ -584,7 +598,7 @@ _SMALL = {
           "sa1_joint_exhaustive": 4, "sa2_joint_exhaustive": 4}),
         # one design-config run per (sweep value, drop, scheme) serves both kappas
         ("sweep-k", {"sweep": "2,3", "m_segments": 2, "design_kappa": 0},
-         {"sample_users": 4, "ss_two_stage": 4, "pass_baseline": 4, "sa1_ao": 4, "sa2_ao": 4}),
+         {"sample_users": 2, "ss_two_stage": 4, "pass_baseline": 4, "sa1_ao": 4, "sa2_ao": 4}),
     ],
 )
 def test_harness_calls_every_swappable_name_at_call_time(monkeypatch, kind, overrides, want):
