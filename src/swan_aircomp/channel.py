@@ -214,7 +214,7 @@ class DropGrids:
                 pts = np.append(grid_points(scene.layout, m, self.q), scene.layout.midpoints[m])
                 pts.setflags(write=False)
             if have:
-                scene = Scene(scene.region, scene.layout, UserDrop(scene.users.positions[have:]))
+                scene = Scene(scene.layout, UserDrop(scene.users.positions[have:]))
             free = _free_space(self.cfgs[0], scene, pts)
             for c in self.cfgs:
                 gains = segment_gain_matrix(c, scene, m, pts, free)
@@ -278,15 +278,9 @@ def require_feasible(cfg: RadioConfig, layout: WaveguideLayout, placement: Place
 
 
 def placement_gains(cfg: RadioConfig, scene: Scene, placement: Placement) -> np.ndarray:
-    """Gain rows (N, K) at a feasible placement's PAs, one per active segment.
-
-    N is 1 for SS and PASS (the placement's segment of ``scene``) and M for
-    SA1 and SA2.
-    """
+    """Gain rows (N, K) at a feasible placement's PAs, one per segment in ``placement.segments``."""
     require_feasible(cfg, scene.layout, placement)
-    single = placement.architecture in ("SS", "PASS")
-    segments = (placement.segment,) if single else tuple(range(scene.layout.m_segments))
-    return segment_gain_matrix(cfg, scene, segments, placement.pa_x)
+    return segment_gain_matrix(cfg, scene, placement.segments, placement.pa_x)
 
 
 def segment_shares(gains: np.ndarray, phases: Optional[np.ndarray] = None) -> np.ndarray:

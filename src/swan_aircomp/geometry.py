@@ -9,6 +9,7 @@ activated per segment at a point psi with feed_x[m] <= psi <= feed_x[m] + L.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -156,6 +157,11 @@ class Placement:
             ph.setflags(write=False)
             object.__setattr__(self, "phases", ph)
 
+    @property
+    def segments(self) -> tuple:
+        """The segment of each PA, in pa_x order: (segment,) for SS and PASS, 0 .. M - 1 for SA."""
+        return tuple(range(self.pa_x.size)) if self.segment is None else (self.segment,)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -172,9 +178,8 @@ class Violation:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """A service region, a waveguide layout above it, and one user drop."""
+    """A waveguide layout and one user drop below it."""
 
-    region: ServiceRegion
     layout: WaveguideLayout
     users: UserDrop
 
@@ -199,7 +204,7 @@ def baseline_layout(scene: Scene) -> WaveguideLayout:
 
 
 def baseline_scene(scene: Scene) -> Scene:
-    return Scene(scene.region, baseline_layout(scene), scene.users)
+    return Scene(baseline_layout(scene), scene.users)
 
 
 def build_layout(
@@ -243,42 +248,28 @@ def validate_placement(
     """Report every violated placement rule; an empty list means feasible.
 
     Rules: each PA must sit on its own segment, and any two PAs must be at
-    least ``delta_min`` apart.
+    least ``delta_min`` apart.  A placement without a segment index (SA1,
+    SA2) must carry one PA per segment of ``layout``.
     """
-    single = placement.architecture in ("SS", "PASS")
-    if single:
-        seg = placement.segment
-        if not 0 <= seg < layout.m_segments:
-            raise ValueError(f"segment index {seg} out of range")
-        on_segments = [(seg, placement.pa_x[0])]
-    elif placement.pa_x.size != layout.m_segments:
-        raise ValueError(
-            f"expected {layout.m_segments} PA positions, got {placement.pa_x.size}"
-        )
-    else:
-        on_segments = enumerate(placement.pa_x)
+    on_segments = list(zip(placement.segments, placement.pa_x.tolist()))
+    if placement.segment is None and len(on_segments) != layout.m_segments:
+        raise ValueError(f"expected {layout.m_segments} PA positions, got {len(on_segments)}")
     violations: list[Violation] = []
     for m, x in on_segments:
+        if not 0 <= m < layout.m_segments:
+            raise ValueError(f"segment index {m} out of range")
         lo = float(layout.feed_x[m])
         hi = lo + layout.seg_length
-        x = float(x)
         if not (lo <= x <= hi):
             violations.append(
                 Violation("out_of_segment", (m,), f"pa_x={x} outside [{lo}, {hi}]")
             )
-    if single:
-        return violations
-    for m in range(layout.m_segments):
-        for mp in range(m + 1, layout.m_segments):
-            gap = abs(float(placement.pa_x[m]) - float(placement.pa_x[mp]))
-            if gap < delta_min:
-                violations.append(
-                    Violation(
-                        "spacing",
-                        (m, mp),
-                        f"|pa_x[{m}] - pa_x[{mp}]| = {gap} < {delta_min}",
-                    )
-                )
+    for (m, x), (mp, xp) in itertools.combinations(on_segments, 2):
+        gap = abs(x - xp)
+        if gap < delta_min:
+            violations.append(
+                Violation("spacing", (m, mp), f"|pa_x[{m}] - pa_x[{mp}]| = {gap} < {delta_min}")
+            )
     return violations
 
 

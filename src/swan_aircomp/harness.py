@@ -145,18 +145,11 @@ class ExperimentSpec:
             raise ConfigError(f"schemes must be a non-empty subset of {ARCHITECTURES}, got {self.schemes}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigError(f"schemes must not repeat, got {self.schemes}")
-        if not self.kappa_db_per_m or not all(
-            math.isfinite(k) and k >= 0 for k in self.kappa_db_per_m
-        ):
-            raise ConfigError(
-                f"kappa list must be non-empty, finite and non-negative, got {self.kappa_db_per_m}"
-            )
+        # RadioConfig checks each kappa's range when _check_scenes builds the run configs
+        if not self.kappa_db_per_m:
+            raise ConfigError("kappa list must be non-empty")
         if len(set(self.kappa_db_per_m)) < len(self.kappa_db_per_m):
             raise ConfigError(f"kappa values must not repeat, got {self.kappa_db_per_m}")
-        if self.design_kappa is not None and not (
-            math.isfinite(self.design_kappa) and self.design_kappa >= 0
-        ):
-            raise ConfigError(f"design_kappa must be finite and non-negative, got {self.design_kappa}")
         # -0 is the attenuation 0; + 0.0 stores it as 0.0, so outputs print it alike
         object.__setattr__(self, "kappa_db_per_m", tuple(k + 0.0 for k in self.kappa_db_per_m))
         if self.design_kappa is not None:
@@ -182,9 +175,11 @@ class ExperimentSpec:
     def _check_scenes(self) -> None:
         """Fail now on a sweep value whose scene, radio config or AO start a run would refuse.
 
-        SA1 and SA2 start from every PA at its segment midpoint, so under
-        each run config that start must pass ``require_feasible``, the
-        check the run makes.
+        It checks the layouts ``_sweep_layouts`` gives the run, and the
+        configs of ``run_configs``, whose ``RadioConfig`` refuses a kappa or
+        design kappa that is not finite and non-negative.  SA1 and SA2 start
+        from every PA at its segment midpoint, so under each run config that
+        start must pass ``require_feasible``, the check the run makes.
         """
         if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
@@ -193,11 +188,8 @@ class ExperimentSpec:
                 f"{self.kind} sweep values must be integers >= 1, got {self.sweep}"
             )
         try:
-            region = ServiceRegion(self.d_x, self.d_y)
-            layouts = {}
-            for value in self.sweep:
-                m, seg_len, _ = _sweep_scene_params(self, value)
-                layouts[value] = layout = build_layout(m, seg_len, region, self.height)
+            layouts = _sweep_layouts(self, ServiceRegion(self.d_x, self.d_y))
+            for value, (layout, _) in layouts.items():
                 lo, hi = layout.span
                 # every user-to-PA squared distance is at most this sum
                 reach = max(hi, self.d_x) - min(lo, 0.0)
@@ -207,7 +199,7 @@ class ExperimentSpec:
                                      "its squared distances overflow")
             configs = self.run_configs()
             if {"SA1", "SA2"} & set(self.schemes):
-                for value, layout in layouts.items():
+                for value, (layout, _) in layouts.items():
                     start = Placement("SA1", layout.midpoints)
                     for cfg in configs:
                         try:
@@ -369,8 +361,8 @@ def parse_config(
     override values parse alike, strings included: a field parses by its
     type, except for the unit conveniences: f_c_hz accepts strings like
     "28 GHz"; p_dbm and noise_dbm accept "10 dBm"; kappa_db_per_m and sweep
-    accept scalars, lists, or comma-separated strings.  A file naming a kind
-    other than ``kind`` is an error.
+    accept scalars, lists, or comma-separated strings.  A file or an
+    override naming a kind other than one named before it is an error.
     """
     file_values: dict = {}
     if path is not None:
@@ -387,10 +379,12 @@ def parse_config(
         file_values = _parse_values(loaded, "config")
     override_values = _parse_values(overrides or {}, "override")
 
-    file_kind = file_values.get("kind")
-    if kind is not None and file_kind is not None and file_kind != kind:
-        raise ConfigError(f"config file {path} names kind {file_kind!r}, not {kind!r}")
-    resolved_kind = override_values.get("kind") or file_kind or kind
+    resolved_kind = kind
+    for origin, named in ((f"config file {path}", file_values.get("kind")),
+                          ("the overrides", override_values.get("kind"))):
+        if resolved_kind is not None and named is not None and named != resolved_kind:
+            raise ConfigError(f"{origin} names kind {named!r}, not {resolved_kind!r}")
+        resolved_kind = resolved_kind or named
     if resolved_kind is None:
         raise ConfigError("no experiment kind given")
 
@@ -413,6 +407,18 @@ def _sweep_scene_params(spec: ExperimentSpec, sweep_value: float) -> tuple[int, 
     return spec.m_segments, spec.seg_length, spec.k_users
 
 
+def _sweep_layouts(spec: ExperimentSpec, region: ServiceRegion) -> dict:
+    """Each sweep value's (layout, k_users), with one layout object per distinct (M, L)."""
+    layouts: dict = {}
+    out = {}
+    for value in spec.sweep:
+        m, seg_len, k = _sweep_scene_params(spec, value)
+        if (m, seg_len) not in layouts:
+            layouts[m, seg_len] = build_layout(m, seg_len, region, spec.height)
+        out[value] = layouts[m, seg_len], k
+    return out
+
+
 def _run(
     tag: str, cfg: RadioConfig, scene: Scene, spec: ExperimentSpec, drop: int, grids: DropGrids
 ) -> tuple[RunRecord, int]:
@@ -422,8 +428,9 @@ def _run(
     start, the seed that drew the winning restart's init.  An "-oracle" tag
     runs its AO scheme's joint brute-force oracle, whose candidates are each
     segment's grid and its midpoint, the AO start an AO run may keep.
-    It reads the oracles as module globals at call time, which perfbench's
-    probe swaps for its wrappers.
+    It looks up every optimizer (SS, PASS, both AOs and both oracles) as a
+    module global at call time, so a wrapper swapped in for one of these
+    names (perfbench's probe does so) is the one called.
     """
     seed = derive_seed(spec.master_seed, drop)
     q = spec.q_grid
@@ -469,17 +476,13 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
     """
     region = ServiceRegion(spec.d_x, spec.d_y)
     serves = spec.run_configs()
-    shapes = {value: _sweep_scene_params(spec, value) for value in spec.sweep}
-    layouts = {
-        (m, seg_len): build_layout(m, seg_len, region, spec.height) for m, seg_len, _ in shapes.values()
-    }
-    k_max = max(k for _, _, k in shapes.values())
+    layouts = _sweep_layouts(spec, region)
+    k_max = max(k for _, k in layouts.values())
     for drop in range(spec.n_drops):
         users = sample_users(region, k_max, derive_seed(spec.master_seed, drop)).positions
         grids = None
-        for sweep_value, (m, seg_len, k) in shapes.items():
-            layout = layouts[m, seg_len]
-            scene = Scene(region, layout, UserDrop(users[:k]))
+        for sweep_value, (layout, k) in layouts.items():
+            scene = Scene(layout, UserDrop(users[:k]))
             prior = grids if grids is not None and grids.scene.layout is layout else None
             grids = DropGrids(scene, spec.q_grid, tuple(serves), prior)
             for scheme in spec.schemes:

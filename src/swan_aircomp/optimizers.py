@@ -93,10 +93,8 @@ class RunRecord:
 
     mse_trace holds the objective after the initial evaluation and then per
     sweep or stage (optimizer-dependent); final_mse is its last entry.
-    evaluate_placement(cfg, scene, placement) recomputes it exactly for SS,
-    PASS, SA1, SA2 and the SA1 joint oracle, and to about 1e-12 relative for
-    the SA2 joint oracle, whose best candidate's channel is built by other
-    array operations.
+    evaluate_placement(cfg, scene, placement) recomputes it exactly, bit for
+    bit, for every scheme and both joint oracles.
     """
 
     placement: Placement
@@ -605,8 +603,11 @@ def _joint_scan(
     e^{j 2 pi r / R}, r = 0 .. R - 1, evenly spaced.  Tuples run over each
     segment's points in itertools.product order, last segment fastest;
     within a tuple the rotations run in order.  A pair's channel is built
-    as rot * a + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
-    segment m's, and scored by ``mse_rows``.  Feasible tuples are gathered
+    as a * rot + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
+    segment m's, and scored by ``mse_rows``.  The product is share times
+    rotation, the operand order ``segment_shares`` uses: numpy need not
+    round the two orders alike, and in this one the winner's MSE is
+    ``evaluate_placement``'s, bit for bit.  Feasible tuples are gathered
     up to ``_TUPLE_BLOCK`` at a time; with one rotation (SA1) every
     gathered tuple is scored, and with more (SA2) only the two rotations
     ``_phase_cells`` names, of which one is the tuple's best.  A block
@@ -640,7 +641,7 @@ def _joint_scan(
             cells = _phase_cells(a, sum(others, np.zeros_like(a)), cfg.noise_var / cfg.p_tx, n_rot)
         else:
             cells = np.zeros((len(pos), 1), dtype=np.intp)
-        h = rot[cells][..., None] * a[:, None]
+        h = a[:, None] * rot[cells][..., None]
         for row in others:
             h += row[:, None]
         mses = mse_rows(h, cfg.p_tx, cfg.noise_var)

@@ -40,7 +40,7 @@ def make_scene(m_segments=3, seg_length=2.0, d_x=20.0, d_y=8.0, height=3.0,
     region = sa.ServiceRegion(d_x, d_y)
     layout = sa.build_layout(m_segments, seg_length, region, height)
     users = sa.sample_users(region, k, seed)
-    return sa.Scene(region, layout, users)
+    return sa.Scene(layout, users)
 
 
 def scene_with_users(positions, m_segments=2, seg_length=1.0, d_x=12.0,
@@ -48,7 +48,7 @@ def scene_with_users(positions, m_segments=2, seg_length=1.0, d_x=12.0,
     """Scene with hand-picked user positions instead of sampled ones."""
     region = sa.ServiceRegion(d_x, d_y)
     layout = sa.build_layout(m_segments, seg_length, region, height)
-    return sa.Scene(region, layout, sa.UserDrop(np.asarray(positions, dtype=float)))
+    return sa.Scene(layout, sa.UserDrop(np.asarray(positions, dtype=float)))
 
 
 def rows_run_alone(spec):
@@ -67,7 +67,7 @@ def rows_run_alone(spec):
         for value in spec.sweep:
             m, seg_len, k = harness._sweep_scene_params(spec, value)
             users = sa.sample_users(region, k, sa.derive_seed(spec.master_seed, drop))
-            scene = sa.Scene(region, sa.build_layout(m, seg_len, region, spec.height), users)
+            scene = sa.Scene(sa.build_layout(m, seg_len, region, spec.height), users)
             for scheme in spec.schemes:
                 for run_cfg, scenarios in spec.run_configs().items():
                     grids = DropGrids(scene, spec.q_grid, (run_cfg,))
@@ -266,7 +266,7 @@ def reference_sa2_joint(cfg, scene, cands, theta_grid):
             if abs(x0 - x1) < cfg.delta_min:
                 continue
             row1 = sa.segment_gain_matrix(cfg, scene, 1, [x1])[0] * scale
-            h = rot[:, None] * row0[None, :] + row1[None, :]
+            h = row0[None, :] * rot[:, None] + row1[None, :]
             mses = mse_rows(h, cfg.p_tx, cfg.noise_var)
             j = int(np.argmin(mses))
             count += thetas.size

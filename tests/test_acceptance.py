@@ -104,7 +104,7 @@ def test_criterion_03_closed_form_phase_beats_dense_grid():
         k = int(g.integers(1, 9))
         layout = build_layout(m, 1.5, region, 3.0)
         users = sample_users(region, k, derive_seed(91, i))
-        scene = Scene(region, layout, users)
+        scene = Scene(layout, users)
         placement = random_init(scene, "SA2", derive_seed(92, i), cfg.delta_min)
         seg = int(g.integers(0, m))
         theta, inter = phase_update_closed(cfg, scene, placement, seg)
@@ -144,7 +144,7 @@ def test_criterion_04_alternating_descent_monotone_and_converges(capsys):
         m = int(g.integers(1, 9))
         layout = build_layout(m, 1.0, region, 3.0)
         users = sample_users(region, k, derive_seed(55, i))
-        scene = Scene(region, layout, users)
+        scene = Scene(layout, users)
         for runner in (sa1_ao, sa2_ao):
             rec = runner(cfg, scene, 200)
             trace = np.asarray(rec.mse_trace)
@@ -172,7 +172,7 @@ def test_criterion_05_switched_single_segment_equals_span_baseline():
     layout = build_layout(5, 1.0, region, 3.0)
     for drop in range(50):
         users = sample_users(region, 10, derive_seed(1234, drop))
-        scene = Scene(region, layout, users)
+        scene = Scene(layout, users)
         switched = ss_exhaustive(cfg, baseline_scene(scene), 300).final_mse
         baseline = pass_baseline(cfg, scene, 300).final_mse
         assert rel_err(switched, baseline) < 1e-12
@@ -330,7 +330,7 @@ def test_criterion_10_small_instance_oracle_bounds(capsys):
     gaps = {"SA1": [], "SA2": []}
     for i in range(20):
         users = sample_users(region, 3, derive_seed(404, i))
-        scene = Scene(region, layout, users)
+        scene = Scene(layout, users)
 
         rec1 = sa1_ao(cfg, scene, 20)
         oracle1 = sa1_joint_exhaustive(cfg, scene, 20)

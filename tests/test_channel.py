@@ -275,7 +275,7 @@ def test_a_widened_table_is_the_fresh_table_bitwise():
     cfgs = (make_config(kappa=0.0), make_config(kappa=0.08))
     region = sa.ServiceRegion(20.0, 8.0)
     layout = sa.build_layout(3, 2.0, region, 3.0)
-    scenes = [sa.Scene(region, layout, sa.sample_users(region, k, 43)) for k in (2, 4, 7)]
+    scenes = [sa.Scene(layout, sa.sample_users(region, k, 43)) for k in (2, 4, 7)]
     small = DropGrids(scenes[0], 30, cfgs)
     for cfg in cfgs:
         small.starts(cfg)
@@ -308,14 +308,14 @@ def test_a_table_takes_over_only_a_table_for_its_first_users():
     cfg = make_config(kappa=0.08)
     region = sa.ServiceRegion(20.0, 8.0)
     layout = sa.build_layout(2, 2.0, region, 3.0)
-    scene = sa.Scene(region, layout, sa.sample_users(region, 5, 47))
-    fits = sa.Scene(region, layout, sa.sample_users(region, 3, 47))
+    scene = sa.Scene(layout, sa.sample_users(region, 5, 47))
+    fits = sa.Scene(layout, sa.sample_users(region, 3, 47))
     priors = (
-        DropGrids(sa.Scene(region, sa.build_layout(2, 2.0, region, 3.0), fits.users), 12, (cfg,)),
+        DropGrids(sa.Scene(sa.build_layout(2, 2.0, region, 3.0), fits.users), 12, (cfg,)),
         DropGrids(fits, 10, (cfg,)),
         DropGrids(fits, 12, (cfg, make_config(kappa=0.0))),
-        DropGrids(sa.Scene(region, layout, sa.sample_users(region, 3, 48)), 12, (cfg,)),
-        DropGrids(sa.Scene(region, layout, sa.sample_users(region, 6, 47)), 12, (cfg,)),
+        DropGrids(sa.Scene(layout, sa.sample_users(region, 3, 48)), 12, (cfg,)),
+        DropGrids(sa.Scene(layout, sa.sample_users(region, 6, 47)), 12, (cfg,)),
     )
     for prior in priors:
         prior.starts(cfg)

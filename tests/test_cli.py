@@ -430,7 +430,7 @@ def test_a_winning_restart_records_its_own_seed(tmp_path):
             want = derive_seed(spec.master_seed, drop)
             if row["scheme"] != "SS":
                 users = sample_users(region, int(float(row["sweep_value"])), want)
-                scene = Scene(region, layout, users)
+                scene = Scene(layout, users)
                 cfg = spec.radio_config(float(row["kappa"]))
                 runner = sa1_ao if row["scheme"] == "SA1" else sa2_ao
                 best = runner(cfg, scene, spec.q_grid).final_mse

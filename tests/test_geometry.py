@@ -145,6 +145,11 @@ def test_placement_validation():
     p = sa.Placement("SA2", np.array([1.0, 2.0]), phases=np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         p.phases[0] = 3.0
+    # the segment each PA sits on: SS and PASS name theirs, SA has one PA per segment
+    assert p.segments == (0, 1)
+    assert sa.Placement("SA1", [1.0, 2.0, 3.0]).segments == (0, 1, 2)
+    assert sa.Placement("SS", [1.0], segment=3).segments == (3,)
+    assert sa.Placement("PASS", [1.0], segment=0).segments == (0,)
 
 
 @pytest.mark.parametrize("build", [
@@ -249,7 +254,7 @@ def test_scene_accessors():
     region = sa.ServiceRegion(100.0, 20.0)
     lay = sa.build_layout(2, 1.0, region, 3.0)
     users = sa.UserDrop(np.array([[10.0, 4.0], [20.0, -2.0]]))
-    scene = sa.Scene(region, lay, users)
+    scene = sa.Scene(lay, users)
     assert scene.k == 2
     assert np.array_equal(scene.user_x, [10.0, 20.0])
     assert np.allclose(scene.line_dist_sq, [9.0 + 16.0, 9.0 + 4.0])

@@ -149,6 +149,19 @@ def test_parse_config_error_paths(tmp_path):
         parse_config(path=tmp_path / "missing.json")
 
 
+def test_parse_config_refuses_an_override_naming_another_kind(tmp_path):
+    """An override's kind, like a config file's, must agree with the kind named before it."""
+    with pytest.raises(ConfigError, match="overrides names kind 'oracle-check', not 'sweep-k'"):
+        parse_config(kind="sweep-k", overrides={"kind": "oracle-check"})
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps({"kind": "sweep-k"}))
+    with pytest.raises(ConfigError, match="overrides names kind 'convergence', not 'sweep-k'"):
+        parse_config(path=p, overrides={"kind": "convergence"})
+    assert parse_config(kind="sweep-k", overrides={"kind": "sweep-k"}).kind == "sweep-k"
+    assert parse_config(path=p, overrides={"kind": "sweep-k"}).kind == "sweep-k"
+    assert parse_config(overrides={"kind": "convergence"}).kind == "convergence"
+
+
 def test_parse_config_does_not_truncate_integer_fields():
     with pytest.raises(ConfigError, match="not an integer"):
         parse_config(kind="oracle-check", overrides={"q_grid": 2.7, "n_drops": 1.9, "master_seed": 3.5})
@@ -365,7 +378,7 @@ def test_design_kappa_reevaluates_under_scenario_kappa():
     layout = build_layout(spec.m_segments, spec.seg_length, region, spec.height)
     for row in rows:
         users = sample_users(region, 3, derive_seed(spec.master_seed, row.drop))
-        scene = Scene(region, layout, users)
+        scene = Scene(layout, users)
         rec = ss_two_stage(spec.radio_config(0.0), scene, spec.q_grid)
         want = evaluate_placement(spec.radio_config(row.kappa), scene, rec.placement)
         assert rel_err(row.final_mse, want) < 1e-12
