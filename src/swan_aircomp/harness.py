@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -51,33 +51,39 @@ _RESTART_TAG = 7001
 
 
 class Kind(NamedTuple):
-    """One experiment kind: its CLI subcommand, plot x-axis and defaults.
+    """One experiment kind: its CLI subcommand, plot x-axis, defaults and cells.
 
-    ``swept`` kinds sweep a count (segments or users); the others run one
-    cell per drop, with sweep (0,).
+    ``scene`` maps (spec, sweep value) to its (M, L, K); a kind without one
+    runs one cell per drop, with sweep (0,), on the spec's own.  ``oracles``
+    pairs each AO run with its joint oracle; ``traces`` emits MSE traces.
     """
 
     command: str
     x_label: str
-    swept: bool
     defaults: dict
+    scene: Optional[Callable[[ExperimentSpec, float], tuple[int, float, int]]] = None
+    oracles: bool = False
+    traces: bool = False
+
+    @property
+    def swept(self) -> bool:
+        return self.scene is not None
 
 
 KINDS = {
-    "sweep-m-fixed-L": Kind("sweep-m", "number of segments M", True, {"sweep": tuple(range(1, 11))}),
-    "sweep-m-fixed-span": Kind(
-        "sweep-m-span", "number of segments M (span fixed)", True, {"sweep": (1, 2, 5, 10, 20)}
-    ),
-    "sweep-k": Kind(
-        "sweep-k", "number of users K", True, {"sweep": tuple(range(2, 21, 2)), "d_x": 50.0}
-    ),
-    "convergence": Kind(
-        "convergence", "iteration", False, {"sweep": (0,), "d_x": 50.0, "schemes": ("SA1", "SA2")}
-    ),
-    "oracle-check": Kind("oracle-check", "instance", False, {
+    "sweep-m-fixed-L": Kind("sweep-m", "number of segments M", {"sweep": tuple(range(1, 11))},
+                            lambda spec, v: (int(v), spec.seg_length, spec.k_users)),
+    "sweep-m-fixed-span": Kind("sweep-m-span", "number of segments M (span fixed)",
+                               {"sweep": (1, 2, 5, 10, 20)},
+                               lambda spec, v: (int(v), spec.d_x / int(v), spec.k_users)),
+    "sweep-k": Kind("sweep-k", "number of users K", {"sweep": tuple(range(2, 21, 2)), "d_x": 50.0},
+                    lambda spec, v: (spec.m_segments, spec.seg_length, int(v))),
+    "convergence": Kind("convergence", "iteration",
+                        {"sweep": (0,), "d_x": 50.0, "schemes": ("SA1", "SA2")}, traces=True),
+    "oracle-check": Kind("oracle-check", "instance", {
         "sweep": (0,), "m_segments": 2, "q_grid": 20, "k_users": 3, "n_drops": 20,
         "schemes": ("SA1", "SA2"), "seg_length": 1.0,
-    }),
+    }, oracles=True),
 }
 
 # Integer fields and their minimums (None: any integer).
@@ -162,24 +168,25 @@ class ExperimentSpec:
                     f"{self.kind} experiments take no restarts, design_kappa or sweep, got "
                     f"restarts={self.restarts}, design_kappa={self.design_kappa}, sweep={self.sweep}"
                 )
-        if self.kind == "oracle-check":
+        if KINDS[self.kind].oracles:
             if self.m_segments != 2:
-                raise ConfigError("oracle-check experiments require m_segments = 2")
+                raise ConfigError(f"{self.kind} experiments require m_segments = 2")
             # each segment's candidates are its q_grid points and its midpoint
             n_tuples = (self.q_grid + 1) ** self.m_segments
             if n_tuples > MAX_JOINT_TUPLES:
-                raise ConfigError(f"oracle-check's joint grid of {n_tuples} tuples exceeds the "
+                raise ConfigError(f"{self.kind}'s joint grid of {n_tuples} tuples exceeds the "
                                   f"oracles' cap of {MAX_JOINT_TUPLES}; lower q_grid")
         self._check_scenes()
 
     def _check_scenes(self) -> None:
         """Fail now on a sweep value whose scene, radio config or AO start a run would refuse.
 
-        It checks the layouts ``_sweep_layouts`` gives the run, and the
-        configs of ``run_configs``, whose ``RadioConfig`` refuses a kappa or
-        design kappa that is not finite and non-negative.  SA1 and SA2 start
-        from every PA at its segment midpoint, so under each run config that
-        start must pass ``require_feasible``, the check the run makes.
+        It checks each distinct layout ``_sweep_layouts`` gives the run once,
+        naming the first sweep value that uses it, and the configs of
+        ``run_configs``, whose ``RadioConfig`` refuses a kappa or design
+        kappa that is not finite and non-negative.  SA1 and SA2 start from
+        every PA at its segment midpoint, so under each run config that start
+        must pass ``require_feasible``, the check the run makes.
         """
         if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
@@ -188,8 +195,10 @@ class ExperimentSpec:
                 f"{self.kind} sweep values must be integers >= 1, got {self.sweep}"
             )
         try:
-            layouts = _sweep_layouts(self, ServiceRegion(self.d_x, self.d_y))
-            for value, (layout, _) in layouts.items():
+            layouts: dict = {}  # each distinct layout once, with the first sweep value using it
+            for v, (lay, _) in _sweep_layouts(self, ServiceRegion(self.d_x, self.d_y)).items():
+                layouts.setdefault(id(lay), (v, lay))
+            for value, layout in layouts.values():
                 lo, hi = layout.span
                 # every user-to-PA squared distance is at most this sum
                 reach = max(hi, self.d_x) - min(lo, 0.0)
@@ -199,7 +208,7 @@ class ExperimentSpec:
                                      "its squared distances overflow")
             configs = self.run_configs()
             if {"SA1", "SA2"} & set(self.schemes):
-                for value, (layout, _) in layouts.items():
+                for value, layout in layouts.values():
                     start = Placement("SA1", layout.midpoints)
                     for cfg in configs:
                         try:
@@ -232,7 +241,11 @@ class ExperimentSpec:
         scenarios = tuple((kappa, self.radio_config(kappa)) for kappa in self.kappa_db_per_m)
         if self.design_kappa is None:
             return {cfg: ((kappa, cfg),) for kappa, cfg in scenarios}
-        return {self.radio_config(self.design_kappa): scenarios}
+        try:
+            design = self.radio_config(self.design_kappa)
+        except ValueError as exc:  # RadioConfig names the field kappa
+            raise ValueError(f"design_kappa: {exc}") from None
+        return {design: scenarios}
 
 
 @dataclass(frozen=True)
@@ -396,15 +409,8 @@ def parse_config(
 
 def _sweep_scene_params(spec: ExperimentSpec, sweep_value: float) -> tuple[int, float, int]:
     """Resolve (m_segments, seg_length, k_users) for one sweep value."""
-    if spec.kind == "sweep-m-fixed-L":
-        m = int(sweep_value)
-        return m, spec.seg_length, spec.k_users
-    if spec.kind == "sweep-m-fixed-span":
-        m = int(sweep_value)
-        return m, spec.d_x / m, spec.k_users
-    if spec.kind == "sweep-k":
-        return spec.m_segments, spec.seg_length, int(sweep_value)
-    return spec.m_segments, spec.seg_length, spec.k_users
+    scene = KINDS[spec.kind].scene
+    return scene(spec, sweep_value) if scene else (spec.m_segments, spec.seg_length, spec.k_users)
 
 
 def _sweep_layouts(spec: ExperimentSpec, region: ServiceRegion) -> dict:
@@ -464,8 +470,8 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
     K users gives, and every sweep value, scheme, and kappa sees the same
     drops.  ``spec.run_configs()`` decides the runs: one per kappa, or
     with ``design_kappa`` set one under the design config whose placement
-    each kappa's row re-evaluates.  For oracle-check every AO run is
-    followed by its joint oracle run, whose scheme name is suffixed
+    each kappa's row re-evaluates.  For oracle-check (``oracles``) every AO
+    run is followed by its joint oracle run, whose scheme name is suffixed
     "-oracle".  Every run on a (drop, sweep value) reads one grid table,
     built for the run configs.  When consecutive sweep values share a
     layout (sweep-k's K), the next table takes over the last one's blocks,
@@ -486,7 +492,7 @@ def _cells(spec: ExperimentSpec) -> Iterator[tuple[ResultRow, RunRecord]]:
             prior = grids if grids is not None and grids.scene.layout is layout else None
             grids = DropGrids(scene, spec.q_grid, tuple(serves), prior)
             for scheme in spec.schemes:
-                tags = (scheme, scheme + "-oracle") if spec.kind == "oracle-check" else (scheme,)
+                tags = (scheme, scheme + "-oracle") if KINDS[spec.kind].oracles else (scheme,)
                 for run_cfg, scenarios in serves.items():
                     for tag in tags:
                         t0 = time.perf_counter()
@@ -518,14 +524,14 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     Rows nest as (drop, sweep value, scheme, kappa); for oracle-check each
     AO row is followed by its "-oracle" row.  Sweep-k draws each drop's
     users once and reuses their gain columns from one K to the next.  For
-    convergence the rows are per-iteration MSE traces instead, emitted
+    convergence (``traces``) the rows are per-iteration MSE traces, emitted
     iteration-major with sweep_value carrying the iteration index and
     ``elapsed`` only on iteration 0.  Traces shorter than the longest one
     are padded with their final value (the optimizer would hold that MSE if
     swept further), keeping every iteration's aggregate over the same
     number of drops.
     """
-    if spec.kind != "convergence":
+    if not KINDS[spec.kind].traces:
         return [row for row, _ in _cells(spec)]
     runs = list(_cells(spec))
     max_len = max(len(rec.mse_trace) for _, rec in runs)

@@ -153,7 +153,13 @@ def test_infinite_kappa_is_a_config_error(tmp_path, capsys):
 
 
 def test_nan_design_kappa_is_a_config_error(tmp_path, capsys):
-    _rejected_before_work(tmp_path, capsys, "sweep-k", "--design-kappa", "nan")
+    """A bad design kappa is named as such; a bad --kappa keeps RadioConfig's own message."""
+    err = _rejected_before_work(tmp_path, capsys, "sweep-k", "--sweep", "2", "--design-kappa", "nan")
+    assert "config error: design_kappa: kappa must be finite, got nan" in err
+    err = _rejected_before_work(tmp_path, capsys, "sweep-k", "--sweep", "2", "--design-kappa", "-1")
+    assert "config error: design_kappa: kappa must be >= 0, got -1.0" in err
+    err = _rejected_before_work(tmp_path, capsys, "sweep-k", "--sweep", "2", "--kappa", "-1")
+    assert "config error: kappa must be >= 0, got -1.0" in err
 
 
 def test_oracle_check_grid_over_the_oracles_cap_is_a_config_error(tmp_path, capsys):

@@ -106,29 +106,47 @@ def test_a_drops_first_users_do_not_depend_on_how_many_are_drawn():
                 assert draws[k].tobytes() == draws[big][:k].tobytes(), (seed, k, big)
 
 
-@pytest.mark.parametrize("kind,sweep", [("sweep-k", "2,3,5"), ("sweep-m-fixed-L", "1,3")])
-def test_the_harness_scene_of_each_drop_and_sweep_value_is_a_fresh_draw(monkeypatch, kind, sweep):
-    """Each (drop, sweep value) scene holds the users a draw of its K users gives."""
+def _own_scene(spec, v):
+    return spec.m_segments, spec.seg_length, spec.k_users
+
+
+@pytest.mark.parametrize("kind,overrides,want", [
+    pytest.param("sweep-k", {"sweep": "2,3,5", "schemes": "SS"},
+                 lambda spec, v: (spec.m_segments, spec.seg_length, v), id="sweep-k-2,3,5"),
+    pytest.param("sweep-m-fixed-L", {"sweep": "1,3", "schemes": "SS"},
+                 lambda spec, v: (v, spec.seg_length, spec.k_users), id="sweep-m-fixed-L-1,3"),
+    pytest.param("sweep-m-fixed-span", {"sweep": "1,3", "schemes": "SS"},
+                 lambda spec, v: (v, spec.d_x / v, spec.k_users), id="sweep-m-fixed-span-1,3"),
+    pytest.param("convergence", {"schemes": "SA1"}, _own_scene, id="convergence"),
+    pytest.param("oracle-check", {"schemes": "SA1"}, _own_scene, id="oracle-check"),
+])
+def test_the_harness_scene_of_each_drop_and_sweep_value_is_a_fresh_draw(
+    monkeypatch, kind, overrides, want
+):
+    """Each (drop, sweep value) scene has the kind's (M, L, K), L bit for bit,
+    and holds the users a draw of its K users gives."""
     from swan_aircomp import harness
 
     seen = []
 
     def recorded(tag, cfg, scene, spec, drop, grids, _run=harness._run):
-        seen.append((drop, scene))
+        if not seen or seen[-1][1] is not scene:  # an oracle run shares its AO run's scene
+            seen.append((drop, scene))
         return _run(tag, cfg, scene, spec, drop, grids)
 
     monkeypatch.setattr(harness, "_run", recorded)
     spec = sa.parse_config(kind=kind, overrides={
-        "sweep": sweep, "n_drops": 3, "k_users": 4, "m_segments": 2, "q_grid": 10,
-        "schemes": "SS", "master_seed": 9,
+        "n_drops": 3, "k_users": 4, "m_segments": 2, "q_grid": 10, "master_seed": 9, **overrides,
     })
     harness.run_experiment(spec)
     region = sa.ServiceRegion(spec.d_x, spec.d_y)
-    ks = [harness._sweep_scene_params(spec, v)[2] for v in spec.sweep]
-    assert [(drop, scene.k) for drop, scene in seen] == [(d, k) for d in range(3) for k in ks]
+    wants = [want(spec, v) for v in spec.sweep]
+    got = [(drop, scene.layout.m_segments, scene.layout.seg_length.hex(), scene.k)
+           for drop, scene in seen]
+    assert got == [(d, m, float(seg_len).hex(), k) for d in range(3) for m, seg_len, k in wants]
     for drop, scene in seen:
-        want = sa.sample_users(region, scene.k, sa.derive_seed(spec.master_seed, drop))
-        assert scene.users.positions.tobytes() == want.positions.tobytes()
+        want_users = sa.sample_users(region, scene.k, sa.derive_seed(spec.master_seed, drop))
+        assert scene.users.positions.tobytes() == want_users.positions.tobytes()
 
 
 def test_placement_validation():

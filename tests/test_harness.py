@@ -162,6 +162,24 @@ def test_parse_config_refuses_an_override_naming_another_kind(tmp_path):
     assert parse_config(overrides={"kind": "convergence"}).kind == "convergence"
 
 
+@pytest.mark.parametrize("kind,overrides,want", [
+    # every K shares one layout: 1 layout x 2 run configs
+    ("sweep-k", {"kappa_db_per_m": "0,0.08"}, 2),
+    ("sweep-k", {"kappa_db_per_m": "0,0.08", "design_kappa": 0}, 1),
+    # each M has its own layout: 10 layouts x 2 run configs
+    ("sweep-m-fixed-L", {"kappa_db_per_m": "0,0.08"}, 20),
+])
+def test_parse_config_checks_each_distinct_layouts_start_once_per_run_config(
+    monkeypatch, kind, overrides, want
+):
+    import swan_aircomp.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "require_feasible", lambda cfg, layout, start: calls.append(layout))
+    parse_config(kind=kind, overrides=overrides)
+    assert len(calls) == want
+
+
 def test_parse_config_does_not_truncate_integer_fields():
     with pytest.raises(ConfigError, match="not an integer"):
         parse_config(kind="oracle-check", overrides={"q_grid": 2.7, "n_drops": 1.9, "master_seed": 3.5})

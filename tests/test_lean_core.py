@@ -11,11 +11,14 @@ a definition it finds unreached is one no run can call.
 
 A second scan finds imports that nothing in their module names, in every
 package module but ``__init__`` (whose imports are its exports) and in
-every test module.
+every test module.  A third finds package code that branches on an
+experiment kind's name instead of reading what ``KINDS`` declares for it.
 """
 
 import ast
 from pathlib import Path
+
+from swan_aircomp.harness import KINDS
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "swan_aircomp"
 TESTS = Path(__file__).resolve().parent
@@ -137,3 +140,32 @@ def test_no_module_imports_what_it_does_not_use():
     assert sorted(unused - UNUSED_IMPORTS_ALLOWED) == []
     # an allow-listed import that is used, or gone, is a stale entry
     assert unused >= UNUSED_IMPORTS_ALLOWED
+
+
+def _is_kind(node):
+    return (isinstance(node, ast.Name) and node.id == "kind") or (
+        isinstance(node, ast.Attribute) and node.attr == "kind"
+    )
+
+
+def _kind_names(node):
+    """The ``KINDS`` keys a literal operand spells out: a string, or a tuple, list or set of them."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {i.value for i in items if isinstance(i, ast.Constant) and i.value in KINDS}
+
+
+def kind_name_comparisons():
+    """``module:line`` of each comparison of a ``kind`` name or attribute with a kind's name."""
+    out = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_kind, operands)) and any(_kind_names(o) for o in operands):
+                    out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_package_code_compares_a_kind_with_a_kind_name():
+    """What a kind does is a field of its ``Kind``, not a branch on its name."""
+    assert kind_name_comparisons() == []
