@@ -96,6 +96,16 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, bad value, bad units)."""
 
 
+def _whole_number(name: str, value) -> int:
+    """The one integer rule: ``value`` as an int if it is a whole number, never truncated."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A fully resolved experiment: what to sweep, over what scene, how often.
@@ -132,13 +142,7 @@ class ExperimentSpec:
                 f"unknown experiment kind {self.kind!r}, expected one of {tuple(KINDS)}"
             )
         for name, minimum in _INT_MINIMUMS.items():
-            value = getattr(self, name)
-            whole = isinstance(value, numbers.Integral) or (
-                isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
-            )
-            if isinstance(value, bool) or not whole:
-                raise ConfigError(f"{name} must be a whole number, got {value!r}")
-            value = int(value)
+            value = _whole_number(name, getattr(self, name))
             object.__setattr__(self, name, value)
             if minimum is not None and value < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {value}")
@@ -291,52 +295,34 @@ def _parse_units(units: tuple, value) -> float:
     return float(value)
 
 
-def _parse_number_list(value) -> tuple:
+def _parse_list(value, item) -> tuple:
+    """``item`` of each of a string's comma- or space-separated parts, of one number, or of a list."""
     if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        return tuple(float(p) for p in parts)
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(v) for v in value)
+        value = value.replace(",", " ").split()
+    elif isinstance(value, numbers.Real):
+        value = (value,)
+    return tuple(item(v) for v in value)
 
 
-def _parse_int(value) -> int:
-    """int() that refuses to truncate: 2.7, inf and nan are errors, 3.0 is 3."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
-
-
-def _parse_schemes(value) -> tuple:
-    if isinstance(value, str):
-        items = [p for p in value.replace(",", " ").split() if p]
-    else:
-        items = list(value)
-    out = []
-    for item in items:
-        name = str(item).strip()
-        if name.upper() in ("PASS-BASELINE", "PASS"):
-            name = "PASS"
-        else:
-            name = name.upper()
-        out.append(name)
-    return tuple(out)
+def _scheme_name(item) -> str:
+    name = str(item).strip().upper()
+    return {"PASS-BASELINE": "PASS"}.get(name, name)
 
 
 # Fields with unit or list syntax; every other field parses by its type.
 _VALUE_PARSERS = {
-    "kind": str,
-    "sweep": _parse_number_list,
+    "sweep": functools.partial(_parse_list, item=float),
     "f_c_hz": functools.partial(
         _parse_units, (("ghz", 1e9), ("mhz", 1e6), ("khz", 1e3), ("hz", 1.0))
     ),
     "p_dbm": functools.partial(_parse_units, (("dbm", 1.0),)),
     "noise_dbm": functools.partial(_parse_units, (("dbm", 1.0),)),
-    "kappa_db_per_m": _parse_number_list,
-    "schemes": _parse_schemes,
+    "kappa_db_per_m": functools.partial(_parse_list, item=float),
+    "schemes": functools.partial(_parse_list, item=_scheme_name),
 }
 _TYPE_PARSERS = {
-    int: _parse_int,
+    str: str,
+    int: int,  # a string's digits; _parse_values gives a number to _whole_number
     float: float,
     Optional[float]: lambda v: None if v is None else float(v),
 }
@@ -353,6 +339,10 @@ def _parse_values(values: dict, origin: str) -> dict:
             raise ConfigError(f"bad value for {key!r}: {value!r} (a boolean is not a number)")
         if isinstance(value, dict):
             raise ConfigError(f"bad value for {key!r}: {value!r} (a JSON object is not a value)")
+        if key in _INT_MINIMUMS and isinstance(value, numbers.Real):
+            # checked here too: a later source may override it before the spec sees it
+            out[key] = _whole_number(key, value)
+            continue
         try:
             parse = _VALUE_PARSERS.get(key) or _TYPE_PARSERS[_FIELD_TYPES[key]]
             out[key] = parse(value)
@@ -373,9 +363,10 @@ def parse_config(
     ExperimentSpec field names exactly; unknown keys are rejected.  File and
     override values parse alike, strings included: a field parses by its
     type, except for the unit conveniences: f_c_hz accepts strings like
-    "28 GHz"; p_dbm and noise_dbm accept "10 dBm"; kappa_db_per_m and sweep
-    accept scalars, lists, or comma-separated strings.  A file or an
-    override naming a kind other than one named before it is an error.
+    "28 GHz"; p_dbm and noise_dbm accept "10 dBm"; kappa_db_per_m, sweep
+    and schemes accept one value, a list, or a comma- or space-separated
+    string.  A file or an override naming a kind other than one named
+    before it is an error.
     """
     file_values: dict = {}
     if path is not None:

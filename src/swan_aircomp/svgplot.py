@@ -38,6 +38,14 @@ def _expand(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
+def _text(x, y, body: str, style: str) -> str:
+    return f'<text x="{x}" y="{y}" {style}>{body}</text>'
+
+
 def render_line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     x_label: str = "",
@@ -75,23 +83,16 @@ def render_line_chart(
     ]
 
     # axes and ticks
-    parts.append(
-        f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" stroke="#333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" stroke="#333" stroke-width="1"/>'
-    )
+    axis = 'stroke="#333" stroke-width="1"'
+    tick = 'text-anchor="{}" font-family="sans-serif" font-size="11" fill="#333"'
+    parts.append(_line(px0, py0, px1, py0, axis))
+    parts.append(_line(px0, py0, px0, py1, axis))
     n_ticks = 5
     for i in range(n_ticks):
         xv = x_lo + (x_hi - x_lo) * i / (n_ticks - 1)
-        xp = sx(xv)
-        parts.append(
-            f'<line x1="{_fmt(xp)}" y1="{py0}" x2="{_fmt(xp)}" y2="{py0 + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(xp)}" y="{py0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#333">{_tick_label(xv)}</text>'
-        )
+        xp = _fmt(sx(xv))
+        parts.append(_line(xp, py0, xp, py0 + 5, 'stroke="#333"'))
+        parts.append(_text(xp, py0 + 20, _tick_label(xv), tick.format("middle")))
     if log_y:
         lo_dec = math.floor(y_lo)
         hi_dec = math.ceil(y_hi)
@@ -104,30 +105,17 @@ def render_line_chart(
         tick_vals = [y_lo + (y_hi - y_lo) * i / (n_ticks - 1) for i in range(n_ticks)]
     for tv in tick_vals:
         yp = sy(tv)
-        parts.append(
-            f'<line x1="{px0 - 5}" y1="{_fmt(yp)}" x2="{px0}" y2="{_fmt(yp)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<line x1="{px0}" y1="{_fmt(yp)}" x2="{px1}" y2="{_fmt(yp)}" '
-            f'stroke="#ddd" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{px0 - 9}" y="{_fmt(yp + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#333">{_tick_label(tv)}</text>'
-        )
+        parts.append(_line(px0 - 5, _fmt(yp), px0, _fmt(yp), 'stroke="#333"'))
+        parts.append(_line(px0, _fmt(yp), px1, _fmt(yp), 'stroke="#ddd" stroke-width="0.5"'))
+        parts.append(_text(px0 - 9, _fmt(yp + 4), _tick_label(tv), tick.format("end")))
 
     # axis labels
+    caption = 'text-anchor="middle" font-family="sans-serif" font-size="13" fill="#222"'
     if x_label:
-        parts.append(
-            f'<text x="{(px0 + px1) / 2:.2f}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="#222">{x_label}</text>'
-        )
+        parts.append(_text(_fmt((px0 + px1) / 2), HEIGHT - 14, x_label, caption))
     if y_label:
-        parts.append(
-            f'<text x="18" y="{(py0 + py1) / 2:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="#222" '
-            f'transform="rotate(-90 18 {(py0 + py1) / 2:.2f})">{y_label}</text>'
-        )
+        ym = _fmt((py0 + py1) / 2)
+        parts.append(_text(18, ym, y_label, f'{caption} transform="rotate(-90 18 {ym})"'))
 
     # series
     for idx, (label, xs, ys) in enumerate(series):
@@ -144,16 +132,10 @@ def render_line_chart(
     # legend
     lx = px1 + 14
     for idx, (label, _, _) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
         ly = MARGIN_TOP + 10 + idx * 20
-        parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12" fill="#222">{label}</text>'
-        )
+        color = PALETTE[idx % len(PALETTE)]
+        parts.append(_line(lx, ly, lx + 22, ly, f'stroke="{color}" stroke-width="2.5"'))
+        parts.append(_text(lx + 28, ly + 4, label, 'font-family="sans-serif" font-size="12" fill="#222"'))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -6,6 +6,7 @@ import pytest
 
 from swan_aircomp.geometry import Scene, ServiceRegion, build_layout, sample_users
 from swan_aircomp.harness import (
+    _INT_MINIMUMS,
     AggregateRow,
     ConfigError,
     ExperimentSpec,
@@ -181,10 +182,57 @@ def test_parse_config_checks_each_distinct_layouts_start_once_per_run_config(
 
 
 def test_parse_config_does_not_truncate_integer_fields():
-    with pytest.raises(ConfigError, match="not an integer"):
+    with pytest.raises(ConfigError, match="q_grid must be a whole number, got 2.7"):
         parse_config(kind="oracle-check", overrides={"q_grid": 2.7, "n_drops": 1.9, "master_seed": 3.5})
     spec = parse_config(kind="oracle-check", overrides={"q_grid": 25.0, "n_drops": "3"})
     assert (spec.q_grid, spec.n_drops) == (25, 3)
+
+
+@pytest.mark.parametrize("field", sorted(_INT_MINIMUMS))
+def test_an_integer_field_has_one_whole_number_rule(tmp_path, field):
+    """A file value, an override and a constructor argument meet the spec's one check.
+
+    A file value is checked even when an override replaces it, as a file
+    value that does not parse is.
+    """
+    base = {"kind": "sweep-k", "sweep": (2,), "n_drops": 1, "q_grid": 20, "schemes": ("SS",)}
+    for value in (2.7, float("inf"), float("nan")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))  # inf and nan as JSON's Infinity and NaN
+        messages = []
+        for build in (lambda: parse_config(path, kind="sweep-k"),
+                      lambda: parse_config(path, kind="sweep-k", overrides={field: "3"}),
+                      lambda: parse_config(kind="sweep-k", overrides={field: value}),
+                      lambda: ExperimentSpec(**{**base, field: value})):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            messages.append(str(exc.value))
+        assert messages == [f"{field} must be a whole number, got {value!r}"] * 4
+    # a string goes through int(): its digits are the number, a decimal point is refused
+    with pytest.raises(ConfigError, match=f"bad value for '{field}': '3.0'"):
+        parse_config(kind="sweep-k", overrides={field: "3.0"})
+    spec = parse_config(kind="sweep-k", overrides={**base, field: "3"})
+    assert getattr(spec, field) == 3
+
+
+@pytest.mark.parametrize("field,items,want", [
+    ("sweep", ("2", "4"), (2.0, 4.0)),
+    ("kappa_db_per_m", ("0", "0.08"), (0.0, 0.08)),
+    ("schemes", ("ss", "pass-baseline"), ("SS", "PASS")),
+])
+def test_list_fields_share_one_syntax(tmp_path, field, items, want):
+    a, b = items
+    forms = [f"{a},{b}", f"{a} {b}", f" {a} , {b} ", [a, b]]
+    if field != "schemes":  # a JSON number is a value too
+        forms.append([float(a), float(b)])
+    for form in forms:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: form}))
+        assert getattr(parse_config(path, kind="sweep-k"), field) == want
+        assert getattr(parse_config(kind="sweep-k", overrides={field: form}), field) == want
+    assert getattr(parse_config(kind="sweep-k", overrides={field: a}), field) == want[:1]
+    if field != "schemes":
+        assert getattr(parse_config(kind="sweep-k", overrides={field: float(a)}), field) == want[:1]
 
 
 @pytest.mark.parametrize(

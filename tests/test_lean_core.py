@@ -9,10 +9,13 @@ is and its name is referenced (a dunder method comes with its class).
 Matching is by name alone, so the scan can only over-read what is reached:
 a definition it finds unreached is one no run can call.
 
-A second scan finds imports that nothing in their module names, in every
-package module but ``__init__`` (whose imports are its exports) and in
-every test module.  A third finds package code that branches on an
-experiment kind's name instead of reading what ``KINDS`` declares for it.
+A second scan finds the private names (``_name``) an entry module defines
+at top level that no package module reads: a helper only tests call, or
+one a change left behind.  A third finds imports that nothing in their
+module names, in every package module but ``__init__`` (whose imports are
+its exports) and in every test module.  A fourth finds package code that
+branches on an experiment kind's name instead of reading what ``KINDS``
+declares for it.
 """
 
 import ast
@@ -96,6 +99,34 @@ def test_every_core_definition_is_reached_by_a_run():
     assert sorted(unreached - ALLOWED) == []
     # an allow-listed name that a run reaches, or that is gone, is a stale entry
     assert unreached >= ALLOWED
+
+
+def unread_entry_privates():
+    """``module.name`` of each top-level ``_name`` in an entry module that no package module reads."""
+    read = set()
+    for path in PKG.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    out = set()
+    for m in ENTRIES:
+        for stmt in _tree(m).body:
+            if isinstance(stmt, _DEFS):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            out.update(f"{m}.{n}" for n in names
+                       if n.startswith("_") and not n.startswith("__") and n not in read)
+    return out
+
+
+def test_every_entry_module_private_is_read_by_the_package():
+    assert sorted(unread_entry_privates()) == []
 
 
 def test_only_the_package_init_imports_audit():
