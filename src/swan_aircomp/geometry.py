@@ -9,7 +9,6 @@ activated per segment at a point psi with feed_x[m] <= psi <= feed_x[m] + L.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -247,9 +246,11 @@ def validate_placement(
 ) -> list[Violation]:
     """Report every violated placement rule; an empty list means feasible.
 
-    Rules: each PA must sit on its own segment, and any two PAs must be at
-    least ``delta_min`` apart.  A placement without a segment index (SA1,
-    SA2) must carry one PA per segment of ``layout``.
+    Rules: each PA must sit on its own segment, and each PA must be at least
+    ``delta_min`` from the next PA in segment order.  A placement without a
+    segment index (SA1, SA2) must carry one PA per segment of ``layout``.
+    Segments run left to right, so PAs on their segments are in position
+    order and only consecutive ones can be closer than ``delta_min``.
     """
     on_segments = list(zip(placement.segments, placement.pa_x.tolist()))
     if placement.segment is None and len(on_segments) != layout.m_segments:
@@ -264,7 +265,7 @@ def validate_placement(
             violations.append(
                 Violation("out_of_segment", (m,), f"pa_x={x} outside [{lo}, {hi}]")
             )
-    for (m, x), (mp, xp) in itertools.combinations(on_segments, 2):
+    for (m, x), (mp, xp) in zip(on_segments, on_segments[1:]):
         gap = abs(x - xp)
         if gap < delta_min:
             violations.append(
@@ -293,20 +294,10 @@ def feasible_grid(
     """Grid points on ``segment`` at least ``delta_min`` from every fixed PA.
 
     May be empty; callers keep the incumbent position in that case.  No run
-    calls it (the AO masks its grids with ``spacing_mask``): it is the tests'
-    reference filter, and perfbench's probe wraps the name ``optimizers``
-    imports it under.
+    calls it (the AO masks its grids against the neighbouring PAs alone): it
+    is the tests' all-pairs reference filter, and perfbench's probe wraps
+    the name ``optimizers`` imports it under.
     """
     pts = grid_points(layout, segment, q)
-    return pts[spacing_mask(pts, other_pa_x, delta_min)]
-
-
-def spacing_mask(
-    pts: np.ndarray, other_pa_x: Sequence[float], delta_min: float
-) -> np.ndarray:
-    """Boolean mask of the points at least ``delta_min`` from every fixed PA."""
-    others = np.atleast_1d(np.asarray(other_pa_x, dtype=float))
-    if others.size == 0:
-        return np.ones(len(pts), dtype=bool)
-    # a row per fixed PA: numpy reduces across rows far faster than along a short axis
-    return np.abs(pts[None, :] - others[:, None]).min(axis=0) >= delta_min
+    others = np.asarray(other_pa_x, dtype=float).reshape(-1)
+    return pts[(np.abs(pts[:, None] - others) >= delta_min).all(axis=1)]

@@ -86,6 +86,11 @@ KINDS = {
     }, oracles=True),
 }
 
+# The largest drop table a config may ask for, in bytes per run config:
+# 16 (M + 1)(Q + 1) K, a complex gain per block row and user (M segment
+# blocks and the PASS block, each Q grid points and a midpoint).
+MAX_TABLE_BYTES = 2 << 30
+
 # Integer fields and their minimums (None: any integer).
 _INT_MINIMUMS = {
     "n_drops": 1, "master_seed": None, "k_users": 1, "m_segments": 1, "q_grid": 2, "restarts": 0,
@@ -190,7 +195,9 @@ class ExperimentSpec:
         ``run_configs``, whose ``RadioConfig`` refuses a kappa or design
         kappa that is not finite and non-negative.  SA1 and SA2 start from
         every PA at its segment midpoint, so under each run config that start
-        must pass ``require_feasible``, the check the run makes.
+        must pass ``require_feasible``, the check the run makes.  Before any
+        layout is built, a sweep value whose drop table would exceed
+        ``MAX_TABLE_BYTES`` is refused.
         """
         if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
@@ -198,6 +205,15 @@ class ExperimentSpec:
             raise ConfigError(
                 f"{self.kind} sweep values must be integers >= 1, got {self.sweep}"
             )
+        for value in self.sweep:
+            m, _, k = _sweep_scene_params(self, value)
+            size = 16.0 * (m + 1) * (self.q_grid + 1) * k  # a float: M, Q, K may reach 1e308
+            if size > MAX_TABLE_BYTES:
+                raise ConfigError(
+                    f"a drop's gain table at sweep value {value:g} would take {size / 2**30:.3g} GiB "
+                    f"per run config (M = {m:g}, Q = {self.q_grid:g}, K = {k:g}), over the bound "
+                    f"of {MAX_TABLE_BYTES / 2**30:g} GiB; lower M, Q or K"
+                )
         try:
             layouts: dict = {}  # each distinct layout once, with the first sweep value using it
             for v, (lay, _) in _sweep_layouts(self, ServiceRegion(self.d_x, self.d_y)).items():

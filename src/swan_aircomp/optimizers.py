@@ -15,16 +15,19 @@ SA1 and SA2 keep an update only when it does not raise the MSE, so their
 recorded MSE traces never increase.  The SS trace is (best midpoint probe,
 grid minimum on that segment) and can rise, because the grid need not
 contain the midpoint.  ``evaluations`` counts objective evaluations, one per
-candidate probed (for the closed-form phase update: its two stationary
-candidates plus the acceptance check).  An AO position update counts every
-feasible grid point plus the incumbent.  It ranks the feasible rows by a
-screen, one real table of per-row statistics per grid (small grids are
-scored with ``mse_rows`` instead), takes the first best row, and hands it
-to the accept rule.  A spacing mask is built only when a fixed PA lies
-within ``delta_min`` of the grid.  Both AO passes keep a change only if the
-rescored whole channel's MSE did not rise (a step that changes nothing is
-skipped, but still counted), so the recorded MSE is the one
-evaluate_placement recomputes.
+candidate probed (3 for the closed-form phase update: the two stationary
+points of its closed form, of which it returns the maximum, plus the
+acceptance check).  An AO position update counts every feasible grid point
+plus the incumbent.  It ranks the feasible rows by a screen, one real table
+of per-row statistics per grid (small grids are scored with ``mse_rows``
+instead), takes the first best row, and hands it to the accept rule.  The
+one spacing rule is that each PA is at least ``delta_min`` from the next PA
+in segment order: segments run left to right, so only PAs m - 1 and m + 1
+can come that close to segment m's grid, and a spacing mask is built only
+when one of them does.  Both AO passes keep a change only if the rescored
+whole channel's MSE did not rise (a step that changes nothing is skipped,
+but still counted), so the recorded MSE is the one evaluate_placement
+recomputes.
 The joint oracles count every feasible (position tuple, rotation) pair.
 SA1 scores every feasible tuple.  SA2 scores, per feasible tuple, the two
 grid phases around the tuple's closed-form best phase, one of which is its
@@ -39,7 +42,6 @@ module holds only what a run executes: the audit forms of single steps and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,7 +61,6 @@ from .geometry import (
     Placement,
     Scene,
     feasible_grid,  # no caller here; perfbench's probe wraps optimizers.feasible_grid
-    spacing_mask,
 )
 from .metrics import mse_rows
 from .rng import philox_stream
@@ -197,8 +198,9 @@ def _phase_solution(
 
     The objective is a ratio of two sinusoids in theta; its stationary points
     solve coef_a * sin(theta) + coef_b * cos(theta) = xi, giving at most two
-    candidates phi +- arccos(xi / r_norm).  The better candidate is returned
-    (ties toward the smaller angle); a degenerate system returns the incumbent.
+    candidates phi +- arccos(xi / r_norm).  phi - arccos(xi / r_norm) is the
+    maximum (``_phase_cells`` derives why) and is returned; a degenerate
+    system returns the incumbent.
     ``sum_a`` and ``a_sq`` are a's terms ``_a_terms(a)``, which the AO keeps
     while a is unchanged; ``audit._closed_form_phase`` recomputes every
     intermediate of its audit record from the same formulas.
@@ -216,19 +218,8 @@ def _phase_solution(
         return _wrap_phase(theta_current)
     # 4 |beta| |delta| sin(q - p) = 4 Im(C * conj(A * conj(B)))
     xi = 4.0 * (cap_c * ab.conjugate()).imag
-    phi_ang = math.atan2(coef_a, coef_b)
     spread = math.acos(min(1.0, max(-1.0, xi / r_norm)))
-    th1 = _wrap_phase(phi_ang + spread)
-    th2 = _wrap_phase(phi_ang - spread)
-    rot1 = complex(math.cos(th1), math.sin(th1))
-    rot2 = complex(math.cos(th2), math.sin(th2))
-    f1 = (alpha + 2.0 * (ab * rot1).real) / (gamma + 2.0 * (cap_c * rot1).real)
-    f2 = (alpha + 2.0 * (ab * rot2).real) / (gamma + 2.0 * (cap_c * rot2).real)
-    if f1 > f2:
-        return th1
-    if f2 > f1:
-        return th2
-    return min(th1, th2)
+    return _wrap_phase(math.atan2(coef_a, coef_b) - spread)
 
 
 def _a_terms(a: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -276,7 +267,7 @@ class _AOState:
       by the first phase step that needs it, and dropped whenever
       ``unphased[m]`` changes, an undo included;
     * ``psi_list``, the PA positions as Python floats, which the spacing
-      shortcut reads.
+      check reads.
 
     ``unphased_rows`` and ``share_rows`` are row views of ``unphased`` and
     ``shares``, made once, so a step indexes neither array to read or
@@ -326,16 +317,20 @@ class _AOState:
         return _phase_solution(a, *self.a_terms[m], self._rest(m), self.noise_over_p, float(self.thetas[m]))
 
     def _spacing(self, m: int, pts: np.ndarray) -> tuple[Optional[np.ndarray], int]:
-        """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count."""
+        """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count.
+
+        Only PA m - 1 on the left and PA m + 1 on the right are read: the
+        other PAs lie beyond them, already ``delta_min`` apart.
+        """
         delta = self.cfg.delta_min
-        lo, hi = float(pts[0]), float(pts[-1])
-        for j, x in enumerate(self.psi_list):
-            # a fixed PA delta_min clear of the grid's nearer end is clear of
-            # every grid point (rounding is monotone), so it needs no mask
-            if j != m and not (lo - x >= delta or x - hi >= delta):
-                feasible = spacing_mask(pts, self.psis[self.others[m]], delta)
-                return feasible, int(np.count_nonzero(feasible))
-        return None, pts.size
+        left = self.psi_list[m - 1] if m > 0 else -math.inf
+        right = self.psi_list[m + 1] if m + 1 < len(self.psi_list) else math.inf
+        # a neighbour delta_min clear of the grid's nearer end is clear of
+        # every grid point (rounding is monotone), so it needs no mask
+        if float(pts[0]) - left >= delta and right - float(pts[-1]) >= delta:
+            return None, pts.size
+        feasible = (pts - left >= delta) & (right - pts >= delta)
+        return feasible, int(np.count_nonzero(feasible))
 
     def position_step(
         self, m: int, pts: np.ndarray, gains: np.ndarray, table: Optional[np.ndarray]
@@ -602,13 +597,14 @@ def _joint_scan(
     ``DropGrids.joint`` builds them, and ``rot`` the rotations
     e^{j 2 pi r / R}, r = 0 .. R - 1, evenly spaced.  Tuples run over each
     segment's points in itertools.product order, last segment fastest;
-    within a tuple the rotations run in order.  A pair's channel is built
-    as a * rot + r_1 + ... + r_{M-1}, with a segment 0's share row and r_m
-    segment m's, and scored by ``mse_rows``.  The product is share times
-    rotation, the operand order ``segment_shares`` uses: numpy need not
-    round the two orders alike, and in this one the winner's MSE is
-    ``evaluate_placement``'s, bit for bit.  Feasible tuples are gathered
-    up to ``_TUPLE_BLOCK`` at a time; with one rotation (SA1) every
+    within a tuple the rotations run in order.  A tuple is feasible when
+    each position is at least ``delta_min`` past the one before it.  A
+    pair's channel is built as a * rot + r_1 + ... + r_{M-1}, with a
+    segment 0's share row and r_m segment m's, and scored by ``mse_rows``.
+    The product is share times rotation, the operand order
+    ``segment_shares`` uses: numpy need not round the two orders alike,
+    and in this one the winner's MSE is ``evaluate_placement``'s, bit for
+    bit.  Feasible tuples are gathered up to ``_TUPLE_BLOCK`` at a time; with one rotation (SA1) every
     gathered tuple is scored, and with more (SA2) only the two rotations
     ``_phase_cells`` names, of which one is the tuple's best.  A block
     replaces the incumbent only when its first minimum is strictly lower,
@@ -617,22 +613,19 @@ def _joint_scan(
     counted, scored or not.
     """
     points, shares = zip(*cands)
-    m_seg = len(cands)
     shape = tuple(len(pts) for pts in points)
     n_tuples = math.prod(shape)
     if n_tuples > MAX_JOINT_TUPLES:
         raise ValueError(f"joint grid of {n_tuples} tuples is too large")
     n_rot = len(rot)
-    pairs = [list(p) for p in zip(*itertools.combinations(range(m_seg), 2))]
     best = (math.inf, None, 0)
     count = 0
     for start in range(0, n_tuples, _TUPLE_BLOCK):
         idx = np.unravel_index(np.arange(start, min(start + _TUPLE_BLOCK, n_tuples)), shape)
         pos = np.stack([pts[i] for pts, i in zip(points, idx)], axis=1)
-        if m_seg > 1:
-            keep = np.abs(pos[:, pairs[0]] - pos[:, pairs[1]]).min(axis=1) >= cfg.delta_min
-            pos = pos[keep]
-            idx = [i[keep] for i in idx]
+        keep = (np.diff(pos, axis=1) >= cfg.delta_min).all(axis=1)
+        pos = pos[keep]
+        idx = [i[keep] for i in idx]
         count += len(pos) * n_rot
         if not len(pos):
             continue

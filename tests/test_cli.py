@@ -75,15 +75,19 @@ def test_a_log_scale_refused_by_the_plot_writes_no_output(tmp_path, capsys):
 
 
 def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
-    """A run too large to allocate is a runtime failure (exit 2), not a traceback."""
+    """A run too large to allocate is a runtime failure (exit 2), not a traceback;
+    an error without a message is named by its type."""
     import swan_aircomp.cli as cli
 
-    def too_large(*args, **kwargs):
-        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+    for exc, line in ((MemoryError("Unable to allocate 8.00 EiB for an array"),
+                       "error: Unable to allocate 8.00 EiB for an array"),
+                      (MemoryError(), "error: MemoryError")):
+        def too_large(*args, _exc=exc, **kwargs):
+            raise _exc
 
-    monkeypatch.setattr(cli, "execute", too_large)
-    assert main(["sweep-k", "--out-dir", str(tmp_path / "out"), *FAST]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: Unable to allocate 8.00 EiB for an array"]
+        monkeypatch.setattr(cli, "execute", too_large)
+        assert main(["sweep-k", "--out-dir", str(tmp_path / "out"), *FAST]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -376,6 +380,25 @@ def test_bad_integer_and_loop_fields_are_config_errors(tmp_path, capsys, values)
     cfg.write_text(json.dumps(values))
     err = _rejected_before_work(tmp_path, capsys, "oracle-check", "--config", str(cfg))
     assert next(iter(values)) in err
+
+
+@pytest.mark.parametrize("values, refused", [
+    ({"q_grid": 2.5}, True), ({"d_x": "abc"}, True), ({"q_grid": 1}, False), ({"d_x": -5}, False),
+])
+def test_a_file_value_a_flag_overrides_is_checked_for_type_not_range(tmp_path, values, refused):
+    """Under --q 20 --d-x 50, each source is checked for syntax and type as it
+    parses, and ranges are checked once, on the resolved spec: a file value
+    that does not parse is refused, and one out of range but overridden is not."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    args = build_parser().parse_args(["sweep-k", "--config", str(path), "--q", "20", "--d-x", "50"])
+    flags = {"q_grid": args.q_grid, "d_x": args.d_x}
+    if refused:
+        with pytest.raises(ConfigError, match=next(iter(values))):
+            parse_config(path, kind="sweep-k", overrides=flags)
+    else:
+        spec = parse_config(path, kind="sweep-k", overrides=flags)
+        assert (spec.q_grid, spec.d_x) == (20, 50.0)
 
 
 @pytest.mark.parametrize("values", [{"theta_grid": 720}, {"max_iters": 100}, {"tol": 1e-8}],

@@ -12,13 +12,17 @@ and inf, and dBm values of +-400.  Each run must
 * exit 2, from an OSError only.
 
 A second seeded draw of small sweep-k configs checks that every row equals
-its cell run alone on a fresh grid table.
+its cell run alone on a fresh grid table, and configs whose M, Q or K is
+1e300 must exit 1 at once.
 """
 
 import csv
 import json
 import math
 import random
+import time
+
+import pytest
 
 from swan_aircomp import cli, harness
 from conftest import rows_as_run, rows_run_alone
@@ -131,3 +135,31 @@ def test_sweep_k_rows_are_each_cell_run_alone_on_random_configs():
         }
         spec = harness.parse_config(kind="sweep-k", overrides=overrides)
         assert rows_as_run(harness.run_experiment(spec)) == rows_run_alone(spec), overrides
+
+
+@pytest.mark.parametrize("kind, values, flags", [
+    ("sweep-k", {"m_segments": 1e300}, []),
+    ("sweep-m-fixed-L", {"q_grid": 1e300}, []),
+    ("convergence", {"k_users": 1e300}, []),
+    ("oracle-check", {"k_users": 1e300}, []),
+    ("sweep-k", {"sweep": [2, 1e300]}, []),
+    ("sweep-m-fixed-L", {"sweep": [2, 1e300]}, []),
+    ("sweep-m-fixed-L", {}, ["--sweep", "2,1e300"]),
+    ("sweep-m-fixed-span", {"sweep": [1e300]}, []),
+])
+def test_a_scene_too_large_to_lay_out_exits_1_at_once(tmp_path, monkeypatch, capsys, kind, values, flags):
+    """A JSON number 1e300 for M, Q or K (a sweep-m value is an M) is refused
+    within a second by the drop table's size, with no optimizer called and
+    no file written; before the bound, such a config grew until it was killed."""
+    calls = []
+    for name in OPTIMIZERS:
+        monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: calls.append(_name))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    argv = [harness.KINDS[kind].command, "--config", str(path), "--out-dir", str(out), "--quiet", *flags]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and calls == [] and not out.exists()
+    assert "gain table" in capsys.readouterr().err

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import swan_aircomp as sa
+from swan_aircomp.rng import philox_stream
 from conftest import WAVELENGTH
 
 
@@ -237,6 +239,54 @@ def test_validate_placement_single_pa_paths():
         sa.validate_placement(lay, sa.Placement("SS", np.array([49.5]), segment=5), 0.005)
     with pytest.raises(ValueError):
         sa.validate_placement(lay, sa.Placement("SA1", np.array([49.5])), 0.005)
+
+
+def _all_pairs_violations(layout, placement, delta_min):
+    """validate_placement's rules with every PA pair checked for spacing, not just neighbours."""
+    on_segments = list(zip(placement.segments, placement.pa_x.tolist()))
+    violations = []
+    for m, x in on_segments:
+        lo = float(layout.feed_x[m])
+        hi = lo + layout.seg_length
+        if not (lo <= x <= hi):
+            violations.append(sa.Violation("out_of_segment", (m,), f"pa_x={x} outside [{lo}, {hi}]"))
+    for (m, x), (mp, xp) in itertools.combinations(on_segments, 2):
+        gap = abs(x - xp)
+        if gap < delta_min:
+            violations.append(
+                sa.Violation("spacing", (m, mp), f"|pa_x[{m}] - pa_x[{mp}]| = {gap} < {delta_min}")
+            )
+    return violations
+
+
+def test_validate_placement_checks_neighbours_to_the_all_pairs_verdict():
+    """Segments run left to right, so checking each PA against the next one
+    gives the all-pairs verdict: on random SA placements over build_layout
+    layouts (M = 1 to 8, delta_min from 1e-9 L to 2.5 L, some PAs on segment
+    ends and some off their segments) the list is empty exactly when the
+    all-pairs list is, and it is always a subsequence of that list."""
+    g = philox_stream(31)
+    verdicts, shorter = set(), 0
+    for _ in range(3000):
+        m = int(g.integers(1, 9))
+        seg_length = float(10.0 ** g.uniform(-3.0, 1.0))
+        d_x = float(g.choice([0.05, 50.0, 1e4]))
+        layout = sa.build_layout(m, seg_length, sa.ServiceRegion(d_x, 20.0), 3.0)
+        delta = seg_length * float(10.0 ** g.uniform(-9.0, math.log10(2.5)))
+        u = np.where(g.random(m) < 0.3, g.integers(0, 2, m), g.random(m))
+        pa = layout.feed_x + u * seg_length
+        off = g.random(m) < 0.1
+        pa[off] += g.uniform(-2.0, 2.0, int(off.sum())) * seg_length
+        placement = sa.Placement("SA1", pa)
+        got = sa.validate_placement(layout, placement, delta)
+        want = _all_pairs_violations(layout, placement, delta)
+        assert (got == []) == (want == [])
+        rest = iter(want)
+        assert all(v in rest for v in got)
+        verdicts.add(got == [])
+        shorter += len(got) < len(want)
+    # both verdicts occur, and some infeasible placements name fewer spacing pairs
+    assert verdicts == {True, False} and shorter > 0
 
 
 def test_grid_points_endpoints_and_spacing():

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,34 @@ def test_parse_config_does_not_truncate_integer_fields():
         parse_config(kind="oracle-check", overrides={"q_grid": 2.7, "n_drops": 1.9, "master_seed": 3.5})
     spec = parse_config(kind="oracle-check", overrides={"q_grid": 25.0, "n_drops": "3"})
     assert (spec.q_grid, spec.n_drops) == (25, 3)
+
+
+def test_parse_config_checks_a_long_waveguides_spacing_in_well_under_a_second():
+    """The midpoint start's spacing check compares each PA with the next one
+    only, so 20,000 segments parse at once (at Q = 10, which keeps the drop
+    table within MAX_TABLE_BYTES; an all-pairs check took 12.8 s)."""
+    start = time.perf_counter()
+    spec = parse_config(kind="sweep-k", overrides={"m_segments": 20000, "seg_length": 0.01, "q_grid": 10})
+    assert time.perf_counter() - start < 1.0
+    assert spec.m_segments == 20000
+
+
+def test_a_drop_table_over_the_bound_is_refused_before_any_layout(monkeypatch):
+    """The estimate is 16 (M + 1)(Q + 1) K bytes per run config: at the bound a
+    config parses, and a byte below it the first sweep value over it is named."""
+    import swan_aircomp.harness as harness
+
+    layouts = []
+    monkeypatch.setattr(harness, "build_layout", lambda *a: layouts.append(a) or build_layout(*a))
+    overrides = {"m_segments": 5, "q_grid": 20, "sweep": "2,3"}
+    at_k3 = 16 * (5 + 1) * (20 + 1) * 3
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", at_k3 - 1)
+    with pytest.raises(ConfigError, match=r"sweep value 3 .*\(M = 5, Q = 20, K = 3\)"):
+        parse_config(kind="sweep-k", overrides=overrides)
+    assert layouts == []
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", at_k3)
+    parse_config(kind="sweep-k", overrides=overrides)
+    assert len(layouts) == 1
 
 
 @pytest.mark.parametrize("field", sorted(_INT_MINIMUMS))

@@ -548,6 +548,42 @@ def test_default_ao_start_refuses_infeasible_midpoints_before_any_sweep(monkeypa
         assert str(got.value) == str(want.value)
 
 
+def test_ao_neighbour_spacing_mask_is_the_all_pairs_filter(monkeypatch):
+    """The position step masks its grid against PAs m - 1 and m + 1 only.
+
+    On segments just wider than delta_min, from the midpoint start and
+    from random restarts, every step's mask keeps exactly the grid points
+    that ``feasible_grid`` keeps against all the other PAs, and its count
+    is theirs; no mask means every point.
+    """
+    cfg = make_config()
+    q = 40
+    spacing = optimizers._AOState._spacing
+    steps = masked = 0
+    for m_seg in (2, 3, 6):
+        scene = make_scene(m_segments=m_seg, seg_length=cfg.delta_min * 1.05, d_x=20.0, k=5,
+                           seed=derive_seed(31, m_seg))
+
+        def checked(state, m, pts, layout=scene.layout):
+            nonlocal steps, masked
+            mask, count = spacing(state, m, pts)
+            want = sa.feasible_grid(layout, m, q, np.delete(state.psis, m), cfg.delta_min)
+            assert np.array_equal(pts, sa.grid_points(layout, m, q))
+            assert np.array_equal(pts if mask is None else pts[mask], want) and count == want.size
+            steps += 1
+            masked += mask is not None
+            return mask, count
+
+        monkeypatch.setattr(optimizers._AOState, "_spacing", checked)
+        for run, arch in ((sa1_ao, "SA1"), (sa2_ao, "SA2")):
+            for seed in (None, 1, 2, 3):
+                init = None if seed is None else random_init(
+                    scene, arch, derive_seed(32, seed), cfg.delta_min
+                )
+                run(cfg, scene, q, init=init)
+    assert 0 < masked < steps
+
+
 def _full_position_scan(cfg, scene, placement, segment, q):
     """One segment's position update scoring every feasible grid point, then
     the incumbent, in one batch.  Returns (x, MSE, grid points dropped)."""
