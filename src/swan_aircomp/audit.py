@@ -26,7 +26,6 @@ from .optimizers import (
     _grid_search,
     _one_pass,
     _phase_solution,
-    _scan_tables,
     _wrap_phase,
 )
 from .rng import philox_stream
@@ -151,9 +150,10 @@ def sa1_position_update(
     not raise the MSE, else the incumbent's, and the MSE that
     evaluate_placement recomputes for it.  SA2 phases are held fixed.
     """
-    pts, gains, table = _scan_tables(DropGrids(scene, q_grid, (cfg,)), cfg, segment)
-    state = _AOState(cfg, scene, placement)
-    state.position_step(segment, pts, gains, table)
+    if not (0 <= segment < scene.layout.m_segments):
+        raise ValueError(f"segment index {segment} out of range")
+    state = _AOState(cfg, scene, placement, DropGrids(scene, q_grid, (cfg,)))
+    state.position_step(segment)
     return float(state.psis[segment]), state.current
 
 

@@ -216,8 +216,10 @@ def build_layout(
     may overhang the region when M * L > d_x.
     """
     x0 = (region.d_x - m_segments * seg_length) / 2.0
-    # Python floats: numpy's bits, without its warning on an inf seg_length (0 * inf)
-    feeds = [x0 + m * seg_length for m in range(m_segments)]
+    # the bits of Python's x0 + m * seg_length; WaveguideLayout refuses the
+    # inf or nan feeds of an inf seg_length (0 * inf) or an overflowing one
+    with np.errstate(invalid="ignore", over="ignore"):
+        feeds = x0 + np.arange(m_segments) * seg_length
     return WaveguideLayout(m_segments, seg_length, feeds, height)
 
 

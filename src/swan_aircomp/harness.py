@@ -88,7 +88,9 @@ KINDS = {
 
 # The largest drop table a config may ask for, in bytes per run config:
 # 16 (M + 1)(Q + 1) K, a complex gain per block row and user (M segment
-# blocks and the PASS block, each Q grid points and a midpoint).
+# blocks and the PASS block, each Q grid points and a midpoint), plus
+# 8 M (M - 1) when SA1 or SA2 runs, the AO state's (M, M - 1) intp table
+# of the segments but m.
 MAX_TABLE_BYTES = 2 << 30
 
 # Integer fields and their minimums (None: any integer).
@@ -196,8 +198,9 @@ class ExperimentSpec:
         kappa that is not finite and non-negative.  SA1 and SA2 start from
         every PA at its segment midpoint, so under each run config that start
         must pass ``require_feasible``, the check the run makes.  Before any
-        layout is built, a sweep value whose drop table would exceed
-        ``MAX_TABLE_BYTES`` is refused.
+        layout is built, a sweep value whose drop table (with SA1 or SA2,
+        also the AO's index table) would exceed ``MAX_TABLE_BYTES`` is
+        refused.
         """
         if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
@@ -205,14 +208,17 @@ class ExperimentSpec:
             raise ConfigError(
                 f"{self.kind} sweep values must be integers >= 1, got {self.sweep}"
             )
+        ao = bool({"SA1", "SA2"} & set(self.schemes))
         for value in self.sweep:
             m, _, k = _sweep_scene_params(self, value)
-            size = 16.0 * (m + 1) * (self.q_grid + 1) * k  # a float: M, Q, K may reach 1e308
-            if size > MAX_TABLE_BYTES:
+            table = 16.0 * (m + 1) * (self.q_grid + 1) * k  # floats: M, Q, K may reach 1e308
+            index = 8.0 * m * (m - 1) if ao else 0.0
+            if table + index > MAX_TABLE_BYTES:
                 raise ConfigError(
-                    f"a drop's gain table at sweep value {value:g} would take {size / 2**30:.3g} GiB "
-                    f"per run config (M = {m:g}, Q = {self.q_grid:g}, K = {k:g}), over the bound "
-                    f"of {MAX_TABLE_BYTES / 2**30:g} GiB; lower M, Q or K"
+                    f"a drop's gain table at sweep value {value:g} would take {table / 2**30:.3g} GiB "
+                    f"per run config (M = {m:g}, Q = {self.q_grid:g}, K = {k:g})"
+                    + (f" plus {index / 2**30:.3g} GiB for the AO's (M, M - 1) index table" if ao else "")
+                    + f", over the bound of {MAX_TABLE_BYTES / 2**30:g} GiB; lower M, Q or K"
                 )
         try:
             layouts: dict = {}  # each distinct layout once, with the first sweep value using it
@@ -227,7 +233,7 @@ class ExperimentSpec:
                     raise ValueError(f"scene at sweep value {value:g} is too large: "
                                      "its squared distances overflow")
             configs = self.run_configs()
-            if {"SA1", "SA2"} & set(self.schemes):
+            if ao:
                 for value, layout in layouts.values():
                     start = Placement("SA1", layout.midpoints)
                     for cfg in configs:

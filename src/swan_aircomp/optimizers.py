@@ -246,17 +246,19 @@ class _ScreenWork:
 
 
 class _AOState:
-    """The AO's state at a feasible SA placement, its phases taken as given.
+    """The one object an AO run reads: its state at a feasible SA placement, and its scans.
 
     SA1 is SA2 with every phase held at zero: e^{j0} = 1 + 0j leaves every
-    MSE bit as it is.  ``unphased`` is every segment's gain row (M, K)
-    times ``scale`` and ``shares`` is always ``segment_shares(rows,
-    thetas)``: a change to segment m's PA or phase recomputes row m alone,
-    with segment_shares' arithmetic, and a phase change leaves
-    ``unphased[m]`` as it is.  ``others[m]`` is an intp array of the
-    segments but m in order, so ``shares.take(others[m], axis=0)`` stacks
-    the other rows in segment order and rest sums keep their bits.
-    ``current`` is the MSE of the whole channel ``shares.sum(axis=0)``.
+    MSE bit as it is; SA2's phases are wrapped (``_wrap_phase``), so a run
+    returns the placement it scored.  ``unphased`` is every segment's gain
+    row (M, K) times ``scale`` and ``shares`` is always
+    ``segment_shares(rows, thetas)``: a change to segment m's PA or phase
+    recomputes row m alone, with segment_shares' arithmetic, and a phase
+    change leaves ``unphased[m]`` as it is.  ``others[m]`` is row m of one
+    (M, M - 1) intp table, the segments but m in order, so
+    ``shares.take(others[m], axis=0)`` stacks the other rows in segment
+    order and rest sums keep their bits.  ``current`` is the MSE of the
+    whole channel ``shares.sum(axis=0)``.
 
     Per segment it also caches what a step would otherwise recompute, each
     with the bits of its recomputation:
@@ -271,13 +273,15 @@ class _AOState:
 
     ``unphased_rows`` and ``share_rows`` are row views of ``unphased`` and
     ``shares``, made once, so a step indexes neither array to read or
-    write a segment's row.  ``work`` holds the screen's buffers, allocated by the first position
-    step on a grid with a screen table (all of a state's grids have one
-    size), so small grids, scored without a table, allocate none.
+    write a segment's row.  ``scans[m]`` is segment m's grid points, gains
+    and, above ``_FULL_SCAN_SIZE`` gains, screen table from ``grids`` (no
+    scans without it), and ``work`` the screen's buffers, allocated once
+    for grids with tables.
     """
 
     def __init__(
-        self, cfg: RadioConfig, scene: Scene, placement: Placement, rows: Optional[np.ndarray] = None
+        self, cfg: RadioConfig, scene: Scene, placement: Placement,
+        grids: Optional[DropGrids] = None, rows: Optional[np.ndarray] = None,
     ) -> None:
         """``rows``, when given, are the feasible placement's gain rows; else they are built."""
         m_seg = scene.layout.m_segments
@@ -286,7 +290,8 @@ class _AOState:
         self.scale = 1.0 / math.sqrt(m_seg)
         self.psis = placement.pa_x.copy()
         self.psi_list = self.psis.tolist()
-        self.thetas = placement.phases.copy() if placement.architecture == "SA2" else np.zeros(m_seg)
+        phases = placement.phases.tolist() if placement.architecture == "SA2" else [0.0] * m_seg
+        self.thetas = np.array([_wrap_phase(t) for t in phases])
         self.rots = [np.exp(1j * theta) for theta in self.thetas.tolist()]
         if rows is None:
             rows = placement_gains(cfg, scene, placement)
@@ -296,10 +301,13 @@ class _AOState:
         self.share_rows = list(self.shares)
         self.p_tx, self.noise_var = cfg.p_tx, cfg.noise_var
         self.a_terms: list = [None] * m_seg
-        self.others = [
-            np.array([j for j in range(m_seg) if j != m], dtype=np.intp) for m in range(m_seg)
+        idx = np.arange(m_seg - 1, dtype=np.intp)
+        self.others = list(idx + (idx >= np.arange(m_seg)[:, None]))
+        screened = grids is not None and grids.q * scene.k > _FULL_SCAN_SIZE
+        self.scans = [] if grids is None else [
+            (*grids.grid(cfg, m), grids.stats(cfg, m) if screened else None) for m in range(m_seg)
         ]
-        self.work: Optional[_ScreenWork] = None
+        self.work = _ScreenWork(grids.q, scene.k) if screened else None
         self.current = self._mse()
 
     def _mse(self) -> float:
@@ -309,12 +317,14 @@ class _AOState:
         """The other segments' shares summed in segment order: the b of h = b + e^{j theta_m} a."""
         return np.add.reduce(self.shares.take(self.others[m], 0), 0)
 
-    def solve_phase(self, m: int) -> float:
-        """Segment m's closed-form best phase (``_phase_solution``), every other segment frozen."""
+    def phase_step(self, m: int) -> int:
+        """Hand segment m's closed-form best phase (``_phase_solution``) to ``settle``: 3 evaluations."""
         a = self.unphased_rows[m]
         if self.a_terms[m] is None:
             self.a_terms[m] = _a_terms(a)
-        return _phase_solution(a, *self.a_terms[m], self._rest(m), self.noise_over_p, float(self.thetas[m]))
+        theta = _phase_solution(a, *self.a_terms[m], self._rest(m), self.noise_over_p, float(self.thetas[m]))
+        self.settle(m, theta)
+        return 3
 
     def _spacing(self, m: int, pts: np.ndarray) -> tuple[Optional[np.ndarray], int]:
         """Segment m's spacing mask on its grid ``pts`` (None: every point) and its feasible count.
@@ -332,20 +342,16 @@ class _AOState:
         feasible = (pts - left >= delta) & (right - pts >= delta)
         return feasible, int(np.count_nonzero(feasible))
 
-    def position_step(
-        self, m: int, pts: np.ndarray, gains: np.ndarray, table: Optional[np.ndarray]
-    ) -> int:
+    def position_step(self, m: int) -> int:
         """Move segment m's PA to its grid row, every other segment frozen; count the candidates.
 
-        ``pts``, ``gains`` and ``table`` are segment m's ``_scan_tables``,
-        the same on every call.  The row is ``_screened_scan``'s, handed to
+        The row is ``_screened_scan``'s on ``scans[m]``, handed to
         ``settle``, which keeps the move only if the MSE did not rise; when
         the spacing rule leaves no grid point nothing moves.  The count is
         every feasible grid point plus the incumbent.
         """
+        pts, gains, table = self.scans[m]
         feasible, n_feasible = self._spacing(m, pts)
-        if table is not None and self.work is None:
-            self.work = _ScreenWork(*gains.shape)
         row = _screened_scan(
             gains, table, self._rest(m), self.scale * self.rots[m], feasible,
             self.p_tx, self.noise_var, self.work,
@@ -394,14 +400,6 @@ class _AOState:
         np.multiply(self.unphased_rows[m], rot, self.share_rows[m])
 
 
-def _scan_tables(
-    grids: DropGrids, cfg: RadioConfig, segment: int
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """A segment grid's points, gains and, above ``_FULL_SCAN_SIZE`` gains, its screen table."""
-    pts, gains = grids.grid(cfg, segment)
-    return pts, gains, (grids.stats(cfg, segment) if gains.size > _FULL_SCAN_SIZE else None)
-
-
 def _screened_scan(
     gains: np.ndarray,
     table: Optional[np.ndarray],
@@ -417,7 +415,7 @@ def _screened_scan(
     The candidates are h_q = rest + factor * g_q for the rows g_q of
     ``gains`` that ``feasible`` keeps (all of them when None).  A grid
     without ``table`` (one of at most ``_FULL_SCAN_SIZE`` gains, see
-    ``_scan_tables``) scores every row with ``mse_rows``.  Otherwise each
+    ``_AOState``) scores every row with ``mse_rows``.  Otherwise each
     row is screened by its alignment ratio r_q = num_q / den_q, with
     f = factor, b = rest, B = sum b and E_b = sum |b|^2:
     num_q = |f|^2 |S_q|^2 + |B|^2 + 2 Re(f S_q conj(B)) and
@@ -487,13 +485,9 @@ def _ao_engine(
         rows = grids.starts(cfg)
     if init.architecture != architecture:
         raise ValueError(f"expected a {architecture} placement, got {init.architecture}")
+    state = _AOState(cfg, scene, init, grids, rows)
     phased = architecture == "SA2"
-    if phased:
-        # phases wrapped once here, so the placement returned is the one scored
-        init = Placement("SA2", init.pa_x, phases=[_wrap_phase(t) for t in init.phases.tolist()])
-    state = _AOState(cfg, scene, init, rows)
     segments = range(scene.layout.m_segments)
-    scans = [_scan_tables(grids, cfg, m) for m in segments]
 
     evaluations = 1
     trace = [state.current]
@@ -501,10 +495,9 @@ def _ao_engine(
         sweep_start = state.current
         if phased:
             for m in segments:
-                evaluations += 3
-                state.settle(m, state.solve_phase(m))
-        for m, (pts, gains, st) in enumerate(scans):
-            evaluations += state.position_step(m, pts, gains, st)
+                evaluations += state.phase_step(m)
+        for m in segments:
+            evaluations += state.position_step(m)
         trace.append(state.current)
         if sweep_start - state.current < tol:
             break

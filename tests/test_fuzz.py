@@ -13,7 +13,7 @@ and inf, and dBm values of +-400.  Each run must
 
 A second seeded draw of small sweep-k configs checks that every row equals
 its cell run alone on a fresh grid table, and configs whose M, Q or K is
-1e300 must exit 1 at once.
+1e300, or an SA1 config at M = 10^6, must exit 1 at once.
 """
 
 import csv
@@ -146,11 +146,14 @@ def test_sweep_k_rows_are_each_cell_run_alone_on_random_configs():
     ("sweep-m-fixed-L", {"sweep": [2, 1e300]}, []),
     ("sweep-m-fixed-L", {}, ["--sweep", "2,1e300"]),
     ("sweep-m-fixed-span", {"sweep": [1e300]}, []),
+    # a 48 MB gain table, but 8 TB of the AO's index table
+    ("sweep-k", {"m_segments": 1000000, "seg_length": 0.01, "q_grid": 2, "sweep": [1], "schemes": ["SA1"]}, []),
 ])
 def test_a_scene_too_large_to_lay_out_exits_1_at_once(tmp_path, monkeypatch, capsys, kind, values, flags):
-    """A JSON number 1e300 for M, Q or K (a sweep-m value is an M) is refused
-    within a second by the drop table's size, with no optimizer called and
-    no file written; before the bound, such a config grew until it was killed."""
+    """A JSON number 1e300 for M, Q or K (a sweep-m value is an M), or an SA1
+    run at M = 10^6, is refused within a second by the drop table's size
+    (the last by the AO's index table), with no optimizer called and no file
+    written; before the bound, such a config grew until it was killed."""
     calls = []
     for name in OPTIMIZERS:
         monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: calls.append(_name))

@@ -37,6 +37,26 @@ def test_build_layout_allows_overhang():
     assert lay.span == (-10.0, 30.0)
 
 
+def test_build_layout_feeds_are_the_python_float_formula_bitwise():
+    """feed_x is one numpy expression with the bits of x0 + m * L in Python floats.
+
+    Random (M, L, d_x), M up to 10^6, overhanging blocks included; an
+    infinite L, whose feeds would hold 0 * inf, is refused by the layout
+    without a numpy warning.
+    """
+    rng = philox_stream(81)
+    for i in range(12):
+        m_seg = 10 ** 6 if i == 0 else int(rng.integers(1, 5000))
+        seg_length = float(10.0 ** rng.uniform(-4.0, 1.0))
+        d_x = float(10.0 ** rng.uniform(-1.0, 3.0))
+        lay = sa.build_layout(m_seg, seg_length, sa.ServiceRegion(d_x, 20.0), 3.0)
+        x0 = (d_x - m_seg * seg_length) / 2.0
+        assert lay.feed_x.tobytes() == np.array([x0 + m * seg_length for m in range(m_seg)]).tobytes()
+    for m_seg in (1, 3):
+        with pytest.raises(ValueError, match="seg_length must be positive and finite"):
+            sa.build_layout(m_seg, math.inf, sa.ServiceRegion(100.0, 20.0), 3.0)
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         sa.WaveguideLayout(2, 1.0, np.array([0.0, 0.5]), 3.0)  # overlapping

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,30 +192,53 @@ def test_parse_config_does_not_truncate_integer_fields():
 
 def test_parse_config_checks_a_long_waveguides_spacing_in_well_under_a_second():
     """The midpoint start's spacing check compares each PA with the next one
-    only, so 20,000 segments parse at once (at Q = 10, which keeps the drop
-    table within MAX_TABLE_BYTES; an all-pairs check took 12.8 s)."""
+    only, so 15,000 segments parse at once (at Q = 10 and K = 1, which keep
+    the drop table and the AO's 1.8 GB index table within MAX_TABLE_BYTES;
+    an all-pairs check took 12.8 s at 20,000 segments)."""
     start = time.perf_counter()
-    spec = parse_config(kind="sweep-k", overrides={"m_segments": 20000, "seg_length": 0.01, "q_grid": 10})
+    spec = parse_config(
+        kind="sweep-k", overrides={"m_segments": 15000, "seg_length": 0.01, "q_grid": 10, "sweep": "1"}
+    )
     assert time.perf_counter() - start < 1.0
-    assert spec.m_segments == 20000
+    assert spec.m_segments == 15000 and {"SA1", "SA2"} <= set(spec.schemes)
+
+
+def test_an_ss_parse_at_a_million_segments_stays_within_its_table_estimate():
+    """The layout's feeds are one numpy array, so an SS-only parse at M = 10^6
+    allocates less at its peak than the 16 (M + 1)(Q + 1) K = 48 MB drop table
+    the bound admits it for (a list of Python float feeds took 54 MB)."""
+    overrides = {"m_segments": 10 ** 6, "seg_length": 0.01, "q_grid": 2, "sweep": "1", "schemes": "SS"}
+    tracemalloc.start()
+    try:
+        parse_config(kind="sweep-k", overrides=overrides)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (10 ** 6 + 1) * (2 + 1) * 1
 
 
 def test_a_drop_table_over_the_bound_is_refused_before_any_layout(monkeypatch):
-    """The estimate is 16 (M + 1)(Q + 1) K bytes per run config: at the bound a
-    config parses, and a byte below it the first sweep value over it is named."""
+    """The estimate is 16 (M + 1)(Q + 1) K bytes per run config, plus the AO's
+    8 M (M - 1) byte index table when SA1 or SA2 runs: at the bound a config
+    parses, and a byte below it the first sweep value over it is named with
+    both terms.  Without SA1 and SA2 the index table is not counted."""
     import swan_aircomp.harness as harness
 
     layouts = []
     monkeypatch.setattr(harness, "build_layout", lambda *a: layouts.append(a) or build_layout(*a))
     overrides = {"m_segments": 5, "q_grid": 20, "sweep": "2,3"}
-    at_k3 = 16 * (5 + 1) * (20 + 1) * 3
-    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", at_k3 - 1)
-    with pytest.raises(ConfigError, match=r"sweep value 3 .*\(M = 5, Q = 20, K = 3\)"):
+    table_k3, index = 16 * (5 + 1) * (20 + 1) * 3, 8 * 5 * 4
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", table_k3 + index - 1)
+    with pytest.raises(ConfigError, match=r"sweep value 3 .*\(M = 5, Q = 20, K = 3\) plus .* index table"):
         parse_config(kind="sweep-k", overrides=overrides)
     assert layouts == []
-    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", at_k3)
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", table_k3 + index)
     parse_config(kind="sweep-k", overrides=overrides)
     assert len(layouts) == 1
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", table_k3)
+    parse_config(kind="sweep-k", overrides={**overrides, "schemes": "SS,PASS"})
+    with pytest.raises(ConfigError, match=r"\(M = 5, Q = 21, K = 3\), over the bound"):
+        parse_config(kind="sweep-k", overrides={**overrides, "schemes": "SS,PASS", "q_grid": 21})
 
 
 @pytest.mark.parametrize("field", sorted(_INT_MINIMUMS))

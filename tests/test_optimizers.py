@@ -1271,3 +1271,35 @@ def test_ao_settle_reports_whether_it_kept_the_change():
     assert [a.tobytes() for a in (state.psis, state.thetas, state.unphased, state.shares)] == before
     assert state.settle(1, state.thetas[1], pts[best], gains[best])
     assert state.current == mses[best] and state.psis[1] == pts[best]
+
+
+def test_ao_state_index_table_lists_every_segment_but_m_in_order():
+    """``others[m]`` is row m of one (M, M - 1) intp table: the segments but m, ascending."""
+    cfg = make_config()
+    for m_seg in range(1, 13):
+        scene = make_scene(m_segments=m_seg, seg_length=1.0, d_x=20.0, k=2, seed=derive_seed(70, m_seg))
+        state = optimizers._AOState(cfg, scene, midpoint_init(scene, "SA1"))
+        assert len(state.others) == m_seg
+        for m, row in enumerate(state.others):
+            assert row.dtype == np.intp and row.tolist() == [j for j in range(m_seg) if j != m]
+    assert state.others[0].base is state.others[1].base  # views of one table
+
+
+def test_sa2_wraps_unwrapped_init_phases_itself():
+    """Init phases outside [0, 2 pi) run as their ``_wrap_phase`` values.
+
+    The state takes every phase modulo 2 pi before it scores anything, so
+    the run from phases such as 7.0 and -1.0 is the per-candidate
+    reference's run from the wrapped phases, to the bit, and its returned
+    phases lie in [0, 2 pi).
+    """
+    cfg = make_config(kappa=0.08)
+    scene = make_scene(m_segments=3, seg_length=2.0, d_x=20.0, k=5, seed=derive_seed(71, 0))
+    pa_x = random_init(scene, "SA2", seed=derive_seed(72, 0), delta_min=cfg.delta_min).pa_x
+    for phases in ([7.0, -1.0, 0.5], [-1e-300, 4.0 * math.pi, -20.0]):
+        wrapped = [optimizers._wrap_phase(t) for t in phases]
+        assert wrapped != phases
+        rec = sa2_ao(cfg, scene, 40, init=sa.Placement("SA2", pa_x, phases=phases), max_iters=5)
+        assert np.all((0.0 <= rec.placement.phases) & (rec.placement.phases < 2.0 * math.pi))
+        assert rec.final_mse == evaluate_placement(cfg, scene, rec.placement)
+        _assert_same_run(rec, reference_ao(cfg, scene, 40, pa_x, wrapped, max_iters=5))
