@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DropGrids, RadioConfig, eff_channel
+from .channel import RadioConfig, eff_channel
 from .geometry import Placement, Scene
 from .metrics import mse_rows
 from .optimizers import (
     _DEGENERATE_RTOL,
+    DropGrids,
     RunRecord,
     _a_terms,
     _AOState,

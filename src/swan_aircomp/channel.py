@@ -16,19 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import (
-    Placement,
-    Scene,
-    UserDrop,
-    WaveguideLayout,
-    baseline_scene,
-    grid_points,
-    validate_placement,
-)
+from .geometry import Placement, Scene, WaveguideLayout, baseline_scene, validate_placement
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -144,130 +136,6 @@ def segment_gain_matrix(
     if free is None:
         free = _free_space(cfg, scene, psi_arr)
     return free * _in_waveguide(cfg, ell)[:, None]
-
-
-class DropGrids:
-    """The PA search candidates of one user drop, under each config it runs with.
-
-    Per (segment, config) the table holds one read-only block: the
-    segment's Q grid points ``grid_points(layout, m, q)``, then its
-    midpoint, where the AO starts, with their gains.  Segment None is the
-    PASS baseline's grid over the whole aperture; its midpoint row goes
-    unused.  A block is built on first request, for every config in
-    ``cfgs`` at once: one kappa-free free-space pass over its Q + 1
-    points, then one ``segment_gain_matrix`` call per config that takes it
-    as ``free``, so every gain the table holds is that function's, bit for
-    bit.  ``grid`` is a block's first Q rows, ``starts`` its last row per
-    segment (the midpoint AO starts and the SS probes), and ``joint`` the
-    joint oracles' candidates, every row of it.  ``stats`` is the AO
-    position screen's table of a segment grid, built on first request per
-    (segment, config).  Each of the four refuses a config not in ``cfgs``
-    with ``for_run``'s error, before building anything.  The table belongs
-    to the loop over drops that builds it and is dropped with the drop, or
-    handed to the drop's next table.
-
-    ``prior``, a table on the same layout object, with the same q and
-    configs, whose users are the first users of ``scene``, hands its blocks
-    over and keeps none (nor its statistics); any other is refused.  A
-    block with fewer user columns than the scene is widened on first
-    request: the same two steps over only the users it lacks, their
-    columns appended to its own.  A new block is the case of no columns
-    yet.  Each gain is a product of two elementwise factors of its (point,
-    user) pair, so a widened block is the fresh one, bit for bit; ``stats``
-    are built from it afresh.
-    """
-
-    def __init__(
-        self, scene: Scene, q: int, cfgs: Iterable[RadioConfig], prior: Optional[DropGrids] = None
-    ) -> None:
-        self.scene, self.q, self.cfgs = scene, q, tuple(cfgs)
-        if len({cfg.f_c for cfg in self.cfgs}) != 1:
-            raise ValueError("a grid table needs configs that share one carrier frequency")
-        self._blocks: dict = {}
-        self._stats: dict = {}
-        if prior is not None:
-            first = prior.scene.users.positions
-            if (prior.scene.layout is not scene.layout or prior.q != q or prior.cfgs != self.cfgs
-                    or first.tobytes() != scene.users.positions[:len(first)].tobytes()):
-                raise ValueError("a grid table takes over only a table of its layout, q and "
-                                 "configs whose users come first in its scene")
-            self._blocks, prior._blocks, prior._stats = prior._blocks, {}, {}
-
-    @classmethod
-    def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
-        """The table a run on (cfg, scene, q) reads: ``grids``, checked, or a new one for cfg."""
-        if grids is None:
-            return cls(scene, q, (cfg,))
-        if grids.scene is not scene or grids.q != q or cfg not in grids.cfgs:
-            raise ValueError(f"the grid table (q={grids.q}) is not for this run's scene, q={q} and config")
-        return grids
-
-    def _block(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Points and (Q + 1, K) gains under cfg of one segment's grid, then its midpoint."""
-        self.for_run(cfg, self.scene, self.q, self)
-        pts, gains = self._blocks.get((segment, cfg), (None, None))
-        have = 0 if gains is None else gains.shape[1]
-        if have < self.scene.k:
-            scene = self.scene if segment is not None else baseline_scene(self.scene)
-            m = segment or 0
-            if pts is None:
-                pts = np.append(grid_points(scene.layout, m, self.q), scene.layout.midpoints[m])
-                pts.setflags(write=False)
-            if have:
-                scene = Scene(scene.layout, UserDrop(scene.users.positions[have:]))
-            free = _free_space(self.cfgs[0], scene, pts)
-            for c in self.cfgs:
-                gains = segment_gain_matrix(c, scene, m, pts, free)
-                if have:
-                    gains = np.concatenate((self._blocks[segment, c][1], gains), axis=1)
-                gains.setflags(write=False)
-                self._blocks[segment, c] = pts, gains
-        return self._blocks[segment, cfg]
-
-    def grid(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Points and (Q, K) gains of one grid under cfg: views of its block."""
-        pts, gains = self._block(cfg, segment)
-        return pts[:self.q], gains[:self.q]
-
-    def starts(self, cfg: RadioConfig) -> np.ndarray:
-        """(M, K) gain rows under cfg with each segment's PA at its midpoint."""
-        rows = np.stack([self._block(cfg, m)[1][-1] for m in range(self.scene.layout.m_segments)])
-        rows.setflags(write=False)
-        return rows
-
-    def joint(self, cfg: RadioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each segment's joint-oracle candidates under cfg: its block's points and share rows.
-
-        A segment's candidates are its Q grid points, then its midpoint, the
-        AO's default start; their share rows are the block's gains times
-        1 / sqrt(M).  Both joint oracles read them.
-        """
-        m_segments = self.scene.layout.m_segments
-        scale = 1.0 / math.sqrt(m_segments)
-        return [(pts, gains * scale) for pts, gains in (self._block(cfg, m) for m in range(m_segments))]
-
-    def stats(self, cfg: RadioConfig, segment: int) -> np.ndarray:
-        """The AO position screen's read-only real (5, Q) table of one segment grid under cfg.
-
-        Column q is (|S_q|^2, Re S_q, Im S_q, E_q, 1) for the grid's gain
-        row g_q, with S_q = sum_k g_qk, E_q = sum_k |g_qk|^2 and |S_q|^2
-        rounded from the stored S_q, so one (2, 5) @ (5, Q) product gives
-        every row's screen numerator and its denominator but the cross term.
-        """
-        if (segment, cfg) not in self._stats:  # self.grid refuses a cfg not in cfgs
-            self._stats[segment, cfg] = self._row_stats(self.grid(cfg, segment)[1])
-        return self._stats[segment, cfg]
-
-    @staticmethod
-    def _row_stats(gains: np.ndarray) -> np.ndarray:
-        ones = np.ones(gains.shape[1])
-        sums = gains @ ones
-        table = np.stack([
-            np.square(sums.real) + np.square(sums.imag), sums.real, sums.imag,
-            np.square(np.abs(gains)) @ ones, np.ones(len(gains)),
-        ])
-        table.setflags(write=False)
-        return table
 
 
 def require_feasible(cfg: RadioConfig, layout: WaveguideLayout, placement: Placement) -> None:

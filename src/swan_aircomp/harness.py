@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, ge
 import numpy as np
 
 from . import svgplot
-from .channel import SPEED_OF_LIGHT, DropGrids, RadioConfig, dbm_to_watts, require_feasible
+from .channel import SPEED_OF_LIGHT, RadioConfig, dbm_to_watts, require_feasible
 from .geometry import (
     ARCHITECTURES,
     Placement,
@@ -34,7 +34,9 @@ from .geometry import (
 )
 from .optimizers import (
     MAX_JOINT_TUPLES,
+    DropGrids,
     RunRecord,
+    drop_search_bytes,
     evaluate_placement,
     pass_baseline,
     random_init,
@@ -86,11 +88,8 @@ KINDS = {
     }, oracles=True),
 }
 
-# The largest drop table a config may ask for, in bytes per run config:
-# 16 (M + 1)(Q + 1) K, a complex gain per block row and user (M segment
-# blocks and the PASS block, each Q grid points and a midpoint), plus
-# 8 M (M - 1) when SA1 or SA2 runs, the AO state's (M, M - 1) intp table
-# of the segments but m.
+# The most bytes a drop's search may hold (optimizers.drop_search_bytes): its
+# grid table for every run config and, when SA1 or SA2 runs, the AO state.
 MAX_TABLE_BYTES = 2 << 30
 
 # Integer fields and their minimums (None: any integer).
@@ -196,11 +195,10 @@ class ExperimentSpec:
         naming the first sweep value that uses it, and the configs of
         ``run_configs``, whose ``RadioConfig`` refuses a kappa or design
         kappa that is not finite and non-negative.  SA1 and SA2 start from
-        every PA at its segment midpoint, so under each run config that start
-        must pass ``require_feasible``, the check the run makes.  Before any
-        layout is built, a sweep value whose drop table (with SA1 or SA2,
-        also the AO's index table) would exceed ``MAX_TABLE_BYTES`` is
-        refused.
+        every PA at its segment midpoint, so that start must pass
+        ``require_feasible`` under the spec's ``delta_min``, the check the
+        run makes.  Before any layout is built, a sweep value whose drop
+        search would hold more than ``MAX_TABLE_BYTES`` is refused.
         """
         if KINDS[self.kind].swept and not all(
             float(v).is_integer() and v >= 1 for v in self.sweep
@@ -209,18 +207,18 @@ class ExperimentSpec:
                 f"{self.kind} sweep values must be integers >= 1, got {self.sweep}"
             )
         ao = bool({"SA1", "SA2"} & set(self.schemes))
-        for value in self.sweep:
-            m, _, k = _sweep_scene_params(self, value)
-            table = 16.0 * (m + 1) * (self.q_grid + 1) * k  # floats: M, Q, K may reach 1e308
-            index = 8.0 * m * (m - 1) if ao else 0.0
-            if table + index > MAX_TABLE_BYTES:
-                raise ConfigError(
-                    f"a drop's gain table at sweep value {value:g} would take {table / 2**30:.3g} GiB "
-                    f"per run config (M = {m:g}, Q = {self.q_grid:g}, K = {k:g})"
-                    + (f" plus {index / 2**30:.3g} GiB for the AO's (M, M - 1) index table" if ao else "")
-                    + f", over the bound of {MAX_TABLE_BYTES / 2**30:g} GiB; lower M, Q or K"
-                )
         try:
+            configs = self.run_configs()
+            for value in self.sweep:
+                m, _, k = _sweep_scene_params(self, value)
+                # floats, as M, Q and K may reach 1e308; exact while below 2**53 bytes
+                need = drop_search_bytes(float(m), float(self.q_grid), float(k), len(configs), ao)
+                if need > MAX_TABLE_BYTES:
+                    raise ValueError(
+                        f"a drop's gain table at sweep value {value:g} would hold {need / 2**30:.6g} GiB "
+                        f"(M = {m:g}, Q = {self.q_grid:g}, K = {k:g}, run configs = {len(configs)}"
+                        f"{', with the AO index table' if ao else ''}), over the bound of "
+                        f"{MAX_TABLE_BYTES / 2**30:g} GiB; lower M, Q or K")
             layouts: dict = {}  # each distinct layout once, with the first sweep value using it
             for v, (lay, _) in _sweep_layouts(self, ServiceRegion(self.d_x, self.d_y)).items():
                 layouts.setdefault(id(lay), (v, lay))
@@ -232,16 +230,13 @@ class ExperimentSpec:
                 if not math.isfinite(far):
                     raise ValueError(f"scene at sweep value {value:g} is too large: "
                                      "its squared distances overflow")
-            configs = self.run_configs()
-            if ao:
+            if ao:  # every run config has the spec's delta_min, all that the check reads
                 for value, layout in layouts.values():
-                    start = Placement("SA1", layout.midpoints)
-                    for cfg in configs:
-                        try:
-                            require_feasible(cfg, layout, start)
-                        except ValueError as exc:
-                            raise ValueError(f"the SA midpoint start at sweep value {value:g} "
-                                             f"is an {exc}") from None
+                    try:
+                        require_feasible(next(iter(configs)), layout, Placement("SA1", layout.midpoints))
+                    except ValueError as exc:
+                        raise ValueError(f"the SA midpoint start at sweep value {value:g} "
+                                         f"is an {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except ArithmeticError as exc:  # a dBm power too large to convert, or f_c_hz of 0

@@ -44,23 +44,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .channel import (
-    DropGrids,
     RadioConfig,
+    _free_space,
     eff_channel,
     placement_gains,
     require_feasible,
-    segment_gain_matrix,  # no caller here; perfbench's probe wraps optimizers.segment_gain_matrix
+    segment_gain_matrix,
     segment_shares,
 )
 from .geometry import (
     Placement,
     Scene,
+    UserDrop,
+    baseline_scene,
     feasible_grid,  # no caller here; perfbench's probe wraps optimizers.feasible_grid
+    grid_points,
 )
 from .metrics import mse_rows
 from .rng import philox_stream
@@ -83,8 +86,8 @@ MAX_JOINT_TUPLES = 2_000_000
 _THETA_GRID = 720
 
 # A position update on a grid of at most this many gains (Q K) scores every
-# row with mse_rows, without building the screen's row statistics: up to
-# here that costs less than the screen.
+# row with mse_rows, and DropGrids builds no screen table for it: up to here
+# that costs less than the screen.
 _FULL_SCAN_SIZE = 128
 
 
@@ -112,7 +115,7 @@ def _one_pass(placement: Placement, final: float, evaluations: int) -> RunRecord
 
 def _grid_search(cfg: RadioConfig, grids: DropGrids, segment: Optional[int]) -> tuple[float, float]:
     """First minimum of the MSE over one grid of ``grids``: (MSE, position)."""
-    pts, gains = grids.grid(cfg, segment)
+    pts, gains, _ = grids.grid(cfg, segment)
     mses = mse_rows(gains, cfg.p_tx, cfg.noise_var)
     j = int(np.argmin(mses))
     return float(mses[j]), float(pts[j])
@@ -227,6 +230,126 @@ def _a_terms(a: np.ndarray) -> tuple[complex, np.ndarray]:
     return complex(np.add.reduce(a)), np.square(np.abs(a))
 
 
+class DropGrids:
+    """The PA search candidates of one user drop, under each config it runs with.
+
+    Per (segment, config) the table holds one read-only block: the
+    segment's Q grid points ``grid_points(layout, m, q)``, then its
+    midpoint, where the AO starts, with their gains, and the AO position
+    screen's ``_row_stats`` table of its Q grid rows when they hold more
+    than ``_FULL_SCAN_SIZE`` gains (else None).  Segment None is the PASS
+    baseline's grid over the whole aperture, with no screen table; its
+    midpoint row goes unused.  A block is built on first request, for every
+    config in ``cfgs`` at once: one kappa-free free-space pass over its
+    Q + 1 points, then one ``segment_gain_matrix`` call per config that
+    takes it as ``free``, so every gain the table holds is that function's,
+    bit for bit.  ``grid`` is a block's first Q rows and its screen table,
+    ``starts`` its last row per segment (the midpoint AO starts and the SS
+    probes), and ``joint`` the joint oracles' candidates, every row of it.
+    Each of the three refuses a config not in ``cfgs`` with ``for_run``'s
+    error, before building anything.  The table belongs to the loop over
+    drops that builds it and is dropped with the drop, or handed to the
+    drop's next table; ``drop_search_bytes`` is what it holds.
+
+    ``prior``, a table on the same layout object, with the same q and
+    configs, whose users are the first users of ``scene``, hands its blocks
+    over and keeps none; any other is refused.  A block with fewer user
+    columns than the scene is widened on first request: the same two steps
+    over only the users it lacks, their columns appended to its own, and
+    its screen table built afresh.  A new block is the case of no columns
+    yet.  Each gain is a product of two elementwise factors of its (point,
+    user) pair, so a widened block is the fresh one, bit for bit.
+    """
+
+    def __init__(
+        self, scene: Scene, q: int, cfgs: Iterable[RadioConfig], prior: Optional[DropGrids] = None
+    ) -> None:
+        self.scene, self.q, self.cfgs = scene, q, tuple(cfgs)
+        if len({cfg.f_c for cfg in self.cfgs}) != 1:
+            raise ValueError("a grid table needs configs that share one carrier frequency")
+        self._blocks: dict = {}
+        if prior is not None:
+            first = prior.scene.users.positions
+            if (prior.scene.layout is not scene.layout or prior.q != q or prior.cfgs != self.cfgs
+                    or first.tobytes() != scene.users.positions[:len(first)].tobytes()):
+                raise ValueError("a grid table takes over only a table of its layout, q and "
+                                 "configs whose users come first in its scene")
+            self._blocks, prior._blocks = prior._blocks, {}
+
+    @classmethod
+    def for_run(cls, cfg: RadioConfig, scene: Scene, q: int, grids: Optional[DropGrids]) -> DropGrids:
+        """The table a run on (cfg, scene, q) reads: ``grids``, checked, or a new one for cfg."""
+        if grids is None:
+            return cls(scene, q, (cfg,))
+        if grids.scene is not scene or grids.q != q or cfg not in grids.cfgs:
+            raise ValueError(f"the grid table (q={grids.q}) is not for this run's scene, q={q} and config")
+        return grids
+
+    def _block(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Points, (Q + 1, K) gains and screen table under cfg of one segment's grid, then its midpoint."""
+        self.for_run(cfg, self.scene, self.q, self)
+        pts, gains, _ = self._blocks.get((segment, cfg), (None, None, None))
+        have = 0 if gains is None else gains.shape[1]
+        if have < self.scene.k:
+            scene = self.scene if segment is not None else baseline_scene(self.scene)
+            m = segment or 0
+            if pts is None:
+                pts = np.append(grid_points(scene.layout, m, self.q), scene.layout.midpoints[m])
+                pts.setflags(write=False)
+            if have:
+                scene = Scene(scene.layout, UserDrop(scene.users.positions[have:]))
+            free = _free_space(self.cfgs[0], scene, pts)
+            screened = segment is not None and self.q * self.scene.k > _FULL_SCAN_SIZE
+            for c in self.cfgs:
+                gains = segment_gain_matrix(c, scene, m, pts, free)
+                if have:
+                    gains = np.concatenate((self._blocks[segment, c][1], gains), axis=1)
+                gains.setflags(write=False)
+                table = self._row_stats(gains[:self.q]) if screened else None
+                self._blocks[segment, c] = pts, gains, table
+        return self._blocks[segment, cfg]
+
+    def grid(self, cfg: RadioConfig, segment: Optional[int]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Points and (Q, K) gains of one grid under cfg, views of its block, and its screen table."""
+        pts, gains, table = self._block(cfg, segment)
+        return pts[:self.q], gains[:self.q], table
+
+    def starts(self, cfg: RadioConfig) -> np.ndarray:
+        """(M, K) gain rows under cfg with each segment's PA at its midpoint."""
+        rows = np.stack([self._block(cfg, m)[1][-1] for m in range(self.scene.layout.m_segments)])
+        rows.setflags(write=False)
+        return rows
+
+    def joint(self, cfg: RadioConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each segment's joint-oracle candidates under cfg: its block's points and share rows.
+
+        A segment's candidates are its Q grid points, then its midpoint, the
+        AO's default start; their share rows are the block's gains times
+        1 / sqrt(M).  Both joint oracles read them.
+        """
+        m_segments = self.scene.layout.m_segments
+        scale = 1.0 / math.sqrt(m_segments)
+        return [(pts, gains * scale) for pts, gains, _ in (self._block(cfg, m) for m in range(m_segments))]
+
+    @staticmethod
+    def _row_stats(gains: np.ndarray) -> np.ndarray:
+        """The screen's read-only (5, Q) table: column q is (|S_q|^2, Re S_q, Im S_q, E_q, 1).
+
+        S_q = sum_k g_qk, |S_q|^2 rounded from the stored S_q, and
+        E_q = sum_k |g_qk|^2 for gain row g_q, so one (2, 5) @ (5, Q) product
+        gives every row's screen numerator and its denominator but the cross
+        term.
+        """
+        ones = np.ones(gains.shape[1])
+        sums = gains @ ones
+        table = np.stack([
+            np.square(sums.real) + np.square(sums.imag), sums.real, sums.imag,
+            np.square(np.abs(gains)) @ ones, np.ones(len(gains)),
+        ])
+        table.setflags(write=False)
+        return table
+
+
 class _ScreenWork:
     """The buffers ``_screened_scan`` fills for a (5, Q) table and K users.
 
@@ -273,10 +396,9 @@ class _AOState:
 
     ``unphased_rows`` and ``share_rows`` are row views of ``unphased`` and
     ``shares``, made once, so a step indexes neither array to read or
-    write a segment's row.  ``scans[m]`` is segment m's grid points, gains
-    and, above ``_FULL_SCAN_SIZE`` gains, screen table from ``grids`` (no
-    scans without it), and ``work`` the screen's buffers, allocated once
-    for grids with tables.
+    write a segment's row.  ``scans[m]`` is ``grids.grid(cfg, m)`` (none
+    without ``grids``), and ``work`` the screen's buffers, allocated once
+    when the scans carry screen tables.
     """
 
     def __init__(
@@ -303,11 +425,8 @@ class _AOState:
         self.a_terms: list = [None] * m_seg
         idx = np.arange(m_seg - 1, dtype=np.intp)
         self.others = list(idx + (idx >= np.arange(m_seg)[:, None]))
-        screened = grids is not None and grids.q * scene.k > _FULL_SCAN_SIZE
-        self.scans = [] if grids is None else [
-            (*grids.grid(cfg, m), grids.stats(cfg, m) if screened else None) for m in range(m_seg)
-        ]
-        self.work = _ScreenWork(grids.q, scene.k) if screened else None
+        self.scans = [] if grids is None else [grids.grid(cfg, m) for m in range(m_seg)]
+        self.work = _ScreenWork(grids.q, scene.k) if self.scans and self.scans[0][2] is not None else None
         self.current = self._mse()
 
     def _mse(self) -> float:
@@ -400,6 +519,17 @@ class _AOState:
         np.multiply(self.unphased_rows[m], rot, self.share_rows[m])
 
 
+def drop_search_bytes(m: int, q: int, k: int, n_cfgs: int, ao: bool) -> int:
+    """Bytes of a ``DropGrids`` with every block built for n_cfgs configs, with ao plus an ``_AOState``.
+
+    Floats for M, Q and K give the same value while it is below 2**53.
+    """
+    blocks = (m + 1) * (q + 1)  # M segment blocks and PASS, of Q grid points and a midpoint each
+    per_cfg = 16 * blocks * k + (8 * 5 * m * q if q * k > _FULL_SCAN_SIZE else 0)  # gains, screen tables
+    index = np.dtype(np.intp).itemsize * m * (m - 1) if ao else 0  # the state's (M, M - 1) table
+    return 8 * blocks + n_cfgs * per_cfg + index  # every config shares the blocks' points
+
+
 def _screened_scan(
     gains: np.ndarray,
     table: Optional[np.ndarray],
@@ -415,13 +545,13 @@ def _screened_scan(
     The candidates are h_q = rest + factor * g_q for the rows g_q of
     ``gains`` that ``feasible`` keeps (all of them when None).  A grid
     without ``table`` (one of at most ``_FULL_SCAN_SIZE`` gains, see
-    ``_AOState``) scores every row with ``mse_rows``.  Otherwise each
+    ``DropGrids``) scores every row with ``mse_rows``.  Otherwise each
     row is screened by its alignment ratio r_q = num_q / den_q, with
     f = factor, b = rest, B = sum b and E_b = sum |b|^2:
     num_q = |f|^2 |S_q|^2 + |B|^2 + 2 Re(f S_q conj(B)) and
     den_q = |f|^2 E_q + E_b + noise_var / p_tx + 2 Re(f X_q),
     X_q = sum_k g_qk conj(b_k), from one (2, 5) @ (5, Q) product with the
-    grid's ``DropGrids.stats`` table and, for 2 Re(f X_q), one real
+    grid's screen table (``DropGrids._row_stats``) and, for 2 Re(f X_q), one real
     matrix-vector product of the gains' zero-copy float view (real and
     imaginary parts interleaved) with b conj(2 f) viewed as 2K floats;
     MSE_q = K - r_q.  These fill the buffers of ``work`` (new ones when

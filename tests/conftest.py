@@ -59,7 +59,7 @@ def rows_run_alone(spec):
     the sweep value's own K, in a table built for that run alone.
     """
     from swan_aircomp import harness
-    from swan_aircomp.channel import DropGrids
+    from swan_aircomp.optimizers import DropGrids
 
     region = sa.ServiceRegion(spec.d_x, spec.d_y)
     out = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import swan_aircomp as sa
-from swan_aircomp.channel import DropGrids
+from swan_aircomp.optimizers import DropGrids
 from conftest import (
     make_config,
     make_scene,
@@ -166,7 +166,7 @@ def test_drop_grids_are_the_grid_call_bitwise_in_any_kappa_order():
                 for seg in (0, 1, 2, None):
                     grid_scene = scene if seg is not None else sa.baseline_scene(scene)
                     grid = sa.grid_points(grid_scene.layout, seg or 0, 101)
-                    pts, gains = grids.grid(cfg, seg)
+                    pts, gains, _ = grids.grid(cfg, seg)
                     want = sa.segment_gain_matrix(cfg, grid_scene, seg or 0, grid)
                     assert pts.tobytes() == grid.tobytes()
                     assert gains.tobytes() == want.tobytes()
@@ -206,18 +206,19 @@ def test_screen_statistics_read_the_grid_gains_in_place():
 
     The view the screen takes of the gains shares their read-only memory,
     so a screen copies no (Q, K) gains; the read-only table holds
-    (|S_q|^2, Re S_q, Im S_q, E_q, 1) per row, built once per grid.
+    (|S_q|^2, Re S_q, Im S_q, E_q, 1) per row, built once per grid with
+    its block.  The PASS grid has none.
     """
     cfg = make_config(kappa=0.08)
     scene = make_scene(m_segments=3, seg_length=2.0, k=6, seed=29)
     grids = DropGrids(scene, 50, (cfg,))
+    assert grids.grid(cfg, None)[2] is None
     for seg in range(3):
-        gains = grids.grid(cfg, seg)[1]
-        table = grids.stats(cfg, seg)
+        _, gains, table = grids.grid(cfg, seg)
         flat = gains.view(np.float64)
         assert flat.shape == (50, 12) and np.shares_memory(flat, gains) and not flat.flags.writeable
         assert table.shape == (5, 50) and table.dtype == np.float64 and not table.flags.writeable
-        assert grids.stats(cfg, seg) is table
+        assert grids.grid(cfg, seg)[2] is table
         sums = gains.sum(axis=1)
         want = [np.abs(sums) ** 2, sums.real, sums.imag, (np.abs(gains) ** 2).sum(axis=1), np.ones(50)]
         l1 = np.abs(gains).sum(axis=1).max()
@@ -254,12 +255,11 @@ def test_a_run_refuses_a_grid_table_built_for_another_run():
         assert shared.final_mse.hex() == own.final_mse.hex()
         assert shared.placement.pa_x.tobytes() == own.placement.pa_x.tobytes()
     table = refused[2]
-    reads = (lambda: table.grid(cfg, 0), lambda: table.stats(cfg, 0), lambda: table.starts(cfg),
-             lambda: table.joint(cfg))
+    reads = (lambda: table.grid(cfg, 0), lambda: table.starts(cfg), lambda: table.joint(cfg))
     for read in reads:
         with pytest.raises(ValueError, match="is not for this run's scene, q=12 and config"):
             read()
-    assert not (table._blocks or table._stats)
+    assert not table._blocks
     with pytest.raises(ValueError, match="carrier"):
         DropGrids(scene, 12, (cfg, make_config(f_c=30e9)))
 
@@ -270,7 +270,9 @@ def test_a_widened_table_is_the_fresh_table_bitwise():
     The K = 2 table builds every block; the K = 4 table takes them over and
     widens only segment 1's; the K = 7 table takes them over again, so the
     other blocks skip K = 4 and gain five columns at once.  Each hand-over
-    leaves the old table with no block and no statistics.
+    leaves the old table with no block.  Segment grids carry screen tables
+    from K = 5 on (Q K > 128), so each is built from its widened block at
+    K = 7.
     """
     cfgs = (make_config(kappa=0.0), make_config(kappa=0.08))
     region = sa.ServiceRegion(20.0, 8.0)
@@ -280,20 +282,23 @@ def test_a_widened_table_is_the_fresh_table_bitwise():
     for cfg in cfgs:
         small.starts(cfg)
         small.grid(cfg, None)
-        small.stats(cfg, 0)
+        assert small.grid(cfg, 0)[2] is None
     middle = DropGrids(scenes[1], 30, cfgs, small)
-    assert not (small._blocks or small._stats)
-    assert middle.stats(cfgs[1], 1).shape == (5, 30)
+    assert not small._blocks
+    assert middle.grid(cfgs[1], 1)[1].shape == (30, 4)
+    assert middle.grid(cfgs[1], 1)[2] is None
     wide = DropGrids(scenes[2], 30, cfgs, middle)
-    assert not (middle._blocks or middle._stats)
+    assert not middle._blocks
     fresh = DropGrids(scenes[2], 30, cfgs)
     for cfg in cfgs:
         for seg in (0, 1, 2, None):
-            for got, want in zip(wide.grid(cfg, seg), fresh.grid(cfg, seg)):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                assert not got.flags.writeable
-            if seg is not None:
-                assert wide.stats(cfg, seg).tobytes() == fresh.stats(cfg, seg).tobytes()
+            got, want = wide.grid(cfg, seg), fresh.grid(cfg, seg)
+            if seg is None:
+                assert got[2] is want[2] is None
+                got, want = got[:2], want[:2]
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
         assert wide.starts(cfg).tobytes() == fresh.starts(cfg).tobytes()
         for (pts, shares), (want_pts, want_shares) in zip(wide.joint(cfg), fresh.joint(cfg)):
             assert pts.tobytes() == want_pts.tobytes()

@@ -166,15 +166,18 @@ def test_parse_config_refuses_an_override_naming_another_kind(tmp_path):
 
 
 @pytest.mark.parametrize("kind,overrides,want", [
-    # every K shares one layout: 1 layout x 2 run configs
-    ("sweep-k", {"kappa_db_per_m": "0,0.08"}, 2),
+    # every K shares one layout
+    ("sweep-k", {"kappa_db_per_m": "0,0.08"}, 1),
     ("sweep-k", {"kappa_db_per_m": "0,0.08", "design_kappa": 0}, 1),
-    # each M has its own layout: 10 layouts x 2 run configs
-    ("sweep-m-fixed-L", {"kappa_db_per_m": "0,0.08"}, 20),
+    # each M has its own layout
+    ("sweep-m-fixed-L", {"kappa_db_per_m": "0,0.08"}, 10),
 ])
 def test_parse_config_checks_each_distinct_layouts_start_once_per_run_config(
     monkeypatch, kind, overrides, want
 ):
+    """Every run config has the spec's delta_min, the one field the start
+    check reads, so each distinct layout's start is checked once, whatever
+    the number of run configs."""
     import swan_aircomp.harness as harness
 
     calls = []
@@ -205,8 +208,9 @@ def test_parse_config_checks_a_long_waveguides_spacing_in_well_under_a_second():
 
 def test_an_ss_parse_at_a_million_segments_stays_within_its_table_estimate():
     """The layout's feeds are one numpy array, so an SS-only parse at M = 10^6
-    allocates less at its peak than the 16 (M + 1)(Q + 1) K = 48 MB drop table
-    the bound admits it for (a list of Python float feeds took 54 MB)."""
+    allocates less at its peak than the 16 (M + 1)(Q + 1) K = 48 MB of gains
+    alone in the drop table the bound admits it for (a list of Python float
+    feeds took 54 MB)."""
     overrides = {"m_segments": 10 ** 6, "seg_length": 0.01, "q_grid": 2, "sweep": "1", "schemes": "SS"}
     tracemalloc.start()
     try:
@@ -218,27 +222,43 @@ def test_an_ss_parse_at_a_million_segments_stays_within_its_table_estimate():
 
 
 def test_a_drop_table_over_the_bound_is_refused_before_any_layout(monkeypatch):
-    """The estimate is 16 (M + 1)(Q + 1) K bytes per run config, plus the AO's
-    8 M (M - 1) byte index table when SA1 or SA2 runs: at the bound a config
+    """The bound is ``drop_search_bytes`` for every run config: the table's
+    M + 1 blocks of Q + 1 points once, each config's (Q + 1, K) complex gains
+    per block, and the AO's 8 M (M - 1) byte index table when SA1 or SA2
+    runs (at Q K = 60 no grid has a screen table).  At the bound a config
     parses, and a byte below it the first sweep value over it is named with
-    both terms.  Without SA1 and SA2 the index table is not counted."""
+    its M, Q, K and run configs.  Without SA1 and SA2 the index table is not
+    counted."""
     import swan_aircomp.harness as harness
 
     layouts = []
     monkeypatch.setattr(harness, "build_layout", lambda *a: layouts.append(a) or build_layout(*a))
-    overrides = {"m_segments": 5, "q_grid": 20, "sweep": "2,3"}
-    table_k3, index = 16 * (5 + 1) * (20 + 1) * 3, 8 * 5 * 4
-    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", table_k3 + index - 1)
-    with pytest.raises(ConfigError, match=r"sweep value 3 .*\(M = 5, Q = 20, K = 3\) plus .* index table"):
+    overrides = {"m_segments": 5, "q_grid": 20, "sweep": "2,3", "kappa_db_per_m": "0,0.08"}
+    points, gains_k3, index = 8 * (5 + 1) * (20 + 1), 16 * (5 + 1) * (20 + 1) * 3, 8 * 5 * 4
+    need = points + 2 * gains_k3 + index
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", need - 1)
+    with pytest.raises(ConfigError, match=r"sweep value 3 .*\(M = 5, Q = 20, K = 3, run configs = 2, "
+                                          r"with the AO index table\)"):
         parse_config(kind="sweep-k", overrides=overrides)
     assert layouts == []
-    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", table_k3 + index)
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", need)
     parse_config(kind="sweep-k", overrides=overrides)
     assert len(layouts) == 1
-    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", table_k3)
+    monkeypatch.setattr(harness, "MAX_TABLE_BYTES", need - index)
     parse_config(kind="sweep-k", overrides={**overrides, "schemes": "SS,PASS"})
-    with pytest.raises(ConfigError, match=r"\(M = 5, Q = 21, K = 3\), over the bound"):
+    with pytest.raises(ConfigError, match=r"\(M = 5, Q = 21, K = 3, run configs = 2\), over the bound"):
         parse_config(kind="sweep-k", overrides={**overrides, "schemes": "SS,PASS", "q_grid": 21})
+
+
+@pytest.mark.parametrize("kappas, m_max", [("0", 7910), ("0,0.08", 4805)])
+def test_sa_runs_at_the_default_q_and_k_are_refused_above_the_stated_m(kappas, m_max):
+    """At Q = 1000 and K = 10 every grid carries a screen table and each kappa
+    runs its own config, so the largest M an SA run parses at falls with the
+    number of kappas (README states both values)."""
+    overrides = {"seg_length": 0.01, "sweep": "10", "kappa_db_per_m": kappas}
+    parse_config(kind="sweep-k", overrides={**overrides, "m_segments": m_max})
+    with pytest.raises(ConfigError, match=rf"\(M = {m_max + 1}, Q = 1000, K = 10, "):
+        parse_config(kind="sweep-k", overrides={**overrides, "m_segments": m_max + 1})
 
 
 @pytest.mark.parametrize("field", sorted(_INT_MINIMUMS))
@@ -331,9 +351,10 @@ def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
 
     Two kappas and four schemes, then oracle-check's AO runs and joint
     oracles: the AO starts, the SS probes and the oracles' candidates all
-    read the drop's blocks, so no M-point or 1-point gain is built.
+    read the drop's blocks, so no M-point or 1-point gain is built, by the
+    table or by ``segment_gain_matrix`` without a ``free``.
     """
-    from swan_aircomp import channel
+    from swan_aircomp import channel, optimizers
 
     sizes = []
     real = channel._free_space
@@ -343,6 +364,7 @@ def test_a_drop_builds_each_grid_free_space_factor_once(monkeypatch):
         return real(cfg, scene, psi)
 
     monkeypatch.setattr(channel, "_free_space", counted)
+    monkeypatch.setattr(optimizers, "_free_space", counted)
     sweep_k = make_spec(sweep=(4,), n_drops=1, m_segments=3, q_grid=40,
                         schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=(0.0, 0.08))
     oracle = parse_config(kind="oracle-check",
@@ -359,10 +381,10 @@ def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):
     With a restart, SA1 and SA2 each run twice per kappa on a drop; every
     run on the drop reads the same blocks, and the AO runs share statistics.
     """
-    from swan_aircomp import channel
+    from swan_aircomp import optimizers
 
     free, stats = [], []
-    real_free, real_stats = channel._free_space, channel.DropGrids._row_stats
+    real_free, real_stats = optimizers._free_space, optimizers.DropGrids._row_stats
 
     def counted_free(cfg, scene, psi):
         free.append((scene.users, psi.size))
@@ -372,8 +394,8 @@ def test_each_drop_builds_its_grids_once_for_every_run_and_restart(monkeypatch):
         stats.append(gains.shape)
         return real_stats(gains)
 
-    monkeypatch.setattr(channel, "_free_space", counted_free)
-    monkeypatch.setattr(channel.DropGrids, "_row_stats", staticmethod(counted_stats))
+    monkeypatch.setattr(optimizers, "_free_space", counted_free)
+    monkeypatch.setattr(optimizers.DropGrids, "_row_stats", staticmethod(counted_stats))
     m, q, kappas, drops = 3, 40, (0.0, 0.08), 2
     spec = make_spec(sweep=(4,), n_drops=drops, m_segments=m, q_grid=q, restarts=1,
                      schemes=("SS", "SA1", "SA2", "PASS"), kappa_db_per_m=kappas)
@@ -390,10 +412,10 @@ def test_joint_oracles_read_one_candidate_list_per_drop_and_config(monkeypatch):
     """oracle-check, 2 drops, two kappas: the SA1 and SA2 oracles' candidates are the
     drop's blocks, points and gains times 1/sqrt(M) to the bit, and no oracle builds
     a gain of its own: every gain of the run is one block's."""
-    from swan_aircomp import channel
+    from swan_aircomp import optimizers
 
     reads, gain_calls = [], []
-    real_joint, real_gains = channel.DropGrids.joint, channel.segment_gain_matrix
+    real_joint, real_gains = optimizers.DropGrids.joint, optimizers.segment_gain_matrix
 
     def recorded(self, cfg):
         cands = real_joint(self, cfg)
@@ -404,8 +426,8 @@ def test_joint_oracles_read_one_candidate_list_per_drop_and_config(monkeypatch):
         gain_calls.append((len(psi), free is not None))
         return real_gains(cfg, scene, segment, psi, free)
 
-    monkeypatch.setattr(channel.DropGrids, "joint", recorded)
-    monkeypatch.setattr(channel, "segment_gain_matrix", counted)
+    monkeypatch.setattr(optimizers.DropGrids, "joint", recorded)
+    monkeypatch.setattr(optimizers, "segment_gain_matrix", counted)
     spec = parse_config(kind="oracle-check", overrides={"n_drops": 2, "kappa_db_per_m": "0,0.08"})
     run_experiment(spec)
     m, q = spec.m_segments, spec.q_grid
@@ -415,7 +437,7 @@ def test_joint_oracles_read_one_candidate_list_per_drop_and_config(monkeypatch):
         lists.setdefault((table, cfg), []).append(cands)
         assert len(cands) == m
         for seg, (pts, shares) in enumerate(cands):
-            block_pts, block_gains = table._block(cfg, seg)
+            block_pts, block_gains, _ = table._block(cfg, seg)
             assert pts.tobytes() == block_pts.tobytes()
             assert shares.tobytes() == (block_gains * (1.0 / np.sqrt(m))).tobytes()
     assert len(lists) == 2 * 2

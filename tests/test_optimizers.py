@@ -8,9 +8,11 @@ import pytest
 import swan_aircomp as sa
 from swan_aircomp import optimizers
 from swan_aircomp.audit import phase_update_closed, sa1_position_update, ss_exhaustive, ss_mse_objective
-from swan_aircomp.channel import DropGrids, placement_gains
+from swan_aircomp.channel import placement_gains
 from swan_aircomp.geometry import baseline_layout, baseline_scene
 from swan_aircomp.optimizers import (
+    DropGrids,
+    drop_search_bytes,
     evaluate_placement,
     midpoint_init,
     pass_baseline,
@@ -1107,6 +1109,33 @@ def test_position_screen_picks_the_full_scans_row(k):
     assert bounded > (same + other + incumbent) // 2
 
 
+@pytest.mark.parametrize("q, ks", [(20, (3,)), (40, (4,)), (20, (3, 7)), (40, (4, 6))])
+@pytest.mark.parametrize("n_kappas", [1, 2])
+def test_drop_search_bytes_is_what_a_table_and_an_ao_state_hold(q, ks, n_kappas):
+    """``drop_search_bytes`` equals, to the byte, the nbytes of the distinct
+    arrays a table holds once every block is built, plus, with an AO run,
+    its state's index table.  Q K runs at most and above the 128 gains
+    that get a screen table, and a chain of K values hands its blocks from
+    table to table, widening them (at Q = 20 a block gains a screen table
+    as it widens, at Q = 40 its table is replaced)."""
+    cfgs = tuple(make_config(kappa=kappa) for kappa in (0.0, 0.08)[:n_kappas])
+    region = sa.ServiceRegion(20.0, 8.0)
+    layout = sa.build_layout(3, 2.0, region, 3.0)
+    users = sa.sample_users(region, max(ks), 17).positions
+    grids = None
+    for k in ks:
+        scene = sa.Scene(layout, sa.UserDrop(users[:k]))
+        grids = DropGrids(scene, q, cfgs, grids)
+        for cfg in cfgs:
+            grids.starts(cfg)
+            grids.grid(cfg, None)
+    held = {id(a): a for block in grids._blocks.values() for a in block if a is not None}
+    table = sum(a.nbytes for a in held.values())
+    assert table == drop_search_bytes(3, q, ks[-1], n_kappas, False)
+    state = optimizers._AOState(cfgs[0], scene, midpoint_init(scene, "SA1"), grids)
+    assert table + state.others[0].base.nbytes == drop_search_bytes(3, q, ks[-1], n_kappas, True)
+
+
 def _worst_row(gains, stats, rest, factor, feasible, p_tx, noise_var, work=None):
     """The first worst feasible row by ``mse_rows``, or None: a stand-in for ``_screened_scan``."""
     h = gains * factor
@@ -1258,7 +1287,7 @@ def test_ao_settle_reports_whether_it_kept_the_change():
     """A move that raises the MSE is undone to the bit and reported as not kept."""
     cfg = make_config(kappa=0.08)
     scene = make_scene(m_segments=3, seg_length=2.0, k=5, seed=7)
-    pts, gains = DropGrids(scene, 41, (cfg,)).grid(cfg, 1)
+    pts, gains, _ = DropGrids(scene, 41, (cfg,)).grid(cfg, 1)
     state = optimizers._AOState(cfg, scene, midpoint_init(scene, "SA2"))
     mses = [evaluate_placement(cfg, scene, sa.Placement("SA2", np.array([state.psis[0], x, state.psis[2]]),
                                                         phases=state.thetas.copy()))
